@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "predict/fft.hpp"
 #include "predict/hybrid_histogram.hpp"
 #include "trace/analysis.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -172,6 +174,51 @@ void BM_EvaluateFixedPredictor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateFixedPredictor);
+
+// One IceBreaker refit at its default configuration (256-minute window, 8
+// harmonics, 10-minute horizon), cycling over 64 Poisson count series:
+// through a reused HarmonicForecaster, as the policy refits, and through
+// the one-shot harmonic_extrapolate.
+constexpr std::size_t kRefitWindow = 256;
+constexpr std::size_t kRefitHarmonics = 8;
+constexpr std::size_t kRefitHorizon = 10;
+
+std::vector<std::vector<double>> refit_series() {
+  util::Pcg32 rng(11);
+  std::vector<std::vector<double>> pool(64, std::vector<double>(kRefitWindow));
+  for (auto& series : pool) {
+    const double rate = rng.uniform(0.05, 8.0);
+    for (std::size_t i = 0; i < kRefitWindow; ++i) {
+      const double phase = 2.0 * std::numbers::pi * static_cast<double>(i) / 60.0;
+      series[i] = util::poisson(rng, rate * (1.0 + 0.8 * std::sin(phase)));
+    }
+  }
+  return pool;
+}
+
+void BM_HarmonicRefitPlan(benchmark::State& state) {
+  const auto pool = refit_series();
+  predict::HarmonicForecaster forecaster(
+      std::make_shared<const predict::HarmonicPlan>(kRefitWindow, kRefitHorizon));
+  std::vector<double> out(kRefitHorizon);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    forecaster.extrapolate(pool[i++ % pool.size()], kRefitHarmonics, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HarmonicRefitPlan);
+
+void BM_HarmonicRefitOneShot(benchmark::State& state) {
+  const auto pool = refit_series();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        predict::harmonic_extrapolate(pool[i++ % pool.size()], kRefitHarmonics, kRefitHorizon));
+  }
+}
+BENCHMARK(BM_HarmonicRefitOneShot);
 
 }  // namespace
 

@@ -2,8 +2,9 @@
 //
 // Drives OnlineServer with ReplaySource over a synthetic workload for the
 // streaming policy configurations (PULSE, Wild with the incremental AR fit,
-// IceBreaker with the sliding DFT) and measures per-event ingest latency
-// (p50/p99/max). Two hard acceptance gates:
+// IceBreaker with its default FFT refit and with the sliding DFT) and
+// measures per-event ingest latency (p50/p99/max). Two hard acceptance
+// gates:
 //
 //   1. Zero steady-state heap allocation: global operator new is counted;
 //      after the warm-up half of the stream, the count must not move. Any
@@ -109,6 +110,9 @@ std::unique_ptr<sim::KeepAlivePolicy> make_streaming_policy(const std::string& n
     policies::WildPolicy::Config config;
     config.predictor.streaming_ar = true;
     return std::make_unique<policies::WildPolicy>(config);
+  }
+  if (name == "icebreaker") {
+    return std::make_unique<policies::IceBreakerPolicy>();  // refit per refresh
   }
   if (name == "icebreaker-streaming") {
     policies::IceBreakerPolicy::Config config;
@@ -244,7 +248,7 @@ int run(int argc, char** argv) {
   std::vector<PolicyResult> results;
   std::printf("%-22s %10s %10s %10s %10s %12s\n", "policy", "events", "p50(ns)", "p99(ns)",
               "max(ns)", "steady-alloc");
-  for (const char* name : {"pulse", "wild-streaming", "icebreaker-streaming"}) {
+  for (const char* name : {"pulse", "wild-streaming", "icebreaker", "icebreaker-streaming"}) {
     PolicyResult r;
     r.name = name;
     r.baseline = run_pass(deployment, trace, r.name, latencies);

@@ -1,10 +1,11 @@
 #include "policies/icebreaker.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "predict/divergence.hpp"
-#include "predict/fft.hpp"
 
 namespace pulse::policies {
 
@@ -34,11 +35,18 @@ void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace
   // keeps end_of_minute() off the allocator for the whole run.
   for (auto& series : history_) series.reserve(static_cast<std::size_t>(trace.duration()));
   current_minute_count_.assign(deployment.function_count(), 0);
+  // One plan per run: its tables cover every refit size up to fft_window
+  // and the basis of full-window forecasts; the sliding DFTs share it.
+  const auto horizon = static_cast<std::size_t>(config_.refresh_interval);
+  forecaster_ = predict::HarmonicForecaster(std::make_shared<const predict::HarmonicPlan>(
+      predict::prev_pow2(std::max<std::size_t>(config_.fft_window, 1)), horizon));
+  forecast_buffer_.assign(horizon, 0.0);
   dfts_.clear();
-  forecast_buffer_.clear();
   if (config_.streaming_dft) {
-    dfts_.assign(deployment.function_count(), predict::SlidingDft(config_.fft_window));
-    forecast_buffer_.assign(static_cast<std::size_t>(config_.refresh_interval), 0.0);
+    if (forecaster_.plan()->n() != config_.fft_window) {
+      throw std::invalid_argument("IceBreakerPolicy: streaming_dft needs a power-of-two window");
+    }
+    dfts_.assign(deployment.function_count(), predict::SlidingDft(forecaster_.plan()));
   }
 }
 
@@ -58,15 +66,19 @@ void IceBreakerPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
   current_minute_count_.at(f) += 1;
 }
 
-std::vector<double> IceBreakerPolicy::forecast(trace::FunctionId f) const {
+void IceBreakerPolicy::forecast(trace::FunctionId f) {
   const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
-  const auto& series = history_.at(f);
-  const std::size_t window = std::min(config_.fft_window, series.size());
-  const std::span<const double> recent(series.data() + (series.size() - window), window);
-  std::vector<double> predicted = predict::harmonic_extrapolate(
-      recent, config_.harmonics, static_cast<std::size_t>(config_.refresh_interval));
-  predict::ensure_finite(predicted, "icebreaker/fft");
-  return predicted;
+  if (!dfts_.empty() && dfts_[f].ready()) {
+    // Streaming path: the sliding DFT already tracks the last fft_window
+    // minutes.
+    dfts_[f].extrapolate_into(config_.harmonics, forecast_buffer_.size(), forecast_buffer_);
+    predict::ensure_finite(forecast_buffer_, "icebreaker/sliding-dft");
+    return;
+  }
+  const std::span<const double> series = history_.at(f);
+  forecaster_.extrapolate(series.last(std::min(config_.fft_window, series.size())),
+                          config_.harmonics, forecast_buffer_);
+  predict::ensure_finite(forecast_buffer_, "icebreaker/fft");
 }
 
 void IceBreakerPolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
@@ -104,18 +116,8 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   }
   for (trace::FunctionId f = 0; f < history_.size(); ++f) {
     if (history_[f].empty()) continue;
-    if (!dfts_.empty() && dfts_[f].ready()) {
-      // Streaming path: the sliding DFT already tracks the last fft_window
-      // minutes; extrapolate into the preallocated buffer, no allocation.
-      const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
-      dfts_[f].extrapolate_into(config_.harmonics,
-                                static_cast<std::size_t>(config_.refresh_interval),
-                                forecast_buffer_);
-      predict::ensure_finite(forecast_buffer_, "icebreaker/sliding-dft");
-      apply_forecast(f, t, forecast_buffer_, schedule);
-    } else {
-      apply_forecast(f, t, forecast(f), schedule);
-    }
+    forecast(f);
+    apply_forecast(f, t, forecast_buffer_, schedule);
   }
 }
 

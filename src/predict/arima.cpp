@@ -9,6 +9,36 @@
 
 namespace pulse::predict {
 
+namespace {
+
+/// Adds sign * the regression row with target y[first + p], [1, y_{t-1},
+/// ..., y_{t-p}], to the row-major normal equations (X^T X, X^T y).
+template <typename Series>
+void accumulate_row(const Series& y, std::size_t first, std::size_t p, double sign,
+                    std::span<double> row, std::span<double> xtx, std::span<double> xty) {
+  const std::size_t cols = p + 1;
+  row[0] = 1.0;
+  for (std::size_t lag = 1; lag <= p; ++lag) row[lag] = y[first + p - lag];
+  const double target = y[first + p];
+  for (std::size_t a = 0; a < cols; ++a) {
+    xty[a] += sign * row[a] * target;
+    for (std::size_t b = 0; b < cols; ++b) xtx[a * cols + b] += sign * row[a] * row[b];
+  }
+}
+
+/// Solves (X^T X + ridge I) beta = X^T y in place (xty becomes beta). The
+/// tiny ridge keeps near-constant series solvable; non-finite coefficients
+/// (NaN input, catastrophic cancellation) would poison every forecast, so
+/// they fail like a singular system.
+bool solve_normal_equations(std::span<double> xtx, std::span<double> xty) {
+  const std::size_t cols = xty.size();
+  for (std::size_t a = 0; a < cols; ++a) xtx[a * cols + a] += 1e-9;
+  if (!util::solve_in_place(xtx, xty)) return false;
+  return std::all_of(xty.begin(), xty.end(), [](double b) { return std::isfinite(b); });
+}
+
+}  // namespace
+
 ArModel::ArModel(std::size_t order, std::size_t difference)
     : order_(order), difference_(difference) {
   if (order_ == 0) throw std::invalid_argument("ArModel: order must be >= 1");
@@ -33,36 +63,18 @@ bool ArModel::fit(std::span<const double> series) {
 
   const std::size_t p = order_;
   if (y.size() < p + 2) return false;
-  const std::size_t m = y.size() - p;  // number of regression rows
 
-  // Design matrix columns: [1, y_{t-1}, ..., y_{t-p}]. Solve the normal
-  // equations (X^T X) beta = X^T y.
   const std::size_t cols = p + 1;
-  util::Matrix xtx(cols, cols);
-  std::vector<double> xty(cols, 0.0);
-  for (std::size_t row = 0; row < m; ++row) {
-    std::vector<double> x(cols);
-    x[0] = 1.0;
-    for (std::size_t lag = 1; lag <= p; ++lag) x[lag] = y[row + p - lag];
-    const double target = y[row + p];
-    for (std::size_t a = 0; a < cols; ++a) {
-      xty[a] += x[a] * target;
-      for (std::size_t b = 0; b < cols; ++b) xtx.at(a, b) += x[a] * x[b];
-    }
+  std::vector<double> xtx(cols * cols, 0.0);
+  std::vector<double> beta(cols, 0.0);  // X^T y, solved in place
+  std::vector<double> row(cols);
+  for (std::size_t first = 0; first + p < y.size(); ++first) {
+    accumulate_row(y, first, p, 1.0, row, xtx, beta);
   }
-  // Tiny ridge term keeps near-constant series solvable.
-  for (std::size_t a = 0; a < cols; ++a) xtx.at(a, a) += 1e-9;
+  if (!solve_normal_equations(xtx, beta)) return false;
 
-  const auto beta = util::solve_linear_system(std::move(xtx), std::move(xty));
-  if (!beta) return false;
-  // Non-finite coefficients (NaN input, catastrophic cancellation) would
-  // poison every forecast; treat them like a singular system.
-  for (double b : *beta) {
-    if (!std::isfinite(b)) return false;
-  }
-
-  intercept_ = (*beta)[0];
-  coeffs_.assign(beta->begin() + 1, beta->end());
+  intercept_ = beta[0];
+  coeffs_.assign(beta.begin() + 1, beta.end());
   tail_.assign(y.end() - static_cast<std::ptrdiff_t>(p), y.end());
   fitted_ = true;
   return true;
@@ -96,30 +108,13 @@ void ArModel::stream_begin(std::size_t window, std::size_t refresh_interval) {
   last_level_ = 0.0;
 }
 
-void ArModel::stream_row(std::size_t first, double sign) {
-  // Regression row whose target is ring_[first + p]: [1, y_{t-1..t-p}].
-  const std::size_t p = order_;
-  const std::size_t cols = p + 1;
-  row_scratch_[0] = 1.0;
-  for (std::size_t lag = 1; lag <= p; ++lag) row_scratch_[lag] = ring_[first + p - lag];
-  const double target = ring_[first + p];
-  for (std::size_t a = 0; a < cols; ++a) {
-    acc_xty_[a] += sign * row_scratch_[a] * target;
-    for (std::size_t b = 0; b < cols; ++b) {
-      acc_xtx_[a * cols + b] += sign * row_scratch_[a] * row_scratch_[b];
-    }
-  }
-}
-
 void ArModel::stream_rebuild() {
   std::fill(acc_xtx_.begin(), acc_xtx_.end(), 0.0);
   std::fill(acc_xty_.begin(), acc_xty_.end(), 0.0);
   running_sum_ = 0.0;
   for (std::size_t i = 0; i < ring_.size(); ++i) running_sum_ += ring_[i];
-  if (ring_.size() > order_) {
-    for (std::size_t first = 0; first + order_ < ring_.size(); ++first) {
-      stream_row(first, 1.0);
-    }
+  for (std::size_t first = 0; first + order_ < ring_.size(); ++first) {
+    accumulate_row(ring_, first, order_, 1.0, row_scratch_, acc_xtx_, acc_xty_);
   }
   since_refresh_ = 0;
 }
@@ -128,14 +123,16 @@ void ArModel::stream_observe(double x) {
   if (!streaming_) throw std::logic_error("ArModel::stream_observe: call stream_begin first");
   if (ring_.size() == stream_window_) {
     // The departing front element retires the oldest regression row.
-    stream_row(0, -1.0);
+    accumulate_row(ring_, 0, order_, -1.0, row_scratch_, acc_xtx_, acc_xty_);
     running_sum_ -= ring_.front();
     ring_.pop_front();
   }
   ring_.push_back(x);
   running_sum_ += x;
   // The arrival creates one new row (once p lags exist for it).
-  if (ring_.size() > order_) stream_row(ring_.size() - 1 - order_, 1.0);
+  if (ring_.size() > order_) {
+    accumulate_row(ring_, ring_.size() - 1 - order_, order_, 1.0, row_scratch_, acc_xtx_, acc_xty_);
+  }
   if (++since_refresh_ >= refresh_interval_) stream_rebuild();
 }
 
@@ -149,49 +146,11 @@ bool ArModel::stream_fit() {
   const std::size_t p = order_;
   if (n < p + 2) return false;
 
-  // In-place Gaussian elimination with partial pivoting on scratch copies
-  // of the accumulators (the accumulators themselves must survive for the
-  // next incremental update).
-  const std::size_t cols = p + 1;
+  // Solve on scratch copies of the accumulators (the accumulators
+  // themselves must survive for the next incremental update).
   std::copy(acc_xtx_.begin(), acc_xtx_.end(), solve_a_.begin());
   std::copy(acc_xty_.begin(), acc_xty_.end(), solve_b_.begin());
-  for (std::size_t a = 0; a < cols; ++a) solve_a_[a * cols + a] += 1e-9;  // same ridge as fit()
-
-  for (std::size_t col = 0; col < cols; ++col) {
-    std::size_t pivot = col;
-    double best = std::abs(solve_a_[col * cols + col]);
-    for (std::size_t r = col + 1; r < cols; ++r) {
-      const double v = std::abs(solve_a_[r * cols + col]);
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-12) return false;
-    if (pivot != col) {
-      for (std::size_t c = col; c < cols; ++c) {
-        std::swap(solve_a_[pivot * cols + c], solve_a_[col * cols + c]);
-      }
-      std::swap(solve_b_[pivot], solve_b_[col]);
-    }
-    const double diag = solve_a_[col * cols + col];
-    for (std::size_t r = col + 1; r < cols; ++r) {
-      const double factor = solve_a_[r * cols + col] / diag;
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < cols; ++c) {
-        solve_a_[r * cols + c] -= factor * solve_a_[col * cols + c];
-      }
-      solve_b_[r] -= factor * solve_b_[col];
-    }
-  }
-  for (std::size_t col = cols; col-- > 0;) {
-    double v = solve_b_[col];
-    for (std::size_t c = col + 1; c < cols; ++c) v -= solve_a_[col * cols + c] * solve_b_[c];
-    solve_b_[col] = v / solve_a_[col * cols + col];
-  }
-  for (double b : solve_b_) {
-    if (!std::isfinite(b)) return false;
-  }
+  if (!solve_normal_equations(solve_a_, solve_b_)) return false;
 
   intercept_ = solve_b_[0];
   for (std::size_t lag = 0; lag < p; ++lag) coeffs_[lag] = solve_b_[lag + 1];

@@ -62,8 +62,7 @@ class ArModel {
   [[nodiscard]] double intercept() const noexcept { return intercept_; }
 
  private:
-  void stream_row(std::size_t first, double sign);  // rank-1 accumulator update
-  void stream_rebuild();                            // exact re-accumulation
+  void stream_rebuild();  // exact re-accumulation
 
   std::size_t order_;
   std::size_t difference_;

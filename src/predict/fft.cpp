@@ -1,6 +1,7 @@
 #include "predict/fft.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -9,121 +10,164 @@ namespace pulse::predict {
 
 namespace {
 
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
-/// Evaluates the kept-harmonic trigonometric model at arbitrary (possibly
-/// out-of-range) sample indices. X are the forward-FFT coefficients of the
-/// padded series of length N; `bins` are the coefficient indices kept.
-double evaluate_model(const std::vector<std::complex<double>>& coeffs,
-                      const std::vector<std::size_t>& bins, std::size_t n_padded,
-                      double index) {
-  const double n = static_cast<double>(n_padded);
-  std::complex<double> acc{0.0, 0.0};
-  for (std::size_t j : bins) {
-    const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) * index / n;
-    acc += coeffs[j] * std::complex<double>(std::cos(angle), std::sin(angle));
-  }
-  return acc.real() / n;
+/// e^{2*pi*i*j*index/n}: the model's basis function for bin j at `index`.
+std::complex<double> basis_at(std::size_t j, std::size_t index, std::size_t n) {
+  const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) *
+                       static_cast<double>(index) / static_cast<double>(n);
+  return {std::cos(angle), std::sin(angle)};
 }
 
-struct HarmonicModel {
-  std::vector<std::complex<double>> coeffs;
-  std::vector<std::size_t> bins;
-  std::size_t n_padded = 0;
-};
-
-HarmonicModel fit_harmonics(std::span<const double> series, std::size_t harmonics) {
-  HarmonicModel model;
-  if (series.empty()) return model;
-
-  model.n_padded = next_pow2(series.size());
-  model.coeffs.assign(model.n_padded, {0.0, 0.0});
-  for (std::size_t i = 0; i < series.size(); ++i) model.coeffs[i] = series[i];
-  fft(model.coeffs, /*inverse=*/false);
-
-  // Rank positive-frequency bins by magnitude. Bin j and its conjugate
-  // mirror N-j are kept together so the reconstruction stays real.
-  std::vector<std::size_t> candidates;
-  for (std::size_t j = 1; j <= model.n_padded / 2; ++j) candidates.push_back(j);
-  std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(model.coeffs[a]) > std::abs(model.coeffs[b]);
-  });
-
-  model.bins.push_back(0);  // DC: the mean invocation level
-  const std::size_t keep = std::min(harmonics, candidates.size());
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = candidates[k];
-    model.bins.push_back(j);
-    const std::size_t mirror = (model.n_padded - j) % model.n_padded;
-    if (mirror != j && mirror != 0) model.bins.push_back(mirror);
+std::vector<std::size_t> bit_reverse_table(std::size_t n) {
+  std::vector<std::size_t> rev(n, 0);
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    rev[i] = j ^= bit;
   }
-  return model;
+  return rev;
+}
+
+/// Stage `len` holds wn^k for k < len/2, from the `w *= wn` recurrence an
+/// untabled iterative transform runs per butterfly group.
+std::vector<std::complex<double>> twiddle_table(std::size_t n, bool inverse) {
+  std::vector<std::complex<double>> table;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const std::complex<double> wn(std::cos(angle), std::sin(angle));
+    std::complex<double> w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k, w *= wn) table.push_back(w);
+  }
+  return table;
+}
+
+/// Radix-2 transform of `data`, a power of two no larger than the tables
+/// (whose first stages are the smaller transform's). The twiddle product is
+/// std::complex's inline expansion, (ac - bd, ad + bc) with the operator's
+/// infinity recovery when both parts are NaN, spelled out to stay in registers.
+void butterflies(std::span<std::complex<double>> data, std::span<const std::size_t> bit_reverse,
+                 std::span<const std::complex<double>> twiddles) {
+  const std::size_t n = data.size();
+  const int shift = std::countr_zero(bit_reverse.size()) - std::countr_zero(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = bit_reverse[i] >> shift;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        std::complex<double>& u = data[i + k];
+        std::complex<double>& x = data[i + k + half];
+        const std::complex<double>& w = twiddles[half - 1 + k];
+        double vr = x.real() * w.real() - x.imag() * w.imag();
+        double vi = x.real() * w.imag() + x.imag() * w.real();
+        if (std::isnan(vr) && std::isnan(vi)) [[unlikely]] {
+          const std::complex<double> v = x * w;
+          vr = v.real();
+          vi = v.imag();
+        }
+        const double ur = u.real();
+        const double ui = u.imag();
+        x.real(ur - vr);
+        x.imag(ui - vi);
+        u.real(ur + vr);
+        u.imag(ui + vi);
+      }
+    }
+  }
 }
 
 }  // namespace
 
-std::size_t next_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+std::size_t next_pow2(std::size_t n) noexcept { return std::bit_ceil(n); }
 
-std::size_t prev_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p * 2 <= n) p <<= 1;
-  return p;
-}
+std::size_t prev_pow2(std::size_t n) noexcept { return n == 0 ? 1 : std::bit_floor(n); }
 
 void fft(std::vector<std::complex<double>>& data, bool inverse) {
   const std::size_t n = data.size();
-  if (!is_pow2(n)) throw std::invalid_argument("fft: size must be a power of two");
-  if (n == 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wn(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wn;
-      }
-    }
-  }
-
+  if (!std::has_single_bit(n)) throw std::invalid_argument("fft: size must be a power of two");
+  butterflies(data, bit_reverse_table(n), twiddle_table(n, inverse));
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n);
     for (auto& x : data) x *= scale;
   }
 }
 
-std::vector<double> harmonic_extrapolate(std::span<const double> series,
-                                         std::size_t harmonics, std::size_t horizon) {
+HarmonicPlan::HarmonicPlan(std::size_t n, std::size_t horizon) : horizon_(horizon) {
+  if (!std::has_single_bit(n)) throw std::invalid_argument("HarmonicPlan: n must be a power of 2");
+  bit_reverse_ = bit_reverse_table(n);
+  twiddles_ = twiddle_table(n, /*inverse=*/false);
+  basis_.reserve(n * horizon);
+  for (std::size_t h = 0; h < horizon; ++h) {
+    for (std::size_t j = 0; j < n; ++j) basis_.push_back(basis_at(j, n + h, n));
+  }
+}
+
+void HarmonicPlan::transform(std::span<std::complex<double>> data) const {
+  if (!std::has_single_bit(data.size()) || data.size() > n()) {
+    throw std::invalid_argument("HarmonicPlan::transform: size must be a power of two <= n()");
+  }
+  butterflies(data, bit_reverse_, twiddles_);
+}
+
+HarmonicForecaster::HarmonicForecaster(std::shared_ptr<const HarmonicPlan> plan)
+    : plan_(std::move(plan)), coeffs_(plan_->n()), ranked_(plan_->n() / 2) {
+  bins_.reserve(plan_->n() + 1);
+}
+
+void HarmonicForecaster::extrapolate(std::span<const double> series, std::size_t harmonics,
+                                     std::span<double> out) {
+  if (series.empty()) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const std::size_t n = prev_pow2(series.size());  // suffix fit: see harmonic_extrapolate
+  if (n > coeffs_.size()) throw std::invalid_argument("HarmonicForecaster: series exceeds plan");
+  const std::span<std::complex<double>> coeffs(coeffs_.data(), n);
+  std::copy(series.end() - static_cast<std::ptrdiff_t>(n), series.end(), coeffs.begin());
+  plan_->transform(coeffs);
+  evaluate(coeffs, harmonics, n, out);
+}
+
+void HarmonicForecaster::evaluate(std::span<const std::complex<double>> coeffs,
+                                  std::size_t harmonics, std::size_t first,
+                                  std::span<double> out) {
+  const std::size_t n = coeffs.size();
+  if (n > coeffs_.size()) throw std::invalid_argument("HarmonicForecaster: spectrum exceeds plan");
+
+  // Rank positive-frequency bins by magnitude, one |X_j| per bin. Bin j and
+  // its conjugate mirror N-j are kept together so the model stays real.
+  for (std::size_t j = 1; j <= n / 2; ++j) ranked_[j - 1] = {std::abs(coeffs[j]), j};
+  std::sort(ranked_.begin(), ranked_.begin() + static_cast<std::ptrdiff_t>(n / 2),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  bins_.clear();
+  bins_.push_back(0);  // DC: the mean invocation level
+  for (std::size_t k = 0; k < std::min(harmonics, n / 2); ++k) {
+    const std::size_t j = ranked_[k].second;
+    bins_.push_back(j);
+    const std::size_t mirror = (n - j) % n;
+    if (mirror != j && mirror != 0) bins_.push_back(mirror);
+  }
+
+  // The plan tabulates the basis at indices n .. n+horizon-1 of its own size.
+  const bool tabled = first == n && n == plan_->n();
+  for (std::size_t h = 0; h < out.size(); ++h) {
+    const std::complex<double>* const row =
+        tabled && h < plan_->horizon() ? plan_->basis_.data() + h * n : nullptr;
+    std::complex<double> acc{0.0, 0.0};
+    for (const std::size_t j : bins_) {
+      acc += coeffs[j] * (row != nullptr ? row[j] : basis_at(j, first + h, n));
+    }
+    out[h] = acc.real() / static_cast<double>(n);
+  }
+}
+
+std::vector<double> harmonic_extrapolate(std::span<const double> series, std::size_t harmonics,
+                                         std::size_t horizon) {
   std::vector<double> out(horizon, 0.0);
   if (series.empty() || horizon == 0) return out;
-  // Fit the largest power-of-two suffix so no zero-padding enters the
-  // transform: padding would place the forecast indices inside a region
-  // the fitted harmonics actively model as zero, dragging every forecast
-  // toward zero for non-power-of-two lengths (see fft.hpp).
-  const std::size_t n_fit = prev_pow2(series.size());
-  const std::span<const double> suffix = series.subspan(series.size() - n_fit, n_fit);
-  const HarmonicModel model = fit_harmonics(suffix, harmonics);
-  for (std::size_t h = 0; h < horizon; ++h) {
-    out[h] = evaluate_model(model.coeffs, model.bins, model.n_padded,
-                            static_cast<double>(n_fit + h));
-  }
+  // Untabled: one fit evaluates only its kept bins' basis.
+  HarmonicForecaster(std::make_shared<const HarmonicPlan>(prev_pow2(series.size()), 0))
+      .extrapolate(series, harmonics, out);
   return out;
 }
 
@@ -131,10 +175,11 @@ std::vector<double> harmonic_reconstruct(std::span<const double> series,
                                          std::size_t harmonics) {
   std::vector<double> out(series.size(), 0.0);
   if (series.empty()) return out;
-  const HarmonicModel model = fit_harmonics(series, harmonics);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out[i] = evaluate_model(model.coeffs, model.bins, model.n_padded, static_cast<double>(i));
-  }
+  std::vector<std::complex<double>> coeffs(next_pow2(series.size()), 0.0);
+  std::copy(series.begin(), series.end(), coeffs.begin());
+  fft(coeffs);
+  HarmonicForecaster(std::make_shared<const HarmonicPlan>(coeffs.size(), 0))
+      .evaluate(coeffs, harmonics, 0, out);
   return out;
 }
 

@@ -4,7 +4,9 @@
 // inter-arrival times of diverse serverless functions").
 
 #include <complex>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pulse::predict {
@@ -20,23 +22,61 @@ void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 /// Largest power of two <= n (requires n >= 1).
 [[nodiscard]] std::size_t prev_pow2(std::size_t n) noexcept;
 
-/// Decomposes the largest power-of-two *suffix* of `series` into its
-/// Fourier coefficients, keeps only the DC term and the `harmonics`
-/// largest-magnitude frequency pairs, and evaluates the resulting
-/// trigonometric approximation at the `horizon` indices just past the end
-/// of the suffix.
-///
-/// This is the classic FFT-based seasonal extrapolation IceBreaker builds
-/// on: the dominant harmonics capture the periodic structure of the
-/// invocation series and extending their phases forecasts the next window.
-///
-/// Fitting a suffix (rather than zero-padding the whole series up to the
-/// next power of two, as earlier revisions did) keeps the forecast indices
-/// inside the model's own period. With padding, the first forecast index
-/// lands in the padded region the transform treats as real data, so every
-/// kept harmonic is biased toward reproducing the padding zeros there and
-/// forecasts collapse toward zero whenever the series length is not a
-/// power of two.
+/// Immutable tables built once per (n, horizon): the bit reversal and
+/// twiddles of forward transforms of every power of two up to n (a power of
+/// two, else std::invalid_argument), and the basis e^{2*pi*i*j*(n+h)/n} for
+/// every bin j < n and step h < horizon. Each entry is the expression an
+/// untabled fit evaluates, so tabled forecasts are bit-identical.
+class HarmonicPlan {
+ public:
+  HarmonicPlan(std::size_t n, std::size_t horizon);
+
+  [[nodiscard]] std::size_t n() const noexcept { return bit_reverse_.size(); }
+  [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
+
+  /// In-place forward FFT, bit-identical to fft(data); data.size() must be
+  /// a power of two no larger than n().
+  void transform(std::span<std::complex<double>> data) const;
+
+ private:
+  friend class HarmonicForecaster;
+  std::size_t horizon_;
+  std::vector<std::size_t> bit_reverse_;        // over log2(n) bits
+  std::vector<std::complex<double>> twiddles_;  // stage `len` at [len/2 - 1, len - 1)
+  std::vector<std::complex<double>> basis_;     // step h, bin j at [h * n + j]
+};
+
+/// A shared plan plus the scratch of one fit; both methods are
+/// allocation-free. The model is DC plus the `harmonics` largest-magnitude
+/// positive-frequency pairs of a transform of at most plan()->n() points.
+class HarmonicForecaster {
+ public:
+  HarmonicForecaster() = default;  // empty until a plan is assigned
+  explicit HarmonicForecaster(std::shared_ptr<const HarmonicPlan> plan);
+
+  [[nodiscard]] const std::shared_ptr<const HarmonicPlan>& plan() const noexcept { return plan_; }
+
+  /// harmonic_extrapolate(series, harmonics, out.size()), written to out.
+  void extrapolate(std::span<const double> series, std::size_t harmonics, std::span<double> out);
+
+  /// Writes the model of `coeffs` (an n-point forward transform) at indices
+  /// first, first+1, ... to out.
+  void evaluate(std::span<const std::complex<double>> coeffs, std::size_t harmonics,
+                std::size_t first, std::span<double> out);
+
+ private:
+  std::shared_ptr<const HarmonicPlan> plan_;
+  std::vector<std::complex<double>> coeffs_;
+  std::vector<std::pair<double, std::size_t>> ranked_;  // (|X_j|, j)
+  std::vector<std::size_t> bins_;                       // kept: DC + pairs
+};
+
+/// Fits the largest power-of-two *suffix* of `series` and evaluates its
+/// harmonic model at the `horizon` indices past the suffix — the FFT-based
+/// seasonal extrapolation IceBreaker builds on. Zero-padding instead would
+/// bias every kept harmonic toward the padding zeros, collapsing forecasts
+/// toward zero at non-power-of-two lengths. One-shot; repeated fits should
+/// keep a HarmonicForecaster whose plan tabulates the horizon.
 [[nodiscard]] std::vector<double> harmonic_extrapolate(std::span<const double> series,
                                                        std::size_t harmonics,
                                                        std::size_t horizon);

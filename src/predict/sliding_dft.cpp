@@ -1,42 +1,36 @@
 #include "predict/sliding_dft.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <stdexcept>
-
-#include "predict/fft.hpp"
 
 namespace pulse::predict {
 
 SlidingDft::SlidingDft(std::size_t window, std::size_t refresh_interval)
-    : window_(window),
-      refresh_interval_(refresh_interval == 0 ? window * 4 : refresh_interval),
-      samples_(window),
-      coeffs_(window, {0.0, 0.0}),
-      twiddles_(window),
-      fft_scratch_(window) {
-  if (window == 0 || (window & (window - 1)) != 0) {
-    throw std::invalid_argument("SlidingDft: window must be a power of two");
-  }
+    : SlidingDft(std::make_shared<const HarmonicPlan>(window, 0), refresh_interval) {}
+
+SlidingDft::SlidingDft(std::shared_ptr<const HarmonicPlan> plan, std::size_t refresh_interval)
+    : window_(plan->n()),
+      refresh_interval_(refresh_interval == 0 ? window_ * 4 : refresh_interval),
+      samples_(window_),
+      coeffs_(window_, {0.0, 0.0}),
+      twiddles_(window_),
+      forecaster_(std::move(plan)) {
   for (std::size_t k = 0; k < window_; ++k) {
     const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
                          static_cast<double>(window_);
     twiddles_[k] = {std::cos(angle), std::sin(angle)};
   }
-  rank_scratch_.reserve(window_ / 2);
-  bins_scratch_.reserve(window_ + 1);
 }
 
 void SlidingDft::refresh() {
-  for (std::size_t i = 0; i < window_; ++i) fft_scratch_[i] = samples_[i];
-  fft(fft_scratch_, /*inverse=*/false);
-  std::copy(fft_scratch_.begin(), fft_scratch_.end(), coeffs_.begin());
+  for (std::size_t i = 0; i < window_; ++i) coeffs_[i] = samples_[i];
+  forecaster_.plan()->transform(coeffs_);
   pushes_since_refresh_ = 0;
 }
 
 void SlidingDft::push(double x) {
-  ++total_pushed_;
   if (samples_.size() < window_) {
     samples_.push_back(x);
     if (samples_.size() == window_) refresh();  // anchor the recurrence
@@ -59,35 +53,7 @@ void SlidingDft::extrapolate_into(std::size_t harmonics, std::size_t horizon,
   if (out.size() < horizon) {
     throw std::invalid_argument("SlidingDft::extrapolate_into: out buffer too small");
   }
-
-  // Bin selection identical to fit_harmonics (fft.cpp): rank the positive
-  // frequencies by magnitude, keep DC plus the top `harmonics` with their
-  // conjugate mirrors.
-  rank_scratch_.clear();
-  for (std::size_t j = 1; j <= window_ / 2; ++j) rank_scratch_.push_back(j);
-  std::sort(rank_scratch_.begin(), rank_scratch_.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(coeffs_[a]) > std::abs(coeffs_[b]);
-  });
-  bins_scratch_.clear();
-  bins_scratch_.push_back(0);
-  const std::size_t keep = std::min(harmonics, rank_scratch_.size());
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = rank_scratch_[k];
-    bins_scratch_.push_back(j);
-    const std::size_t mirror = (window_ - j) % window_;
-    if (mirror != j && mirror != 0) bins_scratch_.push_back(mirror);
-  }
-
-  const double n = static_cast<double>(window_);
-  for (std::size_t h = 0; h < horizon; ++h) {
-    const double index = n + static_cast<double>(h);
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t j : bins_scratch_) {
-      const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) * index / n;
-      acc += coeffs_[j] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-    out[h] = acc.real() / n;
-  }
+  forecaster_.evaluate(coeffs_, harmonics, window_, std::span<double>(out.data(), horizon));
 }
 
 }  // namespace pulse::predict

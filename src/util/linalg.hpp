@@ -3,6 +3,7 @@
 // (normal equations) inside the Wild predictor.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace pulse::util {
@@ -18,6 +19,7 @@ class Matrix {
 
   [[nodiscard]] double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   [[nodiscard]] double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
+  [[nodiscard]] std::span<double> data() noexcept { return data_; }
 
  private:
   std::size_t rows_;
@@ -29,5 +31,10 @@ class Matrix {
 /// Returns nullopt when A is (numerically) singular. A is n x n, b length n.
 [[nodiscard]] std::optional<std::vector<double>> solve_linear_system(Matrix a,
                                                                      std::vector<double> b);
+
+/// The same elimination, allocation-free: `a` is row-major n x n (n =
+/// b.size()) and is destroyed; x overwrites b. Returns false when A is
+/// (numerically) singular.
+[[nodiscard]] bool solve_in_place(std::span<double> a, std::span<double> b);
 
 }  // namespace pulse::util

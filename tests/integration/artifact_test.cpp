@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "policies/factory.hpp"
+#include "support/temp_dir.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::exp {
@@ -14,8 +15,7 @@ namespace {
 class ArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_artifact_test";
-    std::filesystem::remove_all(dir_);
+    dir_ = testutil::unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

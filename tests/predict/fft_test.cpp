@@ -2,11 +2,176 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <memory>
 #include <numbers>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "predict/sliding_dft.hpp"
+#include "util/rng.hpp"
 
 namespace pulse::predict {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Replica of the harmonic fit before HarmonicPlan, kept verbatim: every call
+// runs the twiddle recurrence, ranks bins with a comparator that takes
+// std::abs per comparison, and evaluates cos/sin per kept bin and index.
+// The table-driven plan and forecaster must reproduce it bit for bit.
+// ---------------------------------------------------------------------------
+namespace replica {
+
+bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+void fft(std::vector<std::complex<double>>& data, bool inverse) {
+  const std::size_t n = data.size();
+  if (!is_pow2(n)) throw std::invalid_argument("fft: size must be a power of two");
+  if (n == 1) return;
+
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const std::complex<double> wn(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const std::complex<double> u = data[i + k];
+        const std::complex<double> v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+        w *= wn;
+      }
+    }
+  }
+
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (auto& x : data) x *= scale;
+  }
+}
+
+double evaluate_model(const std::vector<std::complex<double>>& coeffs,
+                      const std::vector<std::size_t>& bins, std::size_t n_padded,
+                      double index) {
+  const double n = static_cast<double>(n_padded);
+  std::complex<double> acc{0.0, 0.0};
+  for (std::size_t j : bins) {
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) * index / n;
+    acc += coeffs[j] * std::complex<double>(std::cos(angle), std::sin(angle));
+  }
+  return acc.real() / n;
+}
+
+struct HarmonicModel {
+  std::vector<std::complex<double>> coeffs;
+  std::vector<std::size_t> bins;
+  std::size_t n_padded = 0;
+};
+
+HarmonicModel fit_harmonics(std::span<const double> series, std::size_t harmonics) {
+  HarmonicModel model;
+  if (series.empty()) return model;
+
+  model.n_padded = next_pow2(series.size());
+  model.coeffs.assign(model.n_padded, {0.0, 0.0});
+  for (std::size_t i = 0; i < series.size(); ++i) model.coeffs[i] = series[i];
+  fft(model.coeffs, /*inverse=*/false);
+
+  // Rank positive-frequency bins by magnitude. Bin j and its conjugate
+  // mirror N-j are kept together so the reconstruction stays real.
+  std::vector<std::size_t> candidates;
+  for (std::size_t j = 1; j <= model.n_padded / 2; ++j) candidates.push_back(j);
+  std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
+    return std::abs(model.coeffs[a]) > std::abs(model.coeffs[b]);
+  });
+
+  model.bins.push_back(0);  // DC: the mean invocation level
+  const std::size_t keep = std::min(harmonics, candidates.size());
+  for (std::size_t k = 0; k < keep; ++k) {
+    const std::size_t j = candidates[k];
+    model.bins.push_back(j);
+    const std::size_t mirror = (model.n_padded - j) % model.n_padded;
+    if (mirror != j && mirror != 0) model.bins.push_back(mirror);
+  }
+  return model;
+}
+
+std::vector<double> harmonic_extrapolate(std::span<const double> series,
+                                         std::size_t harmonics, std::size_t horizon) {
+  std::vector<double> out(horizon, 0.0);
+  if (series.empty() || horizon == 0) return out;
+  const std::size_t n_fit = prev_pow2(series.size());
+  const std::span<const double> suffix = series.subspan(series.size() - n_fit, n_fit);
+  const HarmonicModel model = fit_harmonics(suffix, harmonics);
+  for (std::size_t h = 0; h < horizon; ++h) {
+    out[h] = evaluate_model(model.coeffs, model.bins, model.n_padded,
+                            static_cast<double>(n_fit + h));
+  }
+  return out;
+}
+
+std::vector<double> harmonic_reconstruct(std::span<const double> series,
+                                         std::size_t harmonics) {
+  std::vector<double> out(series.size(), 0.0);
+  if (series.empty()) return out;
+  const HarmonicModel model = fit_harmonics(series, harmonics);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    out[i] = evaluate_model(model.coeffs, model.bins, model.n_padded, static_cast<double>(i));
+  }
+  return out;
+}
+
+}  // namespace replica
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& expected, std::span<const T> actual) {
+  return expected.size() == actual.size() &&
+         std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(T)) == 0;
+}
+
+enum class SeriesKind { kZero, kConstant, kSparsePoisson, kDenseDiurnal };
+
+std::vector<double> make_series(SeriesKind kind, std::size_t n) {
+  util::Pcg32 rng(1000 + static_cast<std::uint64_t>(kind));
+  std::vector<double> series(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double day_phase = 2.0 * std::numbers::pi * static_cast<double>(i) / 1440.0;
+    switch (kind) {
+      case SeriesKind::kZero: break;
+      case SeriesKind::kConstant: series[i] = 3.0; break;
+      case SeriesKind::kSparsePoisson: series[i] = util::poisson(rng, 0.05); break;
+      case SeriesKind::kDenseDiurnal:
+        series[i] = util::poisson(rng, 20.0 + 15.0 * std::sin(day_phase));
+        break;
+    }
+  }
+  return series;
+}
+
+std::string kind_name(const ::testing::TestParamInfo<SeriesKind>& info) {
+  switch (info.param) {
+    case SeriesKind::kZero: return "zero";
+    case SeriesKind::kConstant: return "constant";
+    case SeriesKind::kSparsePoisson: return "sparse_poisson";
+    case SeriesKind::kDenseDiurnal: return "dense_diurnal";
+  }
+  return "unknown";
+}
 
 TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(0), 1u);
@@ -174,6 +339,152 @@ TEST(HarmonicExtrapolate, ZeroHarmonicsGivesMeanOnly) {
   for (int i = 0; i < 64; ++i) series.push_back(i % 2 == 0 ? 0.0 : 2.0);
   const auto pred = harmonic_extrapolate(series, 0, 8);
   for (double p : pred) EXPECT_NEAR(p, 1.0, 1e-9);  // just the DC level
+}
+
+TEST(Fft, MatchesReplicaBitwise) {
+  // fft() builds its tables per call; HarmonicPlan::transform reuses one
+  // plan for every smaller power-of-two size. Both must match the replica.
+  const HarmonicPlan plan(1024, 0);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    std::vector<std::complex<double>> input;
+    for (std::size_t i = 0; i < n; ++i) {
+      input.emplace_back(std::sin(0.37 * static_cast<double>(i)) + 0.01 * static_cast<double>(i),
+                         std::cos(0.11 * static_cast<double>(i)));
+    }
+    for (const bool inverse : {false, true}) {
+      std::vector<std::complex<double>> expected = input;
+      replica::fft(expected, inverse);
+      std::vector<std::complex<double>> actual = input;
+      fft(actual, inverse);
+      ASSERT_TRUE(bitwise_equal(expected, std::span<const std::complex<double>>(actual)))
+          << "n=" << n << " inverse=" << inverse;
+    }
+    std::vector<std::complex<double>> expected = input;
+    replica::fft(expected, false);
+    std::vector<std::complex<double>> actual = input;
+    plan.transform(actual);
+    ASSERT_TRUE(bitwise_equal(expected, std::span<const std::complex<double>>(actual)))
+        << "plan transform n=" << n;
+  }
+}
+
+TEST(Fft, NonFiniteInputsMatchReplicaBitwise) {
+  // Overflowing butterflies reach std::complex's infinity-recovery branch;
+  // the spelled-out multiply must take it exactly when the operator does.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::complex<double>> input{
+      {1e308, -1e308}, {inf, 1.0}, {-1e308, 1e308}, {0.0, inf},
+      {1e308, 1e308},  {2.0, -inf}, {inf, inf},     {-0.0, 0.0}};
+  std::vector<std::complex<double>> expected = input;
+  replica::fft(expected, false);
+  std::vector<std::complex<double>> actual = input;
+  fft(actual);
+  EXPECT_TRUE(bitwise_equal(expected, std::span<const std::complex<double>>(actual)));
+}
+
+TEST(Fft, PlanRejectsBadSizes) {
+  EXPECT_THROW(HarmonicPlan(0, 4), std::invalid_argument);
+  EXPECT_THROW(HarmonicPlan(96, 4), std::invalid_argument);
+  const HarmonicPlan plan(8, 0);
+  std::vector<std::complex<double>> too_long(16);
+  EXPECT_THROW(plan.transform(too_long), std::invalid_argument);
+}
+
+class HarmonicBitIdentity : public ::testing::TestWithParam<SeriesKind> {};
+
+TEST_P(HarmonicBitIdentity, ExtrapolateMatchesReplicaAtEveryLength) {
+  // Lengths 1..600 put every fit size 1..512 through three forecasters: the
+  // one-shot free function (untabled), a plan of exactly the fit size (the
+  // tabled basis) and one 512-plan shared by every length, as IceBreaker
+  // holds it (sub-size transforms, basis tabled only at 512).
+  constexpr std::size_t kMaxLength = 600;
+  const std::vector<double> full = make_series(GetParam(), kMaxLength);
+  for (const std::size_t horizon : {std::size_t{1}, std::size_t{10}, std::size_t{32}}) {
+    HarmonicForecaster shared(std::make_shared<const HarmonicPlan>(512, horizon));
+    std::map<std::size_t, HarmonicForecaster> exact;
+    std::vector<double> out(horizon);
+    for (std::size_t length = 1; length <= kMaxLength; ++length) {
+      const std::span<const double> series(full.data(), length);
+      const std::size_t n_fit = prev_pow2(length);
+      HarmonicForecaster& own =
+          exact.try_emplace(n_fit, std::make_shared<const HarmonicPlan>(n_fit, horizon))
+              .first->second;
+      for (const std::size_t harmonics :
+           {std::size_t{0}, std::size_t{1}, std::size_t{8}, std::size_t{1000}}) {
+        const std::vector<double> expected =
+            replica::harmonic_extrapolate(series, harmonics, horizon);
+        const auto where = [&] {
+          return "length=" + std::to_string(length) + " harmonics=" + std::to_string(harmonics) +
+                 " horizon=" + std::to_string(horizon);
+        };
+        ASSERT_TRUE(bitwise_equal(
+            expected, std::span<const double>(harmonic_extrapolate(series, harmonics, horizon))))
+            << "free function " << where();
+        own.extrapolate(series, harmonics, out);
+        ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out)))
+            << "exact plan " << where();
+        shared.extrapolate(series, harmonics, out);
+        ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out)))
+            << "shared plan " << where();
+      }
+    }
+  }
+}
+
+TEST_P(HarmonicBitIdentity, ReconstructMatchesReplica) {
+  const std::vector<double> full = make_series(GetParam(), 600);
+  for (std::size_t length = 1; length <= full.size(); length += 13) {
+    const std::span<const double> series(full.data(), length);
+    for (const std::size_t harmonics : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+      ASSERT_TRUE(bitwise_equal(replica::harmonic_reconstruct(series, harmonics),
+                                std::span<const double>(harmonic_reconstruct(series, harmonics))))
+          << "length=" << length << " harmonics=" << harmonics;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeriesKinds, HarmonicBitIdentity,
+                         ::testing::Values(SeriesKind::kZero, SeriesKind::kConstant,
+                                           SeriesKind::kSparsePoisson,
+                                           SeriesKind::kDenseDiurnal),
+                         kind_name);
+
+TEST(SlidingDftBitIdentity, MatchesReplicaRightAfterEachRefresh) {
+  // Right after a re-anchor the sliding coefficients are an exact FFT of the
+  // window, so the forecast must equal the replica bit for bit: with the
+  // policy's shared plan (basis tabled for 10 steps, computed beyond) and
+  // with a standalone window (untabled).
+  constexpr std::size_t kWindow = 256;
+  constexpr std::size_t kTabled = 10;
+  constexpr std::size_t kHorizon = 32;
+  constexpr std::size_t kHarmonics = 8;
+  constexpr std::size_t kRefresh = 37;
+  const std::vector<double> signal = make_series(SeriesKind::kDenseDiurnal, 2000);
+
+  SlidingDft shared(std::make_shared<const HarmonicPlan>(kWindow, kTabled), kRefresh);
+  SlidingDft standalone(kWindow, kRefresh);
+  std::vector<double> out(kHorizon);
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    shared.push(signal[i]);
+    standalone.push(signal[i]);
+    const std::size_t seen = i + 1;
+    // The first anchor is the push that fills the window; then every kRefresh.
+    if (seen < kWindow || (seen - kWindow) % kRefresh != 0) continue;
+    const std::span<const double> window(signal.data() + seen - kWindow, kWindow);
+    for (const std::size_t horizon : {kTabled, kHorizon}) {
+      const std::vector<double> expected =
+          replica::harmonic_extrapolate(window, kHarmonics, horizon);
+      shared.extrapolate_into(kHarmonics, horizon, out);
+      ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out.data(), horizon)))
+          << "shared plan, push " << seen << " horizon " << horizon;
+      standalone.extrapolate_into(kHarmonics, horizon, out);
+      ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out.data(), horizon)))
+          << "standalone, push " << seen << " horizon " << horizon;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, (signal.size() - kWindow) / kRefresh + 1);
 }
 
 }  // namespace

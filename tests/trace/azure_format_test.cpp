@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_dir.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::trace {
@@ -13,8 +14,7 @@ namespace {
 class AzureFormatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_azure_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = testutil::unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

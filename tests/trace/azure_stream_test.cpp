@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "support/temp_dir.hpp"
 #include "trace/azure_format.hpp"
 
 namespace pulse::trace {
@@ -18,8 +19,7 @@ namespace {
 class AzureStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_azure_stream_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = testutil::unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

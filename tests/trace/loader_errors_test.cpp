@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_dir.hpp"
 #include "trace/azure_format.hpp"
 #include "trace/errors.hpp"
 #include "trace/trace.hpp"
@@ -54,8 +55,7 @@ TEST(TraceError, ToStringCarriesFileLineAndMessage) {
 class LoaderErrorsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_loader_errors_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = testutil::unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

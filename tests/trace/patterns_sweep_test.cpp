@@ -45,6 +45,11 @@ struct ArchetypeCase {
   PatternPtr (*make)();
 };
 
+// Print the label, not the raw bytes: the bytes hold pointers, so the
+// "GetParam() = ..." part of every discovered test name would otherwise
+// change with each build and each run under ASLR.
+void PrintTo(const ArchetypeCase& c, std::ostream* os) { *os << c.label; }
+
 PatternPtr make_poisson() { return steady_poisson(0.3); }
 PatternPtr make_periodic() { return periodic(5, 1, 1, 0.05); }
 PatternPtr make_diurnal() { return diurnal(0.05, 1.0); }

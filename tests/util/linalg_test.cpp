@@ -78,5 +78,29 @@ TEST(Linalg, LargerSystemRoundTrip) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-9);
 }
 
+TEST(Linalg, SolveInPlaceMatchesAllocatingSolverBitwise) {
+  // Row-major copy of a pivoting system; x overwrites b.
+  constexpr std::size_t n = 4;
+  Matrix a(n, n);
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 0.3 * static_cast<double>(i) - 1.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      a.at(i, j) = 1.0 / static_cast<double>(i + 2 * j + 1) + (i == n - 1 - j ? 2.0 : 0.0);
+    }
+  }
+  const auto expected = solve_linear_system(a, b);
+  ASSERT_TRUE(expected.has_value());
+  std::vector<double> flat(a.data().begin(), a.data().end());
+  ASSERT_TRUE(solve_in_place(flat, b));
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(b[i], (*expected)[i]) << "i=" << i;
+
+  std::vector<double> singular{1.0, 2.0, 2.0, 4.0};
+  std::vector<double> rhs{1.0, 2.0};
+  EXPECT_FALSE(solve_in_place(singular, rhs));
+  EXPECT_THROW((void)solve_in_place(singular, std::span<double>(rhs.data(), 1)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace pulse::util

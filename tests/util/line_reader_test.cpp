@@ -7,14 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_dir.hpp"
+
 namespace pulse::util {
 namespace {
 
 class LineReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_line_reader_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = testutil::unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
