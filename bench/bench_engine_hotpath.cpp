@@ -4,12 +4,13 @@
 // Sweeps function count x duration x capacity pressure and drives both
 // schedule implementations through the engine's per-minute hot loop
 // (keep-alive fills, capacity check, random eviction, memory accounting).
-// The baseline below is a verbatim-semantics replica of the schedule as it
-// existed before the incremental-aggregate rework: function-major storage,
-// O(F) memory_at, and a kept-alive list rebuilt per eviction — the O(F^2)
-// pressured-minute behaviour this PR removes. Both drivers consume identical
-// RNG sequences, so eviction counts and the per-minute memory checksum must
-// match bitwise; the benchmark fails hard if they do not.
+// The baseline below is a replica of the schedule as it existed before the
+// incremental-aggregate rework: function-major storage, O(F) memory_at, and
+// a kept-alive list rebuilt per eviction — the O(F^2) pressured-minute
+// behaviour the rework removed. Its O(F) scan sums correctly rounded, the
+// production schedule's memory contract. Both drive_* loops consume
+// identical RNG sequences, so eviction counts and the per-minute memory
+// checksum must match bitwise; the benchmark fails hard if they do not.
 //
 // Also probes the full SimulationEngine once per mode to report end-to-end
 // minutes/sec and the policy-overhead share of wall time.
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -67,16 +69,20 @@ class LegacySchedule {
     }
   }
 
+  /// The O(F) scan, summed exactly in 2^-60 MB units (every zoo memory is a
+  /// whole number of them) and rounded once: the correctly rounded total.
   [[nodiscard]] double memory_at(trace::Minute t) const {
     if (t < 0 || t >= duration_) return 0.0;
-    double total = 0.0;
+    unsigned __int128 units = 0;
     for (trace::FunctionId f = 0; f < slots_.size(); ++f) {
       const int v = slots_[f][static_cast<std::size_t>(t)];
       if (v != kNoVariant) {
-        total += deployment_->family_of(f).variant(static_cast<std::size_t>(v)).memory_mb;
+        const double mb =
+            deployment_->family_of(f).variant(static_cast<std::size_t>(v)).memory_mb;
+        units += static_cast<unsigned __int128>(std::ldexp(mb, 60));
       }
     }
-    return total;
+    return std::ldexp(static_cast<double>(units), -60);
   }
 
   [[nodiscard]] std::vector<std::pair<trace::FunctionId, std::size_t>> kept_alive_at(
@@ -153,7 +159,7 @@ DriveRun drive_incremental(const Deployment& deployment, std::size_t functions,
   DriveRun out;
   for (trace::Minute t = 0; t < duration; ++t) {
     apply_invocations(schedule, deployment, rng, t, functions);
-    if (capacity_mb > 0.0 && schedule.memory_exceeds(t, capacity_mb)) {
+    if (capacity_mb > 0.0 && schedule.memory_at(t) > capacity_mb) {
       schedule.kept_alive_at(t, kept_buffer);
       while (!kept_buffer.empty()) {
         const auto idx = evict_rng.bounded(static_cast<std::uint32_t>(kept_buffer.size()));
@@ -161,7 +167,7 @@ DriveRun drive_incremental(const Deployment& deployment, std::size_t functions,
         schedule.evict_from(victim.first, t);
         kept_buffer.erase(kept_buffer.begin() + static_cast<std::ptrdiff_t>(idx));
         ++out.evictions;
-        if (!schedule.memory_exceeds(t, capacity_mb)) break;
+        if (schedule.memory_at(t) <= capacity_mb) break;
       }
     }
     out.memory_checksum += schedule.memory_at(t);

@@ -1,10 +1,9 @@
 // Serve-mode per-event latency benchmark and allocation gate.
 //
 // Drives OnlineServer with ReplaySource over a synthetic workload for the
-// streaming policy configurations (PULSE, Wild with the incremental AR fit,
-// IceBreaker with its default FFT refit and with the sliding DFT) and
-// measures per-event ingest latency (p50/p99/max). Two hard acceptance
-// gates:
+// default PULSE, Wild (AR fallback refit per prediction) and IceBreaker (FFT
+// refit per refresh) policies and measures per-event ingest latency
+// (p50/p99/max). Two hard acceptance gates:
 //
 //   1. Zero steady-state heap allocation: global operator new is counted;
 //      after the warm-up half of the stream, the count must not move. Any
@@ -35,9 +34,7 @@
 #include <vector>
 
 #include "core/interarrival.hpp"
-#include "core/pulse_policy.hpp"
-#include "policies/icebreaker.hpp"
-#include "policies/wild.hpp"
+#include "policies/factory.hpp"
 #include "serve/server.hpp"
 #include "serve/source.hpp"
 #include "trace/analysis.hpp"
@@ -102,30 +99,9 @@ double percentile(std::vector<std::uint64_t>& sorted_ns, double p) {
   return static_cast<double>(sorted_ns[idx]);
 }
 
-std::unique_ptr<sim::KeepAlivePolicy> make_streaming_policy(const std::string& name) {
-  if (name == "pulse") {
-    return std::make_unique<core::PulsePolicy>();
-  }
-  if (name == "wild-streaming") {
-    policies::WildPolicy::Config config;
-    config.predictor.streaming_ar = true;
-    return std::make_unique<policies::WildPolicy>(config);
-  }
-  if (name == "icebreaker") {
-    return std::make_unique<policies::IceBreakerPolicy>();  // refit per refresh
-  }
-  if (name == "icebreaker-streaming") {
-    policies::IceBreakerPolicy::Config config;
-    config.streaming_dft = true;
-    return std::make_unique<policies::IceBreakerPolicy>(config);
-  }
-  std::fprintf(stderr, "unknown streaming policy %s\n", name.c_str());
-  std::abort();
-}
-
 PassResult run_pass(const sim::Deployment& deployment, const trace::Trace& trace,
                     const std::string& policy_name, std::vector<std::uint64_t>& latencies) {
-  const auto policy = make_streaming_policy(policy_name);
+  const auto policy = policies::make_policy(policy_name);
   serve::ServeConfig config;
   config.horizon = trace.duration();
   serve::OnlineServer server(deployment, *policy, config);
@@ -248,7 +224,7 @@ int run(int argc, char** argv) {
   std::vector<PolicyResult> results;
   std::printf("%-22s %10s %10s %10s %10s %12s\n", "policy", "events", "p50(ns)", "p99(ns)",
               "max(ns)", "steady-alloc");
-  for (const char* name : {"pulse", "wild-streaming", "icebreaker", "icebreaker-streaming"}) {
+  for (const char* name : {"pulse", "wild", "icebreaker"}) {
     PolicyResult r;
     r.name = name;
     r.baseline = run_pass(deployment, trace, r.name, latencies);

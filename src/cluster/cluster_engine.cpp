@@ -173,7 +173,7 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   std::vector<obs::PhaseProfiler> shard_profilers(user_obs.profiler != nullptr ? n : 0);
   std::unique_ptr<obs::EventCollector> collector;
   obs::Observer coord_obs = user_obs;  // coordinator-side emits (crash/rebalance)
-  if (user_obs.sink != nullptr && config_.lock_free_sink) {
+  if (user_obs.sink != nullptr) {
     collector = std::make_unique<obs::EventCollector>(*user_obs.sink, n + 1, config_.obs);
     for (std::size_t s = 0; s <= n; ++s) collector->lane(s).begin_stream(s);
     coord_obs.sink = &collector->lane(n);

@@ -25,13 +25,12 @@
 //     invariant to the shard count as well (capacity effects excepted —
 //     quota partitioning is visible by design).
 //
-// Observability: with ClusterConfig::lock_free_sink (default) an attached
-// TraceSink sits behind an obs::EventCollector — one SPSC lane per shard
-// plus one for the coordinator's own events — so no simulation thread ever
-// takes the sink's lock, and because the shard→lane mapping is fixed, the
-// canonical (lane, sequence) drain makes the retained event stream fully
-// deterministic for a fixed shard count. With the flag off the sink is
-// shared directly (it must be internally synchronized). Metrics registries
+// Observability: an attached TraceSink sits behind an obs::EventCollector
+// — one SPSC lane per shard plus one for the coordinator's own events — so
+// no simulation thread ever takes the sink's lock, and because the
+// shard→lane mapping is fixed, the canonical (lane, sequence) drain makes
+// the retained event stream fully deterministic for a fixed shard count.
+// Metrics registries
 // and profilers are per-shard and merged into the user's after the pool
 // joins — the single-writer discipline the ensemble runner established.
 // Market decisions emit kRebalance events and cluster.* metrics.
@@ -78,15 +77,12 @@ struct ClusterConfig {
   /// detection cadence even when the market itself is off.
   fault::ShardFaultConfig shard_faults{};
 
-  /// Route an attached TraceSink through an obs::EventCollector: lane s
-  /// carries shard s's events, lane `shards` carries the coordinator's
+  /// An attached TraceSink always sits behind an obs::EventCollector: lane
+  /// s carries shard s's events, lane `shards` carries the coordinator's
   /// (crash / recovery / rebalance). Shard→lane mapping is fixed, so the
   /// canonical drain order — and therefore a RingBufferSink's retained
-  /// window — is identical for any thread count.
-  bool lock_free_sink = true;
-
-  /// Transport sizing and the deterministic sampling knob for the collector
-  /// (ignored unless a sink is attached and lock_free_sink is on).
+  /// window — is identical for any thread count. This sizes that transport
+  /// and sets its deterministic sampling (ignored unless a sink is attached).
   obs::ObsConfig obs{};
 };
 

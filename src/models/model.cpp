@@ -1,5 +1,7 @@
 #include "models/model.hpp"
 
+#include <cmath>
+
 namespace pulse::models {
 
 ModelFamily::ModelFamily(std::string name, std::string task, std::string dataset,
@@ -18,8 +20,13 @@ ModelFamily::ModelFamily(std::string name, std::string task, std::string dataset
     }
   }
   for (const auto& v : variants_) {
-    if (v.warm_service_time_s < 0 || v.cold_start_time_s < 0 || v.memory_mb < 0 ||
-        v.accuracy_pct < 0 || v.accuracy_pct > 100) {
+    // Written as "inside the range" so NaN fails every test; the finiteness
+    // checks reject +inf, which a CSV "inf" parses to.
+    const bool in_range = v.warm_service_time_s >= 0 && std::isfinite(v.warm_service_time_s) &&
+                          v.cold_start_time_s >= 0 && std::isfinite(v.cold_start_time_s) &&
+                          v.memory_mb >= 0 && std::isfinite(v.memory_mb) &&
+                          v.accuracy_pct >= 0 && v.accuracy_pct <= 100;
+    if (!in_range) {
       throw std::invalid_argument("ModelFamily '" + name_ + "': variant '" + v.name +
                                   "' has out-of-range characterization values");
     }

@@ -329,7 +329,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
       capacity_mb = injector.effective_capacity_mb(capacity_mb, m);
       if (injector.under_memory_pressure(m)) minute_degraded = true;
     }
-    if (capacity_mb > 0.0 && schedule.memory_exceeds(m, capacity_mb)) {
+    if (capacity_mb > 0.0 && schedule.memory_at(m) > capacity_mb) {
       if (sink != nullptr) {
         sink->record({obs::EventType::kCapacityPressure, m, obs::TraceEvent::kNoFunction,
                       -1, schedule.memory_at(m) - capacity_mb, ""});
@@ -350,7 +350,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
           sink->record({obs::EventType::kEviction, m, victim.first,
                         static_cast<std::int32_t>(victim.second), 1.0, "capacity"});
         }
-        if (!schedule.memory_exceeds(m, capacity_mb)) break;
+        if (schedule.memory_at(m) <= capacity_mb) break;
       }
     }
     if (minute_degraded) ++result.faults.degraded_minutes;

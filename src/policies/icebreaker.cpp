@@ -16,7 +16,6 @@ namespace {
 struct IceBreakerCheckpoint : sim::PolicyCheckpoint {
   std::vector<std::vector<double>> history;
   std::vector<std::uint32_t> current_minute_count;
-  std::vector<predict::SlidingDft> dfts;
 };
 
 /// IceBreaker+PULSE adds the inter-arrival trackers and global optimizer.
@@ -36,18 +35,11 @@ void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace
   for (auto& series : history_) series.reserve(static_cast<std::size_t>(trace.duration()));
   current_minute_count_.assign(deployment.function_count(), 0);
   // One plan per run: its tables cover every refit size up to fft_window
-  // and the basis of full-window forecasts; the sliding DFTs share it.
+  // and the basis of full-window forecasts.
   const auto horizon = static_cast<std::size_t>(config_.refresh_interval);
   forecaster_ = predict::HarmonicForecaster(std::make_shared<const predict::HarmonicPlan>(
       predict::prev_pow2(std::max<std::size_t>(config_.fft_window, 1)), horizon));
   forecast_buffer_.assign(horizon, 0.0);
-  dfts_.clear();
-  if (config_.streaming_dft) {
-    if (forecaster_.plan()->n() != config_.fft_window) {
-      throw std::invalid_argument("IceBreakerPolicy: streaming_dft needs a power-of-two window");
-    }
-    dfts_.assign(deployment.function_count(), predict::SlidingDft(forecaster_.plan()));
-  }
 }
 
 void IceBreakerPolicy::attach_observer(const obs::Observer* observer) {
@@ -68,13 +60,6 @@ void IceBreakerPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 
 void IceBreakerPolicy::forecast(trace::FunctionId f) {
   const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
-  if (!dfts_.empty() && dfts_[f].ready()) {
-    // Streaming path: the sliding DFT already tracks the last fft_window
-    // minutes.
-    dfts_[f].extrapolate_into(config_.harmonics, forecast_buffer_.size(), forecast_buffer_);
-    predict::ensure_finite(forecast_buffer_, "icebreaker/sliding-dft");
-    return;
-  }
   const std::span<const double> series = history_.at(f);
   forecaster_.extrapolate(series.last(std::min(config_.fft_window, series.size())),
                           config_.harmonics, forecast_buffer_);
@@ -102,7 +87,6 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   // Close the accounting for minute t.
   for (trace::FunctionId f = 0; f < history_.size(); ++f) {
     history_[f].push_back(static_cast<double>(current_minute_count_[f]));
-    if (!dfts_.empty()) dfts_[f].push(static_cast<double>(current_minute_count_[f]));
     current_minute_count_[f] = 0;
   }
 
@@ -125,7 +109,6 @@ std::unique_ptr<sim::PolicyCheckpoint> IceBreakerPolicy::checkpoint() const {
   auto snap = std::make_unique<IceBreakerCheckpoint>();
   snap->history = history_;
   snap->current_minute_count = current_minute_count_;
-  snap->dfts = dfts_;
   return snap;
 }
 
@@ -136,7 +119,6 @@ void IceBreakerPolicy::restore(const sim::PolicyCheckpoint* snapshot) {
   }
   history_ = snap->history;
   current_minute_count_ = snap->current_minute_count;
-  dfts_ = snap->dfts;
 }
 
 IceBreakerPulsePolicy::IceBreakerPulsePolicy() : IceBreakerPulsePolicy(Config{}) {}
@@ -216,7 +198,6 @@ std::unique_ptr<sim::PolicyCheckpoint> IceBreakerPulsePolicy::checkpoint() const
   auto snap = std::make_unique<IceBreakerPulseCheckpoint>();
   snap->history = history_;
   snap->current_minute_count = current_minute_count_;
-  snap->dfts = dfts_;
   snap->trackers = trackers_;
   if (optimizer_) snap->optimizer = std::make_unique<core::GlobalOptimizer>(*optimizer_);
   return snap;
@@ -229,7 +210,6 @@ void IceBreakerPulsePolicy::restore(const sim::PolicyCheckpoint* snapshot) {
   }
   history_ = snap->history;
   current_minute_count_ = snap->current_minute_count;
-  dfts_ = snap->dfts;
   trackers_ = snap->trackers;
   optimizer_ = snap->optimizer ? std::make_unique<core::GlobalOptimizer>(*snap->optimizer)
                                : nullptr;

@@ -20,7 +20,6 @@
 #include "core/interarrival.hpp"
 #include "core/variant_selector.hpp"
 #include "predict/fft.hpp"
-#include "predict/sliding_dft.hpp"
 #include "sim/policy.hpp"
 #include "trace/analysis.hpp"
 
@@ -38,16 +37,6 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
     /// Predicted invocations/minute at or above which the function is
     /// warmed for that minute.
     double activation_threshold = 0.30;
-    /// Forecast through a per-function sliding DFT instead of a refit per
-    /// refresh. Off by default: the refit path is the bit-pinned reference
-    /// and, on the plan's precomputed tables, also the cheaper one at the
-    /// default 10-minute refresh: a 256-point refit costs about 10 us,
-    /// while the sliding path pays about 0.6 us per function every minute
-    /// and the same bin ranking at each refresh. The sliding path agrees
-    /// within tolerance (bit-identical right after each DFT re-anchor) and
-    /// needs a power-of-two fft_window. Until a function has seen
-    /// fft_window minutes the refit path serves its forecasts (warm-up).
-    bool streaming_dft = false;
   };
 
   IceBreakerPolicy();  // default Config
@@ -84,8 +73,7 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
   Config config_;
   std::vector<std::vector<double>> history_;        // per function per-minute counts
   std::vector<std::uint32_t> current_minute_count_;  // accumulating minute t
-  predict::HarmonicForecaster forecaster_;           // refit path; dfts_ share its plan
-  std::vector<predict::SlidingDft> dfts_;            // streaming_dft mode only
+  predict::HarmonicForecaster forecaster_;           // one plan + fit scratch per run
   std::vector<double> forecast_buffer_;              // forecast() output
   obs::CounterHandle refreshes_;                     // icebreaker.refreshes
 };

@@ -14,12 +14,8 @@ HybridHistogramPredictor::HybridHistogramPredictor(Config config)
     : config_(config),
       histogram_(config.histogram_capacity),
       recent_gaps_(config.ar_window),
-      stream_model_(config.ar_order) {
-  if (config_.streaming_ar) {
-    stream_model_.stream_begin(std::max(config_.ar_window, config_.ar_order + 2));
-  } else {
-    fit_scratch_.reserve(config_.ar_window);
-  }
+      model_(config.ar_order) {
+  fit_scratch_.reserve(config_.ar_window);
 }
 
 void HybridHistogramPredictor::observe_invocation(trace::Minute t) {
@@ -30,12 +26,6 @@ void HybridHistogramPredictor::observe_invocation(trace::Minute t) {
     if (recent_gaps_.size() > config_.ar_window) {
       recent_gaps_.pop_front();
       ++dropped_gaps_;
-    }
-    if (config_.streaming_ar) {
-      stream_model_.stream_observe(static_cast<double>(gap));
-      // Refit eagerly (O(order^3), tiny) so predict() stays const and
-      // allocation-free.
-      stream_model_.stream_fit();
     }
   }
   last_invocation_ = t;
@@ -48,23 +38,16 @@ bool HybridHistogramPredictor::histogram_representative() const {
 }
 
 double HybridHistogramPredictor::forecast_next_gap() const {
-  if (config_.streaming_ar) {
-    const double next = stream_model_.forecast_one();
-    ensure_finite(next, "hybrid-histogram/ar");
-    return next;
-  }
-  // Batch reference path: refit from the retained window. The ring is
-  // linearized into the scratch vector in arrival order, so values and
-  // evaluation order match the historical std::vector implementation
-  // bit-for-bit.
+  // Refit from the retained window. The ring is linearized into the scratch
+  // vector in arrival order, so values and evaluation order match the
+  // historical std::vector implementation bit-for-bit.
   recent_gaps_.copy_to(fit_scratch_);
-  ArModel model(config_.ar_order);
-  model.fit(fit_scratch_);
-  const std::vector<double> next = model.forecast(1);
+  model_.fit(fit_scratch_);
+  const double next = model_.forecast_one();
   // A non-finite forecast cast to trace::Minute below would be UB; fence it
   // here so the policy layer sees a typed divergence instead.
   ensure_finite(next, "hybrid-histogram/ar");
-  return next.empty() ? 10.0 : next[0];
+  return next;
 }
 
 WindowPrediction HybridHistogramPredictor::predict() const {

@@ -47,11 +47,6 @@ class HybridHistogramPredictor {
     std::size_t ar_order = 3;
     /// Number of recent idle times retained for the AR fit.
     std::size_t ar_window = 64;
-    /// Use the incremental AR fit (ArModel's streaming path) instead of
-    /// refitting from the retained window per prediction. Off by default:
-    /// the batch fit is the bit-pinned reference; the streaming fit agrees
-    /// within floating-point tolerance and never allocates per event.
-    bool streaming_ar = false;
   };
 
   HybridHistogramPredictor();  // default Config
@@ -79,11 +74,11 @@ class HybridHistogramPredictor {
   util::RingBuffer<double> recent_gaps_;
   std::size_t dropped_gaps_ = 0;
   std::optional<trace::Minute> last_invocation_;
-  /// Streaming-mode AR state (config_.streaming_ar); fed in
-  /// observe_invocation, queried allocation-free in predict().
-  ArModel stream_model_;
-  /// Batch-mode scratch: the ring linearized for ArModel::fit, which wants
-  /// contiguous storage. Mutable because predict() is logically const.
+  /// The AR fallback, refit from the retained window per prediction; it
+  /// and the ring linearized for its fit (ArModel::fit wants contiguous
+  /// storage) are reused scratch, so a prediction never allocates. Mutable
+  /// because predict() is logically const.
+  mutable ArModel model_;
   mutable std::vector<double> fit_scratch_;
 };
 

@@ -13,11 +13,11 @@
 //
 // Hot-path discipline: after construction (and the policy's own warm-up),
 // ingest() performs no heap allocation and takes no locks — the buffer and
-// schedule are preallocated, the engine's per-minute state is reused, and
-// the streaming predictors (ArModel::stream_*, SlidingDft, the incremental
-// inter-arrival window) are O(1)-update. bench_serve_latency enforces both
-// the zero-allocation property (counting global operator new) and a
-// per-event latency budget.
+// schedule are preallocated, the engine's per-minute state is reused, the
+// predictors refit into reused scratch (Wild's AR fit, IceBreaker's FFT
+// plan) and the inter-arrival window is O(1)-update. bench_serve_latency
+// enforces both the zero-allocation property (counting global operator new,
+// for pulse, wild and icebreaker) and a per-event latency budget.
 
 #include <cstdint>
 #include <memory>

@@ -349,12 +349,11 @@ void SteppedRun::step_minute() {
     capacity_mb = injector.effective_capacity_mb(capacity_mb, t);
     if (injector.under_memory_pressure(t)) minute_degraded = true;
   }
-  // memory_exceeds decides `memory_at(t) > capacity_mb` from the exact
-  // integer aggregate (no per-iteration O(F) rescan), and evicting a
-  // victim only changes that victim's row, so the alive list is built
-  // once and maintained by erasing the victim — bit-identical to
-  // rebuilding it, at O(evictions) instead of O(F * evictions).
-  if (capacity_mb > 0.0 && schedule.memory_exceeds(t, capacity_mb)) {
+  // memory_at is O(1) (no per-iteration rescan), and evicting a victim only
+  // changes that victim's row, so the alive list is built once and
+  // maintained by erasing the victim — bit-identical to rebuilding it, at
+  // O(evictions) instead of O(F * evictions).
+  if (capacity_mb > 0.0 && schedule.memory_at(t) > capacity_mb) {
     if (sink != nullptr) {
       sink->record({obs::EventType::kCapacityPressure, t, obs::TraceEvent::kNoFunction,
                     -1, schedule.memory_at(t) - capacity_mb, ""});
@@ -385,7 +384,7 @@ void SteppedRun::step_minute() {
                       gids != nullptr ? (*gids)[victim.first] : victim.first,
                       static_cast<std::int32_t>(victim.second), 1.0, "capacity"});
       }
-      if (!schedule.memory_exceeds(t, capacity_mb)) break;
+      if (schedule.memory_at(t) <= capacity_mb) break;
     }
   }
   if (minute_degraded) ++result.degraded_minutes;

@@ -35,8 +35,7 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
   // Observability across workers rides the same per-slot machinery: each
   // slot writes its own registry/profiler (no synchronization, TSan-clean)
   // and the user's instances receive the merged totals after the pool has
-  // joined. A shared TraceSink is passed through as-is — the provided sinks
-  // are internally synchronized.
+  // joined.
   const obs::Observer user_obs = config.engine.observer;
   std::vector<obs::MetricsRegistry> slot_metrics(
       user_obs.metrics != nullptr ? pool.task_slot_count() : 0);
@@ -49,7 +48,7 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
   // run index, so sampling decisions and event totals are thread-count
   // invariant (see obs/collector.hpp for the full determinism contract).
   std::unique_ptr<obs::EventCollector> collector;
-  if (user_obs.sink != nullptr && config.lock_free_sink) {
+  if (user_obs.sink != nullptr) {
     collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count(),
                                                       config.obs);
   }

@@ -27,16 +27,12 @@ struct EnsembleConfig {
   EngineConfig engine{};
   std::size_t threads = 0;  // 0 -> hardware concurrency
 
-  /// Route an attached TraceSink through an obs::EventCollector: each worker
-  /// slot emits into its own lock-free SPSC lane (no sink mutex on the
-  /// simulation threads) and every run starts a sampling stream keyed by its
-  /// run index, so event totals, per-type counts and sampling decisions are
-  /// identical for any thread count. Off = the historical direct-attach
-  /// path (workers contend on the sink's internal lock).
-  bool lock_free_sink = true;
-
-  /// Transport sizing and the deterministic sampling knob for the collector
-  /// (ignored unless a sink is attached and lock_free_sink is on).
+  /// An attached TraceSink always sits behind an obs::EventCollector: each
+  /// worker slot emits into its own lock-free SPSC lane (no sink mutex on
+  /// the simulation threads) and every run starts a sampling stream keyed by
+  /// its run index, so event totals, per-type counts and sampling decisions
+  /// are identical for any thread count. This sizes that transport and sets
+  /// its deterministic sampling (ignored unless a sink is attached).
   obs::ObsConfig obs{};
 };
 

@@ -9,12 +9,13 @@ namespace pulse::sim {
 KeepAliveSchedule::KeepAliveSchedule(const Deployment& deployment, trace::Minute duration)
     : deployment_(&deployment), duration_(duration), functions_(deployment.function_count()) {
   if (duration < 0) throw std::invalid_argument("KeepAliveSchedule: negative duration");
+  if (functions_ >= (std::size_t{1} << 24)) {
+    throw std::invalid_argument("KeepAliveSchedule: 2^24 or more functions");
+  }
   const auto minutes = static_cast<std::size_t>(duration);
   grid_.assign(minutes * functions_, static_cast<std::int16_t>(kNoVariant));
   count_.assign(minutes, 0);
   exact_.assign(minutes, 0);
-  cache_.assign(minutes, 0.0);   // an empty minute sums to exactly 0.0
-  dirty_.assign(minutes, 0);
   horizon_.assign(functions_, 0);
   build_variant_tables();
 }
@@ -28,36 +29,18 @@ void KeepAliveSchedule::build_variant_tables() {
     max_variants_ = std::max(max_variants_, n);
   }
 
-  var_mem_.assign(functions_ * max_variants_, 0.0);
   var_units_.assign(functions_ * max_variants_, 0);
-
-  // The exact path needs every variant memory expressible as an integer
-  // count of 2^-kUnitShift MB units, with headroom for the full-fleet sum.
-  // Anything outside that envelope (no 128-bit integers, absurd sizes,
-  // sub-2^-8 MB values with full mantissas) disables it; correctness is
-  // unaffected because memory_exceeds then always uses the row scan.
-  exact_ok_ = sizeof(ExactUnits) >= 16 && functions_ < (std::size_t{1} << 24);
   for (std::size_t f = 0; f < functions_; ++f) {
     const auto& family = deployment_->family_of(f);
     for (std::size_t v = 0; v < variant_count_[f]; ++v) {
       const double mb = family.variant(v).memory_mb;
-      var_mem_[f * max_variants_ + v] = mb;
-      if (!(mb >= 0.0) || !std::isfinite(mb) || mb >= std::ldexp(1.0, 30)) {
-        exact_ok_ = false;
-        continue;
+      if (!(mb >= 0.0 && mb < std::ldexp(1.0, 30))) {
+        throw std::invalid_argument("KeepAliveSchedule: variant memory outside [0, 2^30) MB");
       }
-      if (mb == 0.0) continue;
-      int exp2 = 0;
-      const double frac = std::frexp(mb, &exp2);
-      const auto mant = static_cast<std::int64_t>(std::llround(std::ldexp(frac, 53)));
-      const int shift = exp2 - 53 + kUnitShift;
-      if (shift >= 0) {
-        var_units_[f * max_variants_ + v] = static_cast<ExactUnits>(mant) << shift;
-      } else if (-shift < 63 && (mant & ((std::int64_t{1} << -shift) - 1)) == 0) {
-        var_units_[f * max_variants_ + v] = static_cast<ExactUnits>(mant >> -shift);
-      } else {
-        exact_ok_ = false;
-      }
+      // Scaling by a power of two is exact; only memories below 2^-8 MB
+      // have bits under one unit, and those round to the nearest unit.
+      var_units_[f * max_variants_ + v] =
+          static_cast<ExactUnits>(std::round(std::ldexp(mb, kUnitShift)));
     }
   }
 }
@@ -126,50 +109,6 @@ void KeepAliveSchedule::evict_from(trace::FunctionId f, trace::Minute t) {
     if (v == kNoVariant) break;
     write_slot(f, static_cast<std::size_t>(m), static_cast<std::int16_t>(kNoVariant));
   }
-}
-
-double KeepAliveSchedule::recompute(std::size_t ti) const {
-  // Bitwise-compatibility contract: identical addends in identical
-  // (ascending f) order as the historical O(F) scan, plain double adds.
-  double total = 0.0;
-  if (count_[ti] != 0) {
-    const std::int16_t* row = grid_.data() + ti * functions_;
-    for (std::size_t f = 0; f < functions_; ++f) {
-      const std::int16_t v = row[f];
-      if (v != kNoVariant) {
-        total += var_mem_[f * max_variants_ + static_cast<std::size_t>(v)];
-      }
-    }
-  }
-  cache_[ti] = total;
-  dirty_[ti] = 0;
-  return total;
-}
-
-bool KeepAliveSchedule::memory_exceeds(trace::Minute t, double capacity_mb) const {
-  if (t < 0 || t >= duration_) return 0.0 > capacity_mb;
-  const auto ti = static_cast<std::size_t>(t);
-  if (!dirty_[ti]) return cache_[ti] > capacity_mb;
-  if (count_[ti] == 0) {
-    cache_[ti] = 0.0;
-    dirty_[ti] = 0;
-    return 0.0 > capacity_mb;
-  }
-  if (exact_ok_) {
-    // The legacy double sum L differs from the exact total S by at most
-    // count * ulp(S)/2 (positive addends, monotone partial sums), and the
-    // int128 -> double conversion by at most another ulp. The margin below
-    // is over 4x that bound, so when capacity_mb falls outside
-    // [approx - margin, approx + margin] the comparison against L is
-    // already decided; only a capacity inside that sliver (~1e-12
-    // relative) needs the row scan.
-    const double approx = std::ldexp(static_cast<double>(exact_[ti]), -kUnitShift);
-    const double margin =
-        std::ldexp(approx * static_cast<double>(count_[ti] + 4), -50);
-    if (approx - margin > capacity_mb) return true;
-    if (approx + margin < capacity_mb) return false;
-  }
-  return recompute(ti) > capacity_mb;
 }
 
 std::vector<std::pair<trace::FunctionId, std::size_t>> KeepAliveSchedule::kept_alive_at(

@@ -7,19 +7,15 @@
 // so the engine's per-minute scans are cache-linear, and every mutation
 // keeps per-minute aggregates incrementally up to date:
 //   - alive_count_at(t) is O(1),
-//   - memory_at(t) is O(1) while the minute is clean and one row scan after
-//     a mutation (it is memoized in legacy ascending-function summation
-//     order, so the returned double is bit-identical to the historical
-//     O(F) implementation — the golden-fixture tests rely on this),
-//   - memory_exceeds(t, cap) is O(1) in almost all cases: an exact
-//     fixed-point integer total decides the comparison without touching
-//     floating-point rounding, falling back to the row scan only when the
-//     capacity lies inside the (sub-ULP-scale) rounding margin.
+//   - memory_at(t) is O(1): the exact fixed-point total of the minute's
+//     kept-variant memories, converted to double once. That is the
+//     correctly rounded sum, so it does not depend on summation order.
 // See docs/PERFORMANCE.md for the full complexity contract.
 //
 // The schedule is not thread-safe: each simulation run owns its own
-// instance (memory_at memoizes through mutable members).
+// instance.
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -35,7 +31,9 @@ constexpr int kNoVariant = -1;
 
 class KeepAliveSchedule {
  public:
-  /// The deployment must outlive the schedule.
+  /// The deployment must outlive the schedule. Throws std::invalid_argument
+  /// on a negative duration, 2^24 or more functions, or a variant memory
+  /// outside [0, 2^30) MB.
   KeepAliveSchedule(const Deployment& deployment, trace::Minute duration);
 
   [[nodiscard]] trace::Minute duration() const noexcept { return duration_; }
@@ -92,15 +90,11 @@ class KeepAliveSchedule {
   /// container regardless of variant). No-op when nothing is scheduled at t.
   void evict_from(trace::FunctionId f, trace::Minute t);
 
-  /// Total keep-alive memory (MB) across functions at minute t. O(1) while
-  /// minute t is unchanged since the last query; one row scan otherwise.
-  /// The value is always the ascending-function-order double sum the
-  /// historical implementation produced (bitwise).
+  /// Total keep-alive memory (MB) across functions at minute t: the
+  /// correctly rounded sum of the kept variants' memories. O(1).
   [[nodiscard]] double memory_at(trace::Minute t) const {
     if (t < 0 || t >= duration_) return 0.0;
-    const auto ti = static_cast<std::size_t>(t);
-    if (!dirty_[ti]) return cache_[ti];
-    return recompute(ti);
+    return std::ldexp(static_cast<double>(exact_[static_cast<std::size_t>(t)]), -kUnitShift);
   }
 
   /// Containers alive at minute t. O(1) (incrementally maintained).
@@ -108,12 +102,6 @@ class KeepAliveSchedule {
     if (t < 0 || t >= duration_) return 0;
     return static_cast<std::size_t>(count_[static_cast<std::size_t>(t)]);
   }
-
-  /// Exactly `memory_at(t) > capacity_mb`, but usually without recomputing
-  /// the floating-point sum: an exact integer fixed-point total brackets
-  /// the legacy double sum tightly enough to decide almost every
-  /// comparison in O(1). The engine's capacity-eviction loop runs on this.
-  [[nodiscard]] bool memory_exceeds(trace::Minute t, double capacity_mb) const;
 
   /// One past the last minute at which f might be scheduled (an upper
   /// bound, maintained incrementally). Slots at or beyond it are all
@@ -150,24 +138,23 @@ class KeepAliveSchedule {
                      std::vector<std::pair<trace::FunctionId, std::size_t>>& out) const;
 
  private:
-#if defined(__SIZEOF_INT128__)
-  using ExactUnits = unsigned __int128;
-#else
-  using ExactUnits = std::uint64_t;  // exact fast path stays disabled
+#if !defined(__SIZEOF_INT128__)
+#error "KeepAliveSchedule needs unsigned __int128 (gcc or clang on a 64-bit target)"
 #endif
+  using ExactUnits = unsigned __int128;
 
-  /// Fixed-point scale for the exact per-minute totals: one unit is
-  /// 2^-kUnitShift MB. Every variant memory >= 2^-8 MB (and any dyadic
-  /// below) is represented exactly; deployments outside that envelope fall
-  /// back to the always-correct row scan (exact_ok_ == false).
+  /// Fixed-point scale of the exact per-minute totals: one unit is
+  /// 2^-kUnitShift MB. Every variant memory >= 2^-8 MB is a whole number of
+  /// units; smaller ones round to the nearest unit. The construction limits
+  /// (fewer than 2^24 functions, each variant below 2^30 MB) keep a full
+  /// minute's total below 2^114 units.
   static constexpr int kUnitShift = 60;
 
   void check_function(trace::FunctionId f) const;
-  double recompute(std::size_t ti) const;
   void build_variant_tables();
 
-  /// The single mutation point: keeps count/exact aggregates and the dirty
-  /// bit coherent with the grid.
+  /// The single mutation point: keeps the count and exact aggregates
+  /// coherent with the grid.
   void write_slot(std::size_t f, std::size_t t, std::int16_t next) {
     std::int16_t& slot = grid_[t * functions_ + f];
     const std::int16_t prev = slot;
@@ -181,21 +168,17 @@ class KeepAliveSchedule {
       exact_[t] += var_units_[f * max_variants_ + static_cast<std::size_t>(next)];
     }
     slot = next;
-    dirty_[t] = 1;
   }
 
   const Deployment* deployment_ = nullptr;
   trace::Minute duration_ = 0;
   std::size_t functions_ = 0;
   std::size_t max_variants_ = 0;
-  bool exact_ok_ = false;
 
   /// Minute-major slots: grid_[t * functions_ + f].
   std::vector<std::int16_t> grid_;
 
-  /// Per-(function, variant) memory, flattened: the same doubles the
-  /// deployment's families hold, cached for linear access.
-  std::vector<double> var_mem_;
+  /// Per-(function, variant) memory in units, flattened for linear access.
   std::vector<ExactUnits> var_units_;
   std::vector<std::uint32_t> variant_count_;
 
@@ -205,10 +188,6 @@ class KeepAliveSchedule {
 
   /// Per-function scheduling horizon (upper bound; see scheduled_end).
   std::vector<trace::Minute> horizon_;
-
-  /// Legacy-order memoized sums (logical const: memory_at fills them).
-  mutable std::vector<double> cache_;
-  mutable std::vector<std::uint8_t> dirty_;
 };
 
 }  // namespace pulse::sim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pulse::models {
 namespace {
 
@@ -59,6 +61,21 @@ TEST(ModelFamily, NegativeTimesThrow) {
   auto variants = three_variants();
   variants[0].warm_service_time_s = -0.1;
   EXPECT_THROW(ModelFamily("Fam", "t", "d", std::move(variants)), std::invalid_argument);
+}
+
+TEST(ModelFamily, NonFiniteValuesThrow) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  for (const double x : bad) {
+    for (double ModelVariant::*field :
+         {&ModelVariant::warm_service_time_s, &ModelVariant::cold_start_time_s,
+          &ModelVariant::accuracy_pct, &ModelVariant::memory_mb}) {
+      auto variants = three_variants();
+      variants[1].*field = x;
+      EXPECT_THROW(ModelFamily("Fam", "t", "d", std::move(variants)), std::invalid_argument)
+          << x;
+    }
+  }
 }
 
 TEST(ModelFamily, FindVariantByName) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "sim/cost_model.hpp"
 #include "support/temp_dir.hpp"
@@ -127,6 +128,28 @@ TEST(Zoo, LoadCsvMissingColumnsThrows) {
     t.write_file(path);
   }
   EXPECT_THROW(ModelZoo::load_csv(path), std::runtime_error);
+}
+
+// std::stod parses "nan" and "inf", and NaN fails every `x < 0` range check,
+// so a non-finite characterization value used to load silently.
+TEST(Zoo, LoadCsvRejectsNonFiniteValues) {
+  const testutil::TempDir dir;
+  const char* const rows[] = {
+      "F,t,d,v,1.0,3.0,70.0,nan",  // memory_mb
+      "F,t,d,v,1.0,3.0,70.0,inf",
+      "F,t,d,v,nan,3.0,70.0,300",  // warm_s
+      "F,t,d,v,inf,3.0,70.0,300",
+      "F,t,d,v,1.0,inf,70.0,300",  // cold_s
+      "F,t,d,v,1.0,3.0,nan,300",   // accuracy_pct
+  };
+  for (const char* row : rows) {
+    const auto path = dir.path() / "nonfinite.csv";
+    {
+      std::ofstream out(path);
+      out << "family,task,dataset,variant,warm_s,cold_s,accuracy_pct,memory_mb\n" << row << "\n";
+    }
+    EXPECT_THROW(ModelZoo::load_csv(path), std::invalid_argument) << row;
+  }
 }
 
 TEST(Zoo, VariantsSortedByAccuracyWithinEveryFamily) {

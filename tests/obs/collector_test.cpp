@@ -24,6 +24,7 @@
 #include "policies/factory.hpp"
 #include "sim/ensemble.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace pulse::obs {
 namespace {
@@ -291,6 +292,9 @@ TEST(EnsembleCollector, EventTotalsAreThreadCountInvariant) {
   EXPECT_GT(recorded[0], 0u);
 }
 
+// The collector-fed ensemble against the same runs executed serially, each
+// with the sink attached straight to its SimulationEngine (no collector):
+// the transport must neither lose nor invent events, nor perturb a run.
 TEST(EnsembleCollector, LockFreeAndDirectPathsAgreeOnTotals) {
   trace::WorkloadConfig wc;
   wc.function_count = 8;
@@ -299,22 +303,35 @@ TEST(EnsembleCollector, LockFreeAndDirectPathsAgreeOnTotals) {
   const trace::Workload workload = trace::build_azure_like_workload(wc);
   const models::ModelZoo zoo = models::ModelZoo::builtin();
 
-  std::vector<std::vector<std::uint64_t>> counts;
-  for (const bool lock_free : {false, true}) {
-    RingBufferSink sink(1 << 14);
-    sim::EnsembleConfig config;
-    config.runs = 6;
-    config.seed = 9;
-    config.threads = 2;
-    config.lock_free_sink = lock_free;
-    config.engine.observer.sink = &sink;
-    const sim::EnsembleResult result = sim::run_ensemble(
-        zoo, workload.trace, [] { return policies::make_policy("pulse"); }, config);
-    (void)result;
-    counts.push_back(sink.counts_by_type());
-    EXPECT_GT(sink.recorded(), 0u);
+  RingBufferSink collected(1 << 14);
+  sim::EnsembleConfig config;
+  config.runs = 6;
+  config.seed = 9;
+  config.threads = 2;
+  config.engine.observer.sink = &collected;
+  const sim::EnsembleResult result = sim::run_ensemble(
+      zoo, workload.trace, [] { return policies::make_policy("pulse"); }, config);
+
+  // run_ensemble's per-run deployment and engine seed, replayed serially.
+  RingBufferSink direct(1 << 14);
+  for (std::size_t i = 0; i < config.runs; ++i) {
+    util::Pcg32 assign_rng(config.seed + i, /*stream=*/i * 2 + 1);
+    const sim::Deployment deployment =
+        sim::Deployment::random(zoo, workload.trace.function_count(), assign_rng);
+    sim::EngineConfig engine_config = config.engine;
+    engine_config.seed = config.seed * 1000003 + i;
+    engine_config.observer.sink = &direct;
+    sim::SimulationEngine engine(deployment, workload.trace, engine_config);
+    const auto policy = policies::make_policy("pulse");
+    const sim::RunResult run = engine.run(*policy);
+    EXPECT_EQ(run.invocations, result.runs[i].invocations) << "run " << i;
+    EXPECT_EQ(run.cold_starts, result.runs[i].cold_starts) << "run " << i;
+    EXPECT_EQ(run.total_keepalive_cost_usd, result.runs[i].total_keepalive_cost_usd)
+        << "run " << i;
   }
-  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_GT(collected.recorded(), 0u);
+  EXPECT_EQ(collected.recorded(), direct.recorded());
+  EXPECT_EQ(collected.counts_by_type(), direct.counts_by_type());
 }
 
 }  // namespace

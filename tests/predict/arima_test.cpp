@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pulse::predict {
@@ -99,6 +102,31 @@ TEST(ArModel, RefitReplacesModel) {
   const double down_next = m.forecast(1)[0];
   EXPECT_GT(up_next, 79.0);
   EXPECT_LT(down_next, 2.0);
+}
+
+// One model refit over many windows (the predictor's reuse of its fit
+// scratch) must give bit for bit what a fresh model per window gives, and
+// forecast_one() must be forecast(1)[0] exactly, fitted or not.
+TEST(ArModel, ReusedModelMatchesFreshModelBitwise) {
+  std::vector<double> series;
+  for (int i = 0; i < 120; ++i) {
+    series.push_back(5.0 + 3.0 * std::sin(0.3 * i) + 0.01 * static_cast<double>(i % 7));
+  }
+  for (const std::size_t difference : {std::size_t{0}, std::size_t{1}}) {
+    ArModel reused(3, difference);
+    for (std::size_t length = 0; length <= series.size(); length += 3) {
+      const std::span<const double> window(series.data(), length);
+      ArModel fresh(3, difference);
+      EXPECT_EQ(reused.fit(window), fresh.fit(window)) << length;
+      const double want = fresh.forecast(1)[0];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.forecast(1)[0]),
+                std::bit_cast<std::uint64_t>(want))
+          << "d=" << difference << " length=" << length;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.forecast_one()),
+                std::bit_cast<std::uint64_t>(want))
+          << "d=" << difference << " length=" << length;
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "predict/sliding_dft.hpp"
 #include "util/rng.hpp"
 
 namespace pulse::predict {
@@ -448,44 +447,6 @@ INSTANTIATE_TEST_SUITE_P(SeriesKinds, HarmonicBitIdentity,
                                            SeriesKind::kSparsePoisson,
                                            SeriesKind::kDenseDiurnal),
                          kind_name);
-
-TEST(SlidingDftBitIdentity, MatchesReplicaRightAfterEachRefresh) {
-  // Right after a re-anchor the sliding coefficients are an exact FFT of the
-  // window, so the forecast must equal the replica bit for bit: with the
-  // policy's shared plan (basis tabled for 10 steps, computed beyond) and
-  // with a standalone window (untabled).
-  constexpr std::size_t kWindow = 256;
-  constexpr std::size_t kTabled = 10;
-  constexpr std::size_t kHorizon = 32;
-  constexpr std::size_t kHarmonics = 8;
-  constexpr std::size_t kRefresh = 37;
-  const std::vector<double> signal = make_series(SeriesKind::kDenseDiurnal, 2000);
-
-  SlidingDft shared(std::make_shared<const HarmonicPlan>(kWindow, kTabled), kRefresh);
-  SlidingDft standalone(kWindow, kRefresh);
-  std::vector<double> out(kHorizon);
-  std::size_t checked = 0;
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    shared.push(signal[i]);
-    standalone.push(signal[i]);
-    const std::size_t seen = i + 1;
-    // The first anchor is the push that fills the window; then every kRefresh.
-    if (seen < kWindow || (seen - kWindow) % kRefresh != 0) continue;
-    const std::span<const double> window(signal.data() + seen - kWindow, kWindow);
-    for (const std::size_t horizon : {kTabled, kHorizon}) {
-      const std::vector<double> expected =
-          replica::harmonic_extrapolate(window, kHarmonics, horizon);
-      shared.extrapolate_into(kHarmonics, horizon, out);
-      ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out.data(), horizon)))
-          << "shared plan, push " << seen << " horizon " << horizon;
-      standalone.extrapolate_into(kHarmonics, horizon, out);
-      ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out.data(), horizon)))
-          << "standalone, push " << seen << " horizon " << horizon;
-    }
-    ++checked;
-  }
-  EXPECT_EQ(checked, (signal.size() - kWindow) / kRefresh + 1);
-}
 
 }  // namespace
 }  // namespace pulse::predict

@@ -13,8 +13,6 @@
 
 #include "models/zoo.hpp"
 #include "policies/factory.hpp"
-#include "policies/icebreaker.hpp"
-#include "policies/wild.hpp"
 #include "serve/line_protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
@@ -227,9 +225,10 @@ TEST(Serve, TickGapsSimulateSkippedIdleMinutes) {
   expect_bitwise_equal(server.finish(), batch, "single closing tick");
 }
 
-// The streaming predictor state (mutable memo windows, incremental AR, the
-// sliding DFT) lives per policy instance; ensemble runs spawn one instance
-// per run, so results must be bit-identical at any thread count.
+// The predictor state the serve path reuses (mutable memo windows, the AR
+// fit scratch, the FFT plan and its scratch) lives per policy instance;
+// ensemble runs spawn one instance per run, so results must be
+// bit-identical at any thread count.
 class EnsembleThreads : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EnsembleThreads, StreamingPoliciesAreThreadCountInvariant) {
@@ -246,18 +245,8 @@ TEST_P(EnsembleThreads, StreamingPoliciesAreThreadCountInvariant) {
 
   const std::vector<std::pair<std::string, sim::PolicyFactory>> factories = {
       {"pulse", [] { return policies::make_policy("pulse"); }},
-      {"wild-streaming",
-       [] {
-         policies::WildPolicy::Config config;
-         config.predictor.streaming_ar = true;
-         return std::make_unique<policies::WildPolicy>(config);
-       }},
-      {"icebreaker-streaming",
-       [] {
-         policies::IceBreakerPolicy::Config config;
-         config.streaming_dft = true;
-         return std::make_unique<policies::IceBreakerPolicy>(config);
-       }},
+      {"wild", [] { return policies::make_policy("wild"); }},
+      {"icebreaker", [] { return policies::make_policy("icebreaker"); }},
   };
 
   const std::size_t threads = GetParam();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace pulse::sim {
 namespace {
 
@@ -166,16 +168,46 @@ TEST_F(ScheduleTest, KeptAliveBufferVariantMatchesAllocating) {
   EXPECT_EQ(buffer, schedule_.kept_alive_at(10));
 }
 
+// The engine's capacity check is `memory_at(t) > cap` on the exact total; a
+// sum of two doubles is already correctly rounded, so it is the plain add.
 TEST_F(ScheduleTest, MemoryExceedsMatchesMemoryAt) {
   schedule_.set(0, 20, 1);
   schedule_.set(1, 20, 0);
-  const double m = schedule_.memory_at(20);
-  EXPECT_TRUE(schedule_.memory_exceeds(20, m - 1.0));
-  EXPECT_FALSE(schedule_.memory_exceeds(20, m));  // strict comparison, like memory_at(t) > cap
-  EXPECT_FALSE(schedule_.memory_exceeds(20, m + 1.0));
-  // Out-of-horizon minutes behave like memory_at's 0.0.
-  EXPECT_FALSE(schedule_.memory_exceeds(-1, 0.0));
-  EXPECT_TRUE(schedule_.memory_exceeds(200, -1.0));
+  EXPECT_EQ(schedule_.memory_at(20), deployment_.family_of(0).variant(1).memory_mb +
+                                         deployment_.family_of(1).variant(0).memory_mb);
+  // Out-of-horizon minutes hold nothing.
+  EXPECT_EQ(schedule_.memory_at(-1), 0.0);
+  EXPECT_EQ(schedule_.memory_at(200), 0.0);
+}
+
+models::ModelFamily one_variant_family(double memory_mb) {
+  return models::ModelFamily("F", "t", "d", {{"v", 1.0, 2.0, 50.0, memory_mb}});
+}
+
+TEST(ScheduleLimits, RejectsVariantMemoryOutsideTheExactRange) {
+  const models::ModelFamily huge = one_variant_family(std::ldexp(1.0, 30));
+  EXPECT_THROW(KeepAliveSchedule(Deployment({&huge}), 10), std::invalid_argument);
+  const models::ModelFamily largest = one_variant_family(std::nextafter(std::ldexp(1.0, 30), 0.0));
+  const Deployment deployment({&largest, &largest});
+  KeepAliveSchedule schedule(deployment, 10);
+  schedule.set(0, 3, 0);
+  schedule.set(1, 3, 0);
+  EXPECT_EQ(schedule.memory_at(3), 2.0 * largest.variant(0).memory_mb);
+}
+
+TEST(ScheduleLimits, SubUnitMemoriesRoundToTheNearestUnit) {
+  const double unit = std::ldexp(1.0, -60);  // one 2^-60 MB unit
+  const models::ModelFamily below_half = one_variant_family(0.25 * unit);
+  const models::ModelFamily above_half = one_variant_family(0.75 * unit);
+  const models::ModelFamily whole = one_variant_family(std::ldexp(1.0, -8) + unit);
+  const Deployment deployment({&below_half, &above_half, &whole});
+  KeepAliveSchedule schedule(deployment, 4);
+  schedule.set(0, 0, 0);
+  EXPECT_EQ(schedule.memory_at(0), 0.0);
+  schedule.set(1, 1, 0);
+  EXPECT_EQ(schedule.memory_at(1), unit);
+  schedule.set(2, 2, 0);  // at and above 2^-8 MB every memory is exact
+  EXPECT_EQ(schedule.memory_at(2), whole.variant(0).memory_mb);
 }
 
 TEST_F(ScheduleTest, ScheduledEndBoundsTail) {
