@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/minute_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace pulse::platform {
@@ -14,22 +15,6 @@ struct Container {
   std::size_t variant = 0;
   double born_s = 0.0;      // creation time, seconds
   double busy_until_s = 0;  // <= now means idle
-};
-
-/// Sampled per-minute memory record exposed to policies' end_of_minute.
-class SampledHistory final : public sim::MemoryHistory {
- public:
-  void push(double v) { values_.push_back(v); }
-  [[nodiscard]] double memory_at(trace::Minute t) const override {
-    if (t < 0 || static_cast<std::size_t>(t) >= values_.size()) return 0.0;
-    return values_[static_cast<std::size_t>(t)];
-  }
-  [[nodiscard]] trace::Minute now() const override {
-    return static_cast<trace::Minute>(values_.size());
-  }
-
- private:
-  std::vector<double> values_;
 };
 
 /// Pcg32 stream for function f's latency jitter, hash-derived from the
@@ -67,26 +52,15 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
   PlatformResult result;
   sim::KeepAliveSchedule schedule(dep, duration);
-  SampledHistory history;
+  // The minute engine's kernel, seed and all: with matching schedules the
+  // two layers crash, retry, clip and evict identically.
+  sim::MinuteKernel kernel(schedule, result.faults, config_.observer, config_.faults,
+                           config_.seed);
   std::vector<util::Pcg32> latency_rng;
   latency_rng.reserve(tr.function_count());
   for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
     latency_rng.emplace_back(config_.seed, latency_stream(f));
   }
-  // Same seed/stream as the minute engine's capacity-eviction generator:
-  // with matching schedules the two layers draw identical victim sequences.
-  util::Pcg32 eviction_rng(config_.seed, /*stream=*/0xeb1c7);
-  std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer;
-
-  const fault::FaultInjector injector(config_.faults);
-  const bool faults_on = injector.config().enabled();
-  // The minute engine marks cold-started containers in the schedule (they
-  // count toward keep-alive memory for the rest of the minute). The
-  // platform's memory accounting runs on the pool instead, so it only
-  // needs that mirroring when the schedule itself is consulted for
-  // platform behaviour — fault injection or a capacity limit. Keeping it
-  // off otherwise preserves bitwise identity with the pre-fault platform.
-  const bool mirror_schedule = faults_on || config_.memory_capacity_mb > 0.0;
 
   std::vector<std::vector<Container>> pool(tr.function_count());
   std::size_t live_containers = 0;
@@ -128,235 +102,153 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   for (trace::Minute m = 0; m < duration; ++m) {
     const double minute_start_s = static_cast<double>(m) * kSecondsPerMinute;
     const double minute_end_s = minute_start_s + kSecondsPerMinute;
-    bool minute_degraded = false;
 
-    // --- injected container crashes ---
-    // Fire at the minute boundary, before reconciliation: the crashed
-    // container's remaining keep-alive stretch is evicted from the
-    // schedule, so the reconcile pass below reaps its warm container and
-    // this minute's invocations (if any) go cold. Identical draw
-    // coordinates to the minute engine.
-    if (faults_on && injector.config().crash_rate > 0.0) {
-      schedule.for_each_alive(m, [&](trace::FunctionId f, std::size_t variant) {
-        if (injector.container_crashes(f, m)) {
-          schedule.evict_from(f, m);
-          ++result.faults.crash_evictions;
-          minute_degraded = true;
-          if (sink != nullptr) {
-            sink->record({obs::EventType::kCrashEviction, m, f,
-                          static_cast<std::int32_t>(variant), 1.0, ""});
+    // The serving rule: reconcile the warm pool with the schedule (after
+    // the kernel's crash sweep, so a crashed container is reaped here and
+    // this minute's invocations go cold), then serve every invocation from
+    // the per-container pool at second granularity.
+    const auto serve = [&] {
+      for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
+        const int scheduled = schedule.variant_at(f, m);
+        // Reap idle containers that are unscheduled or of the wrong variant;
+        // keep at most one matching idle container.
+        bool kept_one = false;
+        for (std::size_t i = pool[f].size(); i-- > 0;) {
+          Container& c = pool[f][i];
+          if (c.busy_until_s > minute_start_s) continue;  // executing: cannot kill
+          const bool matches = scheduled != sim::kNoVariant &&
+                               c.variant == static_cast<std::size_t>(scheduled);
+          if (matches && !kept_one) {
+            kept_one = true;
+            continue;
           }
+          retire(f, i, minute_start_s);
         }
-      });
-    }
-
-    // --- reconcile the warm pool with the keep-alive schedule ---
-    for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
-      const int scheduled = schedule.variant_at(f, m);
-      // Reap idle containers that are unscheduled or of the wrong variant;
-      // keep at most one matching idle container.
-      bool kept_one = false;
-      for (std::size_t i = pool[f].size(); i-- > 0;) {
-        Container& c = pool[f][i];
-        if (c.busy_until_s > minute_start_s) continue;  // executing: cannot kill
-        const bool matches = scheduled != sim::kNoVariant &&
-                             c.variant == static_cast<std::size_t>(scheduled);
-        if (matches && !kept_one) {
-          kept_one = true;
-          continue;
-        }
-        retire(f, i, minute_start_s);
-      }
-      // Pre-warm the scheduled variant when no live container provides it.
-      // The fresh container pays its cold-start provisioning time: it only
-      // turns warm (idle) once the variant's cold start completes, so an
-      // arrival inside the provisioning window still scales out.
-      if (scheduled != sim::kNoVariant) {
-        const auto v = static_cast<std::size_t>(scheduled);
-        const bool present = std::any_of(pool[f].begin(), pool[f].end(),
-                                         [&](const Container& c) { return c.variant == v; });
-        if (!present) {
-          const double provision_s = dep.family_of(f).variant(v).cold_start_time_s;
-          spawn(f, v, minute_start_s, minute_start_s + provision_s);
-          ++result.prewarm_starts;
-          if (sink != nullptr) {
-            sink->record({obs::EventType::kPrewarm, m, f, scheduled, provision_s, ""});
-          }
-        }
-      }
-    }
-
-    // --- serve this minute's invocations at second granularity ---
-    for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
-      const std::uint32_t count = tr.count(f, m);
-      if (count == 0) continue;
-      const models::ModelFamily& family = dep.family_of(f);
-      util::Pcg32& rng = latency_rng[f];
-
-      for (std::uint32_t i = 0; i < count; ++i) {
-        double arrival_s = minute_start_s;
-        if (config_.spread_arrivals) {
-          arrival_s += static_cast<double>(i) * kSecondsPerMinute /
-                       static_cast<double>(count);
-        }
-
-        // Prefer an idle container (any variant the pool holds).
-        Container* idle = nullptr;
-        const bool any_live = !pool[f].empty();
-        for (Container& c : pool[f]) {
-          if (c.busy_until_s <= arrival_s) {
-            idle = &c;
-            break;
-          }
-        }
-
-        double service_s;
-        std::size_t served_variant;
-        bool cold;
-        if (idle != nullptr) {
-          cold = false;
-          served_variant = idle->variant;
-          const auto& variant = family.variant(served_variant);
-          service_s = config_.deterministic_latency
-                          ? models::LatencyModel::expected_service_time(variant, false)
-                          : config_.latency.sample_service_time(variant, false, rng);
-        } else {
-          // Scale-out or fresh cold start: serve the variant the schedule
-          // currently prescribes, not whatever container happens to sit at
-          // the front of the pool (reap order made that a stale variant
-          // after downgrades). With nothing scheduled, fall back to the
-          // policy's cold-start choice — the minute engine's exact rule.
-          cold = true;
-          const int scheduled_now = schedule.variant_at(f, m);
-          served_variant = scheduled_now != sim::kNoVariant
-                               ? static_cast<std::size_t>(scheduled_now)
-                               : policy.cold_start_variant(f, m, dep);
-          const auto& variant = family.variant(served_variant);
-
-          // Injected cold-start failures: the bounded retry loop shares
-          // the minute engine's (f, m) draw coordinates, so every spawn
-          // attempt of this minute sees the same outcome and a failed
-          // minute fails all of its invocations on both layers.
-          double cold_retry_penalty_s = 0.0;
-          if (faults_on) {
-            const fault::ColdStartOutcome cs = injector.cold_start(f, m);
-            result.faults.retries += cs.retries;
-            cold_retry_penalty_s = cs.retry_penalty_s;
-            if (cs.retries > 0 || !cs.succeeded) minute_degraded = true;
-            if (!cs.succeeded) {
-              ++result.faults.failed_invocations;
-              if (sink != nullptr) {
-                sink->record({obs::EventType::kFault, m, f,
-                              static_cast<std::int32_t>(served_variant), 1.0,
-                              "cold_start_failure"});
-              }
-              continue;  // no container starts; the invocation is lost
-            }
-            if (sink != nullptr && cs.retries > 0) {
-              sink->record({obs::EventType::kFault, m, f,
-                            static_cast<std::int32_t>(served_variant),
-                            static_cast<double>(cs.retries), "cold_start_retry"});
-            }
-          }
-
-          service_s = config_.deterministic_latency
-                          ? models::LatencyModel::expected_service_time(variant, true)
-                          : config_.latency.sample_service_time(variant, true, rng);
-          service_s += cold_retry_penalty_s;
-          if (mirror_schedule && scheduled_now == sim::kNoVariant) {
-            // The cold-started container exists for the rest of this
-            // minute; the minute engine counts it toward keep-alive memory
-            // at m, which the capacity/crash logic below consults.
-            schedule.set(f, m, static_cast<int>(served_variant));
-          }
-        }
-
-        const auto& variant = family.variant(served_variant);
-        double accuracy_credit = variant.accuracy_pct;
-        if (faults_on) {
-          // Per-variant SLO: the client abandons at the deadline, so the
-          // time is clipped there and no accuracy is delivered. The
-          // container is freed at the deadline too.
-          const double slo = injector.timeout_slo_s(
-              models::LatencyModel::expected_service_time(variant, cold));
-          if (slo > 0.0 && service_s > slo) {
-            service_s = slo;
-            accuracy_credit = 0.0;
-            ++result.faults.timeouts;
-            minute_degraded = true;
+        // Pre-warm the scheduled variant when no live container provides it.
+        // The fresh container pays its cold-start provisioning time: it only
+        // turns warm (idle) once the variant's cold start completes, so an
+        // arrival inside the provisioning window still scales out.
+        if (scheduled != sim::kNoVariant) {
+          const auto v = static_cast<std::size_t>(scheduled);
+          const bool present = std::any_of(pool[f].begin(), pool[f].end(),
+                                           [&](const Container& c) { return c.variant == v; });
+          if (!present) {
+            const double provision_s = dep.family_of(f).variant(v).cold_start_time_s;
+            spawn(f, v, minute_start_s, minute_start_s + provision_s);
+            ++result.prewarm_starts;
             if (sink != nullptr) {
-              sink->record({obs::EventType::kFault, m, f,
-                            static_cast<std::int32_t>(served_variant), slo, "slo_timeout"});
+              sink->record({obs::EventType::kPrewarm, m, f, scheduled, provision_s, ""});
             }
           }
         }
-
-        if (idle != nullptr) {
-          idle->busy_until_s = arrival_s + service_s;
-          ++result.warm_starts;
-        } else {
-          spawn(f, served_variant, arrival_s, arrival_s + service_s);
-          ++result.cold_starts;
-          if (any_live) ++result.scale_out_cold_starts;
-        }
-        if (sink != nullptr) {
-          sink->record({cold ? obs::EventType::kColdStart : obs::EventType::kWarmStart, m,
-                        f, static_cast<std::int32_t>(served_variant), 1.0, ""});
-        }
-
-        result.total_service_time_s += service_s;
-        result.accuracy_pct_sum += accuracy_credit;
-        ++result.invocations;
       }
 
-      // The policy observes the arrival even when the platform failed to
-      // serve it — predictors track demand, not fulfillment.
-      policy.on_invocation(f, m, schedule);
-    }
+      for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
+        const std::uint32_t count = tr.count(f, m);
+        if (count == 0) continue;
+        const models::ModelFamily& family = dep.family_of(f);
+        util::Pcg32& rng = latency_rng[f];
 
-    policy.end_of_minute(m, schedule, history);
-
-    // --- capacity pressure ---
-    // Mirrors the minute engine: injected memory-pressure spikes tighten
-    // the configured capacity; while the *schedule* exceeds it, random
-    // kept containers are evicted (same seeded generator, so with matching
-    // schedules the victim sequence is identical). The victim's idle
-    // containers die with the schedule entry, charged as if minute m never
-    // happened — exactly what evicting minute m from the schedule does to
-    // the engine's cost.
-    double capacity_mb = config_.memory_capacity_mb;
-    if (faults_on) {
-      capacity_mb = injector.effective_capacity_mb(capacity_mb, m);
-      if (injector.under_memory_pressure(m)) minute_degraded = true;
-    }
-    if (capacity_mb > 0.0 && schedule.memory_at(m) > capacity_mb) {
-      if (sink != nullptr) {
-        sink->record({obs::EventType::kCapacityPressure, m, obs::TraceEvent::kNoFunction,
-                      -1, schedule.memory_at(m) - capacity_mb, ""});
-      }
-      schedule.kept_alive_at(m, kept_buffer);
-      while (!kept_buffer.empty()) {
-        const auto idx = eviction_rng.bounded(static_cast<std::uint32_t>(kept_buffer.size()));
-        const auto victim = kept_buffer[static_cast<std::size_t>(idx)];
-        schedule.evict_from(victim.first, m);
-        kept_buffer.erase(kept_buffer.begin() + idx);
-        ++result.faults.capacity_evictions;
-        for (std::size_t i = pool[victim.first].size(); i-- > 0;) {
-          if (pool[victim.first][i].busy_until_s <= minute_end_s) {
-            retire(victim.first, i, minute_start_s);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          double arrival_s = minute_start_s;
+          if (config_.spread_arrivals) {
+            arrival_s += static_cast<double>(i) * kSecondsPerMinute /
+                         static_cast<double>(count);
           }
+
+          // Prefer an idle container (any variant the pool holds).
+          Container* idle = nullptr;
+          const bool any_live = !pool[f].empty();
+          for (Container& c : pool[f]) {
+            if (c.busy_until_s <= arrival_s) {
+              idle = &c;
+              break;
+            }
+          }
+
+          double service_s;
+          std::size_t served_variant;
+          const bool cold = idle == nullptr;
+          if (!cold) {
+            served_variant = idle->variant;
+            const auto& variant = family.variant(served_variant);
+            service_s = config_.deterministic_latency
+                            ? models::LatencyModel::expected_service_time(variant, false)
+                            : config_.latency.sample_service_time(variant, false, rng);
+          } else {
+            // Scale-out or fresh cold start: serve the variant the schedule
+            // currently prescribes, not whatever container happens to sit at
+            // the front of the pool (reap order made that a stale variant
+            // after downgrades). With nothing scheduled, fall back to the
+            // policy's cold-start choice — the minute engine's exact rule.
+            const int scheduled_now = schedule.variant_at(f, m);
+            served_variant = scheduled_now != sim::kNoVariant
+                                 ? static_cast<std::size_t>(scheduled_now)
+                                 : policy.cold_start_variant(f, m, dep);
+            const auto& variant = family.variant(served_variant);
+
+            // Every spawn attempt of this minute shares the minute engine's
+            // (f, m) cold-start draw, so a failed minute fails all of its
+            // cold invocations on both layers.
+            const fault::ColdStartOutcome cs = kernel.start_cold(f, m, served_variant, 1);
+            if (!cs.succeeded) continue;  // no container starts; the invocation is lost
+
+            service_s = config_.deterministic_latency
+                            ? models::LatencyModel::expected_service_time(variant, true)
+                            : config_.latency.sample_service_time(variant, true, rng);
+            service_s += cs.retry_penalty_s;
+            if (scheduled_now == sim::kNoVariant) {
+              // As in the minute engine, the cold-started container exists
+              // for the rest of this minute and counts toward keep-alive
+              // memory at m.
+              schedule.set(f, m, static_cast<int>(served_variant));
+            }
+          }
+
+          // A clipped invocation frees its container at the deadline too.
+          const auto& variant = family.variant(served_variant);
+          double accuracy_credit = variant.accuracy_pct;
+          kernel.clip_to_slo(f, m, served_variant, variant, cold, service_s, accuracy_credit);
+
+          if (idle != nullptr) {
+            idle->busy_until_s = arrival_s + service_s;
+            ++result.warm_starts;
+          } else {
+            spawn(f, served_variant, arrival_s, arrival_s + service_s);
+            ++result.cold_starts;
+            if (any_live) ++result.scale_out_cold_starts;
+          }
+          if (sink != nullptr) {
+            sink->record({cold ? obs::EventType::kColdStart : obs::EventType::kWarmStart, m,
+                          f, static_cast<std::int32_t>(served_variant), 1.0, ""});
+          }
+
+          result.total_service_time_s += service_s;
+          result.accuracy_pct_sum += accuracy_credit;
+          ++result.invocations;
         }
-        if (sink != nullptr) {
-          sink->record({obs::EventType::kEviction, m, victim.first,
-                        static_cast<std::int32_t>(victim.second), 1.0, "capacity"});
-        }
-        if (schedule.memory_at(m) <= capacity_mb) break;
+
+        // The policy observes the arrival even when the platform failed to
+        // serve it — predictors track demand, not fulfillment.
+        policy.on_invocation(f, m, schedule);
       }
-    }
-    if (minute_degraded) ++result.faults.degraded_minutes;
+
+      policy.end_of_minute(m, schedule, kernel);
+    };
+
+    // A capacity victim's idle containers die with its schedule entry,
+    // charged as if minute m never happened — exactly what evicting minute
+    // m from the schedule does to the engine's cost.
+    kernel.step(m, config_.memory_capacity_mb, serve,
+                [&](trace::FunctionId f, sim::Eviction cause) {
+                  if (cause != sim::Eviction::kCapacity) return;
+                  for (std::size_t i = pool[f].size(); i-- > 0;) {
+                    if (pool[f][i].busy_until_s <= minute_end_s) retire(f, i, minute_start_s);
+                  }
+                });
 
     const double mem = total_memory();
-    history.push(mem);
+    kernel.close_minute(mem);
     if (config_.record_series) result.memory_mb.push_back(mem);
     live_hist.record(live_containers);
   }

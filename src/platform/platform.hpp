@@ -17,17 +17,19 @@
 //     minute engine): scheduled functions keep one pre-warmed container of
 //     the scheduled variant; unscheduled idle containers are reaped.
 //
-// Feature parity with the minute engine: the same hash-seeded
-// fault::FaultInjector drives container crashes, cold-start retry/backoff,
-// SLO timeouts and memory-pressure spikes; a memory capacity limit evicts
-// kept containers with the engine's deterministic eviction order; and the
-// obs::Observer layer (events, metrics, phase profiling) threads through
-// reconcile/serve/retire under the same zero-overhead contract.
+// Shared kernel: every minute runs through the minute engine's own
+// sim::MinuteKernel, so container crashes, cold-start retry/backoff, SLO
+// timeouts, memory-pressure spikes and capacity eviction (same seeded
+// victim order) are one code path on both layers and their parity holds by
+// construction. The platform adds only its serving rule — the per-container
+// seconds pool above, whose idle containers die with a capacity victim.
+// The obs::Observer layer threads through under the same zero-overhead
+// contract.
 //
 // Its purpose is cross-validation: on low-concurrency workloads it must
-// agree with the minute engine — including fault counters and total cost
-// under identical FaultConfig seeds (tests assert this) — and on bursty
-// ones it quantifies the abstraction's error (bench_concurrency).
+// agree with the minute engine — fault counters and total cost included
+// (tests assert this) — and on bursty ones it quantifies the abstraction's
+// error (bench_concurrency).
 
 #include <cstdint>
 #include <vector>

@@ -9,24 +9,6 @@ namespace pulse::sim {
 
 namespace {
 
-/// MemoryHistory backed by the engine's growing per-minute record.
-class RecordedHistory final : public MemoryHistory {
- public:
-  explicit RecordedHistory(const std::vector<double>& record) : record_(&record) {}
-
-  [[nodiscard]] double memory_at(trace::Minute t) const override {
-    if (t < 0 || static_cast<std::size_t>(t) >= record_->size()) return 0.0;
-    return (*record_)[static_cast<std::size_t>(t)];
-  }
-
-  [[nodiscard]] trace::Minute now() const override {
-    return static_cast<trace::Minute>(record_->size());
-  }
-
- private:
-  const std::vector<double>* record_;
-};
-
 using Clock = std::chrono::steady_clock;
 
 // Stream tags of the hashed (EngineConfig::hashed_rng) per-invocation
@@ -34,7 +16,6 @@ using Clock = std::chrono::steady_clock;
 // and sampling never correlate.
 constexpr std::uint64_t kHashLatencyStream = 0x1a7e'2c91;
 constexpr std::uint64_t kHashAccuracyStream = 0x0acc'0117;
-constexpr std::uint64_t kHashEvictStream = 0xeb1c'7005;
 
 /// One key per invocation: minute in the high bits, the minute's invocation
 /// index in the low 32 (counts are std::uint32_t, so the packing is exact).
@@ -66,10 +47,10 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
       config_(config),
       policy_(&policy),
       schedule_(deployment, trace.duration()),
+      kernel_(schedule_, result_, config_.observer, config.faults, config.seed,
+              config.hashed_rng, config.global_ids),
       latency_rng_(config.seed, /*stream=*/0xc0ffee),
-      accuracy_rng_(config.seed, /*stream=*/0xacc),
-      eviction_rng_(config.seed, /*stream=*/0xeb1c7),
-      injector_(config.faults) {
+      accuracy_rng_(config.seed, /*stream=*/0xacc) {
   if (deployment.function_count() != trace.function_count()) {
     throw std::invalid_argument("SteppedRun: deployment/trace function count mismatch");
   }
@@ -78,14 +59,6 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
     throw std::invalid_argument("SteppedRun: global_ids/trace function count mismatch");
   }
   const trace::Minute duration = trace.duration();
-  memory_record_.reserve(static_cast<std::size_t>(duration));
-  // Capacity-pressured minutes fill this with every kept container; sizing
-  // it up front keeps even a late first pressure event allocation-free
-  // (the serve-mode hot-path discipline bench_serve_latency enforces).
-  kept_buffer_.reserve(deployment.function_count());
-  history_ = std::make_unique<RecordedHistory>(memory_record_);
-  faults_on_ = injector_.config().enabled();
-
   const obs::Observer& obs = config_.observer;
   policy_->attach_observer(obs.any() ? &config_.observer : nullptr);
 
@@ -137,8 +110,7 @@ SteppedRun::~SteppedRun() = default;
 trace::Minute SteppedRun::duration() const noexcept { return trace_->duration(); }
 
 double SteppedRun::keepalive_memory_mb(trace::Minute t) const noexcept {
-  if (t < 0 || static_cast<std::size_t>(t) >= memory_record_.size()) return 0.0;
-  return memory_record_[static_cast<std::size_t>(t)];
+  return kernel_.memory_at(t);
 }
 
 void SteppedRun::run_until(trace::Minute end) {
@@ -154,51 +126,37 @@ void SteppedRun::run_until(trace::Minute end) {
 }
 
 void SteppedRun::step_minute() {
+  const trace::Minute t = next_minute_;
+  double ideal_cost_t = 0.0;
+  kernel_.step(
+      t, config_.memory_capacity_mb, [&] { serve_minute(t, ideal_cost_t); },
+      [&](trace::FunctionId f, Eviction) {
+        if (!fn_evictions_.empty()) ++fn_evictions_[f];
+      });
+  close_minute(t, schedule_.memory_at(t), schedule_.alive_count_at(t), ideal_cost_t);
+}
+
+// The engine's serving rule: all of a minute's invocations of f share one
+// container — the one kept alive at t, or a single cold start.
+void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
   const trace::Trace& tr = *trace_;
   const Deployment& dep = *deployment_;
   KeepAlivePolicy& policy = *policy_;
   KeepAliveSchedule& schedule = schedule_;
   RunResult& result = result_;
-  const fault::FaultInjector& injector = injector_;
-  const bool faults_on = faults_on_;
   const bool hashed = config_.hashed_rng;
-  const std::vector<trace::FunctionId>* const gids = config_.global_ids;
-
-  const obs::Observer& obs = config_.observer;
-  obs::TraceSink* const sink = obs.sink;
-
-  const trace::Minute t = next_minute_;
-  double ideal_cost_t = 0.0;
-  bool minute_degraded = false;
-
-  // Injected container crashes fire at the minute boundary: the crashed
-  // container's remaining keep-alive stretch is evicted, so this minute's
-  // invocations (if any) go cold.
-  if (faults_on && injector.config().crash_rate > 0.0) {
-    schedule.for_each_alive(t, [&](trace::FunctionId f, std::size_t variant) {
-      const trace::FunctionId gf = gids != nullptr ? (*gids)[f] : f;
-      if (injector.container_crashes(gf, t)) {
-        schedule.evict_from(f, t);
-        ++result.crash_evictions;
-        if (!fn_evictions_.empty()) ++fn_evictions_[f];
-        minute_degraded = true;
-        if (sink != nullptr) {
-          sink->record({obs::EventType::kCrashEviction, t, gf,
-                        static_cast<std::int32_t>(variant), 1.0, ""});
-        }
-      }
-    });
-  }
+  obs::TraceSink* const sink = config_.observer.sink;
 
   for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
     const std::uint32_t count = tr.count(f, t);
     if (count == 0) continue;
-    const trace::FunctionId gf = gids != nullptr ? (*gids)[f] : f;
+    const trace::FunctionId gf = kernel_.global_id(f);
 
     const models::ModelFamily& family = dep.family_of(f);
     const int alive = schedule.variant_at(f, t);
     std::size_t serving;
     bool first_is_cold;
+    fault::ColdStartOutcome cs;
     if (alive != kNoVariant) {
       serving = static_cast<std::size_t>(alive);
       first_is_cold = false;
@@ -206,44 +164,20 @@ void SteppedRun::step_minute() {
       serving = policy.cold_start_variant(f, t, dep);
       first_is_cold = true;
       // The cold-started container exists for the rest of this minute and
-      // counts toward keep-alive memory at t.
+      // counts toward keep-alive memory at t — unless every start attempt
+      // fails, which fails the whole minute's invocations.
       schedule.set(f, t, static_cast<int>(serving));
+      cs = kernel_.start_cold(gf, t, serving, count);
+      if (!cs.succeeded) schedule.clear(f, t);
     }
 
-    // Injected cold-start failures: bounded retry with exponential
-    // backoff; exhausting every retry fails the whole minute's
-    // invocations (no container exists to serve them).
-    bool served = true;
-    double cold_retry_penalty_s = 0.0;
-    if (first_is_cold && faults_on) {
-      const fault::ColdStartOutcome cs = injector.cold_start(gf, t);
-      result.retries += cs.retries;
-      cold_retry_penalty_s = cs.retry_penalty_s;
-      if (cs.retries > 0 || !cs.succeeded) minute_degraded = true;
-      if (!cs.succeeded) {
-        served = false;
-        schedule.clear(f, t);  // the provisional container never started
-        result.failed_invocations += count;
-      }
-      if (sink != nullptr && cs.retries > 0) {
-        sink->record({obs::EventType::kFault, t, gf, static_cast<std::int32_t>(serving),
-                      static_cast<double>(cs.retries), "cold_start_retry"});
-      }
-    }
-
-    if (sink != nullptr) {
-      if (served) {
+    if (cs.succeeded) {
+      if (sink != nullptr) {
         sink->record({first_is_cold ? obs::EventType::kColdStart
                                     : obs::EventType::kWarmStart,
                       t, gf, static_cast<std::int32_t>(serving),
                       static_cast<double>(count), ""});
-      } else {
-        sink->record({obs::EventType::kFault, t, gf, static_cast<std::int32_t>(serving),
-                      static_cast<double>(count), "cold_start_failure"});
       }
-    }
-
-    if (served) {
       const models::ModelVariant& variant = family.variant(serving);
       for (std::uint32_t i = 0; i < count; ++i) {
         const bool cold = first_is_cold && i == 0;
@@ -276,23 +210,8 @@ void SteppedRun::step_minute() {
           accuracy_credit =
               accuracy_rng_.bernoulli(variant.accuracy_fraction()) ? 100.0 : 0.0;
         }
-        if (cold) service_s += cold_retry_penalty_s;
-        if (faults_on) {
-          // Per-variant SLO: the client abandons at the deadline, so the
-          // time is clipped there and no accuracy is delivered.
-          const double slo = injector.timeout_slo_s(
-              models::LatencyModel::expected_service_time(variant, cold));
-          if (slo > 0.0 && service_s > slo) {
-            service_s = slo;
-            accuracy_credit = 0.0;
-            ++result.timeouts;
-            minute_degraded = true;
-            if (sink != nullptr) {
-              sink->record({obs::EventType::kFault, t, gf,
-                            static_cast<std::int32_t>(serving), slo, "slo_timeout"});
-            }
-          }
-        }
+        if (cold) service_s += cs.retry_penalty_s;
+        kernel_.clip_to_slo(gf, t, serving, variant, cold, service_s, accuracy_credit);
         result.total_service_time_s += service_s;
         result.accuracy_pct_sum += accuracy_credit;
         ++result.invocations;
@@ -334,90 +253,40 @@ void SteppedRun::step_minute() {
 
   if (config_.measure_overhead) {
     const auto start = Clock::now();
-    policy.end_of_minute(t, schedule, *history_);
-    result.policy_overhead_s += std::chrono::duration<double>(Clock::now() - start).count();
+    policy.end_of_minute(t, schedule, kernel_);
+    result.policy_overhead_s +=
+        std::chrono::duration<double>(Clock::now() - start).count();
   } else {
-    policy.end_of_minute(t, schedule, *history_);
+    policy.end_of_minute(t, schedule, kernel_);
   }
+}
 
-  // Capacity pressure: the platform evicts random kept containers until
-  // keep-alive memory fits (the provider baseline behaviour under memory
-  // stress; PULSE-style policies flatten before this fires). Injected
-  // memory-pressure spikes temporarily tighten the capacity.
-  double capacity_mb = config_.memory_capacity_mb;
-  if (faults_on) {
-    capacity_mb = injector.effective_capacity_mb(capacity_mb, t);
-    if (injector.under_memory_pressure(t)) minute_degraded = true;
-  }
-  // memory_at is O(1) (no per-iteration rescan), and evicting a victim only
-  // changes that victim's row, so the alive list is built once and
-  // maintained by erasing the victim — bit-identical to rebuilding it, at
-  // O(evictions) instead of O(F * evictions).
-  if (capacity_mb > 0.0 && schedule.memory_at(t) > capacity_mb) {
-    if (sink != nullptr) {
-      sink->record({obs::EventType::kCapacityPressure, t, obs::TraceEvent::kNoFunction,
-                    -1, schedule.memory_at(t) - capacity_mb, ""});
-    }
-    schedule.kept_alive_at(t, kept_buffer_);
-    std::uint32_t evict_ordinal = 0;
-    while (!kept_buffer_.empty()) {
-      std::uint32_t idx;
-      if (hashed) {
-        // Victim picks keyed by (minute, ordinal): independent of how many
-        // evictions earlier minutes performed, hence reproducible whatever
-        // quota trajectory the cluster market applied before this minute.
-        util::Pcg32 draw(util::hash_u64(config_.seed, kHashEvictStream,
-                                        static_cast<std::uint64_t>(t), evict_ordinal),
-                         kHashEvictStream);
-        idx = draw.bounded(static_cast<std::uint32_t>(kept_buffer_.size()));
-        ++evict_ordinal;
-      } else {
-        idx = eviction_rng_.bounded(static_cast<std::uint32_t>(kept_buffer_.size()));
-      }
-      const auto victim = kept_buffer_[static_cast<std::size_t>(idx)];
-      schedule.evict_from(victim.first, t);
-      kept_buffer_.erase(kept_buffer_.begin() + idx);
-      ++result.capacity_evictions;
-      if (!fn_evictions_.empty()) ++fn_evictions_[victim.first];
-      if (sink != nullptr) {
-        sink->record({obs::EventType::kEviction, t,
-                      gids != nullptr ? (*gids)[victim.first] : victim.first,
-                      static_cast<std::int32_t>(victim.second), 1.0, "capacity"});
-      }
-      if (schedule.memory_at(t) <= capacity_mb) break;
-    }
-  }
-  if (minute_degraded) ++result.degraded_minutes;
-
-  const double memory_t = schedule.memory_at(t);
+void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
+                              double ideal_cost_t) {
+  kernel_.close_minute(memory_t);
   const double cost_t = config_.cost_model.keepalive_cost_usd(memory_t, 1.0);
-  result.total_keepalive_cost_usd += cost_t;
-  memory_record_.push_back(memory_t);
-  const bool sample_minute = sink != nullptr && config_.emit_minute_samples;
-  if (alive_hist_ != nullptr || sample_minute) {
-    const std::size_t alive_n = schedule.alive_count_at(t);
-    if (alive_hist_ != nullptr) alive_hist_->add(alive_n);
-    if (sample_minute) {
-      // End-of-minute aggregate: the replayer's cost-curve anchor. value
-      // carries the exact memory double (%.17g survives the JSONL round
-      // trip), variant the alive container count.
-      sink->record({obs::EventType::kMinuteSample, t, obs::TraceEvent::kNoFunction,
-                    static_cast<std::int32_t>(alive_n), memory_t, ""});
-    }
+  result_.total_keepalive_cost_usd += cost_t;
+  if (alive_hist_ != nullptr) alive_hist_->add(alive_n);
+  obs::TraceSink* const sink = config_.observer.sink;
+  if (sink != nullptr && config_.emit_minute_samples) {
+    // End-of-minute aggregate: the replayer's cost-curve anchor. value
+    // carries the exact memory double (%.17g survives the JSONL round
+    // trip), variant the alive container count.
+    sink->record({obs::EventType::kMinuteSample, t, obs::TraceEvent::kNoFunction,
+                  static_cast<std::int32_t>(alive_n), memory_t, ""});
   }
-
   if (config_.record_series) {
-    result.keepalive_memory_mb.push_back(memory_t);
-    result.keepalive_cost_usd.push_back(cost_t);
-    result.ideal_cost_usd.push_back(ideal_cost_t);
+    result_.keepalive_memory_mb.push_back(memory_t);
+    result_.keepalive_cost_usd.push_back(cost_t);
+    result_.ideal_cost_usd.push_back(ideal_cost_t);
   }
 }
 
 RunCheckpoint SteppedRun::checkpoint() const {
-  return RunCheckpoint{next_minute_,  config_.memory_capacity_mb,
-                       result_,       schedule_,
-                       memory_record_, latency_rng_,
-                       accuracy_rng_, eviction_rng_,
+  return RunCheckpoint{next_minute_,     config_.memory_capacity_mb,
+                       result_,          schedule_,
+                       kernel_.record(), latency_rng_,
+                       accuracy_rng_,    kernel_.eviction_rng(),
                        policy_->checkpoint()};
 }
 
@@ -429,10 +298,9 @@ void SteppedRun::restore(const RunCheckpoint& snapshot) {
   config_.memory_capacity_mb = snapshot.memory_capacity_mb;
   result_ = snapshot.result;
   schedule_ = snapshot.schedule;
-  memory_record_ = snapshot.memory_record;
+  kernel_.restore(snapshot.memory_record, snapshot.eviction_rng);
   latency_rng_ = snapshot.latency_rng;
   accuracy_rng_ = snapshot.accuracy_rng;
-  eviction_rng_ = snapshot.eviction_rng;
   policy_->restore(snapshot.policy.get());
 }
 
@@ -470,8 +338,7 @@ void SteppedRun::replay_until(trace::Minute end) {
 }
 
 std::uint64_t SteppedRun::lose_warm_pool(trace::Minute t) {
-  std::uint64_t lost = 0;
-  schedule_.for_each_alive(t, [&](trace::FunctionId, std::size_t) { ++lost; });
+  const std::uint64_t lost = schedule_.alive_count_at(t);
   // Everything scheduled from t onward dies with the shard: the alive
   // containers (charged as crash evictions) and any planned keep-alive.
   for (trace::FunctionId f = 0; f < trace_->function_count(); ++f) {
@@ -484,10 +351,10 @@ std::uint64_t SteppedRun::lose_warm_pool(trace::Minute t) {
 std::uint64_t SteppedRun::run_outage(trace::Minute end) {
   const trace::Trace& tr = *trace_;
   const trace::Minute stop = std::min(end, tr.duration());
-  const std::vector<trace::FunctionId>* const gids = config_.global_ids;
-  obs::TraceSink* const sink = config_.observer.sink;
-  std::uint64_t failed = 0;
+  const std::uint64_t failed_before = result_.failed_invocations;
 
+  // The serving rule of a dead shard: every arrival fails. No crash sweep
+  // or capacity eviction runs, since nothing is alive to act on.
   while (next_minute_ < stop) {
     const trace::Minute t = next_minute_;
     double ideal_cost_t = 0.0;
@@ -498,36 +365,21 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
       // still accrue it — exactly like failed minutes in step_minute().
       ideal_cost_t += config_.cost_model.keepalive_cost_usd(
           deployment_->family_of(f).highest().memory_mb, 1.0);
-      result_.failed_invocations += count;
-      failed += count;
-      if (sink != nullptr) {
-        sink->record({obs::EventType::kFault, t, gids != nullptr ? (*gids)[f] : f, -1,
-                      static_cast<double>(count), "shard_outage"});
-      }
+      kernel_.fail(kernel_.global_id(f), t, -1, count, "shard_outage");
     }
-    ++result_.degraded_minutes;
+    kernel_.degrade();
 
     // The control plane outlives the worker: minute-indexed policy state
     // (demand histories, forecast periods) stays aligned with the clock,
     // and windows it schedules past the outage become recovery pre-warms.
     // Arrivals were lost, so on_invocation is never called.
-    policy_->end_of_minute(t, schedule_, *history_);
+    policy_->end_of_minute(t, schedule_, kernel_);
 
     // A dead shard holds nothing warm: zero memory, zero keep-alive cost.
-    memory_record_.push_back(0.0);
-    if (alive_hist_ != nullptr) alive_hist_->add(0);
-    if (sink != nullptr && config_.emit_minute_samples) {
-      sink->record({obs::EventType::kMinuteSample, t, obs::TraceEvent::kNoFunction, 0, 0.0,
-                    ""});
-    }
-    if (config_.record_series) {
-      result_.keepalive_memory_mb.push_back(0.0);
-      result_.keepalive_cost_usd.push_back(0.0);
-      result_.ideal_cost_usd.push_back(ideal_cost_t);
-    }
+    close_minute(t, 0.0, 0, ideal_cost_t);
     ++next_minute_;
   }
-  return failed;
+  return result_.failed_invocations - failed_before;
 }
 
 RunResult SteppedRun::finish() { return finish_at(trace_->duration()); }
@@ -549,38 +401,27 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   const obs::Observer& obs = config_.observer;
   if (obs.metrics != nullptr) {
     MetricsHandles& h = metric_handles_;
-    h.runs.bump();
-    h.invocations.bump(result.invocations);
-    h.warm_starts.bump(result.warm_starts);
-    h.cold_starts.bump(result.cold_starts);
-    h.downgrades.bump(result.downgrades);
-    h.capacity_evictions.bump(result.capacity_evictions);
-    h.crash_evictions.bump(result.crash_evictions);
-    h.failed_invocations.bump(result.failed_invocations);
-    h.retries.bump(result.retries);
-    h.timeouts.bump(result.timeouts);
-    h.degraded_minutes.bump(result.degraded_minutes);
-    h.guard_incidents.bump(result.guard_incidents);
-    h.service_time_s.bump(result.total_service_time_s);
-    h.keepalive_cost_usd.bump(result.total_keepalive_cost_usd);
+    const auto add = [](auto& handle, auto value) {
+      handle.bump(value);
+      handle.flush();
+    };
+    add(h.runs, std::uint64_t{1});
+    add(h.invocations, result.invocations);
+    add(h.warm_starts, result.warm_starts);
+    add(h.cold_starts, result.cold_starts);
+    add(h.downgrades, result.downgrades);
+    add(h.capacity_evictions, result.capacity_evictions);
+    add(h.crash_evictions, result.crash_evictions);
+    add(h.failed_invocations, result.failed_invocations);
+    add(h.retries, result.retries);
+    add(h.timeouts, result.timeouts);
+    add(h.degraded_minutes, result.degraded_minutes);
+    add(h.guard_incidents, result.guard_incidents);
+    add(h.service_time_s, result.total_service_time_s);
+    add(h.keepalive_cost_usd, result.total_keepalive_cost_usd);
     double peak = 0.0;
-    for (const double v : memory_record_) peak = std::max(peak, v);
-    h.peak_keepalive_memory_mb.bump(peak);
-    h.runs.flush();
-    h.invocations.flush();
-    h.warm_starts.flush();
-    h.cold_starts.flush();
-    h.downgrades.flush();
-    h.capacity_evictions.flush();
-    h.crash_evictions.flush();
-    h.failed_invocations.flush();
-    h.retries.flush();
-    h.timeouts.flush();
-    h.degraded_minutes.flush();
-    h.guard_incidents.flush();
-    h.service_time_s.flush();
-    h.keepalive_cost_usd.flush();
-    h.peak_keepalive_memory_mb.flush();
+    for (const double v : kernel_.record()) peak = std::max(peak, v);
+    add(h.peak_keepalive_memory_mb, peak);
     fold_top_k(*obs.metrics);
     result.metrics = obs.metrics->snapshot();
   }

@@ -18,6 +18,7 @@
 #include "sim/cost_model.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/minute_kernel.hpp"
 #include "sim/policy.hpp"
 #include "trace/trace.hpp"
 
@@ -212,6 +213,10 @@ class SteppedRun {
 
  private:
   void step_minute();
+  void serve_minute(trace::Minute t, double& ideal_cost_t);
+  /// Books a simulated minute's memory, cost, series and obs samples.
+  void close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
+                    double ideal_cost_t);
   void fold_top_k(obs::MetricsRegistry& m) const;
 
   /// Pre-resolved engine.* handle bundle (metrics_registry.hpp): every name
@@ -244,14 +249,9 @@ class SteppedRun {
 
   RunResult result_;
   KeepAliveSchedule schedule_;
-  std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer_;
-  std::vector<double> memory_record_;
-  std::unique_ptr<MemoryHistory> history_;
+  MinuteKernel kernel_;  // everything but the serving rule of step_minute()
   util::Pcg32 latency_rng_;
   util::Pcg32 accuracy_rng_;
-  util::Pcg32 eviction_rng_;
-  fault::FaultInjector injector_;
-  bool faults_on_ = false;
   util::IntHistogram* alive_hist_ = nullptr;
   MetricsHandles metric_handles_;
   /// Per-function tallies for EngineConfig::top_k_function_metrics (empty

@@ -28,21 +28,20 @@ struct FunctionMetrics {
   }
 };
 
-/// The fault/robustness tallies shared by the minute engine's RunResult and
-/// the platform simulator's PlatformResult. Both layers derive every fault
-/// decision from the same hash-seeded fault::FaultInjector, so on
-/// low-concurrency traces the two engines must produce *identical* counter
-/// sets — tests/platform/platform_fault_test.cpp compares these structs
-/// directly.
+/// The fault tallies sim::MinuteKernel writes for both simulators (RunResult
+/// is one, PlatformResult holds one). One kernel makes every fault decision,
+/// so on low-concurrency traces the two produce *identical* counter sets —
+/// tests/platform/platform_fault_test.cpp compares these structs directly.
 struct FaultCounters {
-  /// Invocations that could not be served: their cold start exhausted every
-  /// retry. They contribute no service time or accuracy credit.
+  /// Invocations that could not be served (every cold-start retry failed,
+  /// or the shard was down): no service time, no accuracy, not served.
   std::uint64_t failed_invocations = 0;
 
   /// Cold-start retry attempts performed (each pays exponential backoff).
   std::uint64_t retries = 0;
 
-  /// Invocations abandoned at their per-variant SLO deadline.
+  /// Served invocations abandoned at their per-variant SLO deadline
+  /// (service time clipped there, zero accuracy credit).
   std::uint64_t timeouts = 0;
 
   /// Kept-alive containers evicted by injected crashes.
@@ -52,16 +51,20 @@ struct FaultCounters {
   /// configured (or pressure-tightened) capacity.
   std::uint64_t capacity_evictions = 0;
 
-  /// Minutes in which at least one fault event fired.
+  /// Minutes in which at least one fault event fired (crash, cold-start
+  /// failure/retry, timeout, or a memory-pressure spike).
   std::uint64_t degraded_minutes = 0;
 
-  /// Incidents absorbed by a fault::GuardedPolicy wrapper.
+  /// Incidents absorbed by a fault::GuardedPolicy wrapper (exceptions or
+  /// predictor divergence); 0 for unguarded policies.
   std::uint64_t guard_incidents = 0;
 
   [[nodiscard]] bool operator==(const FaultCounters&) const noexcept = default;
 };
 
-struct RunResult {
+/// Per-run result; the FaultCounters base is all zero unless EngineConfig
+/// sets fault rates (fault/injector.hpp) or a capacity.
+struct RunResult : FaultCounters {
   /// Cumulative service time over every invocation (cold start + execution),
   /// seconds. The paper's "Service Time" metric.
   double total_service_time_s = 0.0;
@@ -84,50 +87,16 @@ struct RunResult {
   /// overhead metric of Figure 9.
   double policy_overhead_s = 0.0;
 
-  /// Containers forcibly evicted because total keep-alive memory exceeded
-  /// EngineConfig::memory_capacity_mb (0 when no capacity is set).
-  std::uint64_t capacity_evictions = 0;
-
-  // --- Fault metrics (all zero unless EngineConfig::faults has nonzero
-  // --- rates; see fault/injector.hpp for the fault model).
-
-  /// Invocations that could not be served: their cold start exhausted every
-  /// retry. They contribute no service time or accuracy credit and are not
-  /// part of `invocations`.
-  std::uint64_t failed_invocations = 0;
-
-  /// Cold-start retry attempts performed (each pays exponential backoff).
-  std::uint64_t retries = 0;
-
-  /// Invocations whose service time exceeded the per-variant SLO; they are
-  /// abandoned at the deadline (service time clipped, zero accuracy credit)
-  /// but still counted in `invocations`.
-  std::uint64_t timeouts = 0;
-
-  /// Kept-alive containers evicted by injected crashes.
-  std::uint64_t crash_evictions = 0;
-
-  /// Minutes in which at least one fault event fired (crash, cold-start
-  /// failure/retry, timeout, or a memory-pressure spike).
-  std::uint64_t degraded_minutes = 0;
-
-  /// Incidents absorbed by a fault::GuardedPolicy wrapper (exceptions or
-  /// predictor divergence); 0 for unguarded policies.
-  std::uint64_t guard_incidents = 0;
-
   [[nodiscard]] double failed_fraction() const noexcept {
     const std::uint64_t attempted = invocations + failed_invocations;
     return attempted ? static_cast<double>(failed_invocations) / static_cast<double>(attempted)
                      : 0.0;
   }
 
-  /// The fault tallies gathered into the shared cross-engine struct (the
-  /// platform parity tests compare this against PlatformResult's).
-  [[nodiscard]] FaultCounters fault_counters() const noexcept {
-    return FaultCounters{failed_invocations, retries,           timeouts,
-                         crash_evictions,    capacity_evictions, degraded_minutes,
-                         guard_incidents};
-  }
+  /// The fault tallies alone (parity tests compare them with the platform's).
+  [[nodiscard]] FaultCounters fault_counters() const noexcept { return *this; }
+  /// The inherited == would compare only the fault tallies.
+  bool operator==(const RunResult&) const = delete;
 
   /// Per-minute series (empty unless EngineConfig::record_series).
   std::vector<double> keepalive_memory_mb;

@@ -1,0 +1,75 @@
+#include "sim/minute_kernel.hpp"
+
+namespace pulse::sim {
+
+MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
+                           const obs::Observer& observer, const fault::FaultConfig& faults,
+                           std::uint64_t seed, bool hashed_rng,
+                           const std::vector<trace::FunctionId>* global_ids)
+    : schedule_(&schedule),
+      counters_(&counters),
+      observer_(&observer),
+      injector_(faults),
+      faults_on_(faults.enabled()),
+      hashed_rng_(hashed_rng),
+      seed_(seed),
+      global_ids_(global_ids),
+      eviction_rng_(seed, /*stream=*/0xeb1c7) {
+  // Capacity-pressured minutes fill this with every kept container; sizing
+  // it up front keeps even a late first pressure event allocation-free
+  // (the serve-mode hot-path discipline bench_serve_latency enforces).
+  kept_.reserve(schedule.function_count());
+  record_.reserve(static_cast<std::size_t>(schedule.duration()));
+}
+
+void MinuteKernel::close_minute(double memory_mb) {
+  if (degraded_) ++counters_->degraded_minutes;
+  degraded_ = false;
+  record_.push_back(memory_mb);
+}
+
+fault::ColdStartOutcome MinuteKernel::start_cold(trace::FunctionId gf, trace::Minute t,
+                                                 std::size_t variant, std::uint32_t count) {
+  if (!faults_on_) return {};
+  // Bounded retry with exponential backoff; exhausting every retry fails
+  // the invocations (no container exists to serve them).
+  const fault::ColdStartOutcome cs = injector_.cold_start(gf, t);
+  counters_->retries += cs.retries;
+  if (cs.retries > 0) {
+    degraded_ = true;
+    emit(obs::EventType::kFault, t, gf, static_cast<std::int32_t>(variant),
+         static_cast<double>(cs.retries), "cold_start_retry");
+  }
+  if (!cs.succeeded) {
+    fail(gf, t, static_cast<std::int32_t>(variant), count, "cold_start_failure");
+  }
+  return cs;
+}
+
+void MinuteKernel::fail(trace::FunctionId gf, trace::Minute t, std::int32_t variant,
+                        std::uint32_t count, const char* cause) {
+  counters_->failed_invocations += count;
+  degraded_ = true;
+  emit(obs::EventType::kFault, t, gf, variant, static_cast<double>(count), cause);
+}
+
+std::uint32_t MinuteKernel::pick_victim(trace::Minute t, std::uint32_t ordinal) {
+  const auto n = static_cast<std::uint32_t>(kept_.size());
+  if (!hashed_rng_) return eviction_rng_.bounded(n);
+  // Victim picks keyed by (minute, ordinal): independent of how many
+  // evictions earlier minutes performed, hence reproducible whatever quota
+  // trajectory the cluster market applied before this minute.
+  util::Pcg32 draw(util::hash_u64(seed_, kHashEvictStream, static_cast<std::uint64_t>(t),
+                                  ordinal),
+                   kHashEvictStream);
+  return draw.bounded(n);
+}
+
+void MinuteKernel::restore(const std::vector<double>& record,
+                           const util::Pcg32& eviction_rng) {
+  record_ = record;
+  eviction_rng_ = eviction_rng;
+  degraded_ = false;
+}
+
+}  // namespace pulse::sim

@@ -1,0 +1,179 @@
+#pragma once
+// The minute-boundary rules of both simulators, written once.
+//
+// sim::SteppedRun (one shared container per function-minute) and
+// platform::PlatformSimulator (a per-container seconds pool) differ only in
+// how they serve a minute's invocations. The kernel owns the rest: the
+// injected crash sweep, cold-start retry and backoff, per-variant SLO
+// clipping, memory pressure and capacity eviction, the degraded-minute
+// tally, and the per-minute memory record policies read as their
+// MemoryHistory. Crash, retry, SLO and capacity parity between the layers
+// thus holds by construction (request scheduling kept apart from the
+// resource model, as in CloudSimSC). The serving rule is a lambda passed to
+// step(), so the engine's hot path makes no virtual call per
+// function-minute.
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "fault/injector.hpp"
+#include "models/latency.hpp"
+#include "obs/observer.hpp"
+#include "sim/metrics.hpp"
+#include "sim/policy.hpp"
+#include "sim/schedule.hpp"
+#include "util/rng.hpp"
+
+namespace pulse::sim {
+
+/// Why the kernel evicted a kept container.
+enum class Eviction { kCrash, kCapacity };
+
+class MinuteKernel final : public MemoryHistory {
+ public:
+  /// `schedule` and `counters` must outlive the kernel; `observer` is read
+  /// at every emission, so muting it in place silences the kernel too.
+  /// `hashed_rng` and `global_ids` mean what they mean in EngineConfig.
+  MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
+               const obs::Observer& observer, const fault::FaultConfig& faults,
+               std::uint64_t seed, bool hashed_rng = false,
+               const std::vector<trace::FunctionId>* global_ids = nullptr);
+
+  /// Minute t: the crash sweep, `serve()` (the caller's serving rule and
+  /// policy callbacks), then eviction until the schedule fits `capacity_mb`
+  /// (0 = unlimited; pressure spikes tighten it), calling `on_evict(f,
+  /// cause)` per victim. close_minute() then ends the minute.
+  template <typename Serve, typename OnEvict>
+  void step(trace::Minute t, double capacity_mb, Serve&& serve, OnEvict&& on_evict);
+
+  /// Tallies the minute as degraded if a fault fired; records its memory.
+  void close_minute(double memory_mb);
+
+  /// Cold start of catalog function `gf` at t on `variant`, through the
+  /// injected failure/retry loop. Tallies retries and emits their kFault
+  /// event; when every attempt fails, `count` invocations fail with it.
+  [[nodiscard]] fault::ColdStartOutcome start_cold(trace::FunctionId gf, trace::Minute t,
+                                                   std::size_t variant, std::uint32_t count);
+
+  /// Per-variant SLO: an invocation running past the deadline is abandoned
+  /// there — service time clipped, no accuracy delivered.
+  void clip_to_slo(trace::FunctionId gf, trace::Minute t, std::size_t variant_index,
+                   const models::ModelVariant& variant, bool cold, double& service_s,
+                   double& accuracy_credit) {
+    if (!faults_on_) return;
+    const double slo = injector_.timeout_slo_s(
+        models::LatencyModel::expected_service_time(variant, cold));
+    if (slo > 0.0 && service_s > slo) {
+      service_s = slo;
+      accuracy_credit = 0.0;
+      ++counters_->timeouts;
+      degraded_ = true;
+      emit(obs::EventType::kFault, t, gf, static_cast<std::int32_t>(variant_index), slo,
+           "slo_timeout");
+    }
+  }
+
+  /// `count` invocations of `gf` at t fail for `cause` (a kFault event).
+  void fail(trace::FunctionId gf, trace::Minute t, std::int32_t variant, std::uint32_t count,
+            const char* cause);
+
+  /// Marks the current minute degraded regardless of injected faults.
+  void degrade() noexcept { degraded_ = true; }
+
+  [[nodiscard]] trace::FunctionId global_id(trace::FunctionId f) const noexcept {
+    return global_ids_ != nullptr ? (*global_ids_)[f] : f;
+  }
+
+  // MemoryHistory: the recorded keep-alive memory of closed minutes.
+  [[nodiscard]] double memory_at(trace::Minute t) const override {
+    if (t < 0 || static_cast<std::size_t>(t) >= record_.size()) return 0.0;
+    return record_[static_cast<std::size_t>(t)];
+  }
+  [[nodiscard]] trace::Minute now() const override {
+    return static_cast<trace::Minute>(record_.size());
+  }
+
+  [[nodiscard]] const std::vector<double>& record() const noexcept { return record_; }
+  [[nodiscard]] const util::Pcg32& eviction_rng() const noexcept { return eviction_rng_; }
+
+  /// Rolls the record and the sequential victim stream back to a snapshot.
+  void restore(const std::vector<double>& record, const util::Pcg32& eviction_rng);
+
+ private:
+  static constexpr std::uint64_t kHashEvictStream = 0xeb1c'7005;
+
+  [[nodiscard]] std::uint32_t pick_victim(trace::Minute t, std::uint32_t ordinal);
+
+  void emit(obs::EventType type, trace::Minute t, trace::FunctionId f, std::int32_t variant,
+            double value, const char* detail) const {
+    if (obs::TraceSink* const sink = observer_->sink) {
+      sink->record({type, t, f, variant, value, detail});
+    }
+  }
+
+  KeepAliveSchedule* schedule_;
+  FaultCounters* counters_;
+  const obs::Observer* observer_;
+  fault::FaultInjector injector_;
+  bool faults_on_;
+  bool hashed_rng_;
+  std::uint64_t seed_;
+  const std::vector<trace::FunctionId>* global_ids_;
+  util::Pcg32 eviction_rng_;
+  std::vector<std::pair<trace::FunctionId, std::size_t>> kept_;
+  std::vector<double> record_;
+  bool degraded_ = false;
+};
+
+template <typename Serve, typename OnEvict>
+void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
+                        OnEvict&& on_evict) {
+  KeepAliveSchedule& schedule = *schedule_;
+
+  // Injected crashes fire at the minute boundary: the crashed container's
+  // remaining keep-alive stretch is evicted, so this minute's invocations
+  // (if any) go cold.
+  if (faults_on_ && injector_.config().crash_rate > 0.0) {
+    schedule.for_each_alive(t, [&](trace::FunctionId f, std::size_t variant) {
+      const trace::FunctionId gf = global_id(f);
+      if (!injector_.container_crashes(gf, t)) return;
+      schedule.evict_from(f, t);
+      ++counters_->crash_evictions;
+      on_evict(f, Eviction::kCrash);
+      degraded_ = true;
+      emit(obs::EventType::kCrashEviction, t, gf, static_cast<std::int32_t>(variant), 1.0, "");
+    });
+  }
+
+  serve();
+
+  // Capacity pressure: evict random kept containers until keep-alive memory
+  // fits (the provider behaviour under memory stress; PULSE-style policies
+  // flatten before this fires). memory_at is O(1) and evicting a victim
+  // only changes its own row, so the kept list is built once and the victim
+  // erased from it — bit-identical to rebuilding it. The erase shifts the
+  // list's tail, so E evictions of stretches up to W minutes cost
+  // O(F + E·(F + W)), not O(F + E·W).
+  if (faults_on_) {  // injected memory-pressure spikes tighten the capacity
+    if (injector_.under_memory_pressure(t)) degraded_ = true;
+    capacity_mb = injector_.effective_capacity_mb(capacity_mb, t);
+  }
+  if (capacity_mb <= 0.0 || schedule.memory_at(t) <= capacity_mb) return;
+  emit(obs::EventType::kCapacityPressure, t, obs::TraceEvent::kNoFunction, -1,
+       schedule.memory_at(t) - capacity_mb, "");
+  schedule.kept_alive_at(t, kept_);
+  for (std::uint32_t ordinal = 0; !kept_.empty(); ++ordinal) {
+    const std::uint32_t idx = pick_victim(t, ordinal);
+    const auto victim = kept_[static_cast<std::size_t>(idx)];
+    schedule.evict_from(victim.first, t);
+    kept_.erase(kept_.begin() + idx);
+    ++counters_->capacity_evictions;
+    on_evict(victim.first, Eviction::kCapacity);
+    emit(obs::EventType::kEviction, t, global_id(victim.first),
+         static_cast<std::int32_t>(victim.second), 1.0, "capacity");
+    if (schedule.memory_at(t) <= capacity_mb) break;
+  }
+}
+
+}  // namespace pulse::sim

@@ -54,6 +54,10 @@ TraceResult<std::vector<DayRow>> parse_day_file(const std::filesystem::path& pat
                         "expected " + std::to_string(kMetaColumns + kMinutesPerDay) +
                             " columns, got " + std::to_string(fields.size())};
     }
+    if (const char* empty = empty_identity_cell(fields, /*day_format=*/true)) {
+      return TraceError{TraceErrorKind::kMalformedRow, path.string(), line_no,
+                        std::string("empty ") + empty + " cell"};
+    }
     DayRow row;
     row.id = AzureFunctionId{fields[0], fields[1], fields[2], fields[3]};
     row.counts.resize(static_cast<std::size_t>(kMinutesPerDay));
@@ -200,6 +204,10 @@ TraceResult<AzureTrace> try_load_azure_invocations(const std::filesystem::path& 
       return TraceError{TraceErrorKind::kMalformedRow, path.string(), line_no,
                         "expected 4 columns, got " + std::to_string(fields.size())};
     }
+    if (const char* empty = empty_identity_cell(fields, /*day_format=*/false)) {
+      return TraceError{TraceErrorKind::kMalformedRow, path.string(), line_no,
+                        std::string("empty ") + empty + " cell"};
+    }
     const auto end_ts = parse_seconds(fields[2]);
     const auto duration_s = parse_seconds(fields[3]);
     if (!end_ts || !duration_s) {
@@ -268,10 +276,11 @@ Trace select_top_functions(const AzureTrace& azure, std::size_t k) {
 
 namespace {
 
-// Splits a qualified "owner/app/function" (or the 2021 form "app/function")
-// name back into the day-format identity columns, so a save/load cycle
-// preserves names exactly. Names that are not qualified ids export under
-// placeholder owner/app hashes, as before.
+// Splits a qualified "owner/app/function" name back into the day-format
+// identity columns, so a save/load cycle preserves it exactly. A 2021-form
+// "app/function" name exports under a placeholder owner (the loaders reject
+// an empty identity cell), and other names under placeholder owner/app
+// hashes; both reload as "owner/..." names.
 AzureFunctionId split_qualified_name(const std::string& name) {
   std::vector<std::string> parts;
   std::size_t begin = 0;
@@ -292,7 +301,7 @@ AzureFunctionId split_qualified_name(const std::string& name) {
     return AzureFunctionId{parts[0], parts[1], parts[2], "http"};
   }
   if (parts.size() == 2 && all_filled()) {
-    return AzureFunctionId{"", parts[0], parts[1], "http"};
+    return AzureFunctionId{"owner", parts[0], parts[1], "http"};
   }
   return AzureFunctionId{"owner", "app", name, "http"};
 }

@@ -111,6 +111,21 @@ struct AzureTrace {
 [[nodiscard]] Minute invocation_start_minute(double end_timestamp, double duration_s,
                                              bool* clamped = nullptr);
 
+/// Column name of the first empty identity cell of a data row (HashOwner,
+/// HashApp, HashFunction in a 2019 day file; app, func in a 2021 file), or
+/// nullptr. qualified_name() skips empty parts, so both loaders reject such
+/// a row as kMalformedRow rather than give distinct rows one name.
+template <typename Fields>
+[[nodiscard]] const char* empty_identity_cell(const Fields& fields, bool day_format) {
+  static constexpr const char* kNames[] = {"HashOwner", "HashApp", "HashFunction", "app",
+                                           "func"};
+  const std::size_t first = day_format ? 0 : 3;
+  for (std::size_t i = 0; i < (day_format ? 3u : 2u); ++i) {
+    if (fields[i].empty()) return kNames[first + i];
+  }
+  return nullptr;
+}
+
 /// Throwing convenience wrappers over the try_ loaders (std::runtime_error
 /// carrying TraceError::to_string()). Prefer the try_ forms in new code.
 [[nodiscard]] AzureTrace load_azure_day_csv(const std::filesystem::path& path);

@@ -158,6 +158,11 @@ TraceResult<AzureTrace> stream_load_2019(const std::vector<std::filesystem::path
                               std::to_string(fields.size()),
                           reader.line_offset()};
       }
+      if (const char* empty = empty_identity_cell(fields, /*day_format=*/true)) {
+        return TraceError{TraceErrorKind::kMalformedRow, path.string(),
+                          reader.line_number(), std::string("empty ") + empty + " cell",
+                          reader.line_offset()};
+      }
       key.assign(fields[0]);
       key += '/';
       key += fields[1];
@@ -245,6 +250,11 @@ TraceResult<AzureTrace> stream_load_2021(const std::vector<std::filesystem::path
         return TraceError{TraceErrorKind::kMalformedRow, path.string(),
                           reader.line_number(),
                           "expected 4 columns, got " + std::to_string(fields.size()),
+                          reader.line_offset()};
+      }
+      if (const char* empty = empty_identity_cell(fields, /*day_format=*/false)) {
+        return TraceError{TraceErrorKind::kMalformedRow, path.string(),
+                          reader.line_number(), std::string("empty ") + empty + " cell",
                           reader.line_offset()};
       }
       const auto end_ts = parse_seconds(fields[2]);

@@ -21,22 +21,43 @@ TEST_P(PlatformPolicySweep, ConservationOnPlatform) {
   const auto workload = trace::build_azure_like_workload(wconfig);
   const auto zoo = models::ModelZoo::builtin();
   const auto d = sim::Deployment::round_robin(zoo, 4);
+  bool concurrent = false;  // the per-invocation failure path needs count > 1
+  for (trace::FunctionId f = 0; f < 4; ++f) {
+    for (trace::Minute t = 0; t < wconfig.duration; ++t) {
+      concurrent = concurrent || workload.trace.count(f, t) > 1;
+    }
+  }
+  ASSERT_TRUE(concurrent);
 
   PlatformConfig config;
   config.deterministic_latency = true;
-  PlatformSimulator platform(d, workload.trace, config);
-  const auto policy = policies::make_policy(GetParam());
-  const PlatformResult r = platform.run(*policy);
+  // The faulted input: cold starts fail per invocation on the platform, so
+  // every arrival must end up served or failed, never both or neither.
+  PlatformConfig faulted = config;
+  faulted.seed = 3;
+  faulted.faults.cold_start_failure_rate = 0.3;
+  faulted.faults.max_cold_start_retries = 1;
+  faulted.faults.crash_rate = 0.05;
+  faulted.faults.slo_multiplier = 1.2;
+  faulted.memory_capacity_mb = 0.5 * d.peak_highest_memory_mb();
 
-  EXPECT_EQ(r.invocations, workload.trace.total_invocations());
-  EXPECT_EQ(r.invocations, r.warm_starts + r.cold_starts);
-  EXPECT_LE(r.scale_out_cold_starts, r.cold_starts);
-  EXPECT_GE(r.containers_created, r.cold_starts);
-  EXPECT_GE(r.total_service_time_s, 0.0);
-  EXPECT_GE(r.total_cost_usd, 0.0);
-  EXPECT_GE(r.average_accuracy_pct(), 50.0);
-  EXPECT_LE(r.average_accuracy_pct(), 100.0);
-  EXPECT_GE(r.peak_containers, 1u);
+  for (const PlatformConfig& input : {config, faulted}) {
+    SCOPED_TRACE(input.faults.enabled() ? "faulted" : "fault-free");
+    PlatformSimulator platform(d, workload.trace, input);
+    const auto policy = policies::make_policy(GetParam());
+    const PlatformResult r = platform.run(*policy);
+
+    EXPECT_EQ(r.invocations + r.faults.failed_invocations, workload.trace.total_invocations());
+    EXPECT_EQ(r.faults.failed_invocations > 0, input.faults.enabled());
+    EXPECT_EQ(r.invocations, r.warm_starts + r.cold_starts);
+    EXPECT_LE(r.scale_out_cold_starts, r.cold_starts);
+    EXPECT_GE(r.containers_created, r.cold_starts);
+    EXPECT_GE(r.total_service_time_s, 0.0);
+    EXPECT_GE(r.total_cost_usd, 0.0);
+    EXPECT_GE(r.average_accuracy_pct(), 50.0);
+    EXPECT_LE(r.average_accuracy_pct(), 100.0);
+    EXPECT_GE(r.peak_containers, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PlatformPolicySweep,

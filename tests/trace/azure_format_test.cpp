@@ -220,6 +220,20 @@ TEST_F(AzureFormatTest, ExportRoundTripPartialDay) {
   EXPECT_EQ(back.trace.total_invocations(), tr.total_invocations());
 }
 
+TEST_F(AzureFormatTest, ExportTwoPartNameUsesPlaceholderOwner) {
+  // A 2021-form "app/function" name used to export with an empty HashOwner
+  // cell, which the loaders now reject; it gets the placeholder owner.
+  Trace tr(1, kMinutesPerDay);
+  tr.set_function_name(0, "a1/f1");
+  tr.set_count(0, 5, 3);
+  const auto out_dir = dir_ / "two_part";
+  save_azure_day_csvs(tr, out_dir);
+  const AzureTrace back = load_azure_day_csv(out_dir / "invocations_day_1.csv");
+  ASSERT_EQ(back.trace.function_count(), 1u);
+  EXPECT_EQ(back.trace.function_name(0), "owner/a1/f1");
+  EXPECT_EQ(back.trace.count(0, 5), 3u);
+}
+
 TEST_F(AzureFormatTest, LoadInvocations2021) {
   const auto path = dir_ / "inv.csv";
   std::ofstream(path) << "app,func,end_timestamp,duration\n"

@@ -205,6 +205,45 @@ TEST_F(AzureStreamTest, MalformedRowsCarryByteOffsets) {
   EXPECT_NE(result.error().to_string().find("byte"), std::string::npos);
 }
 
+TEST_F(AzureStreamTest, EmptyIdentityCellIsMalformedRowWithOffset) {
+  // ",x,y" and "x,y," used to stream in as two functions both named "x/y".
+  std::string zeros;
+  for (Minute m = 1; m < kMinutesPerDay; ++m) zeros += ",0";
+  const std::string first = "x,y,z,http,1" + zeros + "\n";
+  const std::string second = ",x,y,http,3" + zeros + "\n";
+  const auto day = write("day.csv", first + second + "x,y,,http,5" + zeros + "\n");
+  const auto r2019 = stream_load_azure({day});
+  ASSERT_FALSE(r2019.has_value());
+  EXPECT_EQ(r2019.error().kind, TraceErrorKind::kMalformedRow);
+  EXPECT_EQ(r2019.error().line, 2u);
+  EXPECT_EQ(r2019.error().byte_offset, first.size());
+  EXPECT_NE(r2019.error().message.find("HashOwner"), std::string::npos);
+
+  const std::string app_only = "x,y,,http,5" + zeros + "\n";
+  const auto fn_day = write("fn.csv", first + app_only);
+  const auto rfn = stream_load_azure({fn_day});
+  ASSERT_FALSE(rfn.has_value());
+  EXPECT_EQ(rfn.error().line, 2u);
+  EXPECT_NE(rfn.error().message.find("HashFunction"), std::string::npos);
+
+  // 2021: ",x" and "x," both used to be named "x".
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const std::string good = "a,f,60,1\n";
+  const auto inv = write("inv.csv", header + good + ",x,60,1\nx,,60,1\n");
+  const auto r2021 = stream_load_azure({inv});
+  ASSERT_FALSE(r2021.has_value());
+  EXPECT_EQ(r2021.error().kind, TraceErrorKind::kMalformedRow);
+  EXPECT_EQ(r2021.error().line, 3u);
+  EXPECT_EQ(r2021.error().byte_offset, header.size() + good.size());
+  EXPECT_NE(r2021.error().message.find("app"), std::string::npos);
+
+  const auto func = write("func.csv", header + good + "x,,60,1\n");
+  const auto rfunc = stream_load_azure({func});
+  ASSERT_FALSE(rfunc.has_value());
+  EXPECT_EQ(rfunc.error().line, 3u);
+  EXPECT_NE(rfunc.error().message.find("func"), std::string::npos);
+}
+
 TEST_F(AzureStreamTest, BadCountCarriesByteOffset) {
   std::string row = "o,a,f,http";
   for (Minute m = 0; m < kMinutesPerDay; ++m) row += (m == 7 ? ",bad" : ",0");

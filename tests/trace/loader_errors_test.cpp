@@ -113,6 +113,53 @@ TEST_F(LoaderErrorsTest, AzureShortRowIsMalformedRow) {
   EXPECT_EQ(result.error().line, 1u);
 }
 
+TEST_F(LoaderErrorsTest, AzureEmptyIdentityCellIsMalformedRow) {
+  // qualified_name() skips empty parts, so ",x,y" and "x,y," both used to
+  // load as function "x/y": the batch loader merged the two rows into one
+  // function and counted a duplicate. Each empty identity cell is now a
+  // malformed row, reported at its line.
+  std::string zeros;
+  for (Minute m = 1; m < kMinutesPerDay; ++m) zeros += ",0";
+  const auto merged = write_file("merged.csv", "o,a,f,http,1" + zeros + "\n,x,y,http,3" +
+                                                   zeros + "\nx,y,,http,5" + zeros + "\n");
+  const auto result = try_load_azure_day_csv(merged);
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.error().kind, TraceErrorKind::kMalformedRow);
+  EXPECT_EQ(result.error().line, 2u);
+  EXPECT_NE(result.error().message.find("HashOwner"), std::string::npos);
+
+  const char* const kRows[] = {",a,f,http", "o,,f,http", "o,a,,http"};
+  const char* const kColumns[] = {"HashOwner", "HashApp", "HashFunction"};
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(kColumns[i]);
+    const auto path = write_file("empty.csv", std::string(kRows[i]) + ",1" + zeros + "\n");
+    const auto r = try_load_azure_day_csv(path);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().kind, TraceErrorKind::kMalformedRow);
+    EXPECT_EQ(r.error().line, 1u);
+    EXPECT_NE(r.error().message.find(kColumns[i]), std::string::npos);
+  }
+}
+
+TEST_F(LoaderErrorsTest, AzureInvocationEmptyAppOrFuncIsMalformedRow) {
+  // 2021 format: ",x" and "x," both qualified as "x" and merged into one
+  // function.
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const auto empty_app = write_file("app.csv", header + "a,f,60,1\n,x,60,1\nx,,60,1\n");
+  const auto r = try_load_azure_invocations(empty_app);
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().kind, TraceErrorKind::kMalformedRow);
+  EXPECT_EQ(r.error().line, 3u);
+  EXPECT_NE(r.error().message.find("app"), std::string::npos);
+
+  const auto empty_func = write_file("func.csv", header + "x,,60,1\n");
+  const auto f = try_load_azure_invocations(empty_func);
+  ASSERT_FALSE(f);
+  EXPECT_EQ(f.error().kind, TraceErrorKind::kMalformedRow);
+  EXPECT_EQ(f.error().line, 2u);
+  EXPECT_NE(f.error().message.find("func"), std::string::npos);
+}
+
 TEST_F(LoaderErrorsTest, AzureNanCountIsBadCount) {
   const auto path = write_azure_day("nan.csv", "nan");
   const auto result = try_load_azure_day_csv(path);
