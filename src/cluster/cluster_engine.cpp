@@ -223,6 +223,8 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   // KeepAliveSchedule (inside RunCheckpoint) has no default constructor, so
   // the per-shard epoch checkpoints live behind std::optional.
   std::vector<std::optional<sim::RunCheckpoint>> checkpoints(n);
+  // Minute each live shard crashes at within the current epoch (-1: none).
+  std::vector<trace::Minute> crash_at(n, -1);
   std::vector<std::uint8_t> down(n, 0);
   std::vector<std::size_t> down_epochs_left(n, 0);
   // Ledger entry of each shard's ongoing outage (index into result.failures).
@@ -234,11 +236,14 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
     const trace::Minute t1 = std::min<trace::Minute>(t0 + std::max<trace::Minute>(interval, 1),
                                                      duration_);
 
-    // Epoch-start checkpoints bound replay work to one epoch; only live
-    // shards need one (a down shard's state is frozen at its crash minute).
+    // A crash minute is a pure hash, so it is known before the epoch runs:
+    // only a live shard that will crash inside [e0, t1) is ever rolled
+    // back, and only it takes an epoch-start checkpoint (a down shard's
+    // state is frozen at its crash minute). The barrier reuses crash_at.
     if (crash_on) {
       for (std::size_t s = 0; s < n; ++s) {
-        if (down[s] == 0) checkpoints[s] = runs[s]->checkpoint();
+        crash_at[s] = down[s] == 0 ? injector.first_crash_in(s, e0, t1) : -1;
+        if (crash_at[s] >= 0) checkpoints[s] = runs[s]->checkpoint();
       }
     }
     std::vector<std::uint8_t> stalled(n, 0);
@@ -262,12 +267,13 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
     if (crash_on) {
       // Crash detection. The shard already simulated to t1 under the
       // illusion it survived; rewind to the epoch checkpoint, deterministic
-      // silent replay up to the crash minute, then lose the warm pool.
+      // silent replay up to the crash minute, then lose the warm pool. The
+      // snapshot is released once restored.
       for (std::size_t s = 0; s < n; ++s) {
-        if (down[s] != 0) continue;
-        const trace::Minute tc = injector.first_crash_in(s, e0, t1);
+        const trace::Minute tc = crash_at[s];
         if (tc < 0) continue;
         runs[s]->restore(*checkpoints[s]);
+        checkpoints[s].reset();
         runs[s]->replay_until(tc);
         const std::uint64_t warm_lost = runs[s]->lose_warm_pool(tc);
         down[s] = 1;

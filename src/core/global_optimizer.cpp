@@ -13,6 +13,7 @@ GlobalOptimizer::GlobalOptimizer(std::size_t model_count, Config config)
   // sizing the flatten-round buffers up front keeps even that first peak
   // allocation-free (serve-mode hot-path discipline).
   kept_buffer_.reserve(model_count);
+  kept_utility_.reserve(model_count);
   priority_buffer_.reserve(model_count);
 }
 
@@ -54,24 +55,29 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
   // only changes the downgraded function's own entry (one variant lower, or
   // gone entirely), so updating that entry in place is bit-identical to
   // re-listing the schedule — without the per-round O(F) scan + allocation.
+  const sim::Deployment& deployment = schedule.deployment();
   bool kept_built = false;
   while (detector_.is_peak(schedule.memory_at(t), prior)) {
-    if (!kept_built) {
-      schedule.kept_alive_at(t, kept_buffer_);
-      kept_built = true;
-    }
-    if (kept_buffer_.empty()) break;  // nothing left to downgrade; peak cannot be flattened
-
     // Algorithm 2, line 4: normalize the priority structure once per round.
     priority_.normalized_into(priority_buffer_);
     const std::vector<double>& pr = priority_buffer_;
 
+    if (!kept_built) {
+      schedule.kept_alive_at(t, kept_buffer_);
+      kept_utility_.clear();
+      for (const auto& [f, variant] : kept_buffer_) {
+        kept_utility_.push_back(score(f, variant, t, deployment, pr, trackers));
+      }
+      kept_built = true;
+    }
+    if (kept_buffer_.empty()) break;  // nothing left to downgrade; peak cannot be flattened
+
     std::size_t worst_idx = 0;
     double worst_uv = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < kept_buffer_.size(); ++i) {
-      const auto& [f, variant] = kept_buffer_[i];
-      const double uv =
-          score(f, variant, t, schedule.deployment(), pr, trackers).value(config_.weights);
+      UtilityComponents& u = kept_utility_[i];
+      u.priority = pr.at(kept_buffer_[i].first);
+      const double uv = u.value(config_.weights);
       if (uv < worst_uv) {
         worst_uv = uv;
         worst_idx = i;
@@ -82,9 +88,14 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
     const auto prev = schedule.downgrade_from(worst_f, t);
     if (!prev) break;  // defensive: should not happen
     if (*prev > 0) {
-      kept_buffer_[worst_idx].second = static_cast<std::size_t>(*prev - 1);
+      const auto lower = static_cast<std::size_t>(*prev - 1);
+      kept_buffer_[worst_idx].second = lower;
+      kept_utility_[worst_idx].accuracy_improvement =
+          deployment.family_of(worst_f).accuracy_improvement(lower);
     } else {
-      kept_buffer_.erase(kept_buffer_.begin() + static_cast<std::ptrdiff_t>(worst_idx));
+      const auto at = static_cast<std::ptrdiff_t>(worst_idx);
+      kept_buffer_.erase(kept_buffer_.begin() + at);
+      kept_utility_.erase(kept_utility_.begin() + at);
     }
     priority_.record_downgrade(worst_f);
     ++downgrades;

@@ -112,7 +112,11 @@ class GlobalOptimizer {
   Metrics metrics_;
 
   /// Reused across flatten_peak rounds (allocation-free hot path).
+  /// kept_utility_[i] holds kept_buffer_[i]'s score(): Ip is fixed for the
+  /// whole call (the trackers are const) and Ai only moves for the entry
+  /// just downgraded, so a round refreshes just the priority part.
   std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer_;
+  std::vector<UtilityComponents> kept_utility_;
   std::vector<double> priority_buffer_;
 };
 

@@ -68,7 +68,9 @@ class ShardFaultInjector {
   }
 
   /// First minute in [begin, end) at which `shard` crashes; -1 when it
-  /// survives the whole span. This is what the barrier detection scans.
+  /// survives the whole span. The cluster engine evaluates it once per live
+  /// shard at each epoch start, checkpoints only the shards it names, and
+  /// reuses the value for detection at the barrier.
   [[nodiscard]] trace::Minute first_crash_in(std::size_t shard, trace::Minute begin,
                                              trace::Minute end) const noexcept {
     if (config_.crash_rate <= 0.0) return -1;

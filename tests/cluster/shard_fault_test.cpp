@@ -1,15 +1,23 @@
 // Shard-level fault tolerance in ClusterEngine: ledger consistency,
 // checkpoint-replay accounting, thread-count invariance with faults on, the
-// degraded-mode market's exact conservation, and a threaded crash/recover
-// run for the sanitizer jobs (TSan in particular).
+// degraded-mode market's exact conservation, a threaded crash/recover run
+// for the sanitizer jobs (TSan in particular), and a pinned crash-recovery
+// run whose fingerprint guards the checkpoint protocol bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster_engine.hpp"
+#include "obs/metrics_registry.hpp"
+#include "obs/trace_sink.hpp"
 #include "policies/factory.hpp"
 #include "trace/workload.hpp"
 
@@ -208,9 +216,10 @@ TEST(ShardFaultCluster, ZeroRatesMatchFaultFreeClusterBitwise) {
   EXPECT_TRUE(b.failures.empty());
 }
 
-// The sanitizer target: shards crash, replay and recover while peers step
-// concurrently on a real thread pool. Asserts only coarse invariants — the
-// value of the test is TSan/ASan coverage of the barrier handoffs.
+// The sanitizer target: shards step concurrently on a real thread pool,
+// and crashed shards restore, replay and recover on the coordinator after
+// each join. Asserts only coarse invariants — the value of the test is
+// TSan/ASan coverage of the barrier handoffs.
 TEST(ShardFaultCluster, ThreadedCrashRecoverRunIsClean) {
   const Fixture fx = make_fixture(64, 720, 31);
   ClusterConfig cc = faulty_config(fx, 8, 4);
@@ -221,6 +230,237 @@ TEST(ShardFaultCluster, ThreadedCrashRecoverRunIsClean) {
   EXPECT_GT(r.invocations(), 0u);
   EXPECT_GT(r.shard_crashes, 0u);
   EXPECT_EQ(r.failures.size(), r.shard_crashes);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned crash-recovery run: 8 shards, market on, capacity at 10% of the
+// peak, a crash rate that yields several crashes. The whole observable
+// outcome (shard results, failure ledger, final quotas, every event, the
+// metrics snapshot) is hashed and pinned, so any change to how checkpoints
+// are taken, restored or replayed that moves a single bit shows up here.
+
+/// Forwards every call to the wrapped policy and counts checkpoint() calls.
+class CheckpointCountingPolicy final : public sim::KeepAlivePolicy {
+ public:
+  CheckpointCountingPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner,
+                           std::atomic<std::uint64_t>& calls)
+      : inner_(std::move(inner)), calls_(&calls) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void initialize(const sim::Deployment& deployment, const trace::Trace& trace,
+                  sim::KeepAliveSchedule& schedule) override {
+    inner_->initialize(deployment, trace, schedule);
+  }
+  void on_invocation(trace::FunctionId f, trace::Minute t,
+                     sim::KeepAliveSchedule& schedule) override {
+    inner_->on_invocation(f, t, schedule);
+  }
+  void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
+                     const sim::MemoryHistory& history) override {
+    inner_->end_of_minute(t, schedule, history);
+  }
+  [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
+                                               const sim::Deployment& deployment) const override {
+    return inner_->cold_start_variant(f, t, deployment);
+  }
+  [[nodiscard]] std::uint64_t downgrade_count() const override {
+    return inner_->downgrade_count();
+  }
+  [[nodiscard]] std::uint64_t incident_count() const override {
+    return inner_->incident_count();
+  }
+  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_->checkpoint();
+  }
+  void restore(const sim::PolicyCheckpoint* snapshot) override { inner_->restore(snapshot); }
+  void attach_observer(const obs::Observer* observer) override {
+    sim::KeepAlivePolicy::attach_observer(observer);
+    inner_->attach_observer(observer);
+  }
+
+ private:
+  std::unique_ptr<sim::KeepAlivePolicy> inner_;
+  std::atomic<std::uint64_t>* calls_;
+};
+
+constexpr std::size_t kPinnedShards = 8;
+constexpr trace::Minute kPinnedDuration = 720;
+constexpr trace::Minute kPinnedInterval = 30;
+
+/// What the shard-fault stream alone says will happen: the cluster's
+/// down/recover protocol replayed over ShardFaultInjector without
+/// simulating anything.
+struct CrashPattern {
+  std::size_t crashes = 0;
+  std::size_t recoveries = 0;
+  bool crash_on_epoch_start = false;
+  bool crash_in_final_epoch = false;
+};
+
+CrashPattern predict_crashes(const fault::ShardFaultConfig& faults) {
+  const fault::ShardFaultInjector injector(faults);
+  CrashPattern p;
+  std::vector<std::size_t> down_left(kPinnedShards, 0);
+  std::vector<std::uint8_t> down(kPinnedShards, 0);
+  for (trace::Minute e0 = 0; e0 < kPinnedDuration; e0 += kPinnedInterval) {
+    const trace::Minute t1 = std::min(e0 + kPinnedInterval, kPinnedDuration);
+    const bool last = t1 >= kPinnedDuration;
+    std::vector<std::uint8_t> fresh(kPinnedShards, 0);
+    for (std::size_t s = 0; s < kPinnedShards; ++s) {
+      if (down[s] != 0) continue;
+      const trace::Minute tc = injector.first_crash_in(s, e0, t1);
+      if (tc < 0) continue;
+      ++p.crashes;
+      p.crash_on_epoch_start |= tc == e0;
+      p.crash_in_final_epoch |= last;
+      down[s] = 1;
+      fresh[s] = 1;
+      down_left[s] = faults.recovery_epochs;
+    }
+    for (std::size_t s = 0; s < kPinnedShards; ++s) {
+      if (down[s] == 0 || fresh[s] != 0) continue;
+      if (down_left[s] > 0) --down_left[s];
+      if (down_left[s] != 0 || last) continue;
+      down[s] = 0;
+      ++p.recoveries;
+    }
+  }
+  return p;
+}
+
+fault::ShardFaultConfig pinned_shard_faults() {
+  fault::ShardFaultConfig faults;
+  faults.crash_rate = 0.004;
+  faults.recovery_epochs = 1;
+  faults.stall_rate = 0.05;
+  // First seed whose crash stream covers every checkpoint edge case: a
+  // crash on an epoch's first minute (zero-length replay), one detected at
+  // the final barrier, and a shard that comes back.
+  for (faults.seed = 1;; ++faults.seed) {
+    const CrashPattern p = predict_crashes(faults);
+    if (p.crashes >= 3 && p.recoveries > 0 && p.crash_on_epoch_start &&
+        p.crash_in_final_epoch) {
+      return faults;
+    }
+  }
+}
+
+struct PinnedRun {
+  // Holds every event of the run; one drain batch below a power of two
+  // keeps the collector's mirrored per-lane rings at 2^15 slots.
+  obs::RingBufferSink sink{(1 << 15) - 512};
+  obs::MetricsRegistry registry;
+  std::atomic<std::uint64_t> checkpoint_calls{0};
+  ClusterResult result;
+};
+
+void run_pinned(PinnedRun& run, std::size_t threads) {
+  const Fixture fx = make_fixture(32, kPinnedDuration, 17);
+  ClusterConfig cc;
+  cc.shards = kPinnedShards;
+  cc.threads = threads;
+  cc.engine.seed = 99;
+  cc.engine.hashed_rng = true;
+  cc.engine.record_series = true;
+  cc.engine.memory_capacity_mb = fx.deployment.peak_highest_memory_mb() * 0.10;
+  cc.engine.observer.sink = &run.sink;
+  cc.engine.observer.metrics = &run.registry;
+  cc.market.rebalance_interval = kPinnedInterval;
+  cc.shard_faults = pinned_shard_faults();
+  ClusterEngine cluster(fx.deployment, fx.workload.trace, cc);
+  run.result = cluster.run([&run] {
+    return std::make_unique<CheckpointCountingPolicy>(policies::make_policy("pulse"),
+                                                      run.checkpoint_calls);
+  });
+}
+
+void add_text(Fingerprint& fp, std::string_view text) {
+  fp.add_u64(text.size());
+  for (const char c : text) fp.add_u64(static_cast<unsigned char>(c));
+}
+
+std::uint64_t fingerprint(const PinnedRun& run) {
+  const ClusterResult& r = run.result;
+  Fingerprint fp;
+  for (const sim::RunResult& shard : r.shards) fp.add_u64(fingerprint(shard));
+  fp.add_u64(r.shard_crashes);
+  fp.add_u64(r.shard_recoveries);
+  fp.add_u64(r.stalled_epochs);
+  for (const ShardFailure& f : r.failures) {
+    fp.add_u64(f.shard);
+    fp.add_u64(static_cast<std::uint64_t>(f.crash_minute));
+    fp.add_u64(static_cast<std::uint64_t>(f.detected_minute));
+    fp.add_u64(static_cast<std::uint64_t>(f.recovery_minute));
+    fp.add_u64(f.warm_lost);
+    fp.add_u64(f.failed_invocations);
+    fp.add_u64(static_cast<std::uint64_t>(f.replayed_minutes));
+    fp.add_double(f.reclaimed_quota_mb);
+  }
+  for (const double q : r.final_quota_mb) fp.add_double(q);
+  fp.add_double(r.total_quota_mb);
+  fp.add_u64(r.rebalance_epochs);
+  fp.add_u64(r.transfers);
+  fp.add_double(r.quota_moved_mb);
+  for (const obs::TraceEvent& e : run.sink.events()) {
+    fp.add_u64(static_cast<std::uint64_t>(e.type));
+    fp.add_u64(static_cast<std::uint64_t>(e.minute));
+    fp.add_u64(e.function);
+    fp.add_u64(static_cast<std::uint64_t>(e.variant));
+    fp.add_double(e.value);
+    add_text(fp, e.detail);
+  }
+  for (const auto& [name, value] : r.metrics.counters) {
+    add_text(fp, name);
+    fp.add_u64(value);
+  }
+  for (const auto& [name, value] : r.metrics.gauges) {
+    add_text(fp, name);
+    fp.add_double(value);
+  }
+  for (const auto& [name, h] : r.metrics.histograms) {
+    add_text(fp, name);
+    fp.add_u64(h.total);
+    fp.add_u64(h.overflow);
+    fp.add_double(h.mean);
+    fp.add_u64(h.p50);
+    fp.add_u64(h.p99);
+  }
+  return fp.value();
+}
+
+TEST(ShardFaultCluster, PinnedCrashRecoveryRun) {
+  constexpr std::uint64_t kPinned = 16704964011548972170ULL;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PinnedRun run;
+    run_pinned(run, threads);
+    const ClusterResult& r = run.result;
+
+    // The seed scan's promises hold in the real run.
+    const CrashPattern p = predict_crashes(pinned_shard_faults());
+    ASSERT_EQ(r.shard_crashes, p.crashes) << threads << " threads";
+    ASSERT_EQ(r.shard_recoveries, p.recoveries) << threads << " threads";
+    bool epoch_start = false, final_epoch = false;
+    for (const ShardFailure& f : r.failures) {
+      epoch_start |= f.replayed_minutes == 0;
+      final_epoch |= f.detected_minute == kPinnedDuration;
+    }
+    EXPECT_TRUE(epoch_start);
+    EXPECT_TRUE(final_epoch);
+    ASSERT_EQ(run.sink.dropped(), 0u) << "the sink must retain every event";
+    ASSERT_EQ(run.sink.events().size(), run.sink.recorded());
+
+    EXPECT_EQ(fingerprint(run), kPinned) << threads << " threads";
+  }
+}
+
+// Only a shard whose crash falls inside an epoch is ever rolled back, so
+// it is the only one that needs that epoch's checkpoint.
+TEST(ShardFaultCluster, CheckpointsOnlyShardsThatCrash) {
+  PinnedRun run;
+  run_pinned(run, 4);
+  ASSERT_GT(run.result.shard_crashes, 0u);
+  EXPECT_EQ(run.checkpoint_calls.load(), run.result.shard_crashes);
 }
 
 TEST(ShardFaultCluster, RejectsInvalidShardFaultConfig) {

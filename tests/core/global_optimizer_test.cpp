@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
+
+#include "obs/trace_sink.hpp"
+#include "util/rng.hpp"
 
 namespace pulse::core {
 namespace {
@@ -199,6 +204,147 @@ TEST_F(GlobalOptimizerTest, IpZeroOutsideKeepAliveWindow) {
   // 15 minutes after the last invocation: beyond the 10-minute window.
   const UtilityComponents u = opt.score(0, 1, 15, deployment_, pr, trackers_);
   EXPECT_DOUBLE_EQ(u.invocation_probability, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: flatten_peak against a reference that re-scores every
+// kept entry with score() in every downgrade round. Both must pick the same
+// victims in the same order (strict `<`, first index wins ties) and leave
+// the same schedule behind.
+
+struct Downgrade {
+  trace::Minute minute;
+  trace::FunctionId function;
+  int previous_variant;
+  bool operator==(const Downgrade&) const = default;
+};
+
+class ReferenceFlattener {
+ public:
+  ReferenceFlattener(std::size_t model_count, GlobalOptimizer::Config config)
+      : config_(config), scorer_(model_count, config), detector_(config.peak),
+        priority_(model_count) {}
+
+  void flatten_peak(trace::Minute t, sim::KeepAliveSchedule& schedule,
+                    const std::vector<InterArrivalTracker>& trackers,
+                    std::vector<Downgrade>& log) {
+    while (demand_.now() < t) demand_.push(0.0);
+    const double prior = detector_.prior_memory(demand_, t);
+    demand_.push(schedule.memory_at(t));
+    std::vector<std::pair<trace::FunctionId, std::size_t>> kept;
+    bool kept_built = false;
+    while (detector_.is_peak(schedule.memory_at(t), prior)) {
+      if (!kept_built) {
+        kept = schedule.kept_alive_at(t);
+        kept_built = true;
+      }
+      if (kept.empty()) break;
+      const std::vector<double> pr = priority_.normalized();
+      std::size_t worst_idx = 0;
+      double worst_uv = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        const auto& [f, variant] = kept[i];
+        const double uv = scorer_.score(f, variant, t, schedule.deployment(), pr, trackers)
+                              .value(config_.weights);
+        if (uv < worst_uv) {
+          worst_uv = uv;
+          worst_idx = i;
+        }
+      }
+      const trace::FunctionId worst_f = kept[worst_idx].first;
+      const auto prev = schedule.downgrade_from(worst_f, t);
+      if (!prev) break;
+      if (*prev > 0) {
+        kept[worst_idx].second = static_cast<std::size_t>(*prev - 1);
+      } else {
+        kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(worst_idx));
+      }
+      priority_.record_downgrade(worst_f);
+      log.push_back({t, worst_f, *prev});
+    }
+  }
+
+ private:
+  GlobalOptimizer::Config config_;
+  GlobalOptimizer scorer_;  // only score() is used
+  PeakDetector detector_;
+  PriorityStructure priority_;
+  DemandHistory demand_;
+};
+
+TEST(GlobalOptimizerDifferential, MatchesPerRoundRescoringReference) {
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  constexpr trace::Minute kMinutes = 48;
+  std::size_t trials = 0;
+  std::uint64_t total_downgrades = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    for (unsigned mask = 0; mask < 8; ++mask) {
+      util::Pcg32 rng(seed, mask);
+      GlobalOptimizer::Config config;
+      config.weights.accuracy_improvement = (mask & 1u) != 0 ? 1.0 : 0.0;
+      config.weights.priority = (mask & 2u) != 0 ? 1.0 : 0.0;
+      config.weights.invocation_probability = (mask & 4u) != 0 ? 1.0 : 0.0;
+      config.peak.memory_threshold = rng.bernoulli(0.5) ? 0.05 : 0.10;
+      config.peak.local_window = 4 + static_cast<trace::Minute>(rng.bounded(5));
+
+      const std::size_t functions = 3 + rng.bounded(22);
+      const sim::Deployment deployment = sim::Deployment::round_robin(zoo, functions);
+      sim::KeepAliveSchedule ref_schedule(deployment, kMinutes);
+      sim::KeepAliveSchedule schedule(deployment, kMinutes);
+      std::vector<InterArrivalTracker> ref_trackers(functions);
+      std::vector<InterArrivalTracker> trackers(functions);
+      std::vector<double> rate(functions);
+      for (double& r : rate) r = rng.uniform(0.05, 0.6);
+
+      ReferenceFlattener reference(functions, config);
+      GlobalOptimizer optimizer(functions, config);
+      obs::RingBufferSink sink(1 << 14);
+      const obs::Observer observer{&sink, nullptr, nullptr};
+      optimizer.set_observer(&observer);
+
+      std::vector<Downgrade> expected;
+      for (trace::Minute t = 0; t < kMinutes; ++t) {
+        // Invocations open keep-alive windows (t, t + w] at a random
+        // variant; spike minutes push most of them to the top variant.
+        const bool spike = rng.bernoulli(0.25);
+        for (trace::FunctionId f = 0; f < functions; ++f) {
+          if (!rng.bernoulli(spike ? 0.8 : rate[f])) continue;
+          ref_trackers[f].record(t);
+          trackers[f].record(t);
+          const std::size_t top = deployment.family_of(f).highest_index();
+          const int variant =
+              spike ? static_cast<int>(top)
+                    : static_cast<int>(rng.bounded(static_cast<std::uint32_t>(top + 1)));
+          const trace::Minute window = 1 + static_cast<trace::Minute>(rng.bounded(10));
+          const trace::Minute end = std::min(t + 1 + window, kMinutes);
+          ref_schedule.fill(f, t + 1, end, variant);
+          schedule.fill(f, t + 1, end, variant);
+        }
+        reference.flatten_peak(t, ref_schedule, ref_trackers, expected);
+        optimizer.flatten_peak(t, schedule, trackers);
+      }
+
+      std::vector<Downgrade> actual;
+      ASSERT_EQ(sink.dropped(), 0u);
+      for (const obs::TraceEvent& e : sink.events()) {
+        if (e.type == obs::EventType::kDowngrade) {
+          actual.push_back({e.minute, e.function, e.variant});
+        }
+      }
+      ASSERT_EQ(actual, expected) << "seed " << seed << " weights mask " << mask;
+      for (trace::FunctionId f = 0; f < functions; ++f) {
+        for (trace::Minute t = 0; t < kMinutes; ++t) {
+          ASSERT_EQ(schedule.variant_at(f, t), ref_schedule.variant_at(f, t))
+              << "seed " << seed << " weights mask " << mask << " f " << f << " t " << t;
+        }
+      }
+      EXPECT_EQ(optimizer.total_downgrades(), expected.size());
+      total_downgrades += expected.size();
+      ++trials;
+    }
+  }
+  EXPECT_GE(trials, 200u);
+  EXPECT_GT(total_downgrades, trials) << "the generator should produce real peaks";
 }
 
 TEST(UtilityComponents, ValueIsSumOfComponents) {

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
+#include "support/temp_dir.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::obs {
@@ -153,14 +153,7 @@ TEST(PolicyDecisionEvents, PulseEmitsOnePerVariantSelection) {
 
 class JsonlFileSinkTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-
-  std::string temp_path() {
-    path_ = ::testing::TempDir() + "pulse_obs_jsonl_test.jsonl";
-    return path_;
-  }
+  std::string temp_path() const { return (dir_.path() / "events.jsonl").string(); }
 
   static std::vector<std::string> read_lines(const std::string& path) {
     std::ifstream in(path);
@@ -170,7 +163,7 @@ class JsonlFileSinkTest : public ::testing::Test {
     return lines;
   }
 
-  std::string path_;
+  testutil::TempDir dir_;
 };
 
 TEST_F(JsonlFileSinkTest, WritesOneJsonObjectPerLine) {
