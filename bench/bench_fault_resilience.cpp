@@ -3,8 +3,9 @@
 // The paper's replay is fault-free; this bench answers the production
 // question it leaves open — what happens to cost/service-time/accuracy when
 // containers crash, cold starts fail, and invocations time out?
-//   (1) Shard-fault cluster sweep: whole worker shards crash and recover
-//       by checkpoint-replay while the capacity market runs degraded;
+//   (1) Shard-fault cluster sweep: whole worker shards crash (stopping at
+//       the crash minute, losing their warm pool) and recover while the
+//       capacity market runs degraded;
 //       keep-alive cost and SLO violations vs shard MTBF, per policy, with
 //       an exact quota-conservation acceptance gate. Writes
 //       BENCH_fault_resilience.json.
@@ -141,7 +142,7 @@ void write_fault_json(const std::string& path, bool quick,
 }
 
 int run_shard_fault_sweep(bool quick, const std::string& out_path) {
-  bench::print_heading("Shard-fault resilience — crashes, checkpoint-replay recovery,"
+  bench::print_heading("Shard-fault resilience — crashes, rollback-free recovery,"
                        " degraded market",
                        "keep-alive cost and SLO violations vs shard MTBF");
 

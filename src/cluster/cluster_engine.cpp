@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -210,7 +209,7 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   if (user_obs.metrics != nullptr) cm.bind(*user_obs.metrics);
 
   // Shard-fault machinery. With all rates zero nothing below runs: no
-  // checkpoints are taken, detection never scans, and — unless the market
+  // crash minute is drawn, detection never scans, and — unless the market
   // is on — the whole trace is one epoch, so the loop is bitwise-identical
   // to the pre-fault engine (the golden 1-shard identity path).
   const fault::ShardFaultInjector injector(config_.shard_faults);
@@ -220,9 +219,6 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   const trace::Minute interval =
       barriers_on ? config_.market.rebalance_interval : duration_;
 
-  // KeepAliveSchedule (inside RunCheckpoint) has no default constructor, so
-  // the per-shard epoch checkpoints live behind std::optional.
-  std::vector<std::optional<sim::RunCheckpoint>> checkpoints(n);
   // Minute each live shard crashes at within the current epoch (-1: none).
   std::vector<trace::Minute> crash_at(n, -1);
   std::vector<std::uint8_t> down(n, 0);
@@ -237,13 +233,12 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
                                                      duration_);
 
     // A crash minute is a pure hash, so it is known before the epoch runs:
-    // only a live shard that will crash inside [e0, t1) is ever rolled
-    // back, and only it takes an epoch-start checkpoint (a down shard's
-    // state is frozen at its crash minute). The barrier reuses crash_at.
+    // a live shard that crashes inside [e0, t1) simulates only up to its
+    // crash minute and stops there (a down shard's state stays frozen at
+    // that minute). The barrier reuses crash_at.
     if (crash_on) {
       for (std::size_t s = 0; s < n; ++s) {
         crash_at[s] = down[s] == 0 ? injector.first_crash_in(s, e0, t1) : -1;
-        if (crash_at[s] >= 0) checkpoints[s] = runs[s]->checkpoint();
       }
     }
     std::vector<std::uint8_t> stalled(n, 0);
@@ -254,7 +249,7 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
     }
 
     pool.parallel_for(n, [&](std::size_t s) {
-      if (down[s] == 0) runs[s]->run_until(t1);
+      if (down[s] == 0) runs[s]->run_until(crash_at[s] >= 0 ? crash_at[s] : t1);
     });
     t0 = t1;
     ++epoch_index;
@@ -265,16 +260,11 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
     std::vector<std::uint8_t> fresh(n, 0);  // crashed or recovered this barrier
 
     if (crash_on) {
-      // Crash detection. The shard already simulated to t1 under the
-      // illusion it survived; rewind to the epoch checkpoint, deterministic
-      // silent replay up to the crash minute, then lose the warm pool. The
-      // snapshot is released once restored.
+      // Crash detection. The shard stopped at its crash minute, so every
+      // minute it simulated really happened; it loses its warm pool there.
       for (std::size_t s = 0; s < n; ++s) {
         const trace::Minute tc = crash_at[s];
         if (tc < 0) continue;
-        runs[s]->restore(*checkpoints[s]);
-        checkpoints[s].reset();
-        runs[s]->replay_until(tc);
         const std::uint64_t warm_lost = runs[s]->lose_warm_pool(tc);
         down[s] = 1;
         fresh[s] = 1;

@@ -69,12 +69,13 @@ struct ClusterConfig {
 
   MarketConfig market{};
 
-  /// Shard-level fault injection (crashes with checkpoint-replay recovery,
-  /// stall epochs). All rates default to zero, in which case the epoch loop
-  /// is bitwise-identical to one without the fault machinery — no
-  /// checkpoints are taken and no detection scan runs. Crashes are detected
-  /// at rebalance barriers, so market.rebalance_interval is also the
-  /// detection cadence even when the market itself is off.
+  /// Shard-level fault injection (crashes that lose the warm pool, stall
+  /// epochs). All rates default to zero, in which case the epoch loop is
+  /// bitwise-identical to one without the fault machinery — no crash minute
+  /// is drawn and no detection scan runs. A crashing shard stops simulating
+  /// at its crash minute; the crash is detected at the next rebalance
+  /// barrier, so market.rebalance_interval is also the detection cadence
+  /// even when the market itself is off.
   fault::ShardFaultConfig shard_faults{};
 
   /// An attached TraceSink always sits behind an obs::EventCollector: lane
@@ -89,7 +90,7 @@ struct ClusterConfig {
 /// One shard crash and its recovery, as the cluster engine observed them.
 struct ShardFailure {
   std::size_t shard = 0;
-  /// Minute the crash fired (hash-derived; state up to here was replayed).
+  /// Minute the crash fired (hash-derived; the shard simulated up to here).
   trace::Minute crash_minute = 0;
   /// Barrier minute the crash was detected at (end of the crash epoch).
   trace::Minute detected_minute = 0;
@@ -101,8 +102,8 @@ struct ShardFailure {
   std::uint64_t warm_lost = 0;
   /// Arrivals routed to the shard during the outage; all failed.
   std::uint64_t failed_invocations = 0;
-  /// Minutes re-executed from the epoch checkpoint to reach the crash
-  /// minute (the deterministic-replay length).
+  /// Minutes of the crash epoch the shard simulated before it crashed
+  /// (crash_minute minus the epoch's first minute).
   trace::Minute replayed_minutes = 0;
   /// Quota reclaimed into the market reserve at detection (0 with the
   /// market off).

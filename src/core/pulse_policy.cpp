@@ -5,18 +5,6 @@
 
 namespace pulse::core {
 
-namespace {
-
-/// Everything PulsePolicy mutates after initialize(): the per-function
-/// trackers and the global optimizer (priority tallies, demand history,
-/// peak state). The config is construction-time and needs no snapshot.
-struct PulseCheckpoint final : sim::PolicyCheckpoint {
-  std::vector<InterArrivalTracker> trackers;
-  std::unique_ptr<GlobalOptimizer> optimizer;  // null before initialize()
-};
-
-}  // namespace
-
 PulsePolicy::PulsePolicy() : PulsePolicy(Config{}) {}
 
 PulsePolicy::PulsePolicy(Config config) : config_(config) {
@@ -48,11 +36,6 @@ void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Tra
   optimizer_ = std::make_unique<GlobalOptimizer>(deployment.function_count(), opt_config);
   optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
   optimizer_->set_observer(observer());
-}
-
-void PulsePolicy::attach_observer(const obs::Observer* observer) {
-  sim::KeepAlivePolicy::attach_observer(observer);
-  if (optimizer_) optimizer_->set_observer(observer);
 }
 
 trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
@@ -114,24 +97,6 @@ std::size_t PulsePolicy::cold_start_variant(trace::FunctionId f, trace::Minute t
 
 std::uint64_t PulsePolicy::downgrade_count() const {
   return optimizer_ ? optimizer_->total_downgrades() : 0;
-}
-
-std::unique_ptr<sim::PolicyCheckpoint> PulsePolicy::checkpoint() const {
-  auto snap = std::make_unique<PulseCheckpoint>();
-  snap->trackers = trackers_;
-  if (optimizer_) snap->optimizer = std::make_unique<GlobalOptimizer>(*optimizer_);
-  return snap;
-}
-
-void PulsePolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const PulseCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("PulsePolicy::restore: wrong snapshot type");
-  }
-  trackers_ = snap->trackers;
-  optimizer_ =
-      snap->optimizer ? std::make_unique<GlobalOptimizer>(*snap->optimizer) : nullptr;
-  if (optimizer_) optimizer_->set_observer(observer());
 }
 
 const GlobalOptimizer& PulsePolicy::optimizer() const {

@@ -58,11 +58,6 @@ class PulsePolicy : public sim::KeepAlivePolicy {
   void initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                   sim::KeepAliveSchedule& schedule) override;
 
-  /// The optimizer binds metric handles when an observer is attached;
-  /// forwarding keeps those bindings in sync when the engine detaches or
-  /// re-attaches mid-run (e.g. around a silent checkpoint replay).
-  void attach_observer(const obs::Observer* observer) override;
-
   void on_invocation(trace::FunctionId f, trace::Minute t,
                      sim::KeepAliveSchedule& schedule) override;
 
@@ -78,9 +73,6 @@ class PulsePolicy : public sim::KeepAlivePolicy {
                                                const sim::Deployment& deployment) const override;
 
   [[nodiscard]] std::uint64_t downgrade_count() const override;
-
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override;
-  void restore(const sim::PolicyCheckpoint* snapshot) override;
 
   /// Introspection for tests and benches.
   [[nodiscard]] const std::vector<InterArrivalTracker>& trackers() const noexcept {

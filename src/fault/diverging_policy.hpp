@@ -43,15 +43,6 @@ class DivergingPolicy : public sim::KeepAlivePolicy {
 
   [[nodiscard]] std::uint64_t downgrade_count() const override;
 
-  /// The divergence trigger is pure config; only the inner policy carries
-  /// state, so the snapshot is forwarded unchanged.
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override {
-    return inner_->checkpoint();
-  }
-  void restore(const sim::PolicyCheckpoint* snapshot) override {
-    inner_->restore(snapshot);
-  }
-
  private:
   std::unique_ptr<sim::KeepAlivePolicy> inner_;
   Config config_;

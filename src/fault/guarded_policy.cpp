@@ -5,18 +5,6 @@
 
 namespace pulse::fault {
 
-namespace {
-
-struct GuardedCheckpoint final : sim::PolicyCheckpoint {
-  std::uint64_t incidents = 0;
-  bool degraded = false;
-  trace::Minute degraded_since = -1;
-  std::string first_incident;
-  std::unique_ptr<sim::PolicyCheckpoint> inner;
-};
-
-}  // namespace
-
 GuardedPolicy::GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner)
     : GuardedPolicy(std::move(inner), Config{}) {}
 
@@ -115,28 +103,6 @@ std::uint64_t GuardedPolicy::downgrade_count() const {
   } catch (const std::exception&) {
     return 0;
   }
-}
-
-std::unique_ptr<sim::PolicyCheckpoint> GuardedPolicy::checkpoint() const {
-  auto snap = std::make_unique<GuardedCheckpoint>();
-  snap->incidents = incidents_;
-  snap->degraded = degraded_;
-  snap->degraded_since = degraded_since_;
-  snap->first_incident = first_incident_;
-  snap->inner = inner_->checkpoint();
-  return snap;
-}
-
-void GuardedPolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const GuardedCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("GuardedPolicy::restore: wrong snapshot type");
-  }
-  incidents_ = snap->incidents;
-  degraded_ = snap->degraded;
-  degraded_since_ = snap->degraded_since;
-  first_incident_ = snap->first_incident;
-  inner_->restore(snap->inner.get());
 }
 
 }  // namespace pulse::fault

@@ -44,12 +44,6 @@ class GuardedPolicy : public sim::KeepAlivePolicy {
   [[nodiscard]] std::uint64_t downgrade_count() const override;
   [[nodiscard]] std::uint64_t incident_count() const override { return incidents_; }
 
-  /// Snapshots the guard's incident state together with the inner policy's
-  /// snapshot, so a restored replay re-trips (or stays healthy) exactly as
-  /// the original execution did.
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override;
-  void restore(const sim::PolicyCheckpoint* snapshot) override;
-
   /// Forwards the observer to the inner policy as well, so the wrapped
   /// policy's events and phase timings keep flowing while the guard also
   /// reports its own incidents.

@@ -3,8 +3,8 @@
 //
 // The container-level FaultInjector disrupts individual kept containers;
 // this injector disrupts whole worker shards: a crash loses the shard's
-// entire warm pool and in-memory engine state (recovered by checkpoint +
-// deterministic replay, see ClusterEngine), and a stall marks the shard a
+// entire warm pool (the shard stops simulating at its crash minute and
+// rejoins after an outage, see ClusterEngine), and a stall marks the shard a
 // straggler for one rebalance epoch (it still computes, but its pressure
 // signals are stale, so the capacity market leaves it untouched).
 //
@@ -27,14 +27,14 @@ struct ShardFaultConfig {
   std::uint64_t seed = 0x5a4dfa17;
 
   /// Probability that a live shard crashes in any given minute. A crash
-  /// destroys the shard's warm pool and in-memory state; the cluster engine
-  /// detects it at the next rebalance barrier, restores the last epoch
-  /// checkpoint, and replays up to the crash minute.
+  /// destroys the shard's warm pool: the cluster engine simulates the shard
+  /// only up to the crash minute, and at the next rebalance barrier drops
+  /// every container alive or scheduled from that minute on.
   double crash_rate = 0.0;
 
   /// Rebalance epochs a crashed shard stays down after the barrier that
-  /// detected the crash (>= 1). The shard is restored at the barrier ending
-  /// the last down epoch; every arrival routed to it meanwhile fails.
+  /// detected the crash (>= 1). The shard rejoins at the barrier ending the
+  /// last down epoch; every arrival routed to it meanwhile fails.
   std::size_t recovery_epochs = 1;
 
   /// Probability that a live shard spends a whole rebalance epoch stalled
@@ -69,8 +69,8 @@ class ShardFaultInjector {
 
   /// First minute in [begin, end) at which `shard` crashes; -1 when it
   /// survives the whole span. The cluster engine evaluates it once per live
-  /// shard at each epoch start, checkpoints only the shards it names, and
-  /// reuses the value for detection at the barrier.
+  /// shard at each epoch start, runs a shard it names only up to that
+  /// minute, and reuses the value for detection at the barrier.
   [[nodiscard]] trace::Minute first_crash_in(std::size_t shard, trace::Minute begin,
                                              trace::Minute end) const noexcept {
     if (config_.crash_rate <= 0.0) return -1;

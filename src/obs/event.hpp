@@ -56,9 +56,9 @@ enum class EventType : std::uint8_t {
   /// lost, and arrivals routed to it fail until recovery. `function` is the
   /// shard id, `minute` the crash minute, `value` the warm containers lost.
   kShardCrash,
-  /// A crashed shard was restored (checkpoint + deterministic replay) and
-  /// re-admitted to the cluster. `function` is the shard id, `minute` the
-  /// recovery barrier, `value` the outage length in minutes.
+  /// A crashed shard rejoined the cluster after its outage. `function` is
+  /// the shard id, `minute` the recovery barrier, `value` the outage length
+  /// in minutes.
   kShardRecover,
   /// End-of-minute aggregate sample (opt-in via
   /// EngineConfig::emit_minute_samples): `value` is the keep-alive memory in

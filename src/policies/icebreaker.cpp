@@ -3,28 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <stdexcept>
 
 #include "predict/divergence.hpp"
 
 namespace pulse::policies {
-
-namespace {
-
-/// IceBreaker's post-initialize state: the per-function count series and
-/// the accumulator of the minute in flight.
-struct IceBreakerCheckpoint : sim::PolicyCheckpoint {
-  std::vector<std::vector<double>> history;
-  std::vector<std::uint32_t> current_minute_count;
-};
-
-/// IceBreaker+PULSE adds the inter-arrival trackers and global optimizer.
-struct IceBreakerPulseCheckpoint final : IceBreakerCheckpoint {
-  std::vector<core::InterArrivalTracker> trackers;
-  std::unique_ptr<core::GlobalOptimizer> optimizer;
-};
-
-}  // namespace
 
 void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                                   sim::KeepAliveSchedule& schedule) {
@@ -105,22 +87,6 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   }
 }
 
-std::unique_ptr<sim::PolicyCheckpoint> IceBreakerPolicy::checkpoint() const {
-  auto snap = std::make_unique<IceBreakerCheckpoint>();
-  snap->history = history_;
-  snap->current_minute_count = current_minute_count_;
-  return snap;
-}
-
-void IceBreakerPolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const IceBreakerCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("IceBreakerPolicy::restore: wrong snapshot type");
-  }
-  history_ = snap->history;
-  current_minute_count_ = snap->current_minute_count;
-}
-
 IceBreakerPulsePolicy::IceBreakerPulsePolicy() : IceBreakerPulsePolicy(Config{}) {}
 
 IceBreakerPulsePolicy::IceBreakerPulsePolicy(Config config)
@@ -141,11 +107,6 @@ void IceBreakerPulsePolicy::initialize(const sim::Deployment& deployment,
   optimizer_ = std::make_unique<core::GlobalOptimizer>(deployment.function_count(), opt_config);
   optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
   optimizer_->set_observer(observer());
-}
-
-void IceBreakerPulsePolicy::attach_observer(const obs::Observer* observer) {
-  IceBreakerPolicy::attach_observer(observer);
-  if (optimizer_) optimizer_->set_observer(observer);
 }
 
 void IceBreakerPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
@@ -192,28 +153,6 @@ std::size_t IceBreakerPulsePolicy::cold_start_variant(
 
 std::uint64_t IceBreakerPulsePolicy::downgrade_count() const {
   return optimizer_ ? optimizer_->total_downgrades() : 0;
-}
-
-std::unique_ptr<sim::PolicyCheckpoint> IceBreakerPulsePolicy::checkpoint() const {
-  auto snap = std::make_unique<IceBreakerPulseCheckpoint>();
-  snap->history = history_;
-  snap->current_minute_count = current_minute_count_;
-  snap->trackers = trackers_;
-  if (optimizer_) snap->optimizer = std::make_unique<core::GlobalOptimizer>(*optimizer_);
-  return snap;
-}
-
-void IceBreakerPulsePolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const IceBreakerPulseCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("IceBreakerPulsePolicy::restore: wrong snapshot type");
-  }
-  history_ = snap->history;
-  current_minute_count_ = snap->current_minute_count;
-  trackers_ = snap->trackers;
-  optimizer_ = snap->optimizer ? std::make_unique<core::GlobalOptimizer>(*snap->optimizer)
-                               : nullptr;
-  if (optimizer_) optimizer_->set_observer(observer());
 }
 
 }  // namespace pulse::policies

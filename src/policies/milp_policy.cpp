@@ -1,25 +1,10 @@
 #include "policies/milp_policy.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/utility.hpp"
 
 namespace pulse::policies {
-
-namespace {
-
-/// MILP's post-initialize state. The peak detector is config-only and the
-/// scratch buffers are rebuilt every peak, so neither needs a snapshot.
-struct MilpCheckpoint final : sim::PolicyCheckpoint {
-  std::vector<core::InterArrivalTracker> trackers;
-  std::unique_ptr<core::PriorityStructure> priority;  // null before initialize()
-  core::DemandHistory demand;
-  std::uint64_t downgrades = 0;
-  std::uint64_t solver_nodes = 0;
-};
-
-}  // namespace
 
 void MilpPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                             sim::KeepAliveSchedule& schedule) {
@@ -159,29 +144,6 @@ void MilpPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule
   metrics_handles_.solves.flush();
   metrics_handles_.solver_nodes.flush();
   metrics_handles_.downgrades.flush();
-}
-
-std::unique_ptr<sim::PolicyCheckpoint> MilpPolicy::checkpoint() const {
-  auto snap = std::make_unique<MilpCheckpoint>();
-  snap->trackers = trackers_;
-  if (priority_) snap->priority = std::make_unique<core::PriorityStructure>(*priority_);
-  snap->demand = demand_;
-  snap->downgrades = downgrades_;
-  snap->solver_nodes = solver_nodes_;
-  return snap;
-}
-
-void MilpPolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const MilpCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("MilpPolicy::restore: wrong snapshot type");
-  }
-  trackers_ = snap->trackers;
-  priority_ =
-      snap->priority ? std::make_unique<core::PriorityStructure>(*snap->priority) : nullptr;
-  demand_ = snap->demand;
-  downgrades_ = snap->downgrades;
-  solver_nodes_ = snap->solver_nodes;
 }
 
 }  // namespace pulse::policies

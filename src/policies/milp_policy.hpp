@@ -56,9 +56,6 @@ class MilpPolicy : public sim::KeepAlivePolicy {
   /// diagnostics).
   [[nodiscard]] std::uint64_t solver_nodes() const noexcept { return solver_nodes_; }
 
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override;
-  void restore(const sim::PolicyCheckpoint* snapshot) override;
-
   /// Binds the milp.* handle bundle (no name lookup per solve).
   void attach_observer(const obs::Observer* observer) override;
 

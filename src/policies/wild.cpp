@@ -1,24 +1,8 @@
 #include "policies/wild.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace pulse::policies {
-
-namespace {
-
-/// Wild's only post-initialize state: the per-function hybrid histograms.
-struct WildCheckpoint : sim::PolicyCheckpoint {
-  std::vector<predict::HybridHistogramPredictor> predictors;
-};
-
-/// Wild+PULSE adds the inter-arrival trackers and the global optimizer.
-struct WildPulseCheckpoint final : WildCheckpoint {
-  std::vector<core::InterArrivalTracker> trackers;
-  std::unique_ptr<core::GlobalOptimizer> optimizer;
-};
-
-}  // namespace
 
 void WildPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                             sim::KeepAliveSchedule& schedule) {
@@ -61,20 +45,6 @@ void WildPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                 static_cast<int>(schedule.variant_count_of(f)) - 1);
 }
 
-std::unique_ptr<sim::PolicyCheckpoint> WildPolicy::checkpoint() const {
-  auto snap = std::make_unique<WildCheckpoint>();
-  snap->predictors = predictors_;
-  return snap;
-}
-
-void WildPolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const WildCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("WildPolicy::restore: wrong snapshot type");
-  }
-  predictors_ = snap->predictors;
-}
-
 WildPulsePolicy::WildPulsePolicy() : WildPulsePolicy(Config{}) {}
 
 WildPulsePolicy::WildPulsePolicy(Config config)
@@ -94,11 +64,6 @@ void WildPulsePolicy::initialize(const sim::Deployment& deployment, const trace:
   optimizer_ = std::make_unique<core::GlobalOptimizer>(deployment.function_count(), opt_config);
   optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
   optimizer_->set_observer(observer());
-}
-
-void WildPulsePolicy::attach_observer(const obs::Observer* observer) {
-  WildPolicy::attach_observer(observer);
-  if (optimizer_) optimizer_->set_observer(observer);
 }
 
 void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
@@ -141,26 +106,6 @@ std::size_t WildPulsePolicy::cold_start_variant(trace::FunctionId f, trace::Minu
 
 std::uint64_t WildPulsePolicy::downgrade_count() const {
   return optimizer_ ? optimizer_->total_downgrades() : 0;
-}
-
-std::unique_ptr<sim::PolicyCheckpoint> WildPulsePolicy::checkpoint() const {
-  auto snap = std::make_unique<WildPulseCheckpoint>();
-  snap->predictors = predictors_;
-  snap->trackers = trackers_;
-  if (optimizer_) snap->optimizer = std::make_unique<core::GlobalOptimizer>(*optimizer_);
-  return snap;
-}
-
-void WildPulsePolicy::restore(const sim::PolicyCheckpoint* snapshot) {
-  const auto* snap = dynamic_cast<const WildPulseCheckpoint*>(snapshot);
-  if (snap == nullptr) {
-    throw std::invalid_argument("WildPulsePolicy::restore: wrong snapshot type");
-  }
-  predictors_ = snap->predictors;
-  trackers_ = snap->trackers;
-  optimizer_ = snap->optimizer ? std::make_unique<core::GlobalOptimizer>(*snap->optimizer)
-                               : nullptr;
-  if (optimizer_) optimizer_->set_observer(observer());
 }
 
 }  // namespace pulse::policies

@@ -49,9 +49,6 @@ class WildPolicy : public sim::KeepAlivePolicy {
     return predictors_.at(f);
   }
 
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override;
-  void restore(const sim::PolicyCheckpoint* snapshot) override;
-
   /// Binds the wild.* handle bundle; per-invocation emission then never
   /// resolves a metric name.
   void attach_observer(const obs::Observer* observer) override;
@@ -89,19 +86,12 @@ class WildPulsePolicy : public WildPolicy {
   void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                      const sim::MemoryHistory& history) override;
 
-  /// Forwards to the optimizer so its metric-handle bundle follows engine
-  /// detach/re-attach (e.g. around a silent checkpoint replay).
-  void attach_observer(const obs::Observer* observer) override;
-
   /// Drop-induced cold starts inside the recent-invocation window serve the
   /// lowest variant (the downgrade's decision); fresh ones the highest.
   [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
                                                const sim::Deployment& deployment) const override;
 
   [[nodiscard]] std::uint64_t downgrade_count() const override;
-
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override;
-  void restore(const sim::PolicyCheckpoint* snapshot) override;
 
  private:
   Config pulse_config_;

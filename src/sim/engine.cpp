@@ -282,61 +282,6 @@ void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t aliv
   }
 }
 
-RunCheckpoint SteppedRun::checkpoint() const {
-  return RunCheckpoint{next_minute_,     config_.memory_capacity_mb,
-                       result_,          schedule_,
-                       kernel_.record(), latency_rng_,
-                       accuracy_rng_,    kernel_.eviction_rng(),
-                       policy_->checkpoint()};
-}
-
-void SteppedRun::restore(const RunCheckpoint& snapshot) {
-  if (finished_) {
-    throw std::logic_error("SteppedRun::restore: run already finished");
-  }
-  next_minute_ = snapshot.minute;
-  config_.memory_capacity_mb = snapshot.memory_capacity_mb;
-  result_ = snapshot.result;
-  schedule_ = snapshot.schedule;
-  kernel_.restore(snapshot.memory_record, snapshot.eviction_rng);
-  latency_rng_ = snapshot.latency_rng;
-  accuracy_rng_ = snapshot.accuracy_rng;
-  policy_->restore(snapshot.policy.get());
-}
-
-void SteppedRun::replay_until(trace::Minute end) {
-  // Muting config_.observer in place silences the engine's own emission,
-  // but policies (and helpers like the PULSE optimizer) bind metric-handle
-  // bundles at attach time — their resolved registry pointers outlive any
-  // in-place mute. Detach for the replayed span and re-attach after, so
-  // the handles unbind and the replay double-counts nothing.
-  const obs::Observer saved_observer = config_.observer;
-  util::IntHistogram* const saved_hist = alive_hist_;
-  // The top-K tallies counted the rolled-back span in the original pass,
-  // so they go quiet with the rest of the emission during replay.
-  std::vector<std::uint64_t> saved_cold = std::move(fn_cold_starts_);
-  std::vector<std::uint64_t> saved_evict = std::move(fn_evictions_);
-  config_.observer = obs::Observer{};
-  alive_hist_ = nullptr;
-  fn_cold_starts_.clear();
-  fn_evictions_.clear();
-  policy_->attach_observer(nullptr);
-  const auto reattach = [&] {
-    config_.observer = saved_observer;
-    alive_hist_ = saved_hist;
-    fn_cold_starts_ = std::move(saved_cold);
-    fn_evictions_ = std::move(saved_evict);
-    policy_->attach_observer(config_.observer.any() ? &config_.observer : nullptr);
-  };
-  try {
-    run_until(end);
-  } catch (...) {
-    reattach();
-    throw;
-  }
-  reattach();
-}
-
 std::uint64_t SteppedRun::lose_warm_pool(trace::Minute t) {
   const std::uint64_t lost = schedule_.alive_count_at(t);
   // Everything scheduled from t onward dies with the shard: the alive

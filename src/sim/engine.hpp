@@ -9,7 +9,6 @@
 // from the keep-alive schedule the policy maintains.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -110,24 +109,6 @@ struct EngineConfig {
   const std::vector<trace::FunctionId>* global_ids = nullptr;
 };
 
-/// Snapshot of a SteppedRun at a minute boundary: schedule, capacity,
-/// partial result, memory record, the sequential RNG positions, and the
-/// policy's own state. Everything a bit-exact replay needs — hashed draws
-/// (EngineConfig::hashed_rng) and fault decisions are pure functions of
-/// coordinates and need no saved position. Move-only (it owns the policy
-/// snapshot); only valid for the SteppedRun that produced it.
-struct RunCheckpoint {
-  trace::Minute minute = 0;
-  double memory_capacity_mb = 0.0;
-  RunResult result;
-  KeepAliveSchedule schedule;
-  std::vector<double> memory_record;
-  util::Pcg32 latency_rng;
-  util::Pcg32 accuracy_rng;
-  util::Pcg32 eviction_rng;
-  std::unique_ptr<PolicyCheckpoint> policy;
-};
-
 /// Minute-stepped execution of one simulation run.
 ///
 /// Exactly the replay SimulationEngine::run performs, exposed as an object
@@ -149,7 +130,9 @@ class SteppedRun {
   SteppedRun& operator=(const SteppedRun&) = delete;
 
   /// Simulates minutes [next_minute(), min(end, duration())). No-op when
-  /// the run is already past `end`.
+  /// the run is already past `end`. Slicing is exact: any sequence of calls
+  /// that reaches a minute leaves the run in the same state as one call, so
+  /// the cluster engine can stop a crashing shard at its crash minute.
   void run_until(trace::Minute end);
 
   /// First minute not yet simulated (== duration() when the replay is done).
@@ -182,23 +165,6 @@ class SteppedRun {
   /// a batch run over a trace of duration `end` produces the identical
   /// result. Call at most once (mutually exclusive with finish()).
   RunResult finish_at(trace::Minute end);
-
-  /// Snapshot of the run at the current minute boundary. restore() on this
-  /// same SteppedRun rolls back to it and replay_until() re-executes the
-  /// rolled-back span bit-exactly — the cluster engine's crash-recovery
-  /// path, and the seed for long-run resumability. Cost is O(state): one
-  /// copy of the schedule, result, memory record and policy state.
-  [[nodiscard]] RunCheckpoint checkpoint() const;
-
-  /// Rolls the run back to `snapshot` (which must come from this run).
-  /// Throws std::logic_error once finish() was called.
-  void restore(const RunCheckpoint& snapshot);
-
-  /// run_until(end) with all observability emission suppressed: a replay
-  /// after restore() re-executes minutes whose events and metrics the
-  /// original pass already emitted, so it must stay silent to keep sinks
-  /// and registries single-counted.
-  void replay_until(trace::Minute end);
 
   /// Shard crash at minute t: every container alive at t — and everything
   /// scheduled after it — is lost with the shard. Counts the alive

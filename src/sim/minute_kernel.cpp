@@ -65,11 +65,4 @@ std::uint32_t MinuteKernel::pick_victim(trace::Minute t, std::uint32_t ordinal) 
   return draw.bounded(n);
 }
 
-void MinuteKernel::restore(const std::vector<double>& record,
-                           const util::Pcg32& eviction_rng) {
-  record_ = record;
-  eviction_rng_ = eviction_rng;
-  degraded_ = false;
-}
-
 }  // namespace pulse::sim

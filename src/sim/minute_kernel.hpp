@@ -95,10 +95,6 @@ class MinuteKernel final : public MemoryHistory {
   }
 
   [[nodiscard]] const std::vector<double>& record() const noexcept { return record_; }
-  [[nodiscard]] const util::Pcg32& eviction_rng() const noexcept { return eviction_rng_; }
-
-  /// Rolls the record and the sequential victim stream back to a snapshot.
-  void restore(const std::vector<double>& record, const util::Pcg32& eviction_rng);
 
  private:
   static constexpr std::uint64_t kHashEvictStream = 0xeb1c'7005;

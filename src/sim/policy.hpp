@@ -17,9 +17,8 @@
 
 namespace pulse::sim {
 
-/// Opaque snapshot of a policy's mutable state. Each stateful policy
-/// derives its own snapshot type in its implementation file; the engine
-/// only moves these around (see KeepAlivePolicy::checkpoint).
+/// Opaque snapshot of a policy's mutable state (see
+/// KeepAlivePolicy::checkpoint). No engine creates or consumes one.
 class PolicyCheckpoint {
  public:
   virtual ~PolicyCheckpoint() = default;
@@ -88,19 +87,13 @@ class KeepAlivePolicy {
   /// this into RunResult::guard_incidents.
   [[nodiscard]] virtual std::uint64_t incident_count() const { return 0; }
 
-  /// Snapshot of every piece of state this policy mutates after
-  /// initialize(). SteppedRun::checkpoint() packages it with the engine
-  /// state so a cluster shard can be rolled back and replayed bit-exactly
-  /// after a crash. Policies whose behaviour is fixed once initialize() ran
-  /// (fixed windows, oracles, pure hash draws) keep the default: nullptr
-  /// means "nothing to restore".
+  /// Policy snapshot hooks. No engine calls them: a crashed cluster shard
+  /// stops at its crash minute instead of rolling back. They remain only
+  /// because the end-to-end benchmark's timing decorator
+  /// (bench/e2e/timed_policy.hpp) still overrides both.
   [[nodiscard]] virtual std::unique_ptr<PolicyCheckpoint> checkpoint() const {
     return nullptr;
   }
-
-  /// Restores state captured by checkpoint() on this same policy instance
-  /// (nullptr restores the stateless default). Stateful overrides throw
-  /// std::invalid_argument when handed a snapshot of another policy type.
   virtual void restore(const PolicyCheckpoint* snapshot) { (void)snapshot; }
 
   /// Attaches the observability context (nullptr = disabled, the default).

@@ -1,17 +1,15 @@
 // Shard-level fault tolerance in ClusterEngine: ledger consistency,
-// checkpoint-replay accounting, thread-count invariance with faults on, the
+// crash-epoch accounting, thread-count invariance with faults on, the
 // degraded-mode market's exact conservation, a threaded crash/recover run
-// for the sanitizer jobs (TSan in particular), and a pinned crash-recovery
-// run whose fingerprint guards the checkpoint protocol bit for bit.
+// for the sanitizer jobs (TSan in particular), a pinned crash-recovery run
+// whose fingerprint guards the crash protocol bit for bit, and the event
+// stream reconciling with the counters of that run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -216,9 +214,9 @@ TEST(ShardFaultCluster, ZeroRatesMatchFaultFreeClusterBitwise) {
   EXPECT_TRUE(b.failures.empty());
 }
 
-// The sanitizer target: shards step concurrently on a real thread pool,
-// and crashed shards restore, replay and recover on the coordinator after
-// each join. Asserts only coarse invariants — the value of the test is
+// The sanitizer target: shards step concurrently on a real thread pool
+// (a crashing shard stops at its crash minute), and crashed shards lose
+// their warm pool and recover on the coordinator after each join. Asserts only coarse invariants — the value of the test is
 // TSan/ASan coverage of the barrier handoffs.
 TEST(ShardFaultCluster, ThreadedCrashRecoverRunIsClean) {
   const Fixture fx = make_fixture(64, 720, 31);
@@ -234,55 +232,10 @@ TEST(ShardFaultCluster, ThreadedCrashRecoverRunIsClean) {
 
 // ---------------------------------------------------------------------------
 // Pinned crash-recovery run: 8 shards, market on, capacity at 10% of the
-// peak, a crash rate that yields several crashes. The whole observable
-// outcome (shard results, failure ledger, final quotas, every event, the
-// metrics snapshot) is hashed and pinned, so any change to how checkpoints
-// are taken, restored or replayed that moves a single bit shows up here.
-
-/// Forwards every call to the wrapped policy and counts checkpoint() calls.
-class CheckpointCountingPolicy final : public sim::KeepAlivePolicy {
- public:
-  CheckpointCountingPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner,
-                           std::atomic<std::uint64_t>& calls)
-      : inner_(std::move(inner)), calls_(&calls) {}
-
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  void initialize(const sim::Deployment& deployment, const trace::Trace& trace,
-                  sim::KeepAliveSchedule& schedule) override {
-    inner_->initialize(deployment, trace, schedule);
-  }
-  void on_invocation(trace::FunctionId f, trace::Minute t,
-                     sim::KeepAliveSchedule& schedule) override {
-    inner_->on_invocation(f, t, schedule);
-  }
-  void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
-                     const sim::MemoryHistory& history) override {
-    inner_->end_of_minute(t, schedule, history);
-  }
-  [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
-                                               const sim::Deployment& deployment) const override {
-    return inner_->cold_start_variant(f, t, deployment);
-  }
-  [[nodiscard]] std::uint64_t downgrade_count() const override {
-    return inner_->downgrade_count();
-  }
-  [[nodiscard]] std::uint64_t incident_count() const override {
-    return inner_->incident_count();
-  }
-  [[nodiscard]] std::unique_ptr<sim::PolicyCheckpoint> checkpoint() const override {
-    calls_->fetch_add(1, std::memory_order_relaxed);
-    return inner_->checkpoint();
-  }
-  void restore(const sim::PolicyCheckpoint* snapshot) override { inner_->restore(snapshot); }
-  void attach_observer(const obs::Observer* observer) override {
-    sim::KeepAlivePolicy::attach_observer(observer);
-    inner_->attach_observer(observer);
-  }
-
- private:
-  std::unique_ptr<sim::KeepAlivePolicy> inner_;
-  std::atomic<std::uint64_t>* calls_;
-};
+// peak, a crash rate that yields several crashes. The observable outcome is
+// hashed in two halves and pinned: the state half (shard results, failure
+// ledger, quotas, market totals) guards what the run computes; the obs half
+// (every event, the metrics snapshot) guards what it reports.
 
 constexpr std::size_t kPinnedShards = 8;
 constexpr trace::Minute kPinnedDuration = 720;
@@ -334,9 +287,9 @@ fault::ShardFaultConfig pinned_shard_faults() {
   faults.crash_rate = 0.004;
   faults.recovery_epochs = 1;
   faults.stall_rate = 0.05;
-  // First seed whose crash stream covers every checkpoint edge case: a
-  // crash on an epoch's first minute (zero-length replay), one detected at
-  // the final barrier, and a shard that comes back.
+  // First seed whose crash stream covers every crash edge case: a crash on
+  // an epoch's first minute (the shard simulates none of that epoch), one
+  // detected at the final barrier, and a shard that comes back.
   for (faults.seed = 1;; ++faults.seed) {
     const CrashPattern p = predict_crashes(faults);
     if (p.crashes >= 3 && p.recoveries > 0 && p.crash_on_epoch_start &&
@@ -351,7 +304,6 @@ struct PinnedRun {
   // keeps the collector's mirrored per-lane rings at 2^15 slots.
   obs::RingBufferSink sink{(1 << 15) - 512};
   obs::MetricsRegistry registry;
-  std::atomic<std::uint64_t> checkpoint_calls{0};
   ClusterResult result;
 };
 
@@ -369,10 +321,7 @@ void run_pinned(PinnedRun& run, std::size_t threads) {
   cc.market.rebalance_interval = kPinnedInterval;
   cc.shard_faults = pinned_shard_faults();
   ClusterEngine cluster(fx.deployment, fx.workload.trace, cc);
-  run.result = cluster.run([&run] {
-    return std::make_unique<CheckpointCountingPolicy>(policies::make_policy("pulse"),
-                                                      run.checkpoint_calls);
-  });
+  run.result = cluster.run([] { return policies::make_policy("pulse"); });
 }
 
 void add_text(Fingerprint& fp, std::string_view text) {
@@ -380,7 +329,7 @@ void add_text(Fingerprint& fp, std::string_view text) {
   for (const char c : text) fp.add_u64(static_cast<unsigned char>(c));
 }
 
-std::uint64_t fingerprint(const PinnedRun& run) {
+std::uint64_t state_fingerprint(const PinnedRun& run) {
   const ClusterResult& r = run.result;
   Fingerprint fp;
   for (const sim::RunResult& shard : r.shards) fp.add_u64(fingerprint(shard));
@@ -402,6 +351,12 @@ std::uint64_t fingerprint(const PinnedRun& run) {
   fp.add_u64(r.rebalance_epochs);
   fp.add_u64(r.transfers);
   fp.add_double(r.quota_moved_mb);
+  return fp.value();
+}
+
+std::uint64_t obs_fingerprint(const PinnedRun& run) {
+  const ClusterResult& r = run.result;
+  Fingerprint fp;
   for (const obs::TraceEvent& e : run.sink.events()) {
     fp.add_u64(static_cast<std::uint64_t>(e.type));
     fp.add_u64(static_cast<std::uint64_t>(e.minute));
@@ -430,7 +385,8 @@ std::uint64_t fingerprint(const PinnedRun& run) {
 }
 
 TEST(ShardFaultCluster, PinnedCrashRecoveryRun) {
-  constexpr std::uint64_t kPinned = 16704964011548972170ULL;
+  constexpr std::uint64_t kPinnedState = 15988704921928347209ULL;
+  constexpr std::uint64_t kPinnedObs = 18396135506851775503ULL;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     PinnedRun run;
     run_pinned(run, threads);
@@ -450,17 +406,38 @@ TEST(ShardFaultCluster, PinnedCrashRecoveryRun) {
     ASSERT_EQ(run.sink.dropped(), 0u) << "the sink must retain every event";
     ASSERT_EQ(run.sink.events().size(), run.sink.recorded());
 
-    EXPECT_EQ(fingerprint(run), kPinned) << threads << " threads";
+    EXPECT_EQ(state_fingerprint(run), kPinnedState) << threads << " threads";
+    EXPECT_EQ(obs_fingerprint(run), kPinnedObs) << threads << " threads";
   }
 }
 
-// Only a shard whose crash falls inside an epoch is ever rolled back, so
-// it is the only one that needs that epoch's checkpoint.
-TEST(ShardFaultCluster, CheckpointsOnlyShardsThatCrash) {
-  PinnedRun run;
-  run_pinned(run, 4);
-  ASSERT_GT(run.result.shard_crashes, 0u);
-  EXPECT_EQ(run.checkpoint_calls.load(), run.result.shard_crashes);
+// Every event describes a minute that happened: on the pinned crash run the
+// event stream reconciles exactly with the counters the shards report.
+TEST(ShardFaultCluster, EventStreamReconcilesWithResult) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PinnedRun run;
+    run_pinned(run, threads);
+    const ClusterResult& r = run.result;
+    ASSERT_GT(r.shard_crashes, 0u);
+    ASSERT_EQ(run.sink.dropped(), 0u) << "the sink must retain every event";
+
+    std::uint64_t evictions = 0, cold_starts = 0, crash_evictions = 0;
+    double crash_lost = 0.0;
+    for (const obs::TraceEvent& e : run.sink.events()) {
+      switch (e.type) {
+        case obs::EventType::kEviction: ++evictions; break;
+        case obs::EventType::kColdStart: ++cold_starts; break;
+        case obs::EventType::kCrashEviction: ++crash_evictions; break;
+        case obs::EventType::kShardCrash: crash_lost += e.value; break;
+        default: break;
+      }
+    }
+    EXPECT_EQ(evictions, r.capacity_evictions()) << threads << " threads";
+    EXPECT_EQ(cold_starts, r.cold_starts()) << threads << " threads";
+    EXPECT_EQ(crash_evictions + static_cast<std::uint64_t>(crash_lost),
+              r.fault_counters().crash_evictions)
+        << threads << " threads";
+  }
 }
 
 TEST(ShardFaultCluster, RejectsInvalidShardFaultConfig) {

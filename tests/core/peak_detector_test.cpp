@@ -199,8 +199,8 @@ TEST(PeakDetector, MemoResetsOnDifferentHistoryObject) {
 }
 
 TEST(PeakDetector, MemoResetsOnRolledBackHistory) {
-  // A checkpoint restore shrinks the history below the memoized scan
-  // prefix; the detector must discard the memo and re-scan.
+  // A history that shrinks below the memoized scan prefix must make the
+  // detector discard the memo and re-scan.
   const auto config = config_with(0.10, 4);
   const PeakDetector d(config);
   GrowingHistory history;
