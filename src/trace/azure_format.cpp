@@ -143,6 +143,33 @@ TraceResult<AzureTrace> try_load_azure_days(
 }
 
 std::optional<double> parse_seconds(std::string_view cell) {
+  // Clinger's fast path for the common `digits[.digits]` cell: with at most
+  // 15 digits the mantissa and 10^frac are exact doubles, so one correctly
+  // rounded division gives the same bits as from_chars. (Multiplying by
+  // 1e-frac would round twice.)
+  static constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                      1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+  constexpr std::size_t kMaxExactDigits = 15;
+  std::uint64_t mantissa = 0;
+  std::size_t i = 0;
+  const auto take_digits = [&] {
+    const std::size_t from = i;
+    for (; i < cell.size() && cell[i] >= '0' && cell[i] <= '9'; ++i) {
+      mantissa = mantissa * 10 + static_cast<std::uint64_t>(cell[i] - '0');
+    }
+    return i - from;
+  };
+  if (const std::size_t int_digits = take_digits(); int_digits > 0) {
+    std::size_t frac_digits = 0;
+    if (i < cell.size() && cell[i] == '.') {
+      ++i;
+      frac_digits = take_digits();
+    }
+    if (i == cell.size() && int_digits + frac_digits <= kMaxExactDigits) {
+      return static_cast<double>(mantissa) / kPow10[frac_digits];
+    }
+  }
+
   if (cell.empty()) return std::nullopt;
   double value = 0.0;
   const char* begin = cell.data();
@@ -153,7 +180,8 @@ std::optional<double> parse_seconds(std::string_view cell) {
   return value;
 }
 
-Minute invocation_start_minute(double end_timestamp, double duration_s, bool* clamped) {
+std::optional<Minute> invocation_start_minute(double end_timestamp, double duration_s,
+                                              bool* clamped) {
   double start = end_timestamp - duration_s;
   if (start < 0.0) {
     // Executions already in flight at the trace epoch start slightly before
@@ -163,7 +191,11 @@ Minute invocation_start_minute(double end_timestamp, double duration_s, bool* cl
   } else if (clamped != nullptr) {
     *clamped = false;
   }
-  return static_cast<Minute>(start / 60.0);
+  const double minute = start / 60.0;
+  // Checked before the cast: a double beyond Minute's range converts with
+  // undefined behaviour.
+  if (!(minute < static_cast<double>(kMaxInvocationMinute))) return std::nullopt;
+  return static_cast<Minute>(minute);
 }
 
 TraceResult<AzureTrace> try_load_azure_invocations(const std::filesystem::path& path) {
@@ -215,13 +247,19 @@ TraceResult<AzureTrace> try_load_azure_invocations(const std::filesystem::path& 
                         "malformed timestamp/duration '" + fields[2] + "','" +
                             fields[3] + "'"};
     }
+    const auto minute = invocation_start_minute(*end_ts, *duration_s, nullptr);
+    if (!minute) {
+      return TraceError{TraceErrorKind::kBadTimestamp, path.string(), line_no,
+                        "invocation '" + fields[2] + "','" + fields[3] + "' starts " +
+                            std::to_string(kMaxInvocationMinute / kMinutesPerDay) +
+                            " or more days after the epoch"};
+    }
     AzureFunctionId id{"", fields[0], fields[1], ""};
     const std::string key = id.qualified_name();
     const auto [it, inserted] = index_of.emplace(key, functions.size());
     if (inserted) functions.push_back(std::move(id));
-    const Minute minute = invocation_start_minute(*end_ts, *duration_s, nullptr);
-    max_minute = std::max(max_minute, minute);
-    invocations.push_back(Row{it->second, minute});
+    max_minute = std::max(max_minute, *minute);
+    invocations.push_back(Row{it->second, *minute});
   }
   if (!header_seen) {
     return TraceError{TraceErrorKind::kBadHeader, path.string(), 0,

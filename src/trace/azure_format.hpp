@@ -102,14 +102,17 @@ struct AzureTrace {
 
 /// Strict 2021-format seconds parser: the whole cell must be one finite,
 /// non-negative decimal number (no trailing garbage, no NaN/inf/hex).
+/// Bit-identical to std::from_chars on every cell it accepts.
 [[nodiscard]] std::optional<double> parse_seconds(std::string_view cell);
 
 /// Minute bucket of a 2021-format invocation: floor((end - duration) / 60),
 /// with starts before the trace epoch clamped into minute 0 (`clamped` set
-/// when that happens). Shared by the batch and streaming loaders so the two
-/// bin every row identically.
-[[nodiscard]] Minute invocation_start_minute(double end_timestamp, double duration_s,
-                                             bool* clamped = nullptr);
+/// when that happens). A start at or past kMaxInvocationMinute gives
+/// nullopt, which both loaders report as kBadTimestamp. Shared by the batch
+/// and streaming loaders so the two bin every row identically.
+[[nodiscard]] std::optional<Minute> invocation_start_minute(double end_timestamp,
+                                                            double duration_s,
+                                                            bool* clamped = nullptr);
 
 /// Column name of the first empty identity cell of a data row (HashOwner,
 /// HashApp, HashFunction in a 2019 day file; app, func in a 2021 file), or

@@ -6,9 +6,10 @@
 // for the full datasets (the 2021 release alone is tens of millions of
 // invocation rows). This front end reads files through util::LineReader in
 // fixed-size chunks, feeds rows directly into an incremental function-index
-// builder, and never holds more than one chunk plus one line plus the
-// output Trace in memory. Results are gated (tests + bench_trace_ingest)
-// to be bitwise identical to the batch loaders on the same inputs.
+// builder, and never holds more than one chunk, one line, one 16 KB block of
+// pending 2021 (function, minute) pairs and the output Trace in memory.
+// Results are gated (tests + bench_trace_ingest) to be bitwise identical to
+// the batch loaders on the same inputs.
 //
 // Errors carry the byte offset of the offending line in addition to the
 // line number, so a malformed row in a multi-hundred-megabyte file can be

@@ -24,6 +24,11 @@ using FunctionId = std::size_t;
 
 constexpr Minute kMinutesPerDay = 24 * 60;
 
+/// The 2021-format loaders reject an invocation that starts at or beyond
+/// this minute as a bad timestamp: a start more than a year past the epoch
+/// is corruption, and binning it would grow a series to match.
+constexpr Minute kMaxInvocationMinute = 366 * kMinutesPerDay;
+
 class Trace {
  public:
   Trace() = default;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,6 +13,7 @@
 
 #include "support/temp_dir.hpp"
 #include "trace/azure_format.hpp"
+#include "util/rng.hpp"
 
 namespace pulse::trace {
 namespace {
@@ -53,6 +55,27 @@ class AzureStreamTest : public ::testing::Test {
       os << '\n';
     }
     return path;
+  }
+
+  /// `count` 2021 invocation rows (newline-terminated, no header) over
+  /// `apps` x 5 functions, shuffled in time across three days; about one in
+  /// fifty starts before the epoch.
+  static std::vector<std::string> shuffled_2021_rows(std::size_t count, std::uint32_t apps,
+                                                     std::uint64_t seed) {
+    util::Pcg32 rng(seed, /*stream=*/7);
+    std::vector<std::string> rows;
+    char row[96];
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t app = rng.bounded(apps);
+      const std::uint32_t func = rng.bounded(5);
+      const double duration = rng.uniform(0.05, 300.0);
+      const double start = rng.bernoulli(0.02) ? -rng.uniform(0.0, duration)
+                                               : rng.uniform(0.0, 3 * 86400.0);
+      std::snprintf(row, sizeof(row), "a%u,f%u,%.3f,%.3f\n", app, func, start + duration,
+                    duration);
+      rows.emplace_back(row);
+    }
+    return rows;
   }
 
   static void expect_equal(const AzureTrace& streamed, const AzureTrace& batch) {
@@ -263,6 +286,83 @@ TEST_F(AzureStreamTest, Bad2021TimestampCarriesByteOffset) {
   EXPECT_EQ(result.error().kind, TraceErrorKind::kBadTimestamp);
   EXPECT_EQ(result.error().line, 2u);
   EXPECT_EQ(result.error().byte_offset, header.size());
+}
+
+TEST_F(AzureStreamTest, Absurd2021TimestampIsBadTimestampInBothLoaders) {
+  // 1e15 s used to throw std::bad_alloc from both loaders, and 1e300 s threw
+  // from vector::reserve (stream) or Trace::add_invocations (batch).
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const std::string good = "a,f,60,1\n";
+  for (const std::string cell : {"1e15", "1e300"}) {
+    SCOPED_TRACE(cell);
+    const auto path = write("absurd.csv", header + good + "a,f," + cell + ",1\n");
+    const auto streamed = stream_load_azure({path});
+    ASSERT_FALSE(streamed.has_value());
+    EXPECT_EQ(streamed.error().kind, TraceErrorKind::kBadTimestamp);
+    EXPECT_EQ(streamed.error().line, 3u);
+    EXPECT_EQ(streamed.error().byte_offset, header.size() + good.size());
+    const auto batch = try_load_azure_invocations(path);
+    ASSERT_FALSE(batch.has_value());
+    EXPECT_EQ(batch.error().kind, TraceErrorKind::kBadTimestamp);
+    EXPECT_EQ(batch.error().line, streamed.error().line);
+    EXPECT_EQ(batch.error().message, streamed.error().message);
+  }
+}
+
+TEST_F(AzureStreamTest, Streams2021ManyBlocksEqualToBatch) {
+  // 5,000 rows cross several 1,024-row fold blocks, and the first file ends
+  // mid-block. The stats are the ones the row-at-a-time loader reported.
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const std::vector<std::string> rows = shuffled_2021_rows(5000, 10, /*seed=*/1);
+  std::string first = header;
+  std::string second = header;
+  std::string all = header;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    (i < 2500 ? first : second) += rows[i];
+    all += rows[i];
+  }
+  const std::vector<std::filesystem::path> paths{write("i1.csv", first),
+                                                 write("i2.csv", second)};
+  const auto batch = try_load_azure_invocations(write("all.csv", all));
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch.value().functions.size(), 50u);
+
+  for (const std::size_t chunk_bytes : {StreamLoadOptions{}.chunk_bytes, std::size_t{64}}) {
+    SCOPED_TRACE(chunk_bytes);
+    StreamLoadOptions options;
+    options.chunk_bytes = chunk_bytes;
+    StreamLoadStats stats;
+    const auto streamed = stream_load_azure(paths, options, &stats);
+    ASSERT_TRUE(streamed.has_value());
+    expect_equal(streamed.value(), batch.value());
+    EXPECT_EQ(stats.files, 2u);
+    EXPECT_EQ(stats.data_rows, 5000u);
+    EXPECT_EQ(stats.invocations, 5000u);
+    EXPECT_EQ(stats.clamped_rows, 94u);
+  }
+}
+
+TEST_F(AzureStreamTest, Bad2021TimestampAfterSeveralBlocks) {
+  // Two full fold blocks and most of a third are pending or folded when the
+  // bad row arrives; the error still names its line and byte offset.
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const std::vector<std::string> rows = shuffled_2021_rows(3500, 10, /*seed=*/2);
+  std::string content = header;
+  for (std::size_t i = 0; i < 2999; ++i) content += rows[i];
+  const std::size_t bad_offset = content.size();
+  content += "a1,f1,12.5.0,1\n";
+  for (std::size_t i = 3000; i < rows.size(); ++i) content += rows[i];
+  const auto path = write("bad.csv", content);
+
+  const auto streamed = stream_load_azure({path});
+  ASSERT_FALSE(streamed.has_value());
+  EXPECT_EQ(streamed.error().kind, TraceErrorKind::kBadTimestamp);
+  EXPECT_EQ(streamed.error().line, 3001u);
+  EXPECT_EQ(streamed.error().byte_offset, bad_offset);
+  const auto batch = try_load_azure_invocations(path);
+  ASSERT_FALSE(batch.has_value());
+  EXPECT_EQ(batch.error().kind, TraceErrorKind::kBadTimestamp);
+  EXPECT_EQ(batch.error().line, 3001u);
 }
 
 TEST_F(AzureStreamTest, TinyChunksMatchDefaultChunks) {

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "support/temp_dir.hpp"
 #include "trace/azure_format.hpp"
@@ -158,6 +159,41 @@ TEST_F(LoaderErrorsTest, AzureInvocationEmptyAppOrFuncIsMalformedRow) {
   EXPECT_EQ(f.error().kind, TraceErrorKind::kMalformedRow);
   EXPECT_EQ(f.error().line, 2u);
   EXPECT_NE(f.error().message.find("func"), std::string::npos);
+}
+
+TEST_F(LoaderErrorsTest, AzureInvocationAbsurdTimestampIsBadTimestamp) {
+  // A start a year or more past the epoch used to crash the loader: 1e15 s
+  // grew one series to ~1.7e13 minutes (std::bad_alloc), and 1e300 s cast an
+  // out-of-range double to Minute before Trace::add_invocations threw.
+  const std::string header = "app,func,end_timestamp,duration\n";
+  for (const std::string cell : {"1e15", "1e300"}) {
+    SCOPED_TRACE(cell);
+    const auto path = write_file("absurd.csv", header + "a,f,60,1\na,f," + cell + ",1\n");
+    const auto r = try_load_azure_invocations(path);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().kind, TraceErrorKind::kBadTimestamp);
+    EXPECT_EQ(r.error().line, 3u);
+    EXPECT_NE(r.error().message.find(cell), std::string::npos);
+  }
+}
+
+TEST_F(LoaderErrorsTest, AzureInvocationStartCapIsExclusive) {
+  // A start half a second before the cap loads (and sets a 366-day
+  // horizon); a start exactly at the cap minute does not.
+  const std::string header = "app,func,end_timestamp,duration\n";
+  const double cap_s = static_cast<double>(kMaxInvocationMinute) * 60.0;
+  const auto below = write_file("below.csv", header + "a,f," +
+                                                 std::to_string(cap_s - 0.5) + ",0\n");
+  const auto loaded = try_load_azure_invocations(below);
+  ASSERT_TRUE(loaded) << loaded.error().to_string();
+  EXPECT_EQ(loaded.value().trace.duration(), kMaxInvocationMinute);
+  EXPECT_EQ(loaded.value().trace.count(0, kMaxInvocationMinute - 1), 1u);
+
+  const auto at = write_file("at.csv", header + "a,f," + std::to_string(cap_s + 5) + ",5\n");
+  const auto r = try_load_azure_invocations(at);
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().kind, TraceErrorKind::kBadTimestamp);
+  EXPECT_EQ(r.error().line, 2u);
 }
 
 TEST_F(LoaderErrorsTest, AzureNanCountIsBadCount) {
