@@ -14,16 +14,14 @@ GlobalOptimizer::GlobalOptimizer(std::size_t model_count, Config config)
   // allocation-free (serve-mode hot-path discipline).
   kept_buffer_.reserve(model_count);
   kept_utility_.reserve(model_count);
-  priority_buffer_.reserve(model_count);
 }
 
 UtilityComponents GlobalOptimizer::score(
     trace::FunctionId f, std::size_t variant, trace::Minute t,
-    const sim::Deployment& deployment, const std::vector<double>& normalized_priority,
-    const std::vector<InterArrivalTracker>& trackers) const {
+    const sim::Deployment& deployment, const std::vector<InterArrivalTracker>& trackers) const {
   UtilityComponents u;
   u.accuracy_improvement = deployment.family_of(f).accuracy_improvement(variant);
-  u.priority = normalized_priority.at(f);
+  u.priority = priority_.normalized_priority(f);
 
   // Ip: probability the function is invoked during the remainder of its
   // current keep-alive window. The offset of "now" within the window comes
@@ -58,25 +56,23 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
   const sim::Deployment& deployment = schedule.deployment();
   bool kept_built = false;
   while (detector_.is_peak(schedule.memory_at(t), prior)) {
-    // Algorithm 2, line 4: normalize the priority structure once per round.
-    priority_.normalized_into(priority_buffer_);
-    const std::vector<double>& pr = priority_buffer_;
-
     if (!kept_built) {
       schedule.kept_alive_at(t, kept_buffer_);
       kept_utility_.clear();
       for (const auto& [f, variant] : kept_buffer_) {
-        kept_utility_.push_back(score(f, variant, t, deployment, pr, trackers));
+        kept_utility_.push_back(score(f, variant, t, deployment, trackers));
       }
       kept_built = true;
     }
     if (kept_buffer_.empty()) break;  // nothing left to downgrade; peak cannot be flattened
 
+    // Algorithm 2, line 4: this round's normalized priorities (Equation 1),
+    // read for just the kept entries.
     std::size_t worst_idx = 0;
     double worst_uv = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < kept_buffer_.size(); ++i) {
       UtilityComponents& u = kept_utility_[i];
-      u.priority = pr.at(kept_buffer_[i].first);
+      u.priority = priority_.normalized_of(kept_buffer_[i].first);
       const double uv = u.value(config_.weights);
       if (uv < worst_uv) {
         worst_uv = uv;

@@ -76,11 +76,10 @@ class GlobalOptimizer {
   void reserve_horizon(std::size_t minutes) { demand_.reserve(minutes); }
 
   /// Utility score for function f keeping variant `variant` alive at t,
-  /// given a pre-normalized priority vector.
+  /// with f's priority normalized over this optimizer's downgrade counts.
   [[nodiscard]] UtilityComponents score(trace::FunctionId f, std::size_t variant,
                                         trace::Minute t,
                                         const sim::Deployment& deployment,
-                                        const std::vector<double>& normalized_priority,
                                         const std::vector<InterArrivalTracker>& trackers) const;
 
   /// Pre-resolved optimizer.* handle bundle (metrics_registry.hpp): bound
@@ -114,10 +113,10 @@ class GlobalOptimizer {
   /// Reused across flatten_peak rounds (allocation-free hot path).
   /// kept_utility_[i] holds kept_buffer_[i]'s score(): Ip is fixed for the
   /// whole call (the trackers are const) and Ai only moves for the entry
-  /// just downgraded, so a round refreshes just the priority part.
+  /// just downgraded, so a round refreshes just the priority part, O(1)
+  /// per entry through PriorityStructure::normalized_of.
   std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer_;
   std::vector<UtilityComponents> kept_utility_;
-  std::vector<double> priority_buffer_;
 };
 
 }  // namespace pulse::core

@@ -91,15 +91,22 @@ std::uint64_t InterArrivalTracker::window_matches(std::size_t d) const {
 }
 
 double InterArrivalTracker::probability(std::size_t d, trace::Minute now) const {
-  const double p_full = full_histogram_.probability(d);
-
   // Local-window estimate: gaps whose closing invocation lies within
   // [now - local_window, now].
   advance_window(now - config_.local_window);
-  if (window_total_ == 0) return p_full;
-  const double p_local =
-      static_cast<double>(window_matches(d)) / static_cast<double>(window_total_);
-  return 0.5 * (p_full + p_local);
+  return mixed_probability(full_histogram_.count(d), full_histogram_.total(), window_matches(d),
+                           window_total_);
+}
+
+void InterArrivalTracker::probabilities(std::size_t to_d, trace::Minute now,
+                                        std::span<double> out) const {
+  advance_window(now - config_.local_window);
+  const std::uint64_t full_total = full_histogram_.total();
+  const std::uint64_t window_total = window_total_;
+  for (std::size_t d = 1; d <= to_d; ++d) {
+    out[d - 1] = mixed_probability(full_histogram_.count(d), full_total, window_matches(d),
+                                   window_total);
+  }
 }
 
 double InterArrivalTracker::probability_within(std::size_t from_d, std::size_t to_d,
@@ -108,8 +115,13 @@ double InterArrivalTracker::probability_within(std::size_t from_d, std::size_t t
   // making the whole sum O(range) instead of O(range x window). The per-d
   // arithmetic and summation order match probability() exactly.
   advance_window(now - config_.local_window);
+  const std::uint64_t full_total = full_histogram_.total();
+  const std::uint64_t window_total = window_total_;
   double total = 0.0;
-  for (std::size_t d = from_d; d <= to_d; ++d) total += probability(d, now);
+  for (std::size_t d = from_d; d <= to_d; ++d) {
+    total += mixed_probability(full_histogram_.count(d), full_total, window_matches(d),
+                               window_total);
+  }
   return std::clamp(total, 0.0, 1.0);
 }
 

@@ -10,15 +10,18 @@
 //
 // The local-window estimate is maintained incrementally: a per-gap count
 // table covers the gaps currently inside [now - local_window, now], and is
-// advanced lazily as `now` moves forward. probability() is O(1) amortized
-// and probability_within() is O(range) — previously both rescanned the
-// recent-gap deque per candidate gap. Queries are bit-identical to the
-// rescanning implementation: the per-d arithmetic (0.5 * (p_full +
-// match/total)) is unchanged; only how match/total are obtained differs.
+// advanced lazily as `now` moves forward. probability() is O(1) amortized,
+// and probability_within() and probabilities() are O(range) after one
+// window advance — previously every query rescanned the recent-gap deque
+// per candidate gap. Queries are bit-identical to the rescanning
+// implementation: the per-d arithmetic (0.5 * (p_full + match/total)) is
+// written once, in mixed_probability(); only how match/total are obtained
+// differs.
 
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -55,6 +58,12 @@ class InterArrivalTracker {
   /// concurrent queries on one tracker are not safe — each simulation run
   /// owns its trackers exclusively.
   [[nodiscard]] double probability(std::size_t d, trace::Minute now) const;
+
+  /// probability(d, now) for every d in [1, to_d], written to out[d - 1]:
+  /// one window advance, then the same expression per d. The keep-alive
+  /// window's variant pass reads its whole window from one call. `out`
+  /// must hold at least to_d values.
+  void probabilities(std::size_t to_d, trace::Minute now, std::span<double> out) const;
 
   /// Sum of probability() over d in [from_d, to_d], clamped to [0, 1] —
   /// "probability of invocation" during the remainder of a window (the Ip
@@ -93,6 +102,22 @@ class InterArrivalTracker {
   /// Adds/removes one event from the memoized window tallies.
   void window_add(const GapEvent& e) const;
   void window_remove(const GapEvent& e) const;
+
+  /// probability(d, now)'s expression once the window sits at now's
+  /// cutoff: the full-history share, averaged with the window share when
+  /// the window holds gaps. Every query evaluates exactly this; the totals
+  /// come in as arguments so a caller looping over d reads them once.
+  [[nodiscard]] static double mixed_probability(std::uint64_t full_matches,
+                                                std::uint64_t full_total,
+                                                std::uint64_t window_matches,
+                                                std::uint64_t window_total) noexcept {
+    const double p_full = full_total == 0 ? 0.0
+                                          : static_cast<double>(full_matches) /
+                                                static_cast<double>(full_total);
+    if (window_total == 0) return p_full;
+    return 0.5 * (p_full +
+                  static_cast<double>(window_matches) / static_cast<double>(window_total));
+  }
 
   /// Matches inside the current window for gap d. O(1) for d within the
   /// count table; gaps larger than histogram_capacity are rare and counted

@@ -1,16 +1,22 @@
 #include "core/priority.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "util/stats.hpp"
 
 namespace pulse::core {
 
-PriorityStructure::PriorityStructure(std::size_t model_count) : counts_(model_count, 0) {}
+PriorityStructure::PriorityStructure(std::size_t model_count)
+    : counts_(model_count, 0), at_lo_(model_count) {}
 
 void PriorityStructure::record_downgrade(trace::FunctionId f) {
-  counts_.at(f) += 1;
+  const std::uint64_t before = counts_.at(f)++;
   ++total_;
+  hi_ = std::max(hi_, before + 1);
+  if (before == lo_ && --at_lo_ == 0) {
+    // f was the last model at the minimum: the minimum rose.
+    lo_ = *std::min_element(counts_.begin(), counts_.end());
+    at_lo_ = static_cast<std::size_t>(std::count(counts_.begin(), counts_.end(), lo_));
+  }
 }
 
 std::uint64_t PriorityStructure::downgrade_count(trace::FunctionId f) const {
@@ -26,14 +32,13 @@ std::vector<double> PriorityStructure::normalized() const {
 void PriorityStructure::normalized_into(std::vector<double>& out) const {
   out.resize(counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = static_cast<double>(counts_[i]);
+    out[i] = normalized_of(i);
   }
-  util::minmax_normalize_inplace(out);
 }
 
 double PriorityStructure::normalized_priority(trace::FunctionId f) const {
   if (f >= counts_.size()) throw std::out_of_range("PriorityStructure::normalized_priority");
-  return normalized()[f];
+  return normalized_of(f);
 }
 
 }  // namespace pulse::core

@@ -27,6 +27,12 @@ void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Tra
   InterArrivalTracker::Config tracker_config;
   tracker_config.local_window = config_.local_window;
   trackers_.assign(deployment.function_count(), InterArrivalTracker(tracker_config));
+  // Room for the longest window window_for() can return, so on_invocation
+  // never allocates.
+  const trace::Minute longest_window =
+      config_.adaptive_window ? std::max(config_.keepalive_window, config_.max_adaptive_window)
+                              : config_.keepalive_window;
+  window_probability_.assign(static_cast<std::size_t>(longest_window), 0.0);
 
   GlobalOptimizer::Config opt_config;
   opt_config.peak.memory_threshold = config_.memory_threshold;
@@ -58,10 +64,11 @@ void PulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
   const trace::Minute window = window_for(f);
   // Clear any longer window a previous (adaptive) decision left behind.
   if (config_.adaptive_window) schedule.clear_from(f, t + 1);
+  tracker.probabilities(static_cast<std::size_t>(window), t, window_probability_);
   std::size_t next_v = 0;  // variant chosen for the first window minute
   for (trace::Minute d = 1; d <= window; ++d) {
-    const double p = tracker.probability(static_cast<std::size_t>(d), t);
-    const std::size_t v = select_variant(p, variants, config_.technique);
+    const std::size_t v = select_variant(window_probability_[static_cast<std::size_t>(d - 1)],
+                                         variants, config_.technique);
     if (d == 1) next_v = v;
     schedule.set(f, t + d, static_cast<int>(v));
   }
@@ -70,7 +77,7 @@ void PulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
   // the first window minute (the decision that resolves the next warm
   // start) and the window length it covers. `next_v` is hoisted from the
   // d == 1 loop iteration above — attached runs must not pay a second
-  // probability + select_variant pass per invocation.
+  // select_variant pass per invocation.
   if (obs::TraceSink* s = sink(); s != nullptr) {
     s->record({obs::EventType::kPolicyDecision, t, f, static_cast<std::int32_t>(next_v),
                static_cast<double>(window), "variant_selection"});

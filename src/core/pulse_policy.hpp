@@ -88,6 +88,8 @@ class PulsePolicy : public sim::KeepAlivePolicy {
  private:
   Config config_;
   std::vector<InterArrivalTracker> trackers_;
+  /// probability(d, t) of the window being scheduled, d = 1..window.
+  std::vector<double> window_probability_;
   std::unique_ptr<GlobalOptimizer> optimizer_;
 };
 

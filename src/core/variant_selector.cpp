@@ -1,34 +1,11 @@
 #include "core/variant_selector.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace pulse::core {
 
-std::size_t select_variant(double probability, std::size_t variant_count,
-                           ThresholdTechnique technique) {
-  if (variant_count == 0) {
-    throw std::invalid_argument("select_variant: variant_count must be >= 1");
-  }
-  const double p = std::clamp(probability, 0.0, 1.0);
-  const auto n = static_cast<double>(variant_count);
-
-  switch (technique) {
-    case ThresholdTechnique::kT1: {
-      // Area k (0-based) covers [k/N, (k+1)/N); p == 1 falls in the top area.
-      const auto area = static_cast<std::size_t>(std::floor(p * n));
-      return std::min(area, variant_count - 1);
-    }
-    case ThresholdTechnique::kT2: {
-      if (p == 0.0 || variant_count == 1) return 0;
-      // (0, 1] divided into N-1 areas for variants 1..N-1.
-      const auto areas = static_cast<double>(variant_count - 1);
-      const auto area = static_cast<std::size_t>(std::floor(p * areas));
-      return 1 + std::min(area, variant_count - 2);
-    }
-  }
-  return 0;
+void detail::throw_no_variants() {
+  throw std::invalid_argument("select_variant: variant_count must be >= 1");
 }
 
 std::size_t threshold_count(std::size_t variant_count, ThresholdTechnique technique) noexcept {

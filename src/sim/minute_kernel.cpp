@@ -1,5 +1,7 @@
 #include "sim/minute_kernel.hpp"
 
+#include <bit>
+
 namespace pulse::sim {
 
 MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
@@ -19,6 +21,7 @@ MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
   // it up front keeps even a late first pressure event allocation-free
   // (the serve-mode hot-path discipline bench_serve_latency enforces).
   kept_.reserve(schedule.function_count());
+  live_tree_.reserve(schedule.function_count() + 1);
   record_.reserve(static_cast<std::size_t>(schedule.duration()));
 }
 
@@ -53,16 +56,41 @@ void MinuteKernel::fail(trace::FunctionId gf, trace::Minute t, std::int32_t vari
   emit(obs::EventType::kFault, t, gf, variant, static_cast<double>(count), cause);
 }
 
-std::uint32_t MinuteKernel::pick_victim(trace::Minute t, std::uint32_t ordinal) {
-  const auto n = static_cast<std::uint32_t>(kept_.size());
-  if (!hashed_rng_) return eviction_rng_.bounded(n);
+std::uint32_t MinuteKernel::pick_victim(trace::Minute t, std::uint32_t ordinal,
+                                        std::uint32_t live) {
+  if (!hashed_rng_) return eviction_rng_.bounded(live);
   // Victim picks keyed by (minute, ordinal): independent of how many
   // evictions earlier minutes performed, hence reproducible whatever quota
   // trajectory the cluster market applied before this minute.
   util::Pcg32 draw(util::hash_u64(seed_, kHashEvictStream, static_cast<std::uint64_t>(t),
                                   ordinal),
                    kHashEvictStream);
-  return draw.bounded(n);
+  return draw.bounded(live);
+}
+
+void MinuteKernel::reset_live() {
+  // Every entry live: node i covers lowbit(i) positions.
+  live_tree_.resize(kept_.size() + 1);
+  live_tree_[0] = 0;
+  for (std::size_t i = 1; i < live_tree_.size(); ++i) {
+    live_tree_[i] = static_cast<std::uint32_t>(i & (~i + 1));
+  }
+}
+
+std::size_t MinuteKernel::take_live(std::uint32_t idx) {
+  const std::size_t n = live_tree_.size() - 1;
+  // Descend to the largest position whose live prefix count is <= idx; the
+  // entry after it is the idx-th live one.
+  std::size_t pos = 0;
+  std::uint32_t rank = idx;
+  for (std::size_t step = std::bit_floor(n); step > 0; step >>= 1) {
+    if (pos + step <= n && live_tree_[pos + step] <= rank) {
+      pos += step;
+      rank -= live_tree_[pos];
+    }
+  }
+  for (std::size_t i = pos + 1; i <= n; i += i & (~i + 1)) --live_tree_[i];
+  return pos;
 }
 
 }  // namespace pulse::sim

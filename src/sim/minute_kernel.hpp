@@ -99,7 +99,17 @@ class MinuteKernel final : public MemoryHistory {
  private:
   static constexpr std::uint64_t kHashEvictStream = 0xeb1c'7005;
 
-  [[nodiscard]] std::uint32_t pick_victim(trace::Minute t, std::uint32_t ordinal);
+  /// Index in [0, live) of the next victim among the `live` entries of
+  /// kept_ not yet evicted this minute.
+  [[nodiscard]] std::uint32_t pick_victim(trace::Minute t, std::uint32_t ordinal,
+                                          std::uint32_t live);
+
+  /// Marks every entry of kept_ live (O(K)).
+  void reset_live();
+
+  /// Position in kept_ of the idx-th (0-based) live entry, which is marked
+  /// evicted: a binary descent, then one decrement path. O(log K).
+  [[nodiscard]] std::size_t take_live(std::uint32_t idx);
 
   void emit(obs::EventType type, trace::Minute t, trace::FunctionId f, std::int32_t variant,
             double value, const char* detail) const {
@@ -118,6 +128,10 @@ class MinuteKernel final : public MemoryHistory {
   const std::vector<trace::FunctionId>* global_ids_;
   util::Pcg32 eviction_rng_;
   std::vector<std::pair<trace::FunctionId, std::size_t>> kept_;
+  /// Fenwick tree over kept_'s positions (1-based): live_tree_[i] counts
+  /// the live entries in (i - lowbit(i), i]. kept_ never moves during a
+  /// minute; a victim draw indexes only its live entries, in list order.
+  std::vector<std::uint32_t> live_tree_;
   std::vector<double> record_;
   bool degraded_ = false;
 };
@@ -147,10 +161,10 @@ void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
   // Capacity pressure: evict random kept containers until keep-alive memory
   // fits (the provider behaviour under memory stress; PULSE-style policies
   // flatten before this fires). memory_at is O(1) and evicting a victim
-  // only changes its own row, so the kept list is built once and the victim
-  // erased from it — bit-identical to rebuilding it. The erase shifts the
-  // list's tail, so E evictions of stretches up to W minutes cost
-  // O(F + E·(F + W)), not O(F + E·W).
+  // only changes its own row, so the kept list is built once. Each draw
+  // indexes the entries not yet evicted, in list order; a Fenwick tree
+  // finds and retires that entry in O(log K), so E evictions of stretches
+  // up to W minutes cost O(F + E·(log K + W)).
   if (faults_on_) {  // injected memory-pressure spikes tighten the capacity
     if (injector_.under_memory_pressure(t)) degraded_ = true;
     capacity_mb = injector_.effective_capacity_mb(capacity_mb, t);
@@ -159,11 +173,11 @@ void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
   emit(obs::EventType::kCapacityPressure, t, obs::TraceEvent::kNoFunction, -1,
        schedule.memory_at(t) - capacity_mb, "");
   schedule.kept_alive_at(t, kept_);
-  for (std::uint32_t ordinal = 0; !kept_.empty(); ++ordinal) {
-    const std::uint32_t idx = pick_victim(t, ordinal);
-    const auto victim = kept_[static_cast<std::size_t>(idx)];
+  reset_live();
+  auto live = static_cast<std::uint32_t>(kept_.size());
+  for (std::uint32_t ordinal = 0; live > 0; ++ordinal, --live) {
+    const auto victim = kept_[take_live(pick_victim(t, ordinal, live))];
     schedule.evict_from(victim.first, t);
-    kept_.erase(kept_.begin() + idx);
     ++counters_->capacity_evictions;
     on_evict(victim.first, Eviction::kCapacity);
     emit(obs::EventType::kEviction, t, global_id(victim.first),

@@ -45,22 +45,12 @@ void KeepAliveSchedule::build_variant_tables() {
   }
 }
 
-void KeepAliveSchedule::check_function(trace::FunctionId f) const {
-  if (f >= functions_) {
-    throw std::out_of_range("KeepAliveSchedule: function index out of range");
-  }
+void KeepAliveSchedule::throw_bad_function() {
+  throw std::out_of_range("KeepAliveSchedule: function index out of range");
 }
 
-void KeepAliveSchedule::set(trace::FunctionId f, trace::Minute t, int variant) {
-  if (t < 0 || t >= duration_) return;  // out-of-horizon writes are ignored
-  check_function(f);
-  if (variant != kNoVariant) {
-    if (variant < 0 || static_cast<std::uint32_t>(variant) >= variant_count_[f]) {
-      throw std::out_of_range("KeepAliveSchedule::set: variant index out of range");
-    }
-    horizon_[f] = std::max(horizon_[f], t + 1);
-  }
-  write_slot(f, static_cast<std::size_t>(t), static_cast<std::int16_t>(variant));
+void KeepAliveSchedule::throw_bad_variant() {
+  throw std::out_of_range("KeepAliveSchedule::set: variant index out of range");
 }
 
 void KeepAliveSchedule::fill(trace::FunctionId f, trace::Minute from, trace::Minute to,
@@ -71,7 +61,7 @@ void KeepAliveSchedule::fill(trace::FunctionId f, trace::Minute from, trace::Min
   check_function(f);
   if (variant != kNoVariant) {
     if (variant < 0 || static_cast<std::uint32_t>(variant) >= variant_count_[f]) {
-      throw std::out_of_range("KeepAliveSchedule::set: variant index out of range");
+      throw_bad_variant();
     }
     horizon_[f] = std::max(horizon_[f], to);
   }

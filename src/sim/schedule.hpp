@@ -15,6 +15,7 @@
 // The schedule is not thread-safe: each simulation run owns its own
 // instance.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -64,7 +65,17 @@ class KeepAliveSchedule {
   /// ignored (policies schedule t+1..t+10 near the trace end) — checked
   /// before anything else, so an out-of-horizon write never throws. Throws
   /// on a function or variant index outside the deployment.
-  void set(trace::FunctionId f, trace::Minute t, int variant);
+  void set(trace::FunctionId f, trace::Minute t, int variant) {
+    if (t < 0 || t >= duration_) return;  // out-of-horizon writes are ignored
+    check_function(f);
+    if (variant != kNoVariant) {
+      if (variant < 0 || static_cast<std::uint32_t>(variant) >= variant_count_[f]) {
+        throw_bad_variant();
+      }
+      horizon_[f] = std::max(horizon_[f], t + 1);
+    }
+    write_slot(f, static_cast<std::size_t>(t), static_cast<std::int16_t>(variant));
+  }
 
   void clear(trace::FunctionId f, trace::Minute t) { set(f, t, kNoVariant); }
 
@@ -150,7 +161,11 @@ class KeepAliveSchedule {
   /// minute's total below 2^114 units.
   static constexpr int kUnitShift = 60;
 
-  void check_function(trace::FunctionId f) const;
+  void check_function(trace::FunctionId f) const {
+    if (f >= functions_) throw_bad_function();
+  }
+  [[noreturn]] static void throw_bad_function();
+  [[noreturn]] static void throw_bad_variant();
   void build_variant_tables();
 
   /// The single mutation point: keeps the count and exact aggregates

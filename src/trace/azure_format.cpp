@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -81,7 +82,14 @@ TraceResult<std::vector<DayRow>> parse_day_file(const std::filesystem::path& pat
       }
       ++duplicate_rows;
       std::vector<std::uint32_t>& into = rows[it->second].counts;
-      for (std::size_t m = 0; m < into.size(); ++m) into[m] += row.counts[m];
+      for (std::size_t m = 0; m < into.size(); ++m) {
+        if (row.counts[m] > std::numeric_limits<std::uint32_t>::max() - into[m]) {
+          return TraceError{TraceErrorKind::kBadCount, path.string(), line_no,
+                            "duplicate rows for function '" + it->first + "' sum past " +
+                                "4294967295 invocations at minute " + std::to_string(m + 1)};
+        }
+        into[m] += row.counts[m];
+      }
       continue;
     }
     rows.push_back(std::move(row));

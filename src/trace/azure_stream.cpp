@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/csv.hpp"
@@ -93,7 +95,7 @@ FunctionId StreamingTraceBuilder::insert(std::string_view key, AzureFunctionId i
   return f;
 }
 
-void StreamingTraceBuilder::add(FunctionId f, Minute t, std::uint32_t count) {
+bool StreamingTraceBuilder::add(FunctionId f, Minute t, std::uint32_t count) {
   auto& series = series_[f];
   const auto idx = static_cast<std::size_t>(t);
   if (idx >= series.size()) {
@@ -102,8 +104,10 @@ void StreamingTraceBuilder::add(FunctionId f, Minute t, std::uint32_t count) {
     }
     series.resize(idx + 1, 0);
   }
+  if (count > std::numeric_limits<std::uint32_t>::max() - series[idx]) return false;
   series[idx] += count;
   max_minute_ = std::max(max_minute_, t);
+  return true;
 }
 
 AzureTrace StreamingTraceBuilder::finish(Minute duration_minutes) && {
@@ -199,7 +203,14 @@ TraceResult<AzureTrace> stream_load_2019(const std::vector<std::filesystem::path
                             reader.line_offset()};
         }
         if (*count > 0) {
-          builder.add(f, base + static_cast<Minute>(m), *count);
+          if (!builder.add(f, base + static_cast<Minute>(m), *count)) {
+            return TraceError{TraceErrorKind::kBadCount, path.string(),
+                              reader.line_number(),
+                              "duplicate rows for function '" + key + "' sum past " +
+                                  "4294967295 invocations at minute " +
+                                  std::to_string(m + 1),
+                              reader.line_offset()};
+          }
           stats.invocations += *count;
         }
       }
@@ -216,7 +227,8 @@ TraceResult<AzureTrace> stream_load_2019(const std::vector<std::filesystem::path
   return out;
 }
 
-// Rows of one 2021 fold block: 1,024 (function, minute) pairs, 16 KB.
+// Rows of one 2021 fold block: 1,024 (function, minute) pairs, 16 KB,
+// folded when full and at the end of each file.
 constexpr std::size_t kFoldBlockRows = 1024;
 
 // Streaming 2021 invocation-format loader. All files share the trace epoch;
@@ -242,9 +254,21 @@ TraceResult<AzureTrace> stream_load_2021(const std::vector<std::filesystem::path
   };
   std::array<PendingAdd, kFoldBlockRows> block;
   std::size_t pending = 0;
-  const auto fold = [&] {
-    for (std::size_t i = 0; i < pending; ++i) builder.add(block[i].function, block[i].minute, 1);
+  // Folds the queued rows. A cell grows by one per row, so it can only
+  // wrap after 2^32 rows; that is reported against the file's current
+  // line, within one block of the row that wrapped.
+  const auto fold = [&](const std::filesystem::path& path,
+                        const util::LineReader& reader) -> std::optional<TraceError> {
+    for (std::size_t i = 0; i < pending; ++i) {
+      if (!builder.add(block[i].function, block[i].minute, 1)) {
+        return TraceError{TraceErrorKind::kBadCount, path.string(), reader.line_number(),
+                          "more than 4294967295 invocations at minute " +
+                              std::to_string(block[i].minute),
+                          reader.line_offset()};
+      }
+    }
     pending = 0;
+    return std::nullopt;
   };
 
   for (const std::filesystem::path& path : paths) {
@@ -308,7 +332,9 @@ TraceResult<AzureTrace> stream_load_2021(const std::vector<std::filesystem::path
       }
       if (clamped) ++stats.clamped_rows;
       block[pending++] = PendingAdd{f, *minute};
-      if (pending == block.size()) fold();
+      if (pending == block.size()) {
+        if (auto error = fold(path, reader)) return std::move(*error);
+      }
       ++stats.data_rows;
       ++stats.invocations;
     }
@@ -316,12 +342,12 @@ TraceResult<AzureTrace> stream_load_2021(const std::vector<std::filesystem::path
       return TraceError{TraceErrorKind::kBadHeader, path.string(), 0,
                         "empty 2021 invocation file (no header row)"};
     }
+    if (auto error = fold(path, reader)) return std::move(*error);
     ++stats.files;
     stats.bytes += reader.bytes_consumed();
     stats.max_line_bytes = std::max(stats.max_line_bytes, reader.max_line_bytes());
   }
 
-  fold();
   const Minute max_minute = builder.max_minute();
   const Minute duration =
       max_minute < 0 ? 0 : ((max_minute / kMinutesPerDay) + 1) * kMinutesPerDay;

@@ -92,8 +92,10 @@ class StreamingTraceBuilder {
   [[nodiscard]] FunctionId lookup(std::string_view key) const;
   FunctionId insert(std::string_view key, AzureFunctionId id);
 
-  /// Adds invocations at minute `t` (grows the series as needed).
-  void add(FunctionId f, Minute t, std::uint32_t count);
+  /// Adds invocations at minute `t` (grows the series as needed). Returns
+  /// false, leaving the cell unchanged, when the sum would pass
+  /// 4294967295 (summed duplicate rows); the loader reports the row.
+  [[nodiscard]] bool add(FunctionId f, Minute t, std::uint32_t count);
 
   /// Pre-reserves per-function series for a known horizon (optional).
   void set_horizon_hint(Minute duration_minutes) noexcept {

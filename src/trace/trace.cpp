@@ -36,9 +36,8 @@ Trace Trace::from_columns(std::vector<std::string> names,
   return out;
 }
 
-std::uint32_t Trace::count(FunctionId f, Minute t) const {
-  if (t < 0 || t >= duration_) return 0;
-  return counts_.at(f)[static_cast<std::size_t>(t)];
+void Trace::throw_unknown_function() {
+  throw std::out_of_range("Trace::count: function index out of range");
 }
 
 void Trace::set_count(FunctionId f, Minute t, std::uint32_t value) {

@@ -57,7 +57,12 @@ class Trace {
   void set_function_name(FunctionId f, std::string name) { names_.at(f) = std::move(name); }
 
   /// Invocation count of function f at minute t (0 outside the horizon).
-  [[nodiscard]] std::uint32_t count(FunctionId f, Minute t) const;
+  /// Throws std::out_of_range for an unknown function inside the horizon.
+  [[nodiscard]] std::uint32_t count(FunctionId f, Minute t) const {
+    if (t < 0 || t >= duration_) return 0;
+    if (f >= counts_.size()) throw_unknown_function();
+    return counts_[f][static_cast<std::size_t>(t)];
+  }
 
   void set_count(FunctionId f, Minute t, std::uint32_t value);
   void add_invocations(FunctionId f, Minute t, std::uint32_t value = 1);
@@ -103,6 +108,8 @@ class Trace {
   [[nodiscard]] static TraceResult<Trace> try_load_csv(const std::filesystem::path& path);
 
  private:
+  [[noreturn]] static void throw_unknown_function();
+
   Minute duration_ = 0;
   std::vector<std::vector<std::uint32_t>> counts_;
   std::vector<std::string> names_;

@@ -98,28 +98,10 @@ void minmax_normalize_inplace(std::span<double> xs) noexcept {
 
 IntHistogram::IntHistogram(std::size_t capacity) : counts_(capacity + 1, 0) {}
 
-void IntHistogram::add(std::size_t value, std::uint64_t weight) {
-  if (value < counts_.size()) {
-    counts_[value] += weight;
-  } else {
-    overflow_ += weight;
-  }
-  total_ += weight;
-}
-
 void IntHistogram::clear() noexcept {
   std::fill(counts_.begin(), counts_.end(), 0);
   overflow_ = 0;
   total_ = 0;
-}
-
-std::uint64_t IntHistogram::count(std::size_t value) const noexcept {
-  return value < counts_.size() ? counts_[value] : 0;
-}
-
-double IntHistogram::probability(std::size_t value) const noexcept {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(value)) / static_cast<double>(total_);
 }
 
 std::optional<std::size_t> IntHistogram::percentile_value(double p) const noexcept {

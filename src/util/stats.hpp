@@ -68,17 +68,29 @@ class IntHistogram {
   /// capacity: largest representable value; anything larger is overflow.
   explicit IntHistogram(std::size_t capacity = 240);
 
-  void add(std::size_t value, std::uint64_t weight = 1);
+  void add(std::size_t value, std::uint64_t weight = 1) noexcept {
+    if (value < counts_.size()) {
+      counts_[value] += weight;
+    } else {
+      overflow_ += weight;
+    }
+    total_ += weight;
+  }
   void clear() noexcept;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t value) const noexcept;
+  [[nodiscard]] std::uint64_t count(std::size_t value) const noexcept {
+    return value < counts_.size() ? counts_[value] : 0;
+  }
   [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
 
   /// Probability mass of `value` (count / total); 0 when empty.
-  [[nodiscard]] double probability(std::size_t value) const noexcept;
+  [[nodiscard]] double probability(std::size_t value) const noexcept {
+    if (total_ == 0) return 0.0;
+    return static_cast<double>(count(value)) / static_cast<double>(total_);
+  }
 
   /// Smallest value v whose cumulative in-range count reaches the integer
   /// target max(1, ceil(p * in_range_count)), p clamped to [0, 1] — i.e.

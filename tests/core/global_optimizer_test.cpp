@@ -8,6 +8,7 @@
 
 #include "obs/trace_sink.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace pulse::core {
 namespace {
@@ -184,14 +185,13 @@ TEST_F(GlobalOptimizerTest, ScoreComponentsInRange) {
   trackers_[0].record(3);
   trackers_[0].record(6);
   GlobalOptimizer opt(2, GlobalOptimizer::Config{});
-  const std::vector<double> pr{0.5, 0.0};
   for (std::size_t v = 0; v < 2; ++v) {
-    const UtilityComponents u = opt.score(0, v, 7, deployment_, pr, trackers_);
+    const UtilityComponents u = opt.score(0, v, 7, deployment_, trackers_);
     EXPECT_GE(u.accuracy_improvement, 0.0);
     EXPECT_LE(u.accuracy_improvement, 1.0);
     EXPECT_GE(u.invocation_probability, 0.0);
     EXPECT_LE(u.invocation_probability, 1.0);
-    EXPECT_DOUBLE_EQ(u.priority, 0.5);
+    EXPECT_DOUBLE_EQ(u.priority, 0.0);  // no downgrades yet: Equation 1's degenerate branch
     EXPECT_GE(u.value(), 0.0);
     EXPECT_LE(u.value(), 3.0);
   }
@@ -200,9 +200,8 @@ TEST_F(GlobalOptimizerTest, ScoreComponentsInRange) {
 TEST_F(GlobalOptimizerTest, IpZeroOutsideKeepAliveWindow) {
   trackers_[0].record(0);
   GlobalOptimizer opt(2, GlobalOptimizer::Config{});
-  const std::vector<double> pr{0.0, 0.0};
   // 15 minutes after the last invocation: beyond the 10-minute window.
-  const UtilityComponents u = opt.score(0, 1, 15, deployment_, pr, trackers_);
+  const UtilityComponents u = opt.score(0, 1, 15, deployment_, trackers_);
   EXPECT_DOUBLE_EQ(u.invocation_probability, 0.0);
 }
 
@@ -239,13 +238,19 @@ class ReferenceFlattener {
         kept_built = true;
       }
       if (kept.empty()) break;
-      const std::vector<double> pr = priority_.normalized();
+      // Equation 1 over every model's count, as a whole-vector pass.
+      std::vector<double> pr(priority_.model_count());
+      for (std::size_t f = 0; f < pr.size(); ++f) {
+        pr[f] = static_cast<double>(priority_.downgrade_count(f));
+      }
+      util::minmax_normalize_inplace(pr);
       std::size_t worst_idx = 0;
       double worst_uv = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < kept.size(); ++i) {
         const auto& [f, variant] = kept[i];
-        const double uv = scorer_.score(f, variant, t, schedule.deployment(), pr, trackers)
-                              .value(config_.weights);
+        UtilityComponents u = scorer_.score(f, variant, t, schedule.deployment(), trackers);
+        u.priority = pr[f];
+        const double uv = u.value(config_.weights);
         if (uv < worst_uv) {
           worst_uv = uv;
           worst_idx = i;
@@ -266,7 +271,7 @@ class ReferenceFlattener {
 
  private:
   GlobalOptimizer::Config config_;
-  GlobalOptimizer scorer_;  // only score() is used
+  GlobalOptimizer scorer_;  // only score()'s Ai and Ip are used
   PeakDetector detector_;
   PriorityStructure priority_;
   DemandHistory demand_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -191,10 +192,10 @@ TEST(InterArrival, ProbabilityWithinEqualsPerOffsetSum) {
   }
   const trace::Minute queries[] = {now, now + 3, now - 40, now + 200, now};
   for (const trace::Minute q : queries) {
-    for (const auto [from, to] : {std::pair<std::size_t, std::size_t>{1, 10},
-                                  {2, 5},
-                                  {1, 240},
-                                  {200, 260}}) {
+    for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{1, 10},
+                                   {2, 5},
+                                   {1, 240},
+                                   {200, 260}}) {
       double expected = 0.0;
       for (std::size_t d = from; d <= to; ++d) expected += t.probability(d, q);
       expected = std::clamp(expected, 0.0, 1.0);
@@ -208,11 +209,13 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
   // Fuzz the incremental window against the rescanning reference across
   // interleaved records and queries, including queries with non-monotone
   // `now` (which force the rare backward window rebuild) and gaps beyond
-  // histogram_capacity (which take the window-suffix scan path).
+  // histogram_capacity (which take the window-suffix scan path). The
+  // one-pass probabilities() is checked against per-d probability().
   InterArrivalTracker::Config config;
   config.local_window = 25;
   config.histogram_capacity = 40;
   InterArrivalTracker t(config);
+  InterArrivalTracker shadow(config);  // queried only through probability()
   NaiveTracker naive(config);
 
   util::Pcg32 rng(77);
@@ -221,6 +224,7 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
     // Mostly small gaps; occasionally a gap past histogram_capacity.
     now += 1 + static_cast<trace::Minute>(rng.bounded(rng.bounded(20) == 0 ? 60 : 6));
     t.record(now);
+    shadow.record(now);
     naive.record(now);
 
     if (step % 7 == 0) {
@@ -233,6 +237,23 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
           << "step=" << step << " d=" << d << " now=" << q;
       ASSERT_DOUBLE_EQ(t.probability_within(1, 10, q), naive.probability_within(1, 10, q))
           << "step=" << step << " now=" << q;
+    }
+
+    // The one-pass window against per-d probability() on a second tracker
+    // fed the same records. Windows run past histogram_capacity (40), and
+    // `now` sometimes jumps backward; values must agree bit for bit.
+    if (step % 5 == 0) {
+      trace::Minute q = now;
+      if (rng.bounded(4) == 0) q = now - static_cast<trace::Minute>(rng.bounded(40));
+      const std::size_t to_d = 1 + static_cast<std::size_t>(rng.bounded(60));
+      std::vector<double> window(to_d + 1, -1.0);
+      t.probabilities(to_d, q, window);
+      for (std::size_t d = 1; d <= to_d; ++d) {
+        const double expected = shadow.probability(d, q);
+        ASSERT_EQ(std::memcmp(&window[d - 1], &expected, sizeof(double)), 0)
+            << "step=" << step << " d=" << d << " now=" << q;
+      }
+      ASSERT_EQ(window[to_d], -1.0) << "wrote past to_d";
     }
   }
 }

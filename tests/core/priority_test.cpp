@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace pulse::core {
 namespace {
 
@@ -82,6 +89,46 @@ TEST(Priority, OutOfRangeThrows) {
   EXPECT_THROW(p.record_downgrade(2), std::out_of_range);
   EXPECT_THROW(static_cast<void>(p.downgrade_count(5)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(p.normalized_priority(9)), std::out_of_range);
+}
+
+// normalized_of() keeps its minimum and maximum incrementally. After every
+// downgrade of a seeded random sequence, each model's value must equal, bit
+// for bit, Equation 1 evaluated from a fresh std::minmax scan of the counts.
+// Half the downgrades hit a model at the minimum, so the minimum rises
+// (forcing the rescan) several times per sequence.
+TEST(PriorityDifferential, NormalizedOfMatchesFreshMinmaxScan) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Pcg32 rng(seed, 0x9a1);
+    const std::size_t models = 1 + rng.bounded(50);
+    PriorityStructure p(models);
+    std::vector<std::uint64_t> counts(models, 0);
+    std::uint64_t min_rises = 0;
+    for (int step = 0; step < 600; ++step) {
+      std::size_t f = rng.bounded(static_cast<std::uint32_t>(models));
+      if (rng.bounded(2) == 0) {
+        const std::uint64_t low = *std::min_element(counts.begin(), counts.end());
+        while (counts[f] != low) f = (f + 1) % models;
+      }
+      const std::uint64_t low_before = *std::min_element(counts.begin(), counts.end());
+      p.record_downgrade(f);
+      ++counts[f];
+      const auto [lo_it, hi_it] = std::minmax_element(counts.begin(), counts.end());
+      if (*lo_it > low_before) ++min_rises;
+
+      const auto lo = static_cast<double>(*lo_it);
+      const auto hi = static_cast<double>(*hi_it);
+      for (std::size_t g = 0; g < models; ++g) {
+        const auto x = static_cast<double>(counts[g]);
+        const double expected = hi != lo ? (x - lo) / (hi - lo) : x - lo;
+        const double actual = p.normalized_of(g);
+        ASSERT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+            << "seed=" << seed << " step=" << step << " model=" << g << ": " << actual
+            << " vs " << expected;
+      }
+    }
+    EXPECT_GE(min_rises, 3u) << "seed=" << seed << " models=" << models;
+    EXPECT_EQ(p.total_downgrades(), 600u);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,8 @@ namespace pulse::core {
 namespace {
 
 TEST(VariantSelector, ZeroVariantsThrows) {
-  EXPECT_THROW(select_variant(0.5, 0, ThresholdTechnique::kT1), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(select_variant(0.5, 0, ThresholdTechnique::kT1)),
+               std::invalid_argument);
 }
 
 TEST(VariantSelector, T1ThreeVariantAreas) {

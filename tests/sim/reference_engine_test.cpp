@@ -5,8 +5,10 @@
 // per-coordinate draws) in the engine's order, so the two must agree
 // bit for bit on every RunResult field over seeded random small configs —
 // faults, capacity, hashed draws, sampled latency and Bernoulli accuracy
-// on and off. A run sliced at two random minutes must also reproduce the
-// uninterrupted run (the cluster engine stops crashing shards mid-epoch).
+// on and off. Wide cases (up to 300 functions, capacity on) pick victims
+// deep in long kept lists under both RNG disciplines. A run sliced at two
+// random minutes must also reproduce the uninterrupted run (the cluster
+// engine stops crashing shards mid-epoch).
 
 #include <gtest/gtest.h>
 
@@ -281,13 +283,27 @@ RandomCase make_case(std::uint64_t seed, const Deployment& deployment, std::size
 
 TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
   const models::ModelZoo zoo = models::ModelZoo::builtin();
+  // Narrow cases (1-6 functions) cover every path; wide ones (64-300
+  // functions, capacity on, both RNG disciplines) make the engine pick
+  // victims deep in a long kept list, as a large cluster shard does.
   constexpr std::uint64_t kCases = 240;
+  constexpr std::uint64_t kWideCases = 12;
   FaultCounters fired;  // summed over every case: each path must be exercised
   std::uint64_t downgrades = 0;
-  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
-    const std::size_t functions = 1 + (seed * 2654435761u) % 6;
+  std::uint64_t wide_evictions[2] = {0, 0};  // by hashed_rng
+  for (std::uint64_t seed = 1; seed <= kCases + kWideCases; ++seed) {
+    const bool wide = seed > kCases;
+    const std::size_t functions =
+        wide ? 64 + (seed * 2654435761u) % 237 : 1 + (seed * 2654435761u) % 6;
     const Deployment deployment = Deployment::round_robin(zoo, functions);
     RandomCase rc = make_case(seed, deployment, functions);
+    if (wide) {
+      util::Pcg32 rng(seed, 0x31de);
+      rc.config.hashed_rng = seed % 2 == 0;
+      rc.config.memory_capacity_mb =
+          deployment.peak_highest_memory_mb() * (0.1 + 0.3 * rng.uniform());
+      rc.label += " wide hashed=" + std::to_string(rc.config.hashed_rng);
+    }
     if (!rc.global_ids.empty()) rc.config.global_ids = &rc.global_ids;
     SCOPED_TRACE(rc.label);
 
@@ -305,6 +321,7 @@ TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
     fired.capacity_evictions += expected.capacity_evictions;
     fired.degraded_minutes += expected.degraded_minutes;
     downgrades += expected.downgrades;
+    if (wide) wide_evictions[rc.config.hashed_rng ? 1 : 0] += expected.capacity_evictions;
 
     // Stop at a random minute, again at a later one, and finish: slicing
     // is exact, so this is identical to the uninterrupted run.
@@ -328,6 +345,9 @@ TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
   EXPECT_GT(fired.capacity_evictions, 0u);
   EXPECT_GT(fired.degraded_minutes, 0u);
   EXPECT_GT(downgrades, 0u);
+  // Hundreds of victims per discipline, drawn from lists of 64+ entries.
+  EXPECT_GT(wide_evictions[0], 100u);
+  EXPECT_GT(wide_evictions[1], 100u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
@@ -167,6 +168,40 @@ TEST_F(AzureStreamTest, Streams2019DuplicateErrorUnderStrictPolicy) {
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().kind, TraceErrorKind::kDuplicateRow);
   EXPECT_EQ(result.error().line, 3u);
+}
+
+TEST_F(AzureStreamTest, SummedDuplicatesPastUint32AreBadCountInBothLoaders) {
+  // Summing duplicate rows used to wrap silently: 4294967295 + 1 loaded
+  // as 0. Both loaders now name the second row; a sum that just fits loads.
+  const auto path = write_day("wrap.csv", {{"o", "a", "f1", {{5, 4294967295u}}},
+                                           {"o", "a", "f2", {{0, 1}}},
+                                           {"o", "a", "f1", {{5, 1}}}});
+  std::ifstream is(path, std::ios::binary);
+  const std::string content{std::istreambuf_iterator<char>(is), {}};
+  std::size_t third_row = 0;
+  for (int newline = 0; newline < 3; ++newline) third_row = content.find('\n', third_row) + 1;
+
+  const auto streamed = stream_load_azure({path});
+  ASSERT_FALSE(streamed.has_value());
+  EXPECT_EQ(streamed.error().kind, TraceErrorKind::kBadCount);
+  EXPECT_EQ(streamed.error().line, 4u);
+  EXPECT_EQ(streamed.error().byte_offset, third_row);
+  EXPECT_NE(streamed.error().message.find("minute 6"), std::string::npos)
+      << streamed.error().message;
+  const auto batch = try_load_azure_day_csv(path);
+  ASSERT_FALSE(batch.has_value());
+  EXPECT_EQ(batch.error().kind, TraceErrorKind::kBadCount);
+  EXPECT_EQ(batch.error().line, 4u);
+  EXPECT_EQ(batch.error().message, streamed.error().message);
+
+  const auto fits = write_day("fits.csv", {{"o", "a", "f1", {{5, 4294967294u}}},
+                                           {"o", "a", "f1", {{5, 1}}}});
+  const auto streamed_fits = stream_load_azure({fits});
+  ASSERT_TRUE(streamed_fits.has_value());
+  EXPECT_EQ(streamed_fits.value().trace.count(0, 5), 4294967295u);
+  const auto batch_fits = try_load_azure_day_csv(fits);
+  ASSERT_TRUE(batch_fits.has_value());
+  expect_equal(streamed_fits.value(), batch_fits.value());
 }
 
 TEST_F(AzureStreamTest, Streams2021EqualToBatch) {
