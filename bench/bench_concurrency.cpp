@@ -8,27 +8,21 @@
 // (short executions) and where it leaks (long GPT-class executions under
 // bursts) — justifying the substitution documented in DESIGN.md.
 //
-// Since the platform layer gained fault injection, capacity pressure and
-// observability, the bench also cross-checks those: a fault/capacity table
-// comparing the two layers' injected-fault accounting on the same seeds,
-// and an interleaved observer-attached vs observer-disabled timing pass
-// that hard-fails if an attached observer changes the simulation results.
+// Since the platform layer gained fault injection and capacity pressure,
+// the bench also prints a fault/capacity table comparing the two layers'
+// injected-fault accounting on the same seeds. That an attached observer
+// never changes platform results is a ctest
+// (PlatformObservability.AttachedObserverNeverChangesResults).
 //
-// Usage: bench_concurrency [--quick] [--out <path>]
-// Writes machine-readable results to BENCH_concurrency.json (or --out).
-// Without --quick, the google-benchmark micro-timings run afterwards.
+// Usage: bench_concurrency [--quick]
+// --quick runs one trace day and skips the google-benchmark micro-timings.
 
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <vector>
 
 #include "fault/injector.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace_sink.hpp"
 #include "platform/platform.hpp"
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
@@ -129,101 +123,6 @@ double probe_keepalive_peak_mb(const models::ModelZoo& zoo, const trace::Trace& 
   return peak;
 }
 
-/// Everything an observer must not change, in one comparable struct.
-struct ResultFingerprint {
-  std::uint64_t invocations = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t scale_out_cold_starts = 0;
-  std::uint64_t prewarm_starts = 0;
-  std::uint64_t containers_created = 0;
-  sim::FaultCounters faults;
-  double total_service_time_s = 0.0;
-  double total_cost_usd = 0.0;
-  double accuracy_pct_sum = 0.0;
-
-  [[nodiscard]] bool operator==(const ResultFingerprint&) const noexcept = default;
-};
-
-ResultFingerprint fingerprint(const platform::PlatformResult& r) {
-  ResultFingerprint fp;
-  fp.invocations = r.invocations;
-  fp.cold_starts = r.cold_starts;
-  fp.warm_starts = r.warm_starts;
-  fp.scale_out_cold_starts = r.scale_out_cold_starts;
-  fp.prewarm_starts = r.prewarm_starts;
-  fp.containers_created = r.containers_created;
-  fp.faults = r.faults;
-  fp.total_service_time_s = r.total_service_time_s;
-  fp.total_cost_usd = r.total_cost_usd;
-  fp.accuracy_pct_sum = r.accuracy_pct_sum;
-  return fp;
-}
-
-struct ObsOverhead {
-  double disabled_min_s = 0.0;
-  double attached_min_s = 0.0;
-  double overhead_pct = 0.0;
-  bool fingerprints_match = true;
-};
-
-/// Interleaved disabled-vs-attached platform runs (bench_obs_overhead's
-/// pairing trick: adjacent runs share the machine state, so the block-local
-/// floor cancels in the ratio). Hard-fails the caller when an attached
-/// observer perturbs the results.
-ObsOverhead measure_obs_overhead(const models::ModelZoo& zoo, const trace::Trace& trace,
-                                 const fault::FaultConfig& faults, double capacity_mb,
-                                 int reps) {
-  const sim::Deployment d = sim::Deployment::round_robin(zoo, trace.function_count());
-  platform::PlatformConfig base;
-  base.deterministic_latency = true;
-  base.faults = faults;
-  base.memory_capacity_mb = capacity_mb;
-
-  ObsOverhead o;
-  ResultFingerprint reference;
-  bool have_reference = false;
-  double disabled_min = 0.0;
-  double attached_min = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    {
-      platform::PlatformSimulator plat(d, trace, base);
-      const auto policy = policies::make_policy("pulse");
-      const auto start = std::chrono::steady_clock::now();
-      const platform::PlatformResult r = plat.run(*policy);
-      const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-      if (!have_reference) {
-        reference = fingerprint(r);
-        have_reference = true;
-      } else if (!(fingerprint(r) == reference)) {
-        o.fingerprints_match = false;
-      }
-      disabled_min = rep == 0 ? wall.count() : std::min(disabled_min, wall.count());
-    }
-    {
-      obs::RingBufferSink sink(8192);
-      obs::MetricsRegistry registry;
-      obs::PhaseProfiler profiler;
-      platform::PlatformConfig observed = base;
-      observed.observer.sink = &sink;
-      observed.observer.metrics = &registry;
-      observed.observer.profiler = &profiler;
-      platform::PlatformSimulator plat(d, trace, observed);
-      const auto policy = policies::make_policy("pulse");
-      const auto start = std::chrono::steady_clock::now();
-      const platform::PlatformResult r = plat.run(*policy);
-      const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-      if (!(fingerprint(r) == reference)) o.fingerprints_match = false;
-      attached_min = rep == 0 ? wall.count() : std::min(attached_min, wall.count());
-    }
-  }
-  o.disabled_min_s = disabled_min;
-  o.attached_min_s = attached_min;
-  o.overhead_pct =
-      disabled_min > 0.0 ? 100.0 * (attached_min - disabled_min) / disabled_min : 0.0;
-  return o;
-}
-
 void BM_PlatformSimulatorDay(benchmark::State& state) {
   trace::WorkloadConfig wconfig;
   wconfig.function_count = 12;
@@ -258,73 +157,17 @@ void BM_PlatformSimulatorDayFaulted(benchmark::State& state) {
 }
 BENCHMARK(BM_PlatformSimulatorDayFaulted);
 
-struct FaultRow {
-  std::string policy;
-  FaultComparison fc;
-};
-
-void write_json(const std::string& path, bool quick, const std::vector<FaultRow>& fault_rows,
-                double capacity_mb, const ObsOverhead& obs, bool pass) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"concurrency\",\n");
-  std::fprintf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(out, "  \"fault_parity\": [\n");
-  for (std::size_t i = 0; i < fault_rows.size(); ++i) {
-    const FaultRow& r = fault_rows[i];
-    std::fprintf(
-        out,
-        "    {\"policy\": \"%s\", \"capacity_mb\": %.17g,\n"
-        "     \"minute\": {\"failed\": %llu, \"retries\": %llu, \"timeouts\": %llu, "
-        "\"crash_evictions\": %llu, \"capacity_evictions\": %llu, \"failed_pct\": %.17g},\n"
-        "     \"container\": {\"failed\": %llu, \"retries\": %llu, \"timeouts\": %llu, "
-        "\"crash_evictions\": %llu, \"capacity_evictions\": %llu, \"failed_pct\": %.17g},\n"
-        "     \"cost_delta_pct\": %.17g}%s\n",
-        r.policy.c_str(), capacity_mb, static_cast<unsigned long long>(r.fc.minute.failed_invocations),
-        static_cast<unsigned long long>(r.fc.minute.retries),
-        static_cast<unsigned long long>(r.fc.minute.timeouts),
-        static_cast<unsigned long long>(r.fc.minute.crash_evictions),
-        static_cast<unsigned long long>(r.fc.minute.capacity_evictions), r.fc.minute_failed_pct,
-        static_cast<unsigned long long>(r.fc.container.failed_invocations),
-        static_cast<unsigned long long>(r.fc.container.retries),
-        static_cast<unsigned long long>(r.fc.container.timeouts),
-        static_cast<unsigned long long>(r.fc.container.crash_evictions),
-        static_cast<unsigned long long>(r.fc.container.capacity_evictions),
-        r.fc.container_failed_pct, r.fc.cost_delta_pct,
-        i + 1 < fault_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"obs_overhead\": {\"disabled_min_s\": %.17g, \"attached_min_s\": %.17g, "
-               "\"overhead_pct\": %.17g, \"fingerprints_match\": %s},\n",
-               obs.disabled_min_s, obs.attached_min_s, obs.overhead_pct,
-               obs.fingerprints_match ? "true" : "false");
-  std::fprintf(out, "  \"pass\": %s\n", pass ? "true" : "false");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pulse;
 
   bool quick = false;
-  std::string out_path = "BENCH_concurrency.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out <path>]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 1;
     }
   }
@@ -381,7 +224,6 @@ int main(int argc, char** argv) {
 
   util::TextTable ftable({"Policy", "Layer", "Failed (%)", "Retries", "Timeouts",
                           "Crash evict", "Capacity evict", "Cost delta (%)"});
-  std::vector<FaultRow> fault_rows;
   for (const char* policy : {"openwhisk", "pulse"}) {
     const FaultComparison fc = compare_faults(full_zoo, workload.trace, policy, faults,
                                               capacity_mb);
@@ -396,7 +238,6 @@ int main(int argc, char** argv) {
                     std::to_string(fc.container.capacity_evictions),
                     util::fmt(fc.cost_delta_pct, 1)});
     ftable.add_separator();
-    fault_rows.push_back({policy, fc});
   }
   std::printf("\nInjected faults on both layers (capacity %.0f MB, pressure floor %.0f MB):\n%s",
               capacity_mb, faults.memory_pressure_capacity_mb, ftable.render().c_str());
@@ -404,22 +245,6 @@ int main(int argc, char** argv) {
       "\nReading: both layers draw every fault from the same hash-seeded\n"
       "streams, so the counters track each other; residual deltas come from\n"
       "scale-out containers the minute abstraction cannot represent.\n");
-
-  // --- observer overhead on the platform path (zero-overhead contract) ---
-  const ObsOverhead obs =
-      measure_obs_overhead(full_zoo, workload.trace, faults, capacity_mb, quick ? 3 : 5);
-  std::printf(
-      "\nobserver on the platform path: disabled %.4f s, attached %.4f s "
-      "(+%.1f%%), results %s\n",
-      obs.disabled_min_s, obs.attached_min_s, obs.overhead_pct,
-      obs.fingerprints_match ? "identical" : "DIVERGED");
-
-  const bool pass = obs.fingerprints_match;
-  write_json(out_path, quick, fault_rows, capacity_mb, obs, pass);
-  if (!pass) {
-    std::fprintf(stderr, "FAIL: attached observer changed platform results\n");
-    return 1;
-  }
 
   if (quick) return 0;
   int bench_argc = 1;

@@ -6,14 +6,13 @@
 //     overhead / service-time ratio, for PULSE and MILP.
 // (2) Sharded cluster: the ClusterEngine at 10k-1M functions across 1-8
 //     shards, faults and observability enabled, capacity market active.
-//     Reports wall time, throughput, shard balance, rebalance activity,
+//     Reports wall time, throughput, rebalance activity,
 //     speedup vs 1 shard and parallel efficiency against the ideal
-//     min(shards, hardware cores), and writes BENCH_cluster_scaling.json.
+//     min(shards, hardware cores).
 //
-// Usage: bench_scalability [--quick] [--full] [--out <path>]
-//                          [google-benchmark flags]
-// --quick trims the cluster sweep for CI and skips the micro-benchmarks;
-// --full adds the million-function row.
+// Usage: bench_scalability [--quick] [--full] [google-benchmark flags]
+// --quick runs only the 10k-function, 1 vs 8 shard rows and skips the
+// rest; --full adds the million-function row.
 
 #include "bench_common.hpp"
 
@@ -93,20 +92,14 @@ struct ClusterRow {
   std::size_t shards = 0;
   const char* policy = "pulse";
   double wall_s = 0.0;
-  std::uint64_t invocations = 0;
   std::uint64_t transfers = 0;
   std::uint64_t rebalance_epochs = 0;
-  std::size_t max_shard = 0;
-  double mean_shard = 0.0;
   double speedup_vs_1shard = 0.0;  // filled once the 1-shard row exists
   double ideal_speedup = 1.0;
   [[nodiscard]] double function_minutes_per_sec() const {
     return wall_s > 0.0
                ? static_cast<double>(functions) * static_cast<double>(duration) / wall_s
                : 0.0;
-  }
-  [[nodiscard]] double invocations_per_sec() const {
-    return wall_s > 0.0 ? static_cast<double>(invocations) / wall_s : 0.0;
   }
   [[nodiscard]] double efficiency() const {
     return ideal_speedup > 0.0 ? speedup_vs_1shard / ideal_speedup : 0.0;
@@ -147,11 +140,8 @@ ClusterRow run_cluster_scale(const trace::Workload& workload,
   row.duration = workload.trace.duration();
   row.shards = shards;
   row.wall_s = elapsed.count();
-  row.invocations = result.invocations();
   row.transfers = result.transfers;
   row.rebalance_epochs = result.rebalance_epochs;
-  row.max_shard = engine.partition().max_shard_size();
-  row.mean_shard = static_cast<double>(row.functions) / static_cast<double>(shards);
   row.ideal_speedup = static_cast<double>(std::min(shards, cores));
   return row;
 }
@@ -168,53 +158,7 @@ struct ClusterSweepPoint {
   const char* policy;
 };
 
-void write_cluster_json(const std::string& path, bool quick,
-                        const std::vector<ClusterRow>& rows, std::size_t cores,
-                        double efficiency_at_8, bool have_8) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"cluster_scaling\",\n");
-  std::fprintf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(out, "  \"hardware_cores\": %zu,\n", cores);
-  std::fprintf(out, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ClusterRow& r = rows[i];
-    std::fprintf(out,
-                 "    {\"functions\": %zu, \"duration_min\": %lld, \"policy\": \"%s\", "
-                 "\"shards\": %zu, \"wall_s\": %.17g,\n"
-                 "     \"function_minutes_per_sec\": %.17g, \"invocations_per_sec\": %.17g, "
-                 "\"invocations\": %llu,\n"
-                 "     \"max_shard_functions\": %zu, \"mean_shard_functions\": %.17g,\n"
-                 "     \"rebalance_epochs\": %llu, \"transfers\": %llu,\n"
-                 "     \"speedup_vs_1shard\": %.17g, \"ideal_speedup\": %.17g, "
-                 "\"efficiency\": %.17g}%s\n",
-                 r.functions, static_cast<long long>(r.duration), r.policy, r.shards,
-                 r.wall_s, r.function_minutes_per_sec(), r.invocations_per_sec(),
-                 static_cast<unsigned long long>(r.invocations), r.max_shard, r.mean_shard,
-                 static_cast<unsigned long long>(r.rebalance_epochs),
-                 static_cast<unsigned long long>(r.transfers), r.speedup_vs_1shard,
-                 r.ideal_speedup, r.efficiency(), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  // Acceptance: >= 0.7x of the ideal speedup at 8 shards on the largest
-  // swept size. Ideal = min(shards, hardware cores): on a 1-core machine a
-  // sharded run cannot beat the serial one, so efficiency — not raw
-  // speedup — is the portable gate.
-  std::fprintf(out,
-               "  \"acceptance\": {\"target_efficiency\": 0.7, \"shards\": 8, "
-               "\"efficiency\": %.17g, \"measured\": %s, \"pass\": %s}\n",
-               efficiency_at_8, have_8 ? "true" : "false",
-               !have_8 || efficiency_at_8 >= 0.7 ? "true" : "false");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-int run_cluster_sweep(bool quick, bool full, const std::string& out_path) {
+void run_cluster_sweep(bool quick, bool full) {
   const std::size_t cores =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
@@ -238,9 +182,6 @@ int run_cluster_sweep(bool quick, bool full, const std::string& out_path) {
               "policy", "shards", "wall_s", "fn-min/s", "epochs", "trades", "speedup",
               "eff");
 
-  std::vector<ClusterRow> rows;
-  double efficiency_at_8 = 0.0;
-  bool have_8 = false;
   for (const ClusterSweepPoint& point : points) {
     trace::WorkloadConfig wc;
     wc.function_count = point.functions;
@@ -264,20 +205,8 @@ int run_cluster_sweep(bool quick, bool full, const std::string& out_path) {
                   static_cast<unsigned long long>(row.rebalance_epochs),
                   static_cast<unsigned long long>(row.transfers), row.speedup_vs_1shard,
                   row.efficiency());
-      if (shards == 8 && point.functions == points.back().functions) {
-        efficiency_at_8 = row.efficiency();
-        have_8 = true;
-      }
-      rows.push_back(row);
     }
   }
-
-  if (have_8) {
-    std::printf("\nacceptance (>= 0.7x ideal at 8 shards): efficiency %.2f -> %s\n",
-                efficiency_at_8, efficiency_at_8 >= 0.7 ? "PASS" : "FAIL");
-  }
-  write_cluster_json(out_path, quick, rows, cores, efficiency_at_8, have_8);
-  return 0;
 }
 
 }  // namespace
@@ -287,7 +216,6 @@ int main(int argc, char** argv) {
 
   bool quick = false;
   bool full = false;
-  std::string out_path = "BENCH_cluster_scaling.json";
   // Strip our flags; everything else passes through to google-benchmark.
   std::vector<char*> bench_argv{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -295,17 +223,13 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
     } else {
       bench_argv.push_back(argv[i]);
     }
   }
 
-  const int cluster_rc = run_cluster_sweep(quick, full, out_path);
-  if (cluster_rc != 0 || quick) return cluster_rc;  // quick mode: CI artifact only
+  run_cluster_sweep(quick, full);
+  if (quick) return 0;
 
   bench::print_heading("Scalability — PULSE decision overhead vs concurrent functions",
                        "PULSE paper, §V 'Overhead' scalability claim");

@@ -40,7 +40,7 @@ struct Partition {
   [[nodiscard]] std::size_t function_count() const noexcept;
 
   /// Largest / smallest shard population (0 when empty) — the balance
-  /// numbers bench_scalability reports.
+  /// the partition tests check.
   [[nodiscard]] std::size_t max_shard_size() const noexcept;
   [[nodiscard]] std::size_t min_shard_size() const noexcept;
 };

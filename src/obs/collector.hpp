@@ -3,8 +3,8 @@
 // background collector thread that owns the downstream sink.
 //
 // The mutex-per-record() inner path of the provided sinks costs ~half the
-// engine's throughput once attached (bench_obs_overhead's historical
-// 53–55%). The collector moves that cost off the simulation thread:
+// engine's throughput once attached (53–55% in bench_obs_overhead before
+// the collector). The collector moves that cost off the simulation thread:
 //
 //   producer (engine / shard / ensemble slot)          collector thread
 //   ─────────────────────────────────────────          ────────────────

@@ -1,8 +1,8 @@
 #pragma once
 // Phase profiler: RAII wall-clock scopes around the simulator's four
 // conceptual phases. With no profiler attached a PhaseTimer is a null check
-// — no clock read, no allocation — which is what keeps the disabled-mode
-// engine overhead under the 1% budget (bench_obs_overhead enforces it).
+// — no clock read, no allocation — so an engine with nothing attached pays
+// only a branch per phase.
 //
 // Phase mapping (see docs/OBSERVABILITY.md):
 //   kPredict  — predictor work (Wild's hybrid histogram, IceBreaker's FFT)

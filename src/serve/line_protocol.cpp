@@ -1,38 +1,50 @@
 #include "serve/line_protocol.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 
 namespace pulse::serve {
 
 namespace {
 
-/// Parses a non-negative integer starting at *p, advancing past it.
-/// Returns false when no digits are present or the value is negative.
-bool parse_u64(const char*& p, std::uint64_t& value) {
-  char* end = nullptr;
-  const long long v = std::strtoll(p, &end, 10);
-  if (end == p || v < 0) return false;
-  p = end;
-  value = static_cast<std::uint64_t>(v);
-  return true;
+constexpr std::uint64_t kMaxMinute = static_cast<std::uint64_t>(
+    std::numeric_limits<trace::Minute>::max());
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+void skip_blanks(const char*& p, const char* end) {
+  while (p != end && is_blank(*p)) ++p;
 }
 
-bool starts_with(const char*& p, const char* word) {
-  const char* q = p;
-  while (*word != '\0') {
-    if (*q++ != *word++) return false;
+/// Matches `word` at p when a blank or the end of the line follows it.
+bool keyword(const char*& p, const char* end, std::string_view word) {
+  if (static_cast<std::size_t>(end - p) < word.size() ||
+      std::string_view(p, word.size()) != word) {
+    return false;
   }
-  // Keywords end at whitespace or end of line.
-  if (*q != '\0' && *q != ' ' && *q != '\t') return false;
+  const char* q = p + word.size();
+  if (q != end && !is_blank(*q)) return false;
   p = q;
   return true;
 }
 
-void skip_spaces(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
+/// Reads the next blank-separated cell as plain decimal digits. A sign, a
+/// stray byte or a value past 2^64 - 1 makes the cell malformed.
+bool next_u64(const char*& p, const char* end, std::uint64_t& value) {
+  skip_blanks(p, end);
+  const auto [q, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc() || (q != end && !is_blank(*q))) return false;
+  p = q;
+  skip_blanks(p, end);
+  return true;
 }
 
 }  // namespace
@@ -45,70 +57,60 @@ LineProtocolSource::LineProtocolSource(std::istream& in, Options options)
 bool LineProtocolSource::next(StreamEvent& out) {
   if (done_) return false;
   while (std::getline(*in_, line_)) {
-    const char* p = line_.c_str();
-    skip_spaces(p);
-    if (*p == '\0' || *p == '#') continue;
+    const char* p = line_.data();
+    const char* const end = p + line_.size();
+    skip_blanks(p, end);
+    if (p == end || *p == '#') continue;
 
-    if (starts_with(p, "inv")) {
+    if (keyword(p, end, "inv")) {
       std::uint64_t minute = 0;
       std::uint64_t function = 0;
       std::uint64_t count = 1;
-      skip_spaces(p);
-      const bool ok_minute = parse_u64(p, minute);
-      skip_spaces(p);
-      const bool ok_function = ok_minute && parse_u64(p, function);
-      skip_spaces(p);
-      if (ok_function && *p != '\0') {
-        if (!parse_u64(p, count)) {
-          ++malformed_;
-          if (options_.strict) throw std::runtime_error("line protocol: bad count: " + line_);
-          continue;
-        }
-        skip_spaces(p);
+      if (next_u64(p, end, minute) && next_u64(p, end, function) &&
+          (p == end || next_u64(p, end, count)) && p == end && minute <= kMaxMinute &&
+          count != 0 && count <= kMaxCount) {
+        out = {EventKind::kInvocation, static_cast<trace::Minute>(minute),
+               static_cast<trace::FunctionId>(function), static_cast<std::uint32_t>(count)};
+        return true;
       }
-      if (!ok_function || *p != '\0' || count == 0) {
-        ++malformed_;
-        if (options_.strict) throw std::runtime_error("line protocol: bad inv line: " + line_);
-        continue;
-      }
-      out = {EventKind::kInvocation, static_cast<trace::Minute>(minute),
-             static_cast<trace::FunctionId>(function), static_cast<std::uint32_t>(count)};
-      return true;
+      reject("bad inv line");
+      continue;
     }
 
-    if (starts_with(p, "tick")) {
+    if (keyword(p, end, "tick")) {
       std::uint64_t minute = 0;
-      skip_spaces(p);
-      const bool ok = parse_u64(p, minute);
-      skip_spaces(p);
-      if (!ok || *p != '\0') {
-        ++malformed_;
-        if (options_.strict) throw std::runtime_error("line protocol: bad tick line: " + line_);
-        continue;
+      if (next_u64(p, end, minute) && p == end && minute <= kMaxMinute) {
+        out = {EventKind::kTick, static_cast<trace::Minute>(minute), 0, 0};
+        return true;
       }
-      out = {EventKind::kTick, static_cast<trace::Minute>(minute), 0, 0};
-      return true;
+      reject("bad tick line");
+      continue;
     }
 
-    if (starts_with(p, "end")) {
-      skip_spaces(p);
-      if (*p != '\0') {
-        ++malformed_;
-        if (options_.strict) throw std::runtime_error("line protocol: bad end line: " + line_);
-        continue;
+    if (keyword(p, end, "end")) {
+      skip_blanks(p, end);
+      if (p == end) {
+        done_ = true;
+        out = {EventKind::kEnd, 0, 0, 0};
+        return true;
       }
-      done_ = true;
-      out = {EventKind::kEnd, 0, 0, 0};
-      return true;
+      reject("bad end line");
+      continue;
     }
 
-    ++malformed_;
-    if (options_.strict) throw std::runtime_error("line protocol: unknown line: " + line_);
+    reject("unknown line");
   }
   // EOF without an explicit `end` still terminates the stream cleanly.
   done_ = true;
   out = {EventKind::kEnd, 0, 0, 0};
   return true;
+}
+
+void LineProtocolSource::reject(const char* what) {
+  ++malformed_;
+  if (options_.strict) {
+    throw std::runtime_error(std::string("line protocol: ") + what + ": " + line_);
+  }
 }
 
 void write_line_protocol(const trace::Trace& trace, std::ostream& out) {

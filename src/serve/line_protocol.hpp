@@ -7,10 +7,13 @@
 //   end                               end of stream
 //   # ...                             comment (ignored), as are blank lines
 //
-// Minutes are non-decreasing in a well-formed stream; the server decides
-// what to do with stragglers (ServeConfig::strict). Malformed lines are
-// counted and skipped by default, or throw in strict mode. The reader
-// reuses one line buffer, so steady-state parsing does not allocate.
+// Cells are separated by spaces, tabs or CRs and are plain decimal digits:
+// a sign, a stray byte, a count of 0 or past 4294967295, or a minute past
+// the largest trace::Minute makes the line malformed. Minutes are
+// non-decreasing in a well-formed stream; the server decides what to do
+// with stragglers (ServeConfig::strict). Malformed lines are counted and
+// skipped by default, or throw in strict mode. The reader reuses one line
+// buffer, so steady-state parsing does not allocate.
 
 #include <cstdint>
 #include <iosfwd>
@@ -36,6 +39,9 @@ class LineProtocolSource final : public InvocationSource {
   [[nodiscard]] std::uint64_t malformed_lines() const noexcept { return malformed_; }
 
  private:
+  /// Counts a malformed line, or throws in strict mode.
+  void reject(const char* what);
+
   std::istream* in_;
   Options options_;
   std::string line_;

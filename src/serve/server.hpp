@@ -15,9 +15,9 @@
 // ingest() performs no heap allocation and takes no locks — the buffer and
 // schedule are preallocated, the engine's per-minute state is reused, the
 // predictors refit into reused scratch (Wild's AR fit, IceBreaker's FFT
-// plan) and the inter-arrival window is O(1)-update. bench_serve_latency
-// enforces both the zero-allocation property (counting global operator new,
-// for pulse, wild and icebreaker) and a per-event latency budget.
+// plan) and the inter-arrival window is O(1)-update.
+// tests/memory/serve_allocation_test.cpp enforces the zero-allocation
+// property (counting global operator new, for pulse, wild and icebreaker).
 
 #include <cstdint>
 #include <memory>

@@ -19,7 +19,7 @@ MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
       eviction_rng_(seed, /*stream=*/0xeb1c7) {
   // Capacity-pressured minutes fill this with every kept container; sizing
   // it up front keeps even a late first pressure event allocation-free
-  // (the serve-mode hot-path discipline bench_serve_latency enforces).
+  // (the serve-mode hot-path discipline tests/memory enforces).
   kept_.reserve(schedule.function_count());
   live_tree_.reserve(schedule.function_count() + 1);
   record_.reserve(static_cast<std::size_t>(schedule.duration()));

@@ -8,8 +8,9 @@
 // fixed-size chunks, feeds rows directly into an incremental function-index
 // builder, and never holds more than one chunk, one line, one 16 KB block of
 // pending 2021 (function, minute) pairs and the output Trace in memory.
-// Results are gated (tests + bench_trace_ingest) to be bitwise identical to
-// the batch loaders on the same inputs.
+// Tests gate results to be bitwise identical to the batch loaders on the
+// same inputs, and the 2021 loader's peak heap to stay flat in the row
+// count (tests/memory/stream_memory_test.cpp).
 //
 // Errors carry the byte offset of the offending line in addition to the
 // line number, so a malformed row in a multi-hundred-megabyte file can be

@@ -3,9 +3,9 @@
 // at the head, O(1) random access by logical index. Capacity grows by
 // doubling, so a producer whose live size is bounded (every streaming
 // predictor window in this repository) stops allocating once the high-water
-// mark is reached — the property the serve-mode allocation gate
-// (bench_serve_latency) checks. Unlike std::deque, a steady-state
-// push/pop cycle never touches the allocator.
+// mark is reached — the property the serve-mode allocation test
+// (tests/memory/serve_allocation_test.cpp) checks. Unlike std::deque, a
+// steady-state push/pop cycle never touches the allocator.
 //
 // Not thread-safe; each owner drives its own instance.
 

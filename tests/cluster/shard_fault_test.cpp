@@ -192,6 +192,36 @@ TEST(ShardFaultCluster, DegradedMarketConservesClusterCapacity) {
   EXPECT_NEAR(r.total_quota_mb, capacity, 4.0 / 1024.0);
 }
 
+// Every run over one partition and capacity starts from the same quota
+// split, so the conserved total must compare bit-equal across policies and
+// crash rates: a crash, reserve grant or claw-back that minted or leaked
+// even one fixed-point unit would show here.
+TEST(ShardFaultCluster, QuotaTotalIsBitEqualAcrossCrashSweep) {
+  const Fixture fx = make_fixture(48, 1440, 21);
+  std::vector<double> totals;
+  std::uint64_t crashes = 0;
+  std::uint64_t recoveries = 0;
+  for (const char* policy : {"openwhisk", "pulse"}) {
+    for (const double rate : {0.0, 0.01}) {
+      ClusterConfig cc = faulty_config(fx, 4, 0);
+      cc.shard_faults.crash_rate = rate;
+      const ClusterResult r = run_cluster(fx, cc, policy);
+      if (rate == 0.0) {
+        EXPECT_EQ(r.shard_crashes, 0u) << policy;
+      }
+      crashes += r.shard_crashes;
+      recoveries += r.shard_recoveries;
+      totals.push_back(r.total_quota_mb);
+    }
+  }
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(recoveries, 0u);
+  for (std::size_t i = 1; i < totals.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(totals[i]), std::bit_cast<std::uint64_t>(totals[0]))
+        << "run " << i << ": " << totals[i] << " MB vs " << totals[0] << " MB";
+  }
+}
+
 TEST(ShardFaultCluster, ZeroRatesMatchFaultFreeClusterBitwise) {
   const Fixture fx = make_fixture(24, 360, 7);
   ClusterConfig plain;

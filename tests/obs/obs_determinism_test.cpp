@@ -1,5 +1,6 @@
 // The observability layer's core contract: attaching any combination of
-// sink / metrics / profiler leaves the simulation result bitwise identical.
+// sink (direct or through an EventCollector lane) / metrics / profiler /
+// top-K tallies leaves the simulation result bitwise identical.
 // Mirrors the golden-fixture engine configuration (capacity pressure +
 // fault injection) across every policy family that emits events.
 
@@ -11,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/collector.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
@@ -132,6 +134,25 @@ TEST(ObsDeterminism, FullObserverLeavesRunResultBitwiseIdentical) {
     EXPECT_GT(sink.recorded(), 0u);
     EXPECT_GT(registry.metric_count(), 0u);
     EXPECT_EQ(profiler.stats(Phase::kSimulate).calls, 1u);
+
+    // Everything on, the way the ensemble and cluster runners attach it:
+    // events through an EventCollector lane, metrics, profiler and the
+    // top-K per-function tallies.
+    RingBufferSink lane_sink(1 << 16);
+    MetricsRegistry full_registry;
+    PhaseProfiler full_profiler;
+    EventCollector collector(lane_sink, 1);
+    collector.lane(0).begin_stream(0);
+    Observer full;
+    full.sink = &collector.lane(0);
+    full.metrics = &full_registry;
+    full.profiler = &full_profiler;
+    const sim::RunResult everything = run_once(c.policy, c.seed, c.faults, full, 8);
+    collector.finish();
+
+    EXPECT_EQ(fingerprint(plain), fingerprint(everything));
+    EXPECT_EQ(lane_sink.recorded(), sink.recorded());
+    EXPECT_GT(full_registry.metric_count(), registry.metric_count());
   }
 }
 

@@ -20,6 +20,7 @@
 #include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 #include "platform/platform.hpp"
+#include "policies/factory.hpp"
 #include "policies/fixed_keepalive.hpp"
 #include "sim/engine.hpp"
 
@@ -157,38 +158,47 @@ TEST(PlatformObservability, AttachedObserverNeverChangesResults) {
   config.faults = parity_faults();
   config.memory_capacity_mb = 650.0;
 
-  policies::FixedKeepAlivePolicy p1;
-  const PlatformResult plain = PlatformSimulator(d, t, config).run(p1);
+  for (const char* name : {"openwhisk", "pulse"}) {
+    SCOPED_TRACE(name);
+    const auto p1 = policies::make_policy(name);
+    const PlatformResult plain = PlatformSimulator(d, t, config).run(*p1);
 
-  obs::RingBufferSink sink(4096);
-  obs::MetricsRegistry registry;
-  obs::PhaseProfiler profiler;
-  PlatformConfig observed = config;
-  observed.observer.sink = &sink;
-  observed.observer.metrics = &registry;
-  observed.observer.profiler = &profiler;
-  policies::FixedKeepAlivePolicy p2;
-  const PlatformResult traced = PlatformSimulator(d, t, observed).run(p2);
+    obs::RingBufferSink sink(4096);
+    obs::MetricsRegistry registry;
+    obs::PhaseProfiler profiler;
+    PlatformConfig observed = config;
+    observed.observer.sink = &sink;
+    observed.observer.metrics = &registry;
+    observed.observer.profiler = &profiler;
+    const auto p2 = policies::make_policy(name);
+    const PlatformResult traced = PlatformSimulator(d, t, observed).run(*p2);
 
-  // The layer observes, it never steers.
-  EXPECT_EQ(plain.invocations, traced.invocations);
-  EXPECT_EQ(plain.faults, traced.faults);
-  EXPECT_DOUBLE_EQ(plain.total_service_time_s, traced.total_service_time_s);
-  EXPECT_DOUBLE_EQ(plain.total_cost_usd, traced.total_cost_usd);
-  EXPECT_DOUBLE_EQ(plain.accuracy_pct_sum, traced.accuracy_pct_sum);
+    // The layer observes, it never steers: every result field, bit for bit.
+    EXPECT_EQ(plain.invocations, traced.invocations);
+    EXPECT_EQ(plain.cold_starts, traced.cold_starts);
+    EXPECT_EQ(plain.warm_starts, traced.warm_starts);
+    EXPECT_EQ(plain.scale_out_cold_starts, traced.scale_out_cold_starts);
+    EXPECT_EQ(plain.prewarm_starts, traced.prewarm_starts);
+    EXPECT_EQ(plain.containers_created, traced.containers_created);
+    EXPECT_EQ(plain.downgrades, traced.downgrades);
+    EXPECT_EQ(plain.faults, traced.faults);
+    EXPECT_EQ(plain.total_service_time_s, traced.total_service_time_s);
+    EXPECT_EQ(plain.total_cost_usd, traced.total_cost_usd);
+    EXPECT_EQ(plain.accuracy_pct_sum, traced.accuracy_pct_sum);
 
-  // And it actually observed: events flowed, metrics folded, the run span
-  // was profiled, and the snapshot landed in the result.
-  EXPECT_GT(sink.recorded(), 0u);
-  EXPECT_EQ(profiler.stats(obs::Phase::kSimulate).calls, 1u);
-  EXPECT_TRUE(plain.metrics.empty());
-  ASSERT_FALSE(traced.metrics.empty());
-  EXPECT_EQ(traced.metrics.counter_or("platform.invocations"), traced.invocations);
-  EXPECT_EQ(traced.metrics.counter_or("platform.prewarm_starts"), traced.prewarm_starts);
-  EXPECT_EQ(traced.metrics.counter_or("platform.crash_evictions"),
-            traced.faults.crash_evictions);
-  EXPECT_EQ(traced.metrics.counter_or("platform.capacity_evictions"),
-            traced.faults.capacity_evictions);
+    // And it actually observed: events flowed, metrics folded, the run span
+    // was profiled, and the snapshot landed in the result.
+    EXPECT_GT(sink.recorded(), 0u);
+    EXPECT_EQ(profiler.stats(obs::Phase::kSimulate).calls, 1u);
+    EXPECT_TRUE(plain.metrics.empty());
+    ASSERT_FALSE(traced.metrics.empty());
+    EXPECT_EQ(traced.metrics.counter_or("platform.invocations"), traced.invocations);
+    EXPECT_EQ(traced.metrics.counter_or("platform.prewarm_starts"), traced.prewarm_starts);
+    EXPECT_EQ(traced.metrics.counter_or("platform.crash_evictions"),
+              traced.faults.crash_evictions);
+    EXPECT_EQ(traced.metrics.counter_or("platform.capacity_evictions"),
+              traced.faults.capacity_evictions);
+  }
 }
 
 TEST(PlatformCapacity, EvictionsKeepKeptMemoryUnderTheLimit) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -155,6 +156,59 @@ TEST(Serve, StrictProtocolThrowsOnMalformedLine) {
   LineProtocolSource source(in, {.strict = true});
   StreamEvent e;
   EXPECT_THROW(source.next(e), std::runtime_error);
+}
+
+// Cells past a field's range, or spelled with a sign, are malformed: they
+// must not wrap or saturate into a valid event.
+TEST(Serve, OutOfRangeAndSignedCellsAreMalformed) {
+  const std::vector<std::string> bad = {
+      "inv 0 0 4294967296",            // count 2^32 would wrap to 0
+      "inv 0 0 4294967297",            // ... and this to 1
+      "inv 0 0 18446744073709551616",  // past uint64
+      "inv 0 0 99999999999999999999",
+      "inv 9223372036854775808 0",  // minute past int64
+      "inv 99999999999999999999 0",
+      "inv 0 18446744073709551616",  // function past uint64
+      "tick 9223372036854775808",
+      "tick 18446744073709551615",
+      "inv 0 0 +2",
+      "inv -0 0",
+      "inv 0 +1",
+      "tick -0",
+      "tick +3",
+      "inv 0 0\v2",
+  };
+  for (const std::string& line : bad) {
+    SCOPED_TRACE(line);
+    std::istringstream in(line + "\ntick 5\n");
+    LineProtocolSource source(in);
+    StreamEvent e;
+    ASSERT_TRUE(source.next(e));
+    EXPECT_EQ(e.kind, EventKind::kTick);
+    EXPECT_EQ(e.minute, 5);
+    EXPECT_EQ(source.malformed_lines(), 1u);
+
+    std::istringstream strict_in(line + "\n");
+    LineProtocolSource strict(strict_in, {.strict = true});
+    EXPECT_THROW(strict.next(e), std::runtime_error);
+  }
+
+  // The largest value of each field is still a valid event.
+  std::istringstream in(
+      "inv 9223372036854775807 18446744073709551615 4294967295\n"
+      "inv 0 0 0004294967295\n"
+      "end\r\n");
+  LineProtocolSource source(in, {.strict = true});
+  StreamEvent e;
+  ASSERT_TRUE(source.next(e));
+  EXPECT_EQ(e.minute, std::numeric_limits<trace::Minute>::max());
+  EXPECT_EQ(e.function, std::numeric_limits<trace::FunctionId>::max());
+  EXPECT_EQ(e.count, 4294967295u);
+  ASSERT_TRUE(source.next(e));
+  EXPECT_EQ(e.count, 4294967295u);
+  ASSERT_TRUE(source.next(e));
+  EXPECT_EQ(e.kind, EventKind::kEnd);
+  EXPECT_FALSE(source.next(e));
 }
 
 TEST(Serve, MissingEndTerminatesCleanly) {
