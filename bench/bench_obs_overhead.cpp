@@ -5,7 +5,8 @@
 //
 //   disabled — no observer attached (the default everyone else pays for)
 //   sink     — RingBufferSink behind an EventCollector lane (the attached
-//              transport: lock-free SPSC push, background drain)
+//              transport: a push into the lane's own retention window, fed
+//              to the sink once at finish)
 //   metrics  — MetricsRegistry only (handle-bundle batched counters)
 //   full     — sink + metrics + PhaseProfiler + top-K function tallies
 //
@@ -91,7 +92,7 @@ double run_mode(Mode mode, const sim::Deployment& deployment, const trace::Trace
 
   sim::SimulationEngine engine(deployment, trace, config);
   const auto policy = policies::make_policy("pulse");
-  // The timed window covers the drain catch-up (collector finish) too: the
+  // The timed window covers the collector's finish() feed too: the
   // attached cost is end-to-end, not just the producer-side push.
   const auto start = std::chrono::steady_clock::now();
   // Held past the timer: destroying the result is not part of the run.

@@ -110,6 +110,12 @@ int run_profile(const pulse::trace::Trace& tr, const std::string& events_path) {
   }
 
   if (file_sink) {
+    try {
+      file_sink->flush();
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("\nwrote %llu events to %s\n",
                 static_cast<unsigned long long>(file_sink->lines_written()),
                 events_path.c_str());

@@ -163,10 +163,10 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
                         market_on ? initial_quota : std::vector<double>{0.0});
 
   // Per-shard observability state: metrics/profilers are per-shard and
-  // merged after the pool joins. An attached sink goes behind the lock-free
+  // merged after the pool joins. An attached sink goes behind the event
   // collector — lane s for shard s, lane n for the coordinator's own
-  // events — so shard threads never contend on the sink, and the fixed
-  // shard→lane mapping keeps the canonical drain (and with it any
+  // events — so shard threads never contend on the sink per event, and the
+  // fixed shard→lane mapping keeps the canonical feed (and with it any
   // RingBufferSink retained window) thread-count deterministic.
   std::vector<obs::MetricsRegistry> shard_metrics(user_obs.metrics != nullptr ? n : 0);
   std::vector<obs::PhaseProfiler> shard_profilers(user_obs.profiler != nullptr ? n : 0);
@@ -379,9 +379,9 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
 
   pool.parallel_for(n, [&](std::size_t s) { result.shards[s] = runs[s]->finish(); });
 
-  // All producers (shard runs and coordinator) are quiescent: drain the
-  // lanes and feed canonical sinks their retained tails before the sink is
-  // read or the snapshot is taken.
+  // All producers (shard runs and coordinator) are quiescent: feed every
+  // lane's buffered events (canonical sinks: the retained tails) downstream
+  // before the sink is read or the snapshot is taken.
   if (collector) collector->finish();
 
   if (user_obs.metrics != nullptr) {

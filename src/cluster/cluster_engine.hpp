@@ -26,13 +26,13 @@
 //     quota partitioning is visible by design).
 //
 // Observability: an attached TraceSink sits behind an obs::EventCollector
-// — one SPSC lane per shard plus one for the coordinator's own events — so
-// no simulation thread ever takes the sink's lock, and because the
-// shard→lane mapping is fixed, the canonical (lane, sequence) drain makes
-// the retained event stream fully deterministic for a fixed shard count.
-// Metrics registries
-// and profilers are per-shard and merged into the user's after the pool
-// joins — the single-writer discipline the ensemble runner established.
+// — one producer-owned lane per shard plus one for the coordinator's own
+// events — so no simulation thread takes the sink's lock per event, and
+// because the shard→lane mapping is fixed, the canonical (lane, sequence)
+// feed makes the retained event stream fully deterministic for a fixed
+// shard count. Metrics registries and profilers are per-shard and merged
+// into the user's after the pool joins — the single-writer discipline the
+// ensemble runner established.
 // Market decisions emit kRebalance events and cluster.* metrics.
 
 #include <cstddef>
@@ -81,9 +81,9 @@ struct ClusterConfig {
   /// An attached TraceSink always sits behind an obs::EventCollector: lane
   /// s carries shard s's events, lane `shards` carries the coordinator's
   /// (crash / recovery / rebalance). Shard→lane mapping is fixed, so the
-  /// canonical drain order — and therefore a RingBufferSink's retained
-  /// window — is identical for any thread count. This sizes that transport
-  /// and sets its deterministic sampling (ignored unless a sink is attached).
+  /// canonical feed order — and therefore a RingBufferSink's retained
+  /// window — is identical for any thread count. This sets that transport's
+  /// deterministic sampling (ignored unless a sink is attached).
   obs::ObsConfig obs{};
 };
 

@@ -193,9 +193,12 @@ trace::Trace compose_multi_tenant(const trace::Trace& base,
   for (std::size_t i = 0; i < tenants; ++i) {
     const bool aggressor = tenants > 1 && i == tenants - 1;
     const auto rotation = static_cast<trace::Minute>(i) * config.phase_stagger;
+    std::string prefix = "t";
+    prefix += std::to_string(i);
+    prefix += '/';
     for (trace::FunctionId f = 0; f < functions; ++f) {
       const trace::FunctionId g = i * functions + f;
-      out.set_function_name(g, "t" + std::to_string(i) + "/" + base.function_name(f));
+      out.set_function_name(g, prefix + base.function_name(f));
       for (trace::Minute t = 0; t < duration; ++t) {
         const trace::Minute src_t =
             duration > 0 ? ((t - rotation) % duration + duration) % duration : 0;

@@ -1,8 +1,5 @@
 #include "obs/collector.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "util/rng.hpp"
 
 namespace pulse::obs {
@@ -13,36 +10,12 @@ namespace {
 /// and fault stream tag; see util::hash_u64).
 constexpr std::uint64_t kSampleStream = 0x5a3b'1e00;
 
-/// Pause iterations a producer spends on a full ring before draining the
-/// lane itself. Short: if the collector thread has not freed space almost
-/// immediately it is descheduled (or this is a single-core machine), and
-/// waiting longer just burns the producer's own timeslice.
-constexpr std::uint32_t kStallSpins = 128;
-
-/// Batch size of the producer-side emergency drain (stack-allocated).
-constexpr std::size_t kSelfDrainBatch = 256;
-
-/// Idle-sleep bounds of the collector thread. Exponential backoff between
-/// them keeps drain latency low while a producer is emitting without
-/// burning context switches (which a busy producer pays for on machines
-/// with fewer cores than threads) once the stream goes quiet.
-constexpr std::chrono::microseconds kIdleSleepMin{50};
-constexpr std::chrono::microseconds kIdleSleepMax{2000};
-
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
 }  // namespace
 
-EventLane::EventLane(EventCollector* owner, std::size_t id, const ObsConfig& config)
-    : owner_(owner),
-      ring_(config.ring_capacity),
-      id_(id),
+EventLane::EventLane(TraceSink& downstream, std::size_t id, std::size_t retain,
+                     const ObsConfig& config)
+    : downstream_(&downstream),
+      retain_(retain),
       sample_seed_(config.sample_seed),
       every_(config.sample_every),
       stream_key_(id) {
@@ -58,7 +31,7 @@ void EventLane::record(const TraceEvent& event) {
     if (every > 1) {
       // Counter-hash selection: a pure function of (sample seed, type,
       // stream key, per-type ordinal), so the kept subset is identical for
-      // any thread count and any drain timing.
+      // any thread count.
       const std::uint64_t n = ordinal_[type]++;
       if (util::hash_u64(sample_seed_, kSampleStream ^ type, stream_key_, n) % every != 0) {
         ++sampled_out_[type];
@@ -68,177 +41,65 @@ void EventLane::record(const TraceEvent& event) {
     }
   }
   ++produced_;
-  if (ring_.try_push(event)) return;
-  ++stalls_;
-  if (owner_->canonical_) {
-    // Retained sink: the ring is the bounded window, so a full ring just
-    // means the oldest events are due for eviction — discard them in place
-    // (no other thread is involved) and push.
-    do {
-      owner_->self_drain(id_);
-    } while (!ring_.try_push(event));
+  if (retain_ == 0) {
+    buffer_.push_back(event);
+    if (buffer_.size() == kStreamBatch) feed_downstream();
     return;
   }
-  // Streaming sink: back-pressure instead of dropping — losslessness is
-  // what keeps the event accounting deterministic. Spin briefly in case
-  // the collector frees space right away, then drain the lane ourselves:
-  // the producer must never depend on the collector thread being scheduled
-  // (on a single-core machine a blocking wait here would burn the whole
-  // timeslice the collector needs).
-  std::uint32_t spins = 0;
-  while (!ring_.try_push(event)) {
-    if (++spins >= kStallSpins) {
-      owner_->self_drain(id_);
-      spins = 0;
-    } else {
-      cpu_relax();
-    }
+  // Retention window full: the oldest event is exactly what the sink's own
+  // window would evict, so drop it here and keep only its type count.
+  if (buffer_.size() == retain_) {
+    ++overwritten_[static_cast<std::size_t>(buffer_.front().type)];
+    buffer_.pop_front();
   }
+  buffer_.push_back(event);
 }
 
-EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes, ObsConfig config)
-    : downstream_(&downstream),
-      config_(config),
-      canonical_(downstream.drain_mode() == TraceSink::DrainMode::kCanonical) {
+void EventLane::feed_downstream() {
+  buffer_.for_each_run(
+      [this](const TraceEvent* events, std::size_t n) { downstream_->record_batch(events, n); });
+  buffer_.clear();
+}
+
+EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes, ObsConfig config) {
   if (lanes == 0) lanes = 1;
-  if (config_.drain_batch == 0) config_.drain_batch = 1;
-  if (canonical_) {
-    tail_capacity_ = downstream.canonical_capacity();
-    if (tail_capacity_ == 0) tail_capacity_ = 1;
-    // The lane ring doubles as the retention window: it must hold the
-    // sink's full canonical capacity even right after a discard pass, so
-    // give it one drain batch of headroom on top.
-    config_.ring_capacity =
-        std::max(config_.ring_capacity, tail_capacity_ + config_.drain_batch);
+  std::size_t retain = 0;
+  if (downstream.drain_mode() == TraceSink::DrainMode::kCanonical) {
+    retain = downstream.canonical_capacity();
+    if (retain == 0) retain = 1;
   }
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<LaneState>(this, i, config_));
+    lanes_.push_back(std::unique_ptr<EventLane>(new EventLane(downstream, i, retain, config)));
   }
-  batch_.resize(config_.drain_batch);
-  // Canonical mode needs no drain thread: the producers retain in place
-  // and finish() does the single downstream feed.
-  if (!canonical_) drain_thread_ = std::thread([this] { drain_loop(); });
 }
 
 EventCollector::~EventCollector() { finish(); }
 
-std::size_t EventCollector::drain_lane_locked(LaneState& state, TraceEvent* scratch,
-                                              std::size_t scratch_size) {
-  // Streaming mode only. Caller holds state.drain_mutex — the consumer
-  // side of the lane's ring (including its cached indices) is
-  // single-threaded under that lock.
-  std::size_t moved = 0;
-  for (;;) {
-    const std::size_t n = state.lane.ring_.pop_batch(scratch, scratch_size);
-    if (n == 0) break;
-    moved += n;
-    downstream_->record_batch(scratch, n);
-    if (n < scratch_size) break;
-  }
-  return moved;
-}
-
-void EventCollector::self_drain(std::size_t lane_id) {
-  LaneState& state = *lanes_[lane_id];
-  if (canonical_) {
-    // The producer is the lane's only consumer until finish(), so the
-    // discard needs no lock: drop the oldest events down to the sink's
-    // retained capacity, in place, keeping only their type counts. This is
-    // exactly what the downstream window would have evicted anyway.
-    auto& ring = state.lane.ring_;
-    const std::size_t pending = ring.size();
-    // Free at least one slot for the push that found the ring full.
-    std::size_t excess = pending > tail_capacity_ ? pending - tail_capacity_ : 1;
-    state.overwrote_any = true;
-    while (excess > 0) {
-      excess -= ring.consume_batch(
-          [&state](const TraceEvent& e) {
-            ++state.overwritten[static_cast<std::size_t>(e.type)];
-          },
-          excess);
-    }
-    return;
-  }
-  TraceEvent scratch[kSelfDrainBatch];
-  const std::lock_guard<std::mutex> lock(state.drain_mutex);
-  drain_lane_locked(state, scratch, kSelfDrainBatch);
-}
-
-std::size_t EventCollector::sweep_once() {
-  std::size_t moved = 0;
-  for (auto& state : lanes_) {
-    const std::lock_guard<std::mutex> lock(state->drain_mutex);
-    moved += drain_lane_locked(*state, batch_.data(), batch_.size());
-  }
-  return moved;
-}
-
-void EventCollector::drain_loop() {
-  std::chrono::microseconds idle_sleep = kIdleSleepMin;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const std::size_t moved = sweep_once();
-    if (moved >= config_.drain_batch) {
-      // Rings are filling faster than one batch per sweep: keep draining
-      // back to back so the producers never hit the full-ring path.
-      idle_sleep = kIdleSleepMin;
-      continue;
-    }
-    // Caught up. Back off the poll cadence: every wakeup is a timer fire
-    // plus a context switch that (on machines with fewer cores than
-    // threads) preempts a producer, so polling fast while keeping up is
-    // pure overhead. The rings absorb kIdleSleepMax of production, and the
-    // producers' self-drain path bounds the damage if a burst fills one
-    // mid-sleep.
-    std::this_thread::sleep_for(idle_sleep);
-    idle_sleep = std::min(idle_sleep * 2, kIdleSleepMax);
-  }
-}
-
 void EventCollector::finish() {
   if (finished_) return;
   finished_ = true;
-  stop_.store(true, std::memory_order_release);
-  if (drain_thread_.joinable()) drain_thread_.join();
-  if (canonical_) {
-    // Canonical feed: lane id order, each lane's events in sequence order —
-    // overwritten-first (they precede the ring contents in sequence), then
-    // the retained ring oldest-first. Bit-identical to replaying the
-    // per-lane streams serially into the sink.
-    for (auto& state : lanes_) {
-      if (state->overwrote_any) {
-        downstream_->account_overwritten(state->overwritten.data(),
-                                         state->overwritten.size());
-      }
-      for (;;) {
-        const std::size_t n = state->lane.ring_.pop_batch(batch_.data(), batch_.size());
-        if (n == 0) break;
-        downstream_->record_batch(batch_.data(), n);
-      }
-    }
-    return;
-  }
-  // Producers have quiesced (the caller's contract), so one final sweep
-  // leaves every ring empty.
-  while (sweep_once() > 0) {
+  // Canonical feed: lane id order, each lane's events in sequence order —
+  // its overwritten events first (they precede the window), then the
+  // window oldest-first. Bit-identical to replaying the per-lane streams
+  // serially into the sink. Streaming sinks ignore the overwritten counts
+  // (a streaming lane never overwrites) and get the partial batches.
+  for (const auto& lane : lanes_) {
+    lane->downstream_->account_overwritten(lane->overwritten_.data(),
+                                           lane->overwritten_.size());
+    lane->feed_downstream();
   }
 }
 
 std::uint64_t EventCollector::produced() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& state : lanes_) total += state->lane.produced();
+  for (const auto& lane : lanes_) total += lane->produced();
   return total;
 }
 
 std::uint64_t EventCollector::sampled_out() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& state : lanes_) total += state->lane.sampled_out();
-  return total;
-}
-
-std::uint64_t EventCollector::stalls() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& state : lanes_) total += state->lane.stalls();
+  for (const auto& lane : lanes_) total += lane->sampled_out();
   return total;
 }
 

@@ -113,14 +113,25 @@ std::size_t format_event_jsonl(const TraceEvent& event, char* buf, std::size_t c
   return n;
 }
 
-JsonlFileSink::JsonlFileSink(const std::string& path) : file_(std::fopen(path.c_str(), "w")) {
+JsonlFileSink::JsonlFileSink(const std::string& path)
+    : path_(path), file_(std::fopen(path.c_str(), "w")) {
   if (file_ == nullptr) {
     throw std::runtime_error("JsonlFileSink: cannot open " + path + " for writing");
   }
 }
 
 JsonlFileSink::~JsonlFileSink() {
-  if (file_ != nullptr) std::fclose(file_);
+  // A destructor must not throw; callers that need to know whether the
+  // file is complete call flush() first, which reports every failure.
+  if (file_ != nullptr) (void)std::fclose(file_);
+}
+
+void JsonlFileSink::write_locked(const char* data, std::size_t n, std::size_t lines) {
+  if (std::fwrite(data, 1, n, file_) == n) {
+    lines_ += lines;
+  } else {
+    failed_ = true;
+  }
 }
 
 void JsonlFileSink::record(const TraceEvent& event) {
@@ -128,13 +139,12 @@ void JsonlFileSink::record(const TraceEvent& event) {
   char line[kJsonlMaxLine];
   const std::size_t n = format_event_jsonl(event, line, sizeof line);
   std::lock_guard lock(mutex_);
-  std::fwrite(line, 1, n, file_);
-  ++lines_;
+  write_locked(line, n, 1);
 }
 
 void JsonlFileSink::record_batch(const TraceEvent* events, std::size_t count) {
-  // One buffered chunk, one fwrite, one lock acquisition per chunk — the
-  // collector drain path. 64 lines per chunk keeps the buffer on the stack.
+  // One buffered chunk, one fwrite, one lock acquisition per chunk. 64 lines
+  // per chunk keeps the buffer on the stack.
   constexpr std::size_t kChunkLines = 64;
   char chunk[kChunkLines * kJsonlMaxLine];
   std::size_t i = 0;
@@ -145,8 +155,7 @@ void JsonlFileSink::record_batch(const TraceEvent* events, std::size_t count) {
       n += format_event_jsonl(events[i + j], chunk + n, kJsonlMaxLine);
     }
     std::lock_guard lock(mutex_);
-    std::fwrite(chunk, 1, n, file_);
-    lines_ += lines;
+    write_locked(chunk, n, lines);
     i += lines;
   }
 }
@@ -158,7 +167,8 @@ std::uint64_t JsonlFileSink::lines_written() const {
 
 void JsonlFileSink::flush() {
   std::lock_guard lock(mutex_);
-  std::fflush(file_);
+  if (std::fflush(file_) != 0) failed_ = true;
+  if (failed_) throw std::runtime_error("JsonlFileSink: write to " + path_ + " failed");
 }
 
 }  // namespace pulse::obs

@@ -6,9 +6,9 @@
 // Both provided implementations are internally synchronized so one sink can
 // be shared across ensemble worker threads; the cheap attached path,
 // however, is to put an obs::EventCollector in front (see collector.hpp):
-// producers then push into lock-free SPSC rings and a background thread
-// drains them into the sink in batches through record_batch(), so the
-// per-event mutex never sits on the simulation hot path.
+// each producer then buffers into its own lane, and the sink's lock is
+// taken once per batch of events through record_batch(), never per event
+// on the simulation hot path.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,19 +24,20 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  /// How an EventCollector hands drained events to this sink.
-  ///   kStream    — forward each drained batch immediately (file/streaming
-  ///                sinks; line order across lanes is drain-cycle order).
+  /// How an EventCollector hands lane events to this sink.
+  ///   kStream    — every event, in batches from the producer thread as
+  ///                each lane's batch fills (file/streaming sinks; line
+  ///                order across lanes is batch order).
   ///   kCanonical — the collector retains bounded per-lane tails and feeds
   ///                the sink exactly once, at finish(), in canonical
   ///                (lane id, sequence) order, so the retained window and
-  ///                all drop accounting are independent of drain timing.
+  ///                all drop accounting are independent of thread timing.
   enum class DrainMode : std::uint8_t { kStream, kCanonical };
 
   /// Records one event. Must be safe to call from multiple threads.
   virtual void record(const TraceEvent& event) = 0;
 
-  /// Records `count` events in one call (the collector drain path). The
+  /// Records `count` events in one call (the collector's path). The
   /// default loops over record(); synchronized sinks override it to take
   /// their lock once per batch.
   virtual void record_batch(const TraceEvent* events, std::size_t count) {
@@ -117,8 +118,12 @@ std::size_t format_event_jsonl(const TraceEvent& event, char* buf, std::size_t c
 /// `function` is omitted for aggregate events and `variant` when -1.
 ///
 /// Formatting happens outside the lock (per-call stack buffer); the lock
-/// only covers the fwrite, and record_batch() formats the whole batch into
-/// one buffer and writes it with a single fwrite.
+/// only covers the fwrite, and record_batch() formats up to 64 lines into
+/// one buffer and writes them with a single fwrite.
+///
+/// Write errors never throw from record()/record_batch() (they run on
+/// producer threads): a failed write sets a sticky failure flag, its lines
+/// are not counted, and flush() reports the failure.
 class JsonlFileSink final : public TraceSink {
  public:
   /// Opens `path` for writing (truncates). Throws std::runtime_error when
@@ -132,15 +137,23 @@ class JsonlFileSink final : public TraceSink {
   void record(const TraceEvent& event) override;
   void record_batch(const TraceEvent* events, std::size_t count) override;
 
+  /// Lines handed to the file without a write error (lines still buffered
+  /// when a later flush() fails are counted but lost).
   [[nodiscard]] std::uint64_t lines_written() const;
 
-  /// Flushes buffered output to the OS.
+  /// Flushes buffered output to the OS. Throws std::runtime_error naming the
+  /// path if this flush or any earlier write failed.
   void flush();
 
  private:
+  /// Writes `n` bytes holding `lines` lines; caller holds mutex_.
+  void write_locked(const char* data, std::size_t n, std::size_t lines);
+
+  const std::string path_;
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
   std::uint64_t lines_ = 0;
+  bool failed_ = false;
 };
 
 }  // namespace pulse::obs

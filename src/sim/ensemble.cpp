@@ -42,11 +42,11 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
   std::vector<obs::PhaseProfiler> slot_profilers(
       user_obs.profiler != nullptr ? pool.task_slot_count() : 0);
 
-  // Lock-free event transport: one SPSC lane per worker slot in front of
-  // the user's sink, drained by the collector's background thread. Workers
-  // never touch the sink's mutex, and each run keys its sampling stream by
-  // run index, so sampling decisions and event totals are thread-count
-  // invariant (see obs/collector.hpp for the full determinism contract).
+  // Event transport: one producer-owned lane per worker slot in front of
+  // the user's sink. Workers never take the sink's lock per event, and each
+  // run keys its sampling stream by run index, so sampling decisions and
+  // event totals are thread-count invariant (see obs/collector.hpp for the
+  // full determinism contract).
   std::unique_ptr<obs::EventCollector> collector;
   if (user_obs.sink != nullptr) {
     collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count(),
@@ -76,9 +76,9 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
     result.runs[i] = engine.run(*policy);
   });
 
-  // The pool has joined (producers quiesced): drain the lanes and, for
-  // canonical sinks, feed the retained tails downstream before anything
-  // reads the sink.
+  // The pool has joined (producers quiesced): feed every lane's buffered
+  // events (for canonical sinks, the retained tails) downstream before
+  // anything reads the sink.
   if (collector) collector->finish();
 
   for (const auto& m : slot_metrics) user_obs.metrics->merge(m);

@@ -28,11 +28,11 @@ struct EnsembleConfig {
   std::size_t threads = 0;  // 0 -> hardware concurrency
 
   /// An attached TraceSink always sits behind an obs::EventCollector: each
-  /// worker slot emits into its own lock-free SPSC lane (no sink mutex on
-  /// the simulation threads) and every run starts a sampling stream keyed by
-  /// its run index, so event totals, per-type counts and sampling decisions
-  /// are identical for any thread count. This sizes that transport and sets
-  /// its deterministic sampling (ignored unless a sink is attached).
+  /// worker slot emits into its own producer-owned lane (no per-event sink
+  /// lock on the simulation threads) and every run starts a sampling stream
+  /// keyed by its run index, so event totals, per-type counts and sampling
+  /// decisions are identical for any thread count. This sets that
+  /// transport's deterministic sampling (ignored unless a sink is attached).
   obs::ObsConfig obs{};
 };
 

@@ -2,13 +2,15 @@
 // Growable single-ended ring buffer (FIFO): push_back at the tail, pop_front
 // at the head, O(1) random access by logical index. Capacity grows by
 // doubling, so a producer whose live size is bounded (every streaming
-// predictor window in this repository) stops allocating once the high-water
-// mark is reached — the property the serve-mode allocation test
-// (tests/memory/serve_allocation_test.cpp) checks. Unlike std::deque, a
-// steady-state push/pop cycle never touches the allocator.
+// predictor window and every obs::EventLane buffer in this repository) stops
+// allocating once the high-water mark is reached — the property the
+// serve-mode allocation test (tests/memory/serve_allocation_test.cpp)
+// checks. Unlike std::deque, a steady-state push/pop cycle never touches
+// the allocator.
 //
 // Not thread-safe; each owner drives its own instance.
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -62,6 +64,16 @@ class RingBuffer {
     std::size_t cap = storage_.empty() ? 8 : storage_.size();
     while (cap < n) cap <<= 1;
     relocate(cap);
+  }
+
+  /// Calls f(first, count) over the live elements, oldest first, as at most
+  /// two contiguous runs (the second only when the live range wraps).
+  template <typename F>
+  void for_each_run(F&& f) const {
+    if (size_ == 0) return;
+    const std::size_t first = std::min(size_, storage_.size() - head_);
+    f(storage_.data() + head_, first);
+    if (first < size_) f(storage_.data(), size_ - first);
   }
 
   /// Copies the live elements, oldest first, into `out` (cleared first).

@@ -33,7 +33,9 @@ TEST(Partition, MembersAscendingAndMatchShardOf) {
   const Partition p = Partition::make(500, 5);
   for (std::size_t s = 0; s < p.members.size(); ++s) {
     for (std::size_t i = 0; i < p.members[s].size(); ++i) {
-      if (i > 0) EXPECT_LT(p.members[s][i - 1], p.members[s][i]);
+      if (i > 0) {
+        EXPECT_LT(p.members[s][i - 1], p.members[s][i]);
+      }
       EXPECT_EQ(shard_of(p.members[s][i], 5), s);
     }
   }

@@ -330,8 +330,8 @@ fault::ShardFaultConfig pinned_shard_faults() {
 }
 
 struct PinnedRun {
-  // Holds every event of the run; one drain batch below a power of two
-  // keeps the collector's mirrored per-lane rings at 2^15 slots.
+  // Holds every event of the run, so the pinned hash covers the whole
+  // stream.
   obs::RingBufferSink sink{(1 << 15) - 512};
   obs::MetricsRegistry registry;
   ClusterResult result;

@@ -38,7 +38,7 @@ TEST(ModelFamily, BasicAccessors) {
 
 TEST(ModelFamily, VariantOutOfRangeThrows) {
   ModelFamily f("Fam", "t", "d", three_variants());
-  EXPECT_THROW(f.variant(3), std::out_of_range);
+  EXPECT_THROW((void)f.variant(3), std::out_of_range);
 }
 
 TEST(ModelFamily, EmptyVariantsThrows) {

@@ -89,11 +89,11 @@ TEST(Zoo, SynthesizedColdStartRule) {
 }
 
 TEST(Zoo, FamilyByNameThrowsOnMissing) {
-  EXPECT_THROW(ModelZoo::builtin().family_by_name("LLaMA"), std::invalid_argument);
+  EXPECT_THROW((void)ModelZoo::builtin().family_by_name("LLaMA"), std::invalid_argument);
 }
 
 TEST(Zoo, FamilyIndexOutOfRangeThrows) {
-  EXPECT_THROW(ModelZoo::builtin().family(99), std::out_of_range);
+  EXPECT_THROW((void)ModelZoo::builtin().family(99), std::out_of_range);
 }
 
 TEST(Zoo, CsvRoundTrip) {

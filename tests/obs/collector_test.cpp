@@ -1,10 +1,11 @@
-// EventCollector / EventLane: the lock-free attached-mode transport.
+// EventCollector / EventLane: the attached-mode event transport.
 //
 // The contracts under test (see obs/collector.hpp):
-//   * lossless multi-producer drain — event totals and per-type counts are
-//     exact for any producer count (the TSan job runs this file too);
+//   * lossless multi-producer transport — event totals and per-type counts
+//     are exact for any producer count (the TSan job runs this file too);
 //   * canonical feed — a RingBufferSink behind the collector retains
-//     bit-identically what serial per-lane feeding would retain;
+//     bit-identically what serial per-lane feeding would retain, also when
+//     the lanes are uneven and the retained window spans several of them;
 //   * deterministic sampling — the kept subset depends on (seed, stream,
 //     ordinal) only, never on lane count, thread count, or timing;
 //   * overflow accounting — ring overwrites and sampling drops are counted
@@ -46,7 +47,6 @@ TEST(EventCollector, MultiProducerDrainIsLossless) {
 
   RingBufferSink sink(1 << 15);
   ObsConfig config;
-  config.ring_capacity = 256;  // small ring: force drain/producer overlap
   EventCollector collector(sink, kProducers, config);
 
   std::vector<std::thread> producers;
@@ -63,7 +63,7 @@ TEST(EventCollector, MultiProducerDrainIsLossless) {
   constexpr std::uint64_t kTotal = kProducers * kPerProducer;
   EXPECT_EQ(collector.produced(), kTotal);
   EXPECT_EQ(collector.sampled_out(), 0u);
-  EXPECT_EQ(sink.recorded(), kTotal);  // lossless: stalls wait, never drop
+  EXPECT_EQ(sink.recorded(), kTotal);  // lossless: nothing dropped in transit
 
   // Per-type counts survive the transport exactly.
   const std::vector<std::uint64_t> counts = sink.counts_by_type();
@@ -113,43 +113,46 @@ TEST(EventCollector, StreamingSinkReceivesEveryLine) {
 }
 
 TEST(EventCollector, CanonicalWindowMatchesSerialFeed) {
-  constexpr std::size_t kLanes = 3;
-  constexpr std::uint64_t kPerLane = 700;  // > capacity: forces overwrites
   constexpr std::size_t kCapacity = 256;
+  // Per-lane event counts. Even lanes past the capacity force overwrites in
+  // every lane; uneven ones leave a retained window that spans lanes (the
+  // last 256 of 705 events: 251 from lane 0 and all 5 of lane 2).
+  const std::vector<std::vector<std::uint64_t>> inputs = {{700, 700, 700}, {700, 0, 5}};
 
-  // Through the collector (producers sequential — the SPSC contract needs
-  // one producer at a time per lane, not one thread for all time).
-  RingBufferSink collected(kCapacity);
-  {
-    ObsConfig config;
-    config.ring_capacity = 64;
-    EventCollector collector(collected, kLanes, config);
-    for (std::size_t p = 0; p < kLanes; ++p) {
-      for (std::uint64_t i = 0; i < kPerLane; ++i) {
-        collector.lane(p).record(make_event(p, i));
+  for (const std::vector<std::uint64_t>& per_lane : inputs) {
+    SCOPED_TRACE(::testing::PrintToString(per_lane));
+    // Through the collector (producers sequential — a lane needs one
+    // producer at a time, not one thread for all time).
+    RingBufferSink collected(kCapacity);
+    {
+      EventCollector collector(collected, per_lane.size());
+      for (std::size_t p = 0; p < per_lane.size(); ++p) {
+        for (std::uint64_t i = 0; i < per_lane[p]; ++i) {
+          collector.lane(p).record(make_event(p, i));
+        }
       }
+      collector.finish();
     }
-    collector.finish();
-  }
 
-  // Serial reference: the same per-lane streams fed directly, lane by lane.
-  RingBufferSink serial(kCapacity);
-  for (std::size_t p = 0; p < kLanes; ++p) {
-    for (std::uint64_t i = 0; i < kPerLane; ++i) serial.record(make_event(p, i));
-  }
+    // Serial reference: the same per-lane streams fed directly, lane by lane.
+    RingBufferSink serial(kCapacity);
+    for (std::size_t p = 0; p < per_lane.size(); ++p) {
+      for (std::uint64_t i = 0; i < per_lane[p]; ++i) serial.record(make_event(p, i));
+    }
 
-  EXPECT_EQ(collected.recorded(), serial.recorded());
-  EXPECT_EQ(collected.dropped(), serial.dropped());
-  EXPECT_EQ(collected.counts_by_type(), serial.counts_by_type());
+    EXPECT_EQ(collected.recorded(), serial.recorded());
+    EXPECT_EQ(collected.dropped(), serial.dropped());
+    EXPECT_EQ(collected.counts_by_type(), serial.counts_by_type());
 
-  const std::vector<TraceEvent> a = collected.events();
-  const std::vector<TraceEvent> b = serial.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].type, b[i].type) << i;
-    EXPECT_EQ(a[i].minute, b[i].minute) << i;
-    EXPECT_EQ(a[i].function, b[i].function) << i;
-    EXPECT_DOUBLE_EQ(a[i].value, b[i].value) << i;
+    const std::vector<TraceEvent> a = collected.events();
+    const std::vector<TraceEvent> b = serial.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].type, b[i].type) << i;
+      EXPECT_EQ(a[i].minute, b[i].minute) << i;
+      EXPECT_EQ(a[i].function, b[i].function) << i;
+      EXPECT_DOUBLE_EQ(a[i].value, b[i].value) << i;
+    }
   }
 }
 
@@ -229,18 +232,19 @@ TEST(EventCollector, SamplingDropsAreCountedSeparatelyFromOverwrites) {
   EXPECT_EQ(sink2.recorded(), sink.recorded());
 }
 
-TEST(EventCollector, TinyRingBackpressuresWithoutLoss) {
+// A stream ~50x the retained window: the lane overwrites nearly every
+// event in place, yet the sink's totals count each one exactly.
+TEST(EventCollector, WindowOverwritesKeepTotalsExact) {
   constexpr std::uint64_t kEvents = 50'000;
   RingBufferSink sink(1 << 10);
   ObsConfig config;
-  config.ring_capacity = 16;  // guarantees the producer outruns the drain
-  config.drain_batch = 8;
   EventCollector collector(sink, 1, config);
   for (std::uint64_t i = 0; i < kEvents; ++i) {
     collector.lane(0).record(make_event(0, i));
   }
   collector.finish();
   EXPECT_EQ(sink.recorded(), kEvents);
+  EXPECT_EQ(sink.dropped(), kEvents - (1u << 10));
   EXPECT_EQ(collector.produced(), kEvents);
 }
 

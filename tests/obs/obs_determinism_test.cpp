@@ -244,7 +244,9 @@ TEST(ObsDeterminism, TopKFunctionCountersMatchPerFunctionTallies) {
   for (trace::FunctionId f = 0; f < r.per_function.size(); ++f) {
     bool in_report = false;
     for (const auto& [gid, count] : reported) in_report |= gid == f;
-    if (!in_report) EXPECT_LE(r.per_function[f].cold_starts, floor) << "function " << f;
+    if (!in_report) {
+      EXPECT_LE(r.per_function[f].cold_starts, floor) << "function " << f;
+    }
   }
 }
 

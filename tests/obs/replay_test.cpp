@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "obs/collector.hpp"
@@ -76,6 +77,7 @@ struct ReplayFixture {
   sim::RunResult result;
   ReplayResult replay;
   trace::Minute duration = 0;
+  std::string jsonl;  // the file's bytes
 };
 
 /// One observed PULSE run streamed to JSONL, then replayed from the file.
@@ -115,6 +117,10 @@ ReplayFixture run_and_replay(const std::string& path, bool through_collector) {
     sink.flush();
   }
   fx.replay = replay_events_file(path);
+  {
+    std::ifstream in(path, std::ios::binary);
+    fx.jsonl.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
   std::remove(path.c_str());
   return fx;
 }
@@ -143,6 +149,13 @@ TEST(Replay, CollectorTransportPreservesTheReconstruction) {
   EXPECT_EQ(fx.replay.minute_samples, static_cast<std::uint64_t>(fx.duration));
   EXPECT_EQ(fx.replay.total_keepalive_cost_usd(), fx.result.total_keepalive_cost_usd);
   EXPECT_EQ(fx.replay.total_cold_starts(), fx.result.cold_starts);
+
+  // One lane keeps the emission order: the file is the direct-attach file,
+  // byte for byte.
+  const ReplayFixture direct =
+      run_and_replay(testing::TempDir() + "replay_lane_direct.jsonl", /*through_collector=*/false);
+  ASSERT_FALSE(direct.jsonl.empty());
+  EXPECT_TRUE(fx.jsonl == direct.jsonl) << "lane file differs from the direct-attach file";
 }
 
 TEST(Replay, SkipsGarbageLinesAndKeepsGoing) {

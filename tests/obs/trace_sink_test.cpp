@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -277,6 +279,29 @@ TEST_F(JsonlFileSinkTest, ShardRecoverEventSchema) {
 
 TEST_F(JsonlFileSinkTest, UnopenablePathThrows) {
   EXPECT_THROW(JsonlFileSink("/nonexistent-dir-xyz/file.jsonl"), std::runtime_error);
+}
+
+// /dev/full opens fine and fails every write with ENOSPC. Producer threads
+// must never see an exception, so the failure is sticky until flush().
+TEST_F(JsonlFileSinkTest, WriteFailureIsReported) {
+  std::unique_ptr<JsonlFileSink> sink;
+  try {
+    sink = std::make_unique<JsonlFileSink>("/dev/full");
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "/dev/full cannot be opened";
+  }
+  // Far more than one stdio buffer, so the writes themselves fail.
+  const std::vector<TraceEvent> batch(1000, event_at(1));
+  sink->record_batch(batch.data(), batch.size());
+  sink->record(event_at(2));
+  EXPECT_LT(sink->lines_written(), batch.size());
+  try {
+    sink->flush();
+    FAIL() << "flush() must report the failed writes";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(sink->flush(), std::runtime_error);  // still failed
 }
 
 }  // namespace

@@ -101,7 +101,9 @@ TEST_F(IceBreakerTest, PlainIceBreakerWarmsHighestOnly) {
   const int high = static_cast<int>(deployment_.family_of(0).highest_index());
   for (trace::Minute m = 0; m < 810; ++m) {
     const int v = schedule_.variant_at(0, m);
-    if (v != sim::kNoVariant) EXPECT_EQ(v, high);
+    if (v != sim::kNoVariant) {
+      EXPECT_EQ(v, high);
+    }
   }
 }
 

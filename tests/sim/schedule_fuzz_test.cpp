@@ -70,10 +70,11 @@ std::vector<models::ModelFamily> wide_magnitude_families(std::size_t count, std:
     for (int v = 0; v < 3; ++v) {
       const double mantissa = 1.0 + rng.uniform();
       const int exponent = static_cast<int>(rng.bounded(38)) - 8;
-      variants.push_back({"v" + std::to_string(v), 1.0, 2.0, 50.0 + v,
+      variants.push_back({std::string("v").append(std::to_string(v)), 1.0, 2.0, 50.0 + v,
                           std::ldexp(mantissa, exponent)});
     }
-    families.emplace_back("F" + std::to_string(i), "t", "d", std::move(variants));
+    families.emplace_back(std::string("F").append(std::to_string(i)), "t", "d",
+                          std::move(variants));
   }
   return families;
 }

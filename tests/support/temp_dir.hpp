@@ -21,7 +21,8 @@ inline std::filesystem::path unique_test_dir() {
       ::testing::UnitTest::GetInstance()->current_test_info();
   std::string name = "pulse_";
   name += info != nullptr ? std::string(info->test_suite_name()) + "." + info->name() : "test";
-  name += "_" + std::to_string(::getpid());
+  name += '_';
+  name += std::to_string(::getpid());
   std::replace(name.begin(), name.end(), '/', '_');  // parameterized test names
   const std::filesystem::path dir = std::filesystem::temp_directory_path() / name;
   std::filesystem::remove_all(dir);

@@ -245,7 +245,10 @@ TEST_F(AzureStreamTest, MalformedRowsCarryByteOffsets) {
   // Row 3 ("o,a,f,http,1,2,3") starts right after the header and one good
   // row; the error must name the line and its byte offset in the file.
   std::string content = "HashOwner,HashApp,HashFunction,Trigger";
-  for (Minute m = 1; m <= kMinutesPerDay; ++m) content += "," + std::to_string(m);
+  for (Minute m = 1; m <= kMinutesPerDay; ++m) {
+    content += ',';
+    content += std::to_string(m);
+  }
   content += '\n';
   const std::size_t header_bytes = content.size();
   std::string good = "o,a,good,http";
