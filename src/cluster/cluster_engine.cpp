@@ -12,8 +12,8 @@ namespace pulse::cluster {
 namespace {
 
 /// Pre-resolved cluster.* handle bundle (metrics_registry.hpp): names are
-/// looked up once per run, the coordinator bumps plain POD fields during an
-/// epoch, and flush() folds them into the user registry at each barrier.
+/// looked up once per run; the coordinator then adds straight into the
+/// user registry.
 struct ClusterMetricHandles {
   obs::CounterHandle crashes;
   obs::CounterHandle warm_lost;
@@ -22,7 +22,7 @@ struct ClusterMetricHandles {
   obs::CounterHandle transfers;
   obs::GaugeHandle reclaimed_mb;
   obs::GaugeHandle quota_moved_mb;
-  obs::HistogramHandle recovery_latency;  // buckets directly, no pending
+  obs::HistogramHandle recovery_latency;
 
   void bind(obs::MetricsRegistry& m) {
     crashes.bind(m, "cluster.failures.crashes");
@@ -33,16 +33,6 @@ struct ClusterMetricHandles {
     reclaimed_mb.bind(m, "cluster.failures.reclaimed_mb");
     quota_moved_mb.bind(m, "cluster.quota_moved_mb");
     recovery_latency.bind(m, "cluster.failures.recovery_latency_minutes", 256);
-  }
-
-  void flush() {
-    crashes.flush();
-    warm_lost.flush();
-    recoveries.flush();
-    stalled_epochs.flush();
-    transfers.flush();
-    reclaimed_mb.flush();
-    quota_moved_mb.flush();
   }
 };
 
@@ -282,9 +272,9 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
         ++result.shard_crashes;
         coord_obs.emit({obs::EventType::kShardCrash, tc, s, -1,
                        static_cast<double>(warm_lost), "shard_crash"});
-        cm.crashes.bump();
-        cm.warm_lost.bump(warm_lost);
-        cm.reclaimed_mb.bump(reclaimed);
+        cm.crashes.add();
+        cm.warm_lost.add(warm_lost);
+        cm.reclaimed_mb.add(reclaimed);
       }
       // Recovery. A shard sits out `recovery_epochs` full epochs after the
       // barrier that detected its crash, then the outage span is accounted
@@ -312,15 +302,15 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
             coord_obs.emit({obs::EventType::kRebalance, t1, cb.recipient,
                            from_reserve ? -2 : static_cast<std::int32_t>(cb.donor),
                            cb.mb, "quota_clawback"});
-            cm.transfers.bump();
-            cm.quota_moved_mb.bump(cb.mb);
+            cm.transfers.add();
+            cm.quota_moved_mb.add(cb.mb);
           }
           runs[s]->set_memory_capacity_mb(market.quota_mb(s));
         }
         const trace::Minute latency = t1 - fail.crash_minute;
         coord_obs.emit({obs::EventType::kShardRecover, t1, s, -1,
                        static_cast<double>(latency), "shard_recover"});
-        cm.recoveries.bump();
+        cm.recoveries.add();
         cm.recovery_latency.record(static_cast<std::size_t>(std::max<trace::Minute>(latency, 0)));
       }
     }
@@ -328,14 +318,11 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
       for (std::size_t s = 0; s < n; ++s) {
         if (stalled[s] == 0) continue;
         ++result.stalled_epochs;
-        cm.stalled_epochs.bump();
+        cm.stalled_epochs.add();
       }
     }
 
-    if (!market_on || last_barrier) {
-      cm.flush();  // epoch barrier: fold this epoch's deltas
-      continue;
-    }
+    if (!market_on || last_barrier) continue;
 
     // Between barriers, single-threaded: gather signals, trade, re-quota.
     // Down shards report nothing (the market holds them offline); shards
@@ -363,10 +350,9 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
       coord_obs.emit({obs::EventType::kRebalance, t1, trade.recipient,
                      from_reserve ? -2 : static_cast<std::int32_t>(trade.donor),
                      trade.mb, from_reserve ? "reserve_grant" : "quota_transfer"});
-      cm.transfers.bump();
-      cm.quota_moved_mb.bump(trade.mb);
+      cm.transfers.add();
+      cm.quota_moved_mb.add(trade.mb);
     }
-    cm.flush();  // epoch barrier: fold this epoch's deltas
   }
 
   // Outages that the trace ended inside: account the failed span so shard

@@ -4,9 +4,6 @@
 
 namespace pulse::core {
 
-GlobalOptimizer::GlobalOptimizer(std::size_t model_count)
-    : GlobalOptimizer(model_count, Config{}) {}
-
 GlobalOptimizer::GlobalOptimizer(std::size_t model_count, Config config)
     : config_(config), detector_(config.peak), priority_(model_count) {
   // A peak minute can first occur arbitrarily late in a served stream;
@@ -40,11 +37,8 @@ UtilityComponents GlobalOptimizer::score(
 
 std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                           const std::vector<InterArrivalTracker>& trackers) {
-  // Record this minute's demand before any flattening, then compare it
-  // against the prior derived from past demand (see DemandHistory).
-  while (demand_.now() < t) demand_.push(0.0);  // tolerate skipped idle minutes
-  const double prior = detector_.prior_memory(demand_, t);
-  demand_.push(schedule.memory_at(t));
+  const std::optional<double> prior = detect_peak(t, schedule);
+  if (!prior) return 0;
   std::size_t downgrades = 0;
 
   obs::TraceSink* const sink = obs_ != nullptr ? obs_->sink : nullptr;
@@ -55,7 +49,7 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
   // re-listing the schedule — without the per-round O(F) scan + allocation.
   const sim::Deployment& deployment = schedule.deployment();
   bool kept_built = false;
-  while (detector_.is_peak(schedule.memory_at(t), prior)) {
+  while (detector_.is_peak(schedule.memory_at(t), *prior)) {
     if (!kept_built) {
       schedule.kept_alive_at(t, kept_buffer_);
       kept_utility_.clear();
@@ -101,14 +95,22 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
     }
   }
   if (downgrades > 0) {
-    // Minute boundary: fold this minute's deltas into the registry through
-    // the pre-resolved handles (unbound handles make this a no-op).
-    metrics_.peak_minutes.bump();
-    metrics_.downgrades.bump(downgrades);
-    metrics_.peak_minutes.flush();
-    metrics_.downgrades.flush();
+    // Unbound handles make these no-ops.
+    metrics_.peak_minutes.add();
+    metrics_.downgrades.add(downgrades);
   }
   return downgrades;
+}
+
+std::optional<double> GlobalOptimizer::detect_peak(trace::Minute t,
+                                                   const sim::KeepAliveSchedule& schedule) {
+  // Record this minute's demand before any flattening, then compare it
+  // against the prior derived from past demand (see DemandHistory).
+  while (demand_.now() < t) demand_.push(0.0);  // tolerate skipped idle minutes
+  const double prior = detector_.prior_memory(demand_, t);
+  demand_.push(schedule.memory_at(t));
+  if (!detector_.is_peak(schedule.memory_at(t), prior)) return std::nullopt;
+  return prior;
 }
 
 void GlobalOptimizer::set_observer(const obs::Observer* observer) {

@@ -9,6 +9,7 @@
 // burden rotates across models instead of repeatedly hitting the same one.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/interarrival.hpp"
@@ -59,17 +60,25 @@ class GlobalOptimizer {
     UtilityWeights weights{};
   };
 
-  explicit GlobalOptimizer(std::size_t model_count);  // default Config
   GlobalOptimizer(std::size_t model_count, Config config);
 
-  /// Runs Algorithm 2 for minute t: records the demand memory of minute t,
-  /// and if t is a peak (demand vs. the demand history's prior), downgrades
-  /// lowest-Uv models (mutating `schedule` from minute t onward) until the
-  /// peak is flattened or nothing is left to downgrade. Must be called once
-  /// per minute in order. Returns the number of downgrades performed for
-  /// this minute.
+  /// Runs Algorithm 2 for minute t: if detect_peak(t) flags a peak,
+  /// downgrades lowest-Uv models (mutating `schedule` from minute t
+  /// onward) until the peak is flattened or nothing is left to downgrade.
+  /// Must be called once per minute in order. Returns the number of
+  /// downgrades performed for this minute.
   std::size_t flatten_peak(trace::Minute t, sim::KeepAliveSchedule& schedule,
                            const std::vector<InterArrivalTracker>& trackers);
+
+  /// Algorithm 1 for minute t: records minute t's demand memory, then
+  /// returns the prior it was compared against when t is a peak (demand
+  /// vs. the demand history's prior), nullopt otherwise. Must be called
+  /// once per minute in order; flatten_peak calls it.
+  std::optional<double> detect_peak(trace::Minute t, const sim::KeepAliveSchedule& schedule);
+
+  /// Tallies one downgrade of f (Algorithm 2, line 10) for a peak step
+  /// that chooses its downgrades itself.
+  void record_downgrade(trace::FunctionId f) { priority_.record_downgrade(f); }
 
   /// Pre-sizes the demand history for a run of `minutes` minutes, keeping
   /// flatten_peak's bookkeeping off the allocator.
@@ -83,8 +92,8 @@ class GlobalOptimizer {
                                         const std::vector<InterArrivalTracker>& trackers) const;
 
   /// Pre-resolved optimizer.* handle bundle (metrics_registry.hpp): bound
-  /// once in set_observer, bumped on the flatten path, flushed at the
-  /// flatten_peak minute boundary — no name lookup per peak minute.
+  /// once in set_observer, added to on the flatten path — no name lookup
+  /// per peak minute.
   struct Metrics {
     obs::CounterHandle peak_minutes;
     obs::CounterHandle downgrades;

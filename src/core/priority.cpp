@@ -24,16 +24,9 @@ std::uint64_t PriorityStructure::downgrade_count(trace::FunctionId f) const {
 }
 
 std::vector<double> PriorityStructure::normalized() const {
-  std::vector<double> values;
-  normalized_into(values);
+  std::vector<double> values(counts_.size());
+  for (std::size_t i = 0; i < counts_.size(); ++i) values[i] = normalized_of(i);
   return values;
-}
-
-void PriorityStructure::normalized_into(std::vector<double>& out) const {
-  out.resize(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = normalized_of(i);
-  }
 }
 
 double PriorityStructure::normalized_priority(trace::FunctionId f) const {

@@ -47,9 +47,6 @@ class PriorityStructure {
   /// normalized_of() for every model.
   [[nodiscard]] std::vector<double> normalized() const;
 
-  /// Allocation-free variant of normalized(): writes into `out` (resized).
-  void normalized_into(std::vector<double>& out) const;
-
   /// normalized_of() with a range check (throws std::out_of_range).
   [[nodiscard]] double normalized_priority(trace::FunctionId f) const;
 

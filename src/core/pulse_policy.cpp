@@ -24,29 +24,22 @@ std::string PulsePolicy::name() const {
 void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                              sim::KeepAliveSchedule& schedule) {
   (void)schedule;
-  InterArrivalTracker::Config tracker_config;
-  tracker_config.local_window = config_.local_window;
-  trackers_.assign(deployment.function_count(), InterArrivalTracker(tracker_config));
   // Room for the longest window window_for() can return, so on_invocation
   // never allocates.
   const trace::Minute longest_window =
       config_.adaptive_window ? std::max(config_.keepalive_window, config_.max_adaptive_window)
                               : config_.keepalive_window;
-  window_probability_.assign(static_cast<std::size_t>(longest_window), 0.0);
-
-  GlobalOptimizer::Config opt_config;
-  opt_config.peak.memory_threshold = config_.memory_threshold;
-  opt_config.peak.local_window = config_.local_window;
-  opt_config.keepalive_window = config_.keepalive_window;
-  opt_config.weights = config_.utility_weights;
-  optimizer_ = std::make_unique<GlobalOptimizer>(deployment.function_count(), opt_config);
-  optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
-  optimizer_->set_observer(observer());
+  pulse_.initialize({.keepalive_window = config_.keepalive_window,
+                     .local_window = config_.local_window,
+                     .memory_threshold = config_.memory_threshold,
+                     .technique = config_.technique,
+                     .utility_weights = config_.utility_weights},
+                    deployment.function_count(), trace.duration(), longest_window, observer());
 }
 
 trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
   if (!config_.adaptive_window) return config_.keepalive_window;
-  const auto tail = trackers_.at(f).gap_percentile(config_.adaptive_window_percentile);
+  const auto tail = pulse_.trackers().at(f).gap_percentile(config_.adaptive_window_percentile);
   if (!tail) return config_.keepalive_window;
   return std::clamp<trace::Minute>(static_cast<trace::Minute>(*tail), 1,
                                    config_.max_adaptive_window);
@@ -55,29 +48,18 @@ trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
 void PulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                 sim::KeepAliveSchedule& schedule) {
   const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
-  InterArrivalTracker& tracker = trackers_.at(f);
-  tracker.record(t);
+  pulse_.record(f, t);
 
   // Function-centric optimization: pick the variant for each minute of the
   // upcoming keep-alive window from that offset's invocation probability.
-  const std::size_t variants = schedule.variant_count_of(f);
   const trace::Minute window = window_for(f);
   // Clear any longer window a previous (adaptive) decision left behind.
   if (config_.adaptive_window) schedule.clear_from(f, t + 1);
-  tracker.probabilities(static_cast<std::size_t>(window), t, window_probability_);
-  std::size_t next_v = 0;  // variant chosen for the first window minute
-  for (trace::Minute d = 1; d <= window; ++d) {
-    const std::size_t v = select_variant(window_probability_[static_cast<std::size_t>(d - 1)],
-                                         variants, config_.technique);
-    if (d == 1) next_v = v;
-    schedule.set(f, t + d, static_cast<int>(v));
-  }
+  const std::size_t next_v = pulse_.schedule_window(f, t, 1, window, schedule);
 
   // One kPolicyDecision per variant-selection pass: the variant chosen for
   // the first window minute (the decision that resolves the next warm
-  // start) and the window length it covers. `next_v` is hoisted from the
-  // d == 1 loop iteration above — attached runs must not pay a second
-  // select_variant pass per invocation.
+  // start) and the window length it covers.
   if (obs::TraceSink* s = sink(); s != nullptr) {
     s->record({obs::EventType::kPolicyDecision, t, f, static_cast<std::int32_t>(next_v),
                static_cast<double>(window), "variant_selection"});
@@ -89,26 +71,14 @@ void PulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedul
   (void)history;  // peaks are detected against the policy's own demand record
   if (!config_.enable_global_optimization) return;
   const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
-  optimizer_->flatten_peak(t, schedule, trackers_);
+  pulse_.flatten_peak(t, schedule);
 }
 
 std::size_t PulsePolicy::cold_start_variant(trace::FunctionId f, trace::Minute t,
                                             const sim::Deployment& deployment) const {
-  if (f < trackers_.size()) {
-    if (const auto last = trackers_[f].last_invocation()) {
-      if (t - *last <= config_.keepalive_window) return 0;
-    }
-  }
-  return deployment.family_of(f).highest_index();
-}
-
-std::uint64_t PulsePolicy::downgrade_count() const {
-  return optimizer_ ? optimizer_->total_downgrades() : 0;
-}
-
-const GlobalOptimizer& PulsePolicy::optimizer() const {
-  if (!optimizer_) throw std::logic_error("PulsePolicy::optimizer: not initialized");
-  return *optimizer_;
+  const trace::Minute window =
+      f < pulse_.trackers().size() ? window_for(f) : config_.keepalive_window;
+  return pulse_.cold_start_variant(f, t, window, deployment);
 }
 
 }  // namespace pulse::core

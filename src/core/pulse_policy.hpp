@@ -4,12 +4,9 @@
 // optimization (utility-value peak flattening). This is the paper's primary
 // contribution, packaged as a sim::KeepAlivePolicy.
 
-#include <memory>
 #include <vector>
 
-#include "core/global_optimizer.hpp"
-#include "core/interarrival.hpp"
-#include "core/variant_selector.hpp"
+#include "core/pulse_layer.hpp"
 #include "sim/policy.hpp"
 
 namespace pulse::core {
@@ -64,21 +61,22 @@ class PulsePolicy : public sim::KeepAlivePolicy {
   void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                      const sim::MemoryHistory& history) override;
 
-  /// Cold starts within an active keep-alive window only happen when the
-  /// global optimizer dropped the container — those serve the lowest
-  /// (cheapest) variant, which is what the downgrade decided. Fresh cold
-  /// starts (no invocation within the window) deploy the highest variant,
-  /// matching the provider default the baselines use.
+  /// PulseLayer's drop-aware rule over window_for(f), the length of the
+  /// window scheduled at f's last invocation: it cannot change before the
+  /// next record().
   [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
                                                const sim::Deployment& deployment) const override;
 
-  [[nodiscard]] std::uint64_t downgrade_count() const override;
+  [[nodiscard]] std::uint64_t downgrade_count() const override {
+    return pulse_.downgrade_count();
+  }
 
   /// Introspection for tests and benches.
   [[nodiscard]] const std::vector<InterArrivalTracker>& trackers() const noexcept {
-    return trackers_;
+    return pulse_.trackers();
   }
-  [[nodiscard]] const GlobalOptimizer& optimizer() const;
+  /// Throws std::logic_error before initialize().
+  [[nodiscard]] const GlobalOptimizer& optimizer() const { return pulse_.optimizer(); }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Window length that will be scheduled for f's next invocation (the
@@ -87,10 +85,7 @@ class PulsePolicy : public sim::KeepAlivePolicy {
 
  private:
   Config config_;
-  std::vector<InterArrivalTracker> trackers_;
-  /// probability(d, t) of the window being scheduled, d = 1..window.
-  std::vector<double> window_probability_;
-  std::unique_ptr<GlobalOptimizer> optimizer_;
+  PulseLayer pulse_;
 };
 
 }  // namespace pulse::core

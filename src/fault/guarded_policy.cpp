@@ -43,10 +43,7 @@ void GuardedPolicy::record_incident(trace::Minute t, const char* what) const {
     s->record({obs::EventType::kFault, t, obs::TraceEvent::kNoFunction, -1,
                static_cast<double>(incidents_), "guard_incident"});
   }
-  // Incidents are rare and must be visible immediately (a snapshot can be
-  // taken mid-run after a crash), so bump and flush in one step.
-  incident_counter_.bump();
-  incident_counter_.flush();
+  incident_counter_.add();
 }
 
 void GuardedPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,

@@ -118,69 +118,41 @@ class MetricsRegistry {
 // The registry's name lookup is a std::map walk plus string compare — fine
 // at finish(), hostile inside a per-invocation or per-minute loop. Hot paths
 // instead resolve each name ONCE into a handle (the registry's node-based
-// storage keeps the pointer valid), bump a plain POD field per event, and
-// fold the pending delta into the registry at a minute boundary or at
-// finish. Components group their handles into a plain bundle struct (see
-// e.g. GlobalOptimizer::Metrics) so attaching observability stays one
-// bind() pass. An unbound handle (observability disabled) makes bump() and
-// flush() no-ops, so call sites need no null guards.
+// storage keeps the pointer valid), and every add goes straight into the
+// registry through that cached pointer. Components group their handles into
+// a plain bundle struct (see e.g. GlobalOptimizer::Metrics) so attaching
+// observability stays one bind() pass. An unbound handle (observability
+// disabled) makes add() a no-op, so call sites need no null guards.
 
 struct CounterHandle {
   void bind(MetricsRegistry& registry, const std::string& name) {
     counter_ = &registry.counter(name);
   }
-  void bump(std::uint64_t n = 1) noexcept { pending_ += n; }
-  [[nodiscard]] bool bound() const noexcept { return counter_ != nullptr; }
-  [[nodiscard]] std::uint64_t pending() const noexcept { return pending_; }
-  void flush() noexcept {
-    if (counter_ != nullptr && pending_ != 0) {
-      counter_->add(pending_);
-      pending_ = 0;
-    }
+  void add(std::uint64_t n = 1) noexcept {
+    if (counter_ != nullptr) counter_->add(n);
   }
+  [[nodiscard]] bool bound() const noexcept { return counter_ != nullptr; }
 
  private:
   Counter* counter_ = nullptr;
-  std::uint64_t pending_ = 0;
 };
 
-/// Accumulates per the gauge's merge semantics: bump() adds for kSum
-/// gauges and tracks a local high-water mark for kMax gauges.
+/// A GaugeMerge::kSum gauge (a running total). High-water marks go through
+/// Gauge::max_with on the registry's gauge directly.
 struct GaugeHandle {
-  void bind(MetricsRegistry& registry, const std::string& name,
-            GaugeMerge merge = GaugeMerge::kSum) {
-    gauge_ = &registry.gauge(name, merge);
-    merge_ = merge;
+  void bind(MetricsRegistry& registry, const std::string& name) {
+    gauge_ = &registry.gauge(name);
   }
-  void bump(double v) noexcept {
-    if (merge_ == GaugeMerge::kMax) {
-      if (v > pending_) pending_ = v;
-    } else {
-      pending_ += v;
-    }
-    dirty_ = true;
+  void add(double v) noexcept {
+    if (gauge_ != nullptr) gauge_->add(v);
   }
   [[nodiscard]] bool bound() const noexcept { return gauge_ != nullptr; }
-  void flush() noexcept {
-    if (gauge_ == nullptr || !dirty_) return;
-    if (merge_ == GaugeMerge::kMax) {
-      gauge_->max_with(pending_);
-    } else {
-      gauge_->add(pending_);
-      pending_ = 0.0;
-    }
-    dirty_ = false;
-  }
 
  private:
   Gauge* gauge_ = nullptr;
-  double pending_ = 0.0;
-  GaugeMerge merge_ = GaugeMerge::kSum;
-  bool dirty_ = false;
 };
 
-/// Histograms bucket on add, so the handle only caches the resolved node;
-/// record() is one array increment away from the pending-field handles.
+/// Histograms bucket on add; record() is one array increment.
 struct HistogramHandle {
   void bind(MetricsRegistry& registry, const std::string& name, std::size_t capacity = 240) {
     histogram_ = &registry.histogram(name, capacity);

@@ -74,8 +74,7 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
 
   // At period boundaries, forecast and schedule the next period.
   if ((t + 1) % config_.refresh_interval != 0) return;
-  refreshes_.bump();
-  refreshes_.flush();  // refresh boundary == minute boundary
+  refreshes_.add();
   if (obs::TraceSink* const s = sink()) {
     s->record({obs::EventType::kPolicyDecision, t, obs::TraceEvent::kNoFunction, -1,
                static_cast<double>(history_.size()), "forecast_refresh"});
@@ -87,32 +86,18 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   }
 }
 
-IceBreakerPulsePolicy::IceBreakerPulsePolicy() : IceBreakerPulsePolicy(Config{}) {}
-
-IceBreakerPulsePolicy::IceBreakerPulsePolicy(Config config)
-    : IceBreakerPolicy(config.icebreaker), pulse_config_(config) {}
-
 void IceBreakerPulsePolicy::initialize(const sim::Deployment& deployment,
                                        const trace::Trace& trace,
                                        sim::KeepAliveSchedule& schedule) {
   IceBreakerPolicy::initialize(deployment, trace, schedule);
-
-  core::InterArrivalTracker::Config tracker_config;
-  tracker_config.local_window = pulse_config_.local_window;
-  trackers_.assign(deployment.function_count(), core::InterArrivalTracker(tracker_config));
-
-  core::GlobalOptimizer::Config opt_config;
-  opt_config.peak.memory_threshold = pulse_config_.memory_threshold;
-  opt_config.peak.local_window = pulse_config_.local_window;
-  optimizer_ = std::make_unique<core::GlobalOptimizer>(deployment.function_count(), opt_config);
-  optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
-  optimizer_->set_observer(observer());
+  // The forecast, not the window pass, picks the variants here.
+  pulse_.initialize({}, deployment.function_count(), trace.duration(), 0, observer());
 }
 
 void IceBreakerPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                           sim::KeepAliveSchedule& schedule) {
   IceBreakerPolicy::on_invocation(f, t, schedule);
-  trackers_.at(f).record(t);
+  pulse_.record(f, t);
 }
 
 void IceBreakerPulsePolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
@@ -129,7 +114,7 @@ void IceBreakerPulsePolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
       continue;
     }
     const double likelihood = std::clamp(predicted[d], 0.0, 1.0);
-    const std::size_t v = core::select_variant(likelihood, variants, pulse_config_.technique);
+    const std::size_t v = core::select_variant(likelihood, variants, pulse_.config().technique);
     schedule.set(f, m, static_cast<int>(v));
   }
 }
@@ -138,21 +123,7 @@ void IceBreakerPulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedul
                                           const sim::MemoryHistory& history) {
   IceBreakerPolicy::end_of_minute(t, schedule, history);
   const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
-  optimizer_->flatten_peak(t, schedule, trackers_);
-}
-
-std::size_t IceBreakerPulsePolicy::cold_start_variant(
-    trace::FunctionId f, trace::Minute t, const sim::Deployment& deployment) const {
-  if (f < trackers_.size()) {
-    if (const auto last = trackers_[f].last_invocation()) {
-      if (t - *last <= trace::kKeepAliveWindow) return 0;
-    }
-  }
-  return deployment.family_of(f).highest_index();
-}
-
-std::uint64_t IceBreakerPulsePolicy::downgrade_count() const {
-  return optimizer_ ? optimizer_->total_downgrades() : 0;
+  pulse_.flatten_peak(t, schedule);
 }
 
 }  // namespace pulse::policies

@@ -10,15 +10,13 @@
 // IceBreakerPulsePolicy is the Figure 8 integration: IceBreaker's
 // "function invocation predictor, which determines the concurrency of
 // subsequent periods" is preserved, and PULSE maps the predicted intensity
-// to a variant choice, then applies its global peak flattening.
+// to a variant choice, then applies its global peak flattening, at PULSE's
+// default window, threshold and technique.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/global_optimizer.hpp"
-#include "core/interarrival.hpp"
-#include "core/variant_selector.hpp"
+#include "core/pulse_layer.hpp"
 #include "predict/fft.hpp"
 #include "sim/policy.hpp"
 #include "trace/analysis.hpp"
@@ -77,15 +75,7 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
 
 class IceBreakerPulsePolicy : public IceBreakerPolicy {
  public:
-  struct Config {
-    IceBreakerPolicy::Config icebreaker{};
-    trace::Minute local_window = 60;
-    double memory_threshold = 0.10;
-    core::ThresholdTechnique technique = core::ThresholdTechnique::kT1;
-  };
-
-  IceBreakerPulsePolicy();  // default Config
-  explicit IceBreakerPulsePolicy(Config config);
+  using IceBreakerPolicy::IceBreakerPolicy;
 
   [[nodiscard]] std::string name() const override { return "IceBreaker+PULSE"; }
 
@@ -98,12 +88,15 @@ class IceBreakerPulsePolicy : public IceBreakerPolicy {
   void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                      const sim::MemoryHistory& history) override;
 
-  /// Drop-induced cold starts inside the recent-invocation window serve the
-  /// lowest variant (the downgrade's decision); fresh ones the highest.
+  /// PULSE's drop-aware cold-start rule over the 10-minute window.
   [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
-                                               const sim::Deployment& deployment) const override;
+                                               const sim::Deployment& deployment) const override {
+    return pulse_.cold_start_variant(f, t, trace::kKeepAliveWindow, deployment);
+  }
 
-  [[nodiscard]] std::uint64_t downgrade_count() const override;
+  [[nodiscard]] std::uint64_t downgrade_count() const override {
+    return pulse_.downgrade_count();
+  }
 
  protected:
   void apply_forecast(trace::FunctionId f, trace::Minute t,
@@ -111,9 +104,7 @@ class IceBreakerPulsePolicy : public IceBreakerPolicy {
                       sim::KeepAliveSchedule& schedule) override;
 
  private:
-  Config pulse_config_;
-  std::vector<core::InterArrivalTracker> trackers_;
-  std::unique_ptr<core::GlobalOptimizer> optimizer_;
+  core::PulseLayer pulse_;
 };
 
 inline IceBreakerPolicy::IceBreakerPolicy() : IceBreakerPolicy(Config{}) {}

@@ -6,34 +6,18 @@
 // PULSE's per-round priority re-normalization ("iterative adaptability"),
 // which is why the paper observes it favours lower-quality variants — and
 // its search cost is what makes its decision overhead an order of magnitude
-// higher.
+// higher. It runs at PULSE's default window, threshold and technique.
 
-#include <memory>
 #include <vector>
 
-#include "core/global_optimizer.hpp"
-#include "core/interarrival.hpp"
-#include "core/peak_detector.hpp"
-#include "core/priority.hpp"
-#include "core/variant_selector.hpp"
+#include "core/pulse_layer.hpp"
 #include "policies/milp.hpp"
 #include "sim/policy.hpp"
-#include "trace/analysis.hpp"
 
 namespace pulse::policies {
 
 class MilpPolicy : public sim::KeepAlivePolicy {
  public:
-  struct Config {
-    trace::Minute keepalive_window = trace::kKeepAliveWindow;
-    trace::Minute local_window = 60;
-    double memory_threshold = 0.10;
-    core::ThresholdTechnique technique = core::ThresholdTechnique::kT1;
-  };
-
-  MilpPolicy();  // default Config
-  explicit MilpPolicy(Config config) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "MILP"; }
 
   void initialize(const sim::Deployment& deployment, const trace::Trace& trace,
@@ -45,12 +29,15 @@ class MilpPolicy : public sim::KeepAlivePolicy {
   void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                      const sim::MemoryHistory& history) override;
 
-  /// Same cold-start rule as PULSE: drop-induced colds serve the lowest
-  /// variant, fresh ones the highest.
+  /// PULSE's drop-aware cold-start rule over the 10-minute window.
   [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
-                                               const sim::Deployment& deployment) const override;
+                                               const sim::Deployment& deployment) const override {
+    return pulse_.cold_start_variant(f, t, pulse_.config().keepalive_window, deployment);
+  }
 
-  [[nodiscard]] std::uint64_t downgrade_count() const override { return downgrades_; }
+  [[nodiscard]] std::uint64_t downgrade_count() const override {
+    return pulse_.downgrade_count();
+  }
 
   /// Total branch-and-bound nodes explored across all peaks (overhead
   /// diagnostics).
@@ -60,15 +47,10 @@ class MilpPolicy : public sim::KeepAlivePolicy {
   void attach_observer(const obs::Observer* observer) override;
 
  private:
-  Config config_;
-  std::vector<core::InterArrivalTracker> trackers_;
-  std::unique_ptr<core::PeakDetector> detector_;
-  std::unique_ptr<core::PriorityStructure> priority_;
-  core::DemandHistory demand_;
-  std::uint64_t downgrades_ = 0;
+  core::PulseLayer pulse_;
   std::uint64_t solver_nodes_ = 0;
 
-  /// Pre-resolved milp.* handles, flushed at each solve (a minute boundary).
+  /// Pre-resolved milp.* handles.
   struct Metrics {
     obs::CounterHandle solves;
     obs::CounterHandle solver_nodes;
@@ -76,11 +58,8 @@ class MilpPolicy : public sim::KeepAlivePolicy {
   };
   Metrics metrics_handles_;
 
-  /// Reused across peak minutes (allocation-free hot path).
+  /// Reused across peak minutes.
   std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer_;
-  std::vector<double> priority_buffer_;
 };
-
-inline MilpPolicy::MilpPolicy() : MilpPolicy(Config{}) {}
 
 }  // namespace pulse::policies

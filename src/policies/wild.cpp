@@ -45,25 +45,12 @@ void WildPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                 static_cast<int>(schedule.variant_count_of(f)) - 1);
 }
 
-WildPulsePolicy::WildPulsePolicy() : WildPulsePolicy(Config{}) {}
-
-WildPulsePolicy::WildPulsePolicy(Config config)
-    : WildPolicy(config.wild), pulse_config_(config) {}
-
 void WildPulsePolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                                  sim::KeepAliveSchedule& schedule) {
   WildPolicy::initialize(deployment, trace, schedule);
-
-  core::InterArrivalTracker::Config tracker_config;
-  tracker_config.local_window = pulse_config_.local_window;
-  trackers_.assign(deployment.function_count(), core::InterArrivalTracker(tracker_config));
-
-  core::GlobalOptimizer::Config opt_config;
-  opt_config.peak.memory_threshold = pulse_config_.memory_threshold;
-  opt_config.peak.local_window = pulse_config_.local_window;
-  optimizer_ = std::make_unique<core::GlobalOptimizer>(deployment.function_count(), opt_config);
-  optimizer_->reserve_horizon(static_cast<std::size_t>(trace.duration()));
-  optimizer_->set_observer(observer());
+  // Wild's window reaches at most max_horizon minutes past the invocation.
+  pulse_.initialize({}, deployment.function_count(), trace.duration(), config_.max_horizon,
+                    observer());
 }
 
 void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
@@ -71,41 +58,19 @@ void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
   const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   // Wild forecasts the window ...
   const predict::WindowPrediction w = predict_window(f, t);
-
-  core::InterArrivalTracker& tracker = trackers_.at(f);
-  tracker.record(t);
+  pulse_.record(f, t);
 
   // ... and PULSE decides "which model variant should be kept active and
   // for how long" inside it (§IV, integration description).
-  const std::size_t variants = schedule.variant_count_of(f);
   schedule.clear_from(f, t + 1);
-  for (trace::Minute d = w.prewarm_offset; d < w.keepalive_until; ++d) {
-    const std::size_t offset = static_cast<std::size_t>(d) + 1;
-    const double p = tracker.probability(offset, t);
-    const std::size_t v = core::select_variant(p, variants, pulse_config_.technique);
-    schedule.set(f, t + 1 + d, static_cast<int>(v));
-  }
+  pulse_.schedule_window(f, t, w.prewarm_offset + 1, w.keepalive_until, schedule);
 }
 
 void WildPulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                     const sim::MemoryHistory& history) {
   (void)history;
   const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
-  optimizer_->flatten_peak(t, schedule, trackers_);
-}
-
-std::size_t WildPulsePolicy::cold_start_variant(trace::FunctionId f, trace::Minute t,
-                                                const sim::Deployment& deployment) const {
-  if (f < trackers_.size()) {
-    if (const auto last = trackers_[f].last_invocation()) {
-      if (t - *last <= trace::kKeepAliveWindow) return 0;
-    }
-  }
-  return deployment.family_of(f).highest_index();
-}
-
-std::uint64_t WildPulsePolicy::downgrade_count() const {
-  return optimizer_ ? optimizer_->total_downgrades() : 0;
+  pulse_.flatten_peak(t, schedule);
 }
 
 }  // namespace pulse::policies

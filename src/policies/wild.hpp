@@ -10,15 +10,13 @@
 // WildPulsePolicy is the Figure 8 integration: Wild's predicted window is
 // preserved, then PULSE's function-centric optimization picks the variant
 // per minute inside that window and PULSE's global optimizer flattens
-// keep-alive memory peaks.
+// keep-alive memory peaks, at PULSE's default window, threshold and
+// technique.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/global_optimizer.hpp"
-#include "core/interarrival.hpp"
-#include "core/variant_selector.hpp"
+#include "core/pulse_layer.hpp"
 #include "predict/hybrid_histogram.hpp"
 #include "sim/policy.hpp"
 #include "trace/analysis.hpp"
@@ -65,15 +63,7 @@ class WildPolicy : public sim::KeepAlivePolicy {
 
 class WildPulsePolicy : public WildPolicy {
  public:
-  struct Config {
-    WildPolicy::Config wild{};
-    trace::Minute local_window = 60;
-    double memory_threshold = 0.10;
-    core::ThresholdTechnique technique = core::ThresholdTechnique::kT1;
-  };
-
-  WildPulsePolicy();  // default Config
-  explicit WildPulsePolicy(Config config);
+  using WildPolicy::WildPolicy;
 
   [[nodiscard]] std::string name() const override { return "Wild+PULSE"; }
 
@@ -86,17 +76,18 @@ class WildPulsePolicy : public WildPolicy {
   void end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                      const sim::MemoryHistory& history) override;
 
-  /// Drop-induced cold starts inside the recent-invocation window serve the
-  /// lowest variant (the downgrade's decision); fresh ones the highest.
+  /// PULSE's drop-aware cold-start rule over the 10-minute window.
   [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t,
-                                               const sim::Deployment& deployment) const override;
+                                               const sim::Deployment& deployment) const override {
+    return pulse_.cold_start_variant(f, t, trace::kKeepAliveWindow, deployment);
+  }
 
-  [[nodiscard]] std::uint64_t downgrade_count() const override;
+  [[nodiscard]] std::uint64_t downgrade_count() const override {
+    return pulse_.downgrade_count();
+  }
 
  private:
-  Config pulse_config_;
-  std::vector<core::InterArrivalTracker> trackers_;
-  std::unique_ptr<core::GlobalOptimizer> optimizer_;
+  core::PulseLayer pulse_;
 };
 
 inline WildPolicy::WildPolicy() : WildPolicy(Config{}) {}

@@ -76,30 +76,9 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
                     ? &obs.metrics->histogram("engine.alive_containers", 512)
                     : nullptr;
 
-  // Same discipline for the finish-time fold: every engine.* name resolves
-  // here, exactly once, into the handle bundle.
-  if (obs.metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs.metrics;
-    metric_handles_.runs.bind(m, "engine.runs");
-    metric_handles_.invocations.bind(m, "engine.invocations");
-    metric_handles_.warm_starts.bind(m, "engine.warm_starts");
-    metric_handles_.cold_starts.bind(m, "engine.cold_starts");
-    metric_handles_.downgrades.bind(m, "engine.downgrades");
-    metric_handles_.capacity_evictions.bind(m, "engine.capacity_evictions");
-    metric_handles_.crash_evictions.bind(m, "engine.crash_evictions");
-    metric_handles_.failed_invocations.bind(m, "engine.failed_invocations");
-    metric_handles_.retries.bind(m, "engine.retries");
-    metric_handles_.timeouts.bind(m, "engine.timeouts");
-    metric_handles_.degraded_minutes.bind(m, "engine.degraded_minutes");
-    metric_handles_.guard_incidents.bind(m, "engine.guard_incidents");
-    metric_handles_.service_time_s.bind(m, "engine.service_time_s");
-    metric_handles_.keepalive_cost_usd.bind(m, "engine.keepalive_cost_usd");
-    metric_handles_.peak_keepalive_memory_mb.bind(m, "engine.peak_keepalive_memory_mb",
-                                                  obs::GaugeMerge::kMax);
-    if (config_.top_k_function_metrics > 0) {
-      fn_cold_starts_.assign(trace.function_count(), 0);
-      fn_evictions_.assign(trace.function_count(), 0);
-    }
+  if (obs.metrics != nullptr && config_.top_k_function_metrics > 0) {
+    fn_cold_starts_.assign(trace.function_count(), 0);
+    fn_evictions_.assign(trace.function_count(), 0);
   }
 
   policy_->initialize(deployment, trace, schedule_);
@@ -341,32 +320,30 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   result.guard_incidents = policy_->incident_count();
 
   // Fold the run's aggregates into the registry (zero hot-path cost: one
-  // batch of pointer adds through the pre-resolved handle bundle) and
-  // snapshot it into the result.
+  // batch of registry adds at the end of the run) and snapshot it into the
+  // result.
   const obs::Observer& obs = config_.observer;
   if (obs.metrics != nullptr) {
-    MetricsHandles& h = metric_handles_;
-    const auto add = [](auto& handle, auto value) {
-      handle.bump(value);
-      handle.flush();
-    };
-    add(h.runs, std::uint64_t{1});
-    add(h.invocations, result.invocations);
-    add(h.warm_starts, result.warm_starts);
-    add(h.cold_starts, result.cold_starts);
-    add(h.downgrades, result.downgrades);
-    add(h.capacity_evictions, result.capacity_evictions);
-    add(h.crash_evictions, result.crash_evictions);
-    add(h.failed_invocations, result.failed_invocations);
-    add(h.retries, result.retries);
-    add(h.timeouts, result.timeouts);
-    add(h.degraded_minutes, result.degraded_minutes);
-    add(h.guard_incidents, result.guard_incidents);
-    add(h.service_time_s, result.total_service_time_s);
-    add(h.keepalive_cost_usd, result.total_keepalive_cost_usd);
+    obs::MetricsRegistry& m = *obs.metrics;
+    m.counter("engine.runs").add(1);
+    m.counter("engine.invocations").add(result.invocations);
+    m.counter("engine.warm_starts").add(result.warm_starts);
+    m.counter("engine.cold_starts").add(result.cold_starts);
+    m.counter("engine.downgrades").add(result.downgrades);
+    m.counter("engine.capacity_evictions").add(result.capacity_evictions);
+    m.counter("engine.crash_evictions").add(result.crash_evictions);
+    m.counter("engine.failed_invocations").add(result.failed_invocations);
+    m.counter("engine.retries").add(result.retries);
+    m.counter("engine.timeouts").add(result.timeouts);
+    m.counter("engine.degraded_minutes").add(result.degraded_minutes);
+    m.counter("engine.guard_incidents").add(result.guard_incidents);
+    m.gauge("engine.service_time_s").add(result.total_service_time_s);
+    m.gauge("engine.keepalive_cost_usd").add(result.total_keepalive_cost_usd);
     double peak = 0.0;
     for (const double v : kernel_.record()) peak = std::max(peak, v);
-    add(h.peak_keepalive_memory_mb, peak);
+    // kMax: ensemble merges take the max across slots instead of summing
+    // per-slot peaks.
+    m.gauge("engine.peak_keepalive_memory_mb", obs::GaugeMerge::kMax).max_with(peak);
     fold_top_k(*obs.metrics);
     result.metrics = obs.metrics->snapshot();
   }

@@ -185,29 +185,6 @@ class SteppedRun {
                     double ideal_cost_t);
   void fold_top_k(obs::MetricsRegistry& m) const;
 
-  /// Pre-resolved engine.* handle bundle (metrics_registry.hpp): every name
-  /// is looked up once at construction; finish() folds the run's aggregates
-  /// through plain pointer adds. The peak gauge registers as GaugeMerge::
-  /// kMax so ensemble merges take the max across slots instead of summing
-  /// per-slot peaks.
-  struct MetricsHandles {
-    obs::CounterHandle runs;
-    obs::CounterHandle invocations;
-    obs::CounterHandle warm_starts;
-    obs::CounterHandle cold_starts;
-    obs::CounterHandle downgrades;
-    obs::CounterHandle capacity_evictions;
-    obs::CounterHandle crash_evictions;
-    obs::CounterHandle failed_invocations;
-    obs::CounterHandle retries;
-    obs::CounterHandle timeouts;
-    obs::CounterHandle degraded_minutes;
-    obs::CounterHandle guard_incidents;
-    obs::GaugeHandle service_time_s;
-    obs::GaugeHandle keepalive_cost_usd;
-    obs::GaugeHandle peak_keepalive_memory_mb;  // kMax
-  };
-
   const Deployment* deployment_;
   const trace::Trace* trace_;
   EngineConfig config_;
@@ -219,7 +196,6 @@ class SteppedRun {
   util::Pcg32 latency_rng_;
   util::Pcg32 accuracy_rng_;
   util::IntHistogram* alive_hist_ = nullptr;
-  MetricsHandles metric_handles_;
   /// Per-function tallies for EngineConfig::top_k_function_metrics (empty
   /// when the knob is off or no registry is attached).
   std::vector<std::uint64_t> fn_cold_starts_;

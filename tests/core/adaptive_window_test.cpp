@@ -129,6 +129,45 @@ TEST(AdaptiveWindow, BeatsFixedWindowOnSlowPeriodicFunctions) {
   EXPECT_LT(ra.total_service_time_s, rf.total_service_time_s);
 }
 
+TEST(AdaptiveWindow, ColdStartRuleUsesTheScheduledWindow) {
+  // A cold start inside the window scheduled at the last invocation can
+  // only follow a drop, so it serves the lowest variant; past that window
+  // the cold start is fresh and serves the highest. The window is the
+  // adaptive one, not the fixed 10 minutes.
+  models::ModelZoo zoo;
+  zoo.add_family(models::ModelFamily(
+      "Three", "t", "d",
+      {models::ModelVariant{"low", 1.0, 4.0, 70.0, 100.0},
+       models::ModelVariant{"mid", 1.5, 6.0, 80.0, 200.0},
+       models::ModelVariant{"high", 2.0, 8.0, 90.0, 400.0}}));
+  const auto d = sim::Deployment::round_robin(zoo, 1);
+  const std::size_t highest = d.family_of(0).highest_index();
+  ASSERT_EQ(highest, 2u);
+  PulsePolicy::Config config;
+  config.adaptive_window = true;
+  trace::Trace t(1, 5000);
+
+  // 3-minute gaps: the window is 3, so offset 5 is outside it.
+  PulsePolicy short_gaps(config);
+  sim::KeepAliveSchedule s1(d, 5000);
+  short_gaps.initialize(d, t, s1);
+  for (trace::Minute m = 0; m <= 120; m += 3) short_gaps.on_invocation(0, m, s1);
+  ASSERT_EQ(short_gaps.window_for(0), 3);
+  EXPECT_FALSE(s1.is_alive(0, 125));
+  EXPECT_EQ(short_gaps.cold_start_variant(0, 125, d), highest);
+  EXPECT_EQ(short_gaps.cold_start_variant(0, 123, d), 0u);
+
+  // 25-minute gaps: the window is 25, so offset 20 is still inside it.
+  PulsePolicy long_gaps(config);
+  sim::KeepAliveSchedule s2(d, 5000);
+  long_gaps.initialize(d, t, s2);
+  for (trace::Minute m = 0; m <= 2000; m += 25) long_gaps.on_invocation(0, m, s2);
+  ASSERT_EQ(long_gaps.window_for(0), 25);
+  EXPECT_TRUE(s2.is_alive(0, 2020));
+  EXPECT_EQ(long_gaps.cold_start_variant(0, 2020, d), 0u);
+  EXPECT_EQ(long_gaps.cold_start_variant(0, 2026, d), highest);
+}
+
 TEST(AdaptiveWindow, FactoryNameConstructs) {
   const auto zoo = test_zoo();
   PulsePolicy::Config config;

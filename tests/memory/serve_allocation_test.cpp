@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -58,10 +59,17 @@ TEST_P(SteadyStateAllocation, SecondHalfOfStreamAllocatesNothing) {
   EXPECT_GT(server.finish().invocations, 0u);
 }
 
+// The two Figure 8 integrations run PULSE's shared layer on top of Wild and
+// IceBreaker; wild+pulse runs its window pass over windows of up to 240
+// minutes. milp is left out: it builds a fresh knapsack on every solve.
 INSTANTIATE_TEST_SUITE_P(Policies, SteadyStateAllocation,
-                         ::testing::Values("pulse", "wild", "icebreaker"),
+                         ::testing::Values("pulse", "wild", "icebreaker", "wild+pulse",
+                                           "icebreaker+pulse"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
+                           // gtest names allow only [A-Za-z0-9_].
+                           std::string name(info.param);
+                           std::replace(name.begin(), name.end(), '+', '_');
+                           return name;
                          });
 
 }  // namespace

@@ -124,60 +124,53 @@ TEST(MetricsRegistry, MergeAdoptsTheSourceGaugeMode) {
   EXPECT_DOUBLE_EQ(user.snapshot().gauge_or("peak_mb"), 8.0);
 }
 
-// --- handle bundles (the batched hot-path metrics API) ---
+// --- handle bundles (the pre-resolved hot-path metrics API) ---
 
 TEST(MetricsHandles, UnboundHandlesAreInertNoOps) {
   CounterHandle counter;
   GaugeHandle gauge;
   HistogramHandle histogram;
-  counter.bump();
-  counter.bump(5);
-  counter.flush();
-  gauge.bump(1.5);
-  gauge.flush();
+  counter.add();
+  counter.add(5);
+  gauge.add(1.5);
   histogram.record(3);
   EXPECT_FALSE(counter.bound());
+  EXPECT_FALSE(gauge.bound());
+  EXPECT_FALSE(histogram.bound());
   SUCCEED();  // the disabled path: no registry, no crash, no effect
 }
 
-TEST(MetricsHandles, CounterAccumulatesUntilFlush) {
+TEST(MetricsHandles, CounterAddsStraightIntoTheRegistry) {
   MetricsRegistry registry;
   CounterHandle h;
   h.bind(registry, "engine.cold_starts");
-  h.bump();
-  h.bump(4);
-  // Pending deltas are invisible until the batch boundary...
-  EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts"), 0u);
-  h.flush();
+  EXPECT_TRUE(h.bound());
+  // Binding registers the name at zero.
+  EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts", 99), 0u);
+  h.add();
+  // Every add is visible at once: there is no pending state to flush.
+  EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts"), 1u);
+  h.add(4);
   EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts"), 5u);
-  // ...and flush drains the pending state (no double count).
-  h.flush();
-  EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts"), 5u);
+  // The handle and a by-name lookup share one counter.
+  registry.counter("engine.cold_starts").add(2);
+  h.add();
+  EXPECT_EQ(registry.snapshot().counter_or("engine.cold_starts"), 8u);
 }
 
-TEST(MetricsHandles, GaugeHandleHonoursMergeMode) {
+TEST(MetricsHandles, GaugeHandleAddsToASumGauge) {
   MetricsRegistry registry;
   GaugeHandle sum;
   sum.bind(registry, "cost_usd");
-  sum.bump(1.5);
-  sum.bump(2.5);
-  sum.flush();
+  sum.add(1.5);
+  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("cost_usd"), 1.5);
+  sum.add(2.5);
   EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("cost_usd"), 4.0);
-
-  GaugeHandle peak;
-  peak.bind(registry, "peak_mb", GaugeMerge::kMax);
-  peak.bump(10.0);
-  peak.bump(6.0);  // kMax: pending keeps the local maximum
-  peak.flush();
-  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("peak_mb"), 10.0);
-  peak.bump(4.0);  // below the registered peak: flush must not lower it
-  peak.flush();
-  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("peak_mb"), 10.0);
-  // And the bound gauge merges as kMax downstream.
+  // The bound gauge is kSum, so per-slot registries add on merge.
   MetricsRegistry other;
-  other.gauge("peak_mb", GaugeMerge::kMax).set(3.0);
+  other.gauge("cost_usd").add(3.0);
   registry.merge(other);
-  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("peak_mb"), 10.0);
+  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_or("cost_usd"), 7.0);
 }
 
 TEST(MetricsHandles, HistogramHandleRecordsDirectly) {
