@@ -14,7 +14,6 @@
 // least a low-quality warm start within the window after an invocation.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 
 namespace pulse::core {
@@ -46,14 +45,15 @@ namespace detail {
   switch (technique) {
     case ThresholdTechnique::kT1: {
       // Area k (0-based) covers [k/N, (k+1)/N); p == 1 falls in the top area.
-      const auto area = static_cast<std::size_t>(std::floor(p * n));
+      // p * n >= 0, where truncation is floor.
+      const auto area = static_cast<std::size_t>(p * n);
       return std::min(area, variant_count - 1);
     }
     case ThresholdTechnique::kT2: {
       if (p == 0.0 || variant_count == 1) return 0;
       // (0, 1] divided into N-1 areas for variants 1..N-1.
       const auto areas = static_cast<double>(variant_count - 1);
-      const auto area = static_cast<std::size_t>(std::floor(p * areas));
+      const auto area = static_cast<std::size_t>(p * areas);
       return 1 + std::min(area, variant_count - 2);
     }
   }

@@ -19,13 +19,31 @@ class LatencyModel {
   explicit LatencyModel(double warm_cv = 0.08, double cold_cv = 0.15) noexcept
       : warm_cv_(warm_cv), cold_cv_(cold_cv) {}
 
+  /// A variant's warm and cold jitter, prepared once so a draw does no
+  /// more than the random part. The simulators keep one per (function,
+  /// variant); see sim::LatencyTable.
+  struct Prepared {
+    util::LognormalParams warm;
+    util::LognormalParams cold;
+  };
+
+  [[nodiscard]] Prepared prepare(const ModelVariant& variant) const {
+    return {util::lognormal_params(variant.warm_service_time_s, warm_cv_),
+            util::lognormal_params(variant.cold_start_time_s, cold_cv_)};
+  }
+
   /// Service time of one invocation, seconds. Cold invocations pay the
   /// cold-start penalty on top of execution.
+  [[nodiscard]] static double sample(const Prepared& prepared, bool cold, util::Pcg32& rng) {
+    double t = util::lognormal(rng, prepared.warm);
+    if (cold) t += util::lognormal(rng, prepared.cold);
+    return t;
+  }
+
+  /// The same draw for a caller without a prepared table.
   [[nodiscard]] double sample_service_time(const ModelVariant& variant, bool cold,
                                            util::Pcg32& rng) const {
-    double t = util::lognormal_mean_cv(rng, variant.warm_service_time_s, warm_cv_);
-    if (cold) t += util::lognormal_mean_cv(rng, variant.cold_start_time_s, cold_cv_);
-    return t;
+    return sample(prepare(variant), cold, rng);
   }
 
   /// Expected (mean) service time — what the deterministic experiment paths

@@ -32,7 +32,10 @@ struct Container {
 
 PlatformSimulator::PlatformSimulator(const sim::Deployment& deployment,
                                      const trace::Trace& trace, PlatformConfig config)
-    : deployment_(&deployment), trace_(&trace), config_(std::move(config)) {
+    : deployment_(&deployment),
+      trace_(&trace),
+      config_(std::move(config)),
+      latency_(deployment, config_.latency) {
   if (deployment.function_count() != trace.function_count()) {
     throw std::invalid_argument("PlatformSimulator: deployment/trace function count mismatch");
   }
@@ -174,7 +177,8 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
             const auto& variant = family.variant(served_variant);
             service_s = config_.deterministic_latency
                             ? models::LatencyModel::expected_service_time(variant, false)
-                            : config_.latency.sample_service_time(variant, false, rng);
+                            : models::LatencyModel::sample(latency_.at(f, served_variant),
+                                                           false, rng);
           } else {
             // Scale-out or fresh cold start: serve the variant the schedule
             // currently prescribes, not whatever container happens to sit at
@@ -195,7 +199,8 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
             service_s = config_.deterministic_latency
                             ? models::LatencyModel::expected_service_time(variant, true)
-                            : config_.latency.sample_service_time(variant, true, rng);
+                            : models::LatencyModel::sample(latency_.at(f, served_variant),
+                                                           true, rng);
             service_s += cs.retry_penalty_s;
             if (scheduled_now == sim::kNoVariant) {
               // As in the minute engine, the cold-started container exists

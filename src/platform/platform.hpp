@@ -163,6 +163,7 @@ class PlatformSimulator {
   const sim::Deployment* deployment_;
   const trace::Trace* trace_;
   PlatformConfig config_;
+  sim::LatencyTable latency_;
 };
 
 }  // namespace pulse::platform

@@ -1,5 +1,6 @@
 #include "sim/deployment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pulse::sim {
@@ -38,6 +39,20 @@ double Deployment::peak_highest_memory_mb() const noexcept {
   double total = 0.0;
   for (const auto* f : families_) total += f->highest().memory_mb;
   return total;
+}
+
+LatencyTable::LatencyTable(const Deployment& deployment, const models::LatencyModel& model) {
+  const std::size_t functions = deployment.function_count();
+  for (std::size_t f = 0; f < functions; ++f) {
+    stride_ = std::max(stride_, deployment.family_of(f).variant_count());
+  }
+  table_.resize(functions * stride_);
+  for (std::size_t f = 0; f < functions; ++f) {
+    const models::ModelFamily& family = deployment.family_of(f);
+    for (std::size_t v = 0; v < family.variant_count(); ++v) {
+      table_[f * stride_ + v] = model.prepare(family.variant(v));
+    }
+  }
 }
 
 }  // namespace pulse::sim

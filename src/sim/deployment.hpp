@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "models/latency.hpp"
 #include "models/zoo.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -42,6 +43,23 @@ class Deployment {
 
  private:
   std::vector<const models::ModelFamily*> families_;
+};
+
+/// Every (function, variant)'s prepared latency jitter in one flat table,
+/// built once per run so the per-invocation draw reads it instead of
+/// recomputing the lognormal parameters.
+class LatencyTable {
+ public:
+  LatencyTable(const Deployment& deployment, const models::LatencyModel& model);
+
+  [[nodiscard]] const models::LatencyModel::Prepared& at(trace::FunctionId f,
+                                                         std::size_t variant) const noexcept {
+    return table_[f * stride_ + variant];
+  }
+
+ private:
+  std::size_t stride_ = 0;  // the deployment's largest variant count
+  std::vector<models::LatencyModel::Prepared> table_;
 };
 
 }  // namespace pulse::sim

@@ -49,6 +49,7 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
       schedule_(deployment, trace.duration()),
       kernel_(schedule_, result_, config_.observer, config.faults, config.seed,
               config.hashed_rng, config.global_ids),
+      latency_(deployment, config.latency),
       latency_rng_(config.seed, /*stream=*/0xc0ffee),
       accuracy_rng_(config.seed, /*stream=*/0xacc) {
   if (deployment.function_count() != trace.function_count()) {
@@ -158,6 +159,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
                       static_cast<double>(count), ""});
       }
       const models::ModelVariant& variant = family.variant(serving);
+      const models::LatencyModel::Prepared& jitter = latency_.at(f, serving);
       for (std::uint32_t i = 0; i < count; ++i) {
         const bool cold = first_is_cold && i == 0;
         double service_s;
@@ -171,9 +173,9 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
                                           static_cast<std::uint64_t>(gf),
                                           invocation_key(t, i)),
                            kHashLatencyStream);
-          service_s = config_.latency.sample_service_time(variant, cold, draw);
+          service_s = models::LatencyModel::sample(jitter, cold, draw);
         } else {
-          service_s = config_.latency.sample_service_time(variant, cold, latency_rng_);
+          service_s = models::LatencyModel::sample(jitter, cold, latency_rng_);
         }
         double accuracy_credit;
         if (!config_.bernoulli_accuracy) {

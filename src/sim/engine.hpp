@@ -193,6 +193,7 @@ class SteppedRun {
   RunResult result_;
   KeepAliveSchedule schedule_;
   MinuteKernel kernel_;  // everything but the serving rule of step_minute()
+  LatencyTable latency_;
   util::Pcg32 latency_rng_;
   util::Pcg32 accuracy_rng_;
   util::IntHistogram* alive_hist_ = nullptr;

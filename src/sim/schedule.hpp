@@ -16,7 +16,6 @@
 // instance.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -105,7 +104,7 @@ class KeepAliveSchedule {
   /// correctly rounded sum of the kept variants' memories. O(1).
   [[nodiscard]] double memory_at(trace::Minute t) const {
     if (t < 0 || t >= duration_) return 0.0;
-    return std::ldexp(static_cast<double>(exact_[static_cast<std::size_t>(t)]), -kUnitShift);
+    return static_cast<double>(exact_[static_cast<std::size_t>(t)]) * kUnitMb;
   }
 
   /// Containers alive at minute t. O(1) (incrementally maintained).
@@ -160,6 +159,8 @@ class KeepAliveSchedule {
   /// (fewer than 2^24 functions, each variant below 2^30 MB) keep a full
   /// minute's total below 2^114 units.
   static constexpr int kUnitShift = 60;
+  /// One unit in MB, 2^-kUnitShift: multiplying by it scales exactly.
+  static constexpr double kUnitMb = 1.0 / static_cast<double>(std::uint64_t{1} << kUnitShift);
 
   void check_function(trace::FunctionId f) const {
     if (f >= functions_) throw_bad_function();

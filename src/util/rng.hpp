@@ -137,14 +137,27 @@ inline double lognormal(Pcg32& rng, double mu, double sigma) {
   return std::exp(normal(rng, mu, sigma));
 }
 
-/// Lognormal parameterized by the distribution's own mean and coefficient of
-/// variation — convenient for "exec time = 1.09 s +/- 10% jitter".
-inline double lognormal_mean_cv(Pcg32& rng, double mean, double cv) {
-  if (mean <= 0.0) return 0.0;
-  if (cv <= 0.0) return mean;
+/// A lognormal given by the distribution's own mean and coefficient of
+/// variation ("exec time = 1.09 s +/- 10% jitter"), with the underlying
+/// mu/sigma computed once. A non-positive mean or CV is a constant that
+/// consumes no generator state.
+struct LognormalParams {
+  double mu = 0.0;
+  double sigma = 0.0;
+  double constant = 0.0;  // the value when !random
+  bool random = false;
+};
+
+[[nodiscard]] inline LognormalParams lognormal_params(double mean, double cv) {
+  if (mean <= 0.0) return {};
+  if (cv <= 0.0) return {0.0, 0.0, mean, false};
   const double sigma2 = std::log(1.0 + cv * cv);
   const double mu = std::log(mean) - 0.5 * sigma2;
-  return lognormal(rng, mu, std::sqrt(sigma2));
+  return {mu, std::sqrt(sigma2), 0.0, true};
+}
+
+inline double lognormal(Pcg32& rng, const LognormalParams& p) {
+  return p.random ? lognormal(rng, p.mu, p.sigma) : p.constant;
 }
 
 /// Poisson sample. Knuth for small lambda, normal approximation above 64.

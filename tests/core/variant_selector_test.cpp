@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 namespace pulse::core {
 namespace {
@@ -82,6 +86,45 @@ TEST_P(SelectorProperty, MonotoneAndInRange) {
   }
   // Highest probability must select the highest variant.
   EXPECT_EQ(select_variant(1.0, variants, technique), variants - 1);
+}
+
+// select_variant as it was with std::floor, before the areas became a
+// plain truncating cast.
+std::size_t floor_select_variant(double probability, std::size_t variant_count,
+                                 ThresholdTechnique technique) {
+  const double p = std::clamp(probability, 0.0, 1.0);
+  const auto n = static_cast<double>(variant_count);
+  if (technique == ThresholdTechnique::kT1) {
+    return std::min(static_cast<std::size_t>(std::floor(p * n)), variant_count - 1);
+  }
+  if (p == 0.0 || variant_count == 1) return 0;
+  const auto areas = static_cast<double>(variant_count - 1);
+  return 1 + std::min(static_cast<std::size_t>(std::floor(p * areas)), variant_count - 2);
+}
+
+TEST(VariantSelector, TruncationIsFloorAtEveryAreaEdge) {
+  for (std::size_t n = 1; n <= 8; ++n) {
+    std::vector<double> points = {0.0,  -0.0, std::numeric_limits<double>::denorm_min(),
+                                  1.0,  -1e-300, -0.5, 1.0 + 1e-15, 1.5,
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+    const auto add_edge = [&points](double edge) {
+      points.push_back(edge);
+      points.push_back(std::nextafter(edge, -1.0));
+      points.push_back(std::nextafter(edge, 2.0));
+    };
+    for (std::size_t k = 0; k <= n; ++k) {
+      add_edge(static_cast<double>(k) / static_cast<double>(n));
+      if (n > 1) add_edge(static_cast<double>(k) / static_cast<double>(n - 1));
+    }
+    for (const ThresholdTechnique technique : {ThresholdTechnique::kT1, ThresholdTechnique::kT2}) {
+      for (const double p : points) {
+        EXPECT_EQ(select_variant(p, n, technique), floor_select_variant(p, n, technique))
+            << "n=" << n << " T" << (technique == ThresholdTechnique::kT1 ? 1 : 2)
+            << " p=" << std::hexfloat << p;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,6 +25,28 @@ Scenario grid_scenario(std::uint64_t seed) {
   return make_scenario(config);
 }
 
+// Figure 6: PULSE beats OpenWhisk on keep-alive cost and service time and
+// gives up little accuracy (paper: +39.5 %, +8.8 %, -0.6 %). The -5 %
+// accuracy bound was fixed before any seed ran; the 14-day figure bench
+// reads -3.0 %.
+TEST(PaperShape, Fig6PulseBeatsOpenWhisk) {
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("scenario seed " + std::to_string(seed));
+    const Scenario scenario = grid_scenario(seed);
+    const PolicySummary openwhisk = run_policy_ensemble(scenario, "openwhisk", kRuns);
+    const PolicySummary pulse = run_policy_ensemble(scenario, "pulse", kRuns);
+    const ImprovementRow row = improvement_over(openwhisk, pulse);
+    EXPECT_GT(row.keepalive_cost_pct, 0.0)
+        << "pulse $" << pulse.keepalive_cost_usd << " vs openwhisk $"
+        << openwhisk.keepalive_cost_usd;
+    EXPECT_GT(row.service_time_pct, 0.0)
+        << "pulse " << pulse.service_time_s << " s vs openwhisk " << openwhisk.service_time_s
+        << " s";
+    EXPECT_GE(row.accuracy_pct, -5.0)
+        << "pulse " << pulse.accuracy_pct << "% vs openwhisk " << openwhisk.accuracy_pct << "%";
+  }
+}
+
 // Figure 8: adding PULSE to Wild and to IceBreaker cuts keep-alive cost.
 TEST(PaperShape, Fig8IntegrationsCutKeepAliveCost) {
   for (const std::uint64_t seed : kSeeds) {

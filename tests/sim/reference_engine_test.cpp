@@ -4,8 +4,8 @@
 // directly, and draws from the sequential Pcg32 streams (or the hashed
 // per-coordinate draws) in the engine's order, so the two must agree
 // bit for bit on every RunResult field over seeded random small configs —
-// faults, capacity, hashed draws, sampled latency and Bernoulli accuracy
-// on and off. Wide cases (up to 300 functions, capacity on) pick victims
+// faults, capacity, hashed draws, sampled latency (at several jitter CVs,
+// zero included) and Bernoulli accuracy on and off. Wide cases (up to 300 functions, capacity on) pick victims
 // deep in long kept lists under both RNG disciplines. A run sliced at two
 // random minutes must also reproduce the uninterrupted run (the cluster
 // engine stops crashing shards mid-epoch).
@@ -271,13 +271,26 @@ RandomCase make_case(std::uint64_t seed, const Deployment& deployment, std::size
 
   static const char* const kPolicies[] = {"openwhisk", "pulse", "random-mix", "wild+pulse"};
   rc.policy = kPolicies[rng.bounded(4)];
+  // The engine draws from a table prepared at construction: check it at a
+  // zero CV (no generator state consumed) and at CVs other than the default.
+  switch (rng.bounded(4)) {
+    case 0: c.latency = models::LatencyModel{}; break;
+    case 1: c.latency = models::LatencyModel{0.0, 0.15}; break;
+    case 2: c.latency = models::LatencyModel{0.08, 0.0}; break;
+    default: {
+      const double warm_cv = 0.5 * (1.0 - rng.uniform());  // (0, 0.5]
+      c.latency = models::LatencyModel{warm_cv, 0.5 * (1.0 - rng.uniform())};
+    }
+  }
   rc.label = "seed=" + std::to_string(seed) + " policy=" + rc.policy +
              " fns=" + std::to_string(functions) + " T=" + std::to_string(duration) +
              " faults=" + std::to_string(faults) + " capacity=" + std::to_string(capacity) +
              " hashed=" + std::to_string(c.hashed_rng) +
              " deterministic=" + std::to_string(c.deterministic_latency) +
              " bernoulli=" + std::to_string(c.bernoulli_accuracy) +
-             " gids=" + std::to_string(!rc.global_ids.empty());
+             " gids=" + std::to_string(!rc.global_ids.empty()) +
+             " warm_cv=" + std::to_string(c.latency.warm_cv()) +
+             " cold_cv=" + std::to_string(c.latency.cold_cv());
   return rc;
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace pulse::util {
@@ -108,19 +112,49 @@ TEST(Distributions, LognormalMeanCvMatchesTarget) {
   Pcg32 rng(21);
   double sum = 0.0;
   constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) sum += lognormal_mean_cv(rng, 3.0, 0.2);
+  const LognormalParams params = lognormal_params(3.0, 0.2);
+  for (int i = 0; i < kN; ++i) sum += lognormal(rng, params);
   EXPECT_NEAR(sum / kN, 3.0, 0.02);
 }
 
 TEST(Distributions, LognormalZeroCvIsDeterministic) {
   Pcg32 rng(22);
-  EXPECT_DOUBLE_EQ(lognormal_mean_cv(rng, 5.0, 0.0), 5.0);
+  EXPECT_DOUBLE_EQ(lognormal(rng, lognormal_params(5.0, 0.0)), 5.0);
 }
 
 TEST(Distributions, LognormalNonPositiveMeanIsZero) {
   Pcg32 rng(23);
-  EXPECT_DOUBLE_EQ(lognormal_mean_cv(rng, 0.0, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(lognormal_mean_cv(rng, -1.0, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(lognormal(rng, lognormal_params(0.0, 0.5)), 0.0);
+  EXPECT_DOUBLE_EQ(lognormal(rng, lognormal_params(-1.0, 0.5)), 0.0);
+}
+
+// The mean/CV draw as it was before its parameters were split out: every
+// call recomputed mu and sigma.
+double unprepared_lognormal_mean_cv(Pcg32& rng, double mean, double cv) {
+  if (mean <= 0.0) return 0.0;
+  if (cv <= 0.0) return mean;
+  const double sigma2 = std::log(1.0 + cv * cv);
+  const double mu = std::log(mean) - 0.5 * sigma2;
+  return lognormal(rng, mu, std::sqrt(sigma2));
+}
+
+TEST(Distributions, PreparedLognormalIsTheUnpreparedDrawBitwise) {
+  std::uint64_t seed = 1;
+  for (const double mean : {-1.0, 0.0, 1e-9, 0.05, 1.09, 30.0}) {
+    for (const double cv : {-0.1, 0.0, 1e-6, 0.08, 0.15, 2.0}) {
+      const LognormalParams params = lognormal_params(mean, cv);
+      for (int draw = 0; draw < 64; ++draw, ++seed) {
+        SCOPED_TRACE("mean=" + std::to_string(mean) + " cv=" + std::to_string(cv) +
+                     " seed=" + std::to_string(seed));
+        Pcg32 prepared(seed, 5);
+        Pcg32 unprepared(seed, 5);
+        const double a = lognormal(prepared, params);
+        const double b = unprepared_lognormal_mean_cv(unprepared, mean, cv);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+        ASSERT_EQ(prepared.next_u32(), unprepared.next_u32());  // same state consumed
+      }
+    }
+  }
 }
 
 TEST(Distributions, PoissonMeanMatchesLambda) {
