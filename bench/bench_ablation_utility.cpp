@@ -12,37 +12,10 @@
 #include <algorithm>
 
 #include "core/pulse_policy.hpp"
-#include "sim/ensemble.hpp"
 
 namespace {
 
 using namespace pulse;
-
-struct AblationResult {
-  exp::PolicySummary summary;
-  double cold_fraction = 0.0;
-};
-
-AblationResult run_weights(const exp::Scenario& scenario, std::size_t runs,
-                           core::UtilityWeights weights, std::string label) {
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  const sim::EnsembleResult ensemble = sim::run_ensemble(
-      scenario.zoo, scenario.workload.trace,
-      [&] {
-        core::PulsePolicy::Config pc;
-        pc.utility_weights = weights;
-        return std::make_unique<core::PulsePolicy>(pc);
-      },
-      config);
-  AblationResult out;
-  out.summary = exp::summarize(std::move(label), ensemble);
-  out.cold_fraction =
-      1.0 - ensemble.stats_of([](const sim::RunResult& r) {
-                    return r.warm_start_fraction();
-                  }).mean();
-  return out;
-}
 
 void BM_UtilityValue(benchmark::State& state) {
   core::UtilityComponents u;
@@ -83,10 +56,13 @@ int main(int argc, char** argv) {
   util::TextTable table({"Utility", "Cost ($)", "Service Time (s)", "Accuracy (%)",
                          "Cold starts (%)"});
   for (const auto& c : cases) {
-    const AblationResult r = run_weights(scenario, runs, c.weights, c.label);
-    table.add_row({c.label, util::fmt(r.summary.keepalive_cost_usd),
-                   util::fmt(r.summary.service_time_s, 0), util::fmt(r.summary.accuracy_pct),
-                   util::fmt(100.0 * r.cold_fraction, 1)});
+    core::PulsePolicy::Config pc;
+    pc.utility_weights = c.weights;
+    const exp::PolicySummary s = exp::run_policy_ensemble(
+        scenario.zoo, scenario.workload.trace, c.label,
+        [&] { return std::make_unique<core::PulsePolicy>(pc); }, runs);
+    table.add_row({c.label, util::fmt(s.keepalive_cost_usd), util::fmt(s.service_time_s, 0),
+                   util::fmt(s.accuracy_pct), util::fmt(100.0 * (1.0 - s.warm_fraction), 1)});
   }
   std::printf("%s", table.render().c_str());
   std::printf(

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "exp/scenario.hpp"
 #include "exp/summary.hpp"
@@ -40,6 +41,19 @@ inline void print_scenario_info(const exp::Scenario& scenario, std::size_t runs)
               scenario.workload.trace.function_count(),
               static_cast<long long>(scenario.config.days),
               static_cast<unsigned long long>(scenario.config.seed), runs);
+}
+
+/// Prints Figs 10-12's table: one row per PULSE configuration, each an
+/// improvement over OpenWhisk.
+inline void print_improvement_table(const std::string& first_column,
+                                    const std::vector<exp::ImprovementRow>& rows) {
+  util::TextTable table({first_column, "Service Time (% impr.)", "Keep-alive Cost (% impr.)",
+                         "Accuracy (% change)"});
+  for (const exp::ImprovementRow& row : rows) {
+    table.add_row({row.policy, util::fmt_pct(row.service_time_pct),
+                   util::fmt_pct(row.keepalive_cost_pct), util::fmt_pct(row.accuracy_pct)});
+  }
+  std::printf("%s", table.render().c_str());
 }
 
 /// Runs the registered google-benchmark timings with default settings.

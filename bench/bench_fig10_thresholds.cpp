@@ -7,46 +7,22 @@
 #include "bench_common.hpp"
 
 #include "core/pulse_policy.hpp"
-#include "sim/ensemble.hpp"
+#include "exp/figures.hpp"
 
 namespace {
 
 using namespace pulse;
 
-exp::PolicySummary run_technique(const exp::Scenario& scenario, std::size_t runs,
-                                 core::ThresholdTechnique technique, std::string label) {
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  const sim::EnsembleResult ensemble = sim::run_ensemble(
-      scenario.zoo, scenario.workload.trace,
-      [&] {
-        core::PulsePolicy::Config pc;
-        pc.technique = technique;
-        return std::make_unique<core::PulsePolicy>(pc);
-      },
-      config);
-  return exp::summarize(std::move(label), ensemble);
-}
-
-void BM_SelectVariantT1(benchmark::State& state) {
+void BM_SelectVariant(benchmark::State& state, core::ThresholdTechnique technique) {
   double p = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::select_variant(p, 3, core::ThresholdTechnique::kT1));
+    benchmark::DoNotOptimize(core::select_variant(p, 3, technique));
     p += 0.001;
     if (p > 1.0) p = 0.0;
   }
 }
-BENCHMARK(BM_SelectVariantT1);
-
-void BM_SelectVariantT2(benchmark::State& state) {
-  double p = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::select_variant(p, 3, core::ThresholdTechnique::kT2));
-    p += 0.001;
-    if (p > 1.0) p = 0.0;
-  }
-}
-BENCHMARK(BM_SelectVariantT2);
+BENCHMARK_CAPTURE(BM_SelectVariant, T1, core::ThresholdTechnique::kT1);
+BENCHMARK_CAPTURE(BM_SelectVariant, T2, core::ThresholdTechnique::kT2);
 
 }  // namespace
 
@@ -58,21 +34,7 @@ int main(int argc, char** argv) {
   const std::size_t runs = bench::default_runs();
   bench::print_scenario_info(scenario, runs);
 
-  const exp::PolicySummary openwhisk =
-      exp::run_policy_ensemble(scenario, "openwhisk", runs);
-  const exp::PolicySummary t1 =
-      run_technique(scenario, runs, core::ThresholdTechnique::kT1, "T1");
-  const exp::PolicySummary t2 =
-      run_technique(scenario, runs, core::ThresholdTechnique::kT2, "T2");
-
-  util::TextTable table({"Technique", "Service Time (% impr.)", "Keep-alive Cost (% impr.)",
-                         "Accuracy (% change)"});
-  for (const auto* s : {&t1, &t2}) {
-    const exp::ImprovementRow row = exp::improvement_over(openwhisk, *s);
-    table.add_row({s->policy, util::fmt_pct(row.service_time_pct),
-                   util::fmt_pct(row.keepalive_cost_pct), util::fmt_pct(row.accuracy_pct)});
-  }
-  std::printf("%s", table.render().c_str());
+  bench::print_improvement_table("Technique", exp::threshold_technique_rows(scenario, runs));
   std::printf(
       "\nExpected shape (paper): both techniques improve cost and service time\n"
       "over OpenWhisk with a small accuracy drop — the exact threshold scheme\n"

@@ -5,26 +5,11 @@
 #include "bench_common.hpp"
 
 #include "core/pulse_policy.hpp"
-#include "sim/ensemble.hpp"
+#include "exp/figures.hpp"
 
 namespace {
 
 using namespace pulse;
-
-exp::PolicySummary run_threshold(const exp::Scenario& scenario, std::size_t runs,
-                                 double threshold, std::string label) {
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  const sim::EnsembleResult ensemble = sim::run_ensemble(
-      scenario.zoo, scenario.workload.trace,
-      [&] {
-        core::PulsePolicy::Config pc;
-        pc.memory_threshold = threshold;
-        return std::make_unique<core::PulsePolicy>(pc);
-      },
-      config);
-  return exp::summarize(std::move(label), ensemble);
-}
 
 void BM_PeakDetect(benchmark::State& state) {
   const core::PeakDetector detector;
@@ -47,20 +32,7 @@ int main(int argc, char** argv) {
   const std::size_t runs = bench::default_runs();
   bench::print_scenario_info(scenario, runs);
 
-  const exp::PolicySummary openwhisk =
-      exp::run_policy_ensemble(scenario, "openwhisk", runs);
-
-  util::TextTable table({"Threshold", "Service Time (% impr.)", "Keep-alive Cost (% impr.)",
-                         "Accuracy (% change)"});
-  const double thresholds[] = {0.05, 0.10, 0.15};
-  const char* labels[] = {"M1 (5%)", "M2 (10%)", "M3 (15%)"};
-  for (int i = 0; i < 3; ++i) {
-    const exp::PolicySummary s = run_threshold(scenario, runs, thresholds[i], labels[i]);
-    const exp::ImprovementRow row = exp::improvement_over(openwhisk, s);
-    table.add_row({labels[i], util::fmt_pct(row.service_time_pct),
-                   util::fmt_pct(row.keepalive_cost_pct), util::fmt_pct(row.accuracy_pct)});
-  }
-  std::printf("%s", table.render().c_str());
+  bench::print_improvement_table("Threshold", exp::memory_threshold_rows(scenario, runs));
   std::printf(
       "\nExpected shape (paper): all three thresholds keep a large cost\n"
       "improvement and a small accuracy drop; tighter thresholds flatten\n"

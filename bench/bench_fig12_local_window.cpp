@@ -6,28 +6,12 @@
 #include "bench_common.hpp"
 
 #include "core/interarrival.hpp"
-#include "core/pulse_policy.hpp"
-#include "sim/ensemble.hpp"
+#include "exp/figures.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace pulse;
-
-exp::PolicySummary run_window(const exp::Scenario& scenario, std::size_t runs,
-                              trace::Minute window, std::string label) {
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  const sim::EnsembleResult ensemble = sim::run_ensemble(
-      scenario.zoo, scenario.workload.trace,
-      [&] {
-        core::PulsePolicy::Config pc;
-        pc.local_window = window;
-        return std::make_unique<core::PulsePolicy>(pc);
-      },
-      config);
-  return exp::summarize(std::move(label), ensemble);
-}
 
 void BM_TrackerProbability(benchmark::State& state) {
   core::InterArrivalTracker tracker;
@@ -55,19 +39,7 @@ int main(int argc, char** argv) {
   const std::size_t runs = bench::default_runs();
   bench::print_scenario_info(scenario, runs);
 
-  const exp::PolicySummary openwhisk =
-      exp::run_policy_ensemble(scenario, "openwhisk", runs);
-
-  util::TextTable table({"Local window", "Service Time (% impr.)",
-                         "Keep-alive Cost (% impr.)", "Accuracy (% change)"});
-  for (trace::Minute window : {10, 60, 120}) {
-    const std::string label = std::to_string(window) + " min";
-    const exp::PolicySummary s = run_window(scenario, runs, window, label);
-    const exp::ImprovementRow row = exp::improvement_over(openwhisk, s);
-    table.add_row({label, util::fmt_pct(row.service_time_pct),
-                   util::fmt_pct(row.keepalive_cost_pct), util::fmt_pct(row.accuracy_pct)});
-  }
-  std::printf("%s", table.render().c_str());
+  bench::print_improvement_table("Local window", exp::local_window_rows(scenario, runs));
   std::printf(
       "\nExpected shape (paper): consistent improvements across the window\n"
       "sweep — PULSE is not sensitive to the local window size.\n");

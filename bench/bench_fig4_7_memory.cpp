@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "exp/figures.hpp"
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
 #include "util/stats.hpp"
@@ -16,37 +17,11 @@ namespace {
 
 using namespace pulse;
 
-struct MemorySeries {
-  std::string policy;
-  std::vector<double> memory_mb;
-  double accuracy_pct = 0.0;
-
-  [[nodiscard]] double average() const { return util::mean(memory_mb); }
-  [[nodiscard]] double peak() const { return util::max_of(memory_mb); }
-  /// Largest minute-over-minute upward jump, the "sudden peak" measure.
-  [[nodiscard]] double max_jump() const {
-    double jump = 0.0;
-    for (std::size_t m = 1; m < memory_mb.size(); ++m) {
-      jump = std::max(jump, memory_mb[m] - memory_mb[m - 1]);
-    }
-    return jump;
-  }
-};
-
-MemorySeries run_series(const exp::Scenario& scenario, const std::string& policy) {
-  const sim::RunResult r = exp::run_policy_single(scenario, policy);
-  MemorySeries s;
-  s.policy = policy;
-  s.memory_mb = r.keepalive_memory_mb;
-  s.accuracy_pct = r.average_accuracy_pct();
-  return s;
-}
-
-void print_series_plot(const MemorySeries& s, double global_max) {
+void print_series_plot(const exp::MemorySeries& s, double global_max) {
   // Bucket the series into 2-hour averages and draw an ASCII profile.
   const std::size_t bucket = 120;
   std::printf("\n%s  (avg %.0f MB, peak %.0f MB, max jump %.0f MB, accuracy %.2f%%)\n",
-              s.policy.c_str(), s.average(), s.peak(), s.max_jump(), s.accuracy_pct);
+              s.policy.c_str(), s.average_mb, s.peak_mb, s.max_rise_mb, s.accuracy_pct);
   for (std::size_t start = 0; start + bucket <= s.memory_mb.size(); start += bucket) {
     const std::span<const double> window(s.memory_mb.data() + start, bucket);
     const double avg = util::mean(window);
@@ -56,7 +31,7 @@ void print_series_plot(const MemorySeries& s, double global_max) {
   }
 }
 
-void BM_PulseFullDay(benchmark::State& state) {
+void BM_FullDay(benchmark::State& state, const char* policy_name) {
   exp::ScenarioConfig config;
   config.days = 1;
   const exp::Scenario scenario = exp::make_scenario(config);
@@ -64,25 +39,12 @@ void BM_PulseFullDay(benchmark::State& state) {
       scenario.zoo, scenario.workload.trace.function_count());
   for (auto _ : state) {
     sim::SimulationEngine engine(d, scenario.workload.trace, {});
-    const auto policy = policies::make_policy("pulse");
+    const auto policy = policies::make_policy(policy_name);
     benchmark::DoNotOptimize(engine.run(*policy));
   }
 }
-BENCHMARK(BM_PulseFullDay);
-
-void BM_OpenWhiskFullDay(benchmark::State& state) {
-  exp::ScenarioConfig config;
-  config.days = 1;
-  const exp::Scenario scenario = exp::make_scenario(config);
-  const sim::Deployment d = sim::Deployment::round_robin(
-      scenario.zoo, scenario.workload.trace.function_count());
-  for (auto _ : state) {
-    sim::SimulationEngine engine(d, scenario.workload.trace, {});
-    const auto policy = policies::make_policy("openwhisk");
-    benchmark::DoNotOptimize(engine.run(*policy));
-  }
-}
-BENCHMARK(BM_OpenWhiskFullDay);
+BENCHMARK_CAPTURE(BM_FullDay, pulse, "pulse");
+BENCHMARK_CAPTURE(BM_FullDay, openwhisk, "openwhisk");
 
 }  // namespace
 
@@ -95,10 +57,10 @@ int main(int argc, char** argv) {
   const exp::Scenario scenario = exp::make_scenario(config);
   bench::print_scenario_info(scenario, 1);
 
-  const MemorySeries openwhisk = run_series(scenario, "openwhisk");
-  const MemorySeries individual = run_series(scenario, "pulse-individual");
-  const MemorySeries pulse = run_series(scenario, "pulse");
-  const double global_max = std::max({openwhisk.peak(), individual.peak(), pulse.peak()});
+  const exp::MemorySeries openwhisk = exp::memory_series(scenario, "openwhisk");
+  const exp::MemorySeries individual = exp::memory_series(scenario, "pulse-individual");
+  const exp::MemorySeries pulse = exp::memory_series(scenario, "pulse");
+  const double global_max = std::max({openwhisk.peak_mb, individual.peak_mb, pulse.peak_mb});
 
   std::printf("--- Figure 4(a) / 7(a): OpenWhisk fixed 10-minute policy ---");
   print_series_plot(openwhisk, global_max);
@@ -110,8 +72,8 @@ int main(int argc, char** argv) {
   util::TextTable summary({"Policy", "Avg memory (MB)", "Peak (MB)", "Max jump (MB)",
                            "Accuracy (%)"});
   for (const auto* s : {&openwhisk, &individual, &pulse}) {
-    summary.add_row({s->policy, util::fmt(s->average(), 0), util::fmt(s->peak(), 0),
-                     util::fmt(s->max_jump(), 0), util::fmt(s->accuracy_pct)});
+    summary.add_row({s->policy, util::fmt(s->average_mb, 0), util::fmt(s->peak_mb, 0),
+                     util::fmt(s->max_rise_mb, 0), util::fmt(s->accuracy_pct)});
   }
   std::printf("\n%s", summary.render().c_str());
   std::printf(

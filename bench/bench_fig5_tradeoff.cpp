@@ -5,6 +5,8 @@
 
 #include "bench_common.hpp"
 
+#include "exp/figures.hpp"
+
 namespace {
 
 using namespace pulse;
@@ -29,23 +31,13 @@ int main(int argc, char** argv) {
   const std::size_t runs = bench::default_runs();
   bench::print_scenario_info(scenario, runs);
 
-  const exp::PolicySummary low = exp::run_policy_ensemble(scenario, "all-low", runs);
-  const exp::PolicySummary high = exp::run_policy_ensemble(scenario, "openwhisk", runs);
-  const exp::PolicySummary pulse = exp::run_policy_ensemble(scenario, "pulse", runs);
+  const auto [low, high, pulse, cost_pos, acc_pos] = exp::tradeoff_corners(scenario, runs);
 
   util::TextTable table({"Point", "Keep-alive Cost ($)", "Accuracy (%)"});
   table.add_row({"Lowest Quality", util::fmt(low.keepalive_cost_usd), util::fmt(low.accuracy_pct)});
   table.add_row({"Highest Quality", util::fmt(high.keepalive_cost_usd), util::fmt(high.accuracy_pct)});
   table.add_row({"PULSE", util::fmt(pulse.keepalive_cost_usd), util::fmt(pulse.accuracy_pct)});
   std::printf("%s", table.render().c_str());
-
-  // Normalized positions along both axes (0 = lowest point, 1 = highest).
-  const double cost_span = high.keepalive_cost_usd - low.keepalive_cost_usd;
-  const double acc_span = high.accuracy_pct - low.accuracy_pct;
-  const double cost_pos =
-      cost_span != 0.0 ? (pulse.keepalive_cost_usd - low.keepalive_cost_usd) / cost_span : 0.0;
-  const double acc_pos =
-      acc_span != 0.0 ? (pulse.accuracy_pct - low.accuracy_pct) / acc_span : 0.0;
   std::printf(
       "\nPULSE position between the Lowest(0) and Highest(1) corner points:\n"
       "  cost axis:     %.2f   (paper: close to 0 — near the low-cost corner)\n"

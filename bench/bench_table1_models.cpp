@@ -37,27 +37,17 @@ void print_table1() {
       "documented synthesis (DESIGN.md section 1).\n");
 }
 
-void BM_LatencySampleWarm(benchmark::State& state) {
+void BM_LatencySample(benchmark::State& state, bool cold) {
   const models::ModelZoo zoo = models::ModelZoo::builtin();
   const models::ModelVariant& v = zoo.family_by_name("GPT").highest();
   const models::LatencyModel latency;
-  util::Pcg32 rng(1);
+  util::Pcg32 rng(cold ? 2 : 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(latency.sample_service_time(v, false, rng));
+    benchmark::DoNotOptimize(latency.sample_service_time(v, cold, rng));
   }
 }
-BENCHMARK(BM_LatencySampleWarm);
-
-void BM_LatencySampleCold(benchmark::State& state) {
-  const models::ModelZoo zoo = models::ModelZoo::builtin();
-  const models::ModelVariant& v = zoo.family_by_name("GPT").highest();
-  const models::LatencyModel latency;
-  util::Pcg32 rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(latency.sample_service_time(v, true, rng));
-  }
-}
-BENCHMARK(BM_LatencySampleCold);
+BENCHMARK_CAPTURE(BM_LatencySample, warm, false);
+BENCHMARK_CAPTURE(BM_LatencySample, cold, true);
 
 void BM_ZooLookup(benchmark::State& state) {
   const models::ModelZoo zoo = models::ModelZoo::builtin();

@@ -5,60 +5,29 @@
 
 #include "bench_common.hpp"
 
+#include "exp/figures.hpp"
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
-#include "trace/analysis.hpp"
 #include "trace/workload.hpp"
 
 namespace {
 
 using namespace pulse;
 
-struct PeakRow {
-  std::string approach;
-  double service_time_s = 0.0;
-  double cost_usd = 0.0;
-  double accuracy_pct = 0.0;
-};
-
-/// Evaluates one policy over the window [peak - lead, peak + tail) of the
-/// trace, averaged over an ensemble of model-to-function assignments.
-PeakRow evaluate(const exp::Scenario& scenario, trace::Minute peak, const std::string& policy,
-                 std::size_t runs) {
-  const trace::Minute lead = 2;
-  const trace::Minute tail = trace::kKeepAliveWindow + 3;
-  const trace::Minute begin = std::max<trace::Minute>(0, peak - lead);
-  const trace::Minute end =
-      std::min<trace::Minute>(scenario.workload.trace.duration(), peak + tail);
-  const trace::Trace window = scenario.workload.trace.slice(begin, end);
-
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  const sim::EnsembleResult ensemble = sim::run_ensemble(
-      scenario.zoo, window, [&] { return policies::make_policy(policy); }, config);
-
-  PeakRow row;
-  row.approach = policy;
-  row.service_time_s = ensemble.mean_service_time_s();
-  row.cost_usd = ensemble.mean_keepalive_cost_usd();
-  row.accuracy_pct = ensemble.mean_accuracy_pct();
-  return row;
-}
-
-void print_peak_table(const exp::Scenario& scenario, trace::Minute peak, int index,
-                      std::size_t runs) {
-  static const char* kLabels[] = {"All High Quality", "All Low Quality",
-                                  "Random High Quality Low Quality", "Intelligent Solution"};
-  static const char* kPolicies[] = {"openwhisk", "all-low", "random-mix", "oracle"};
-
+void print_peak_table(const exp::PeakTable& t, std::size_t index) {
   std::printf("\nPeak %s at trace minute %lld:\n", index == 0 ? "I" : "II",
-              static_cast<long long>(peak));
+              static_cast<long long>(t.peak));
   util::TextTable table({"Approach", "Service Time (s)", "Keep-alive Cost (USD)",
                          "Accuracy (%)"});
-  for (int i = 0; i < 4; ++i) {
-    const PeakRow row = evaluate(scenario, peak, kPolicies[i], runs);
-    table.add_row({kLabels[i], util::fmt(row.service_time_s), util::fmt(row.cost_usd, 4),
-                   util::fmt(row.accuracy_pct)});
+  const std::pair<const char*, const exp::PolicySummary*> rows[] = {
+      {"All High Quality", &t.all_high},
+      {"All Low Quality", &t.all_low},
+      {"Random High Quality Low Quality", &t.random_mix},
+      {"Intelligent Solution", &t.intelligent},
+  };
+  for (const auto& [label, s] : rows) {
+    table.add_row({label, util::fmt(s->service_time_s), util::fmt(s->keepalive_cost_usd, 4),
+                   util::fmt(s->accuracy_pct)});
   }
   std::printf("%s", table.render().c_str());
 }
@@ -66,9 +35,7 @@ void print_peak_table(const exp::Scenario& scenario, trace::Minute peak, int ind
 void BM_PeakWindowSimulation(benchmark::State& state) {
   const exp::Scenario scenario = bench::default_scenario();
   const auto peaks = trace::find_peak_minutes(scenario.workload.trace, 1);
-  const trace::Trace window =
-      scenario.workload.trace.slice(std::max<trace::Minute>(0, peaks.at(0) - 2),
-                                    peaks.at(0) + 13);
+  const trace::Trace window = exp::peak_window(scenario.workload.trace, peaks.at(0));
   const sim::Deployment d =
       sim::Deployment::round_robin(scenario.zoo, window.function_count());
   for (auto _ : state) {
@@ -90,12 +57,10 @@ int main(int argc, char** argv) {
   bench::print_scenario_info(scenario, runs);
 
   // The paper designates the two highest-volume peaks of the trace; our
-  // workload injects two coordinated peaks, recovered here from the
-  // aggregate series exactly as the paper's analysis does.
-  const auto peaks = trace::find_peak_minutes(scenario.workload.trace, 2);
-  for (std::size_t i = 0; i < peaks.size(); ++i) {
-    print_peak_table(scenario, peaks[i], static_cast<int>(i), runs);
-  }
+  // workload injects two coordinated peaks, recovered from the aggregate
+  // series exactly as the paper's analysis does.
+  const std::vector<exp::PeakTable> tables = exp::peak_tables(scenario, runs);
+  for (std::size_t i = 0; i < tables.size(); ++i) print_peak_table(tables[i], i);
   std::printf(
       "\nExpected shape (paper): AllHigh has highest service time, cost and\n"
       "accuracy; AllLow the lowest of all three; RandomMix in between;\n"

@@ -18,7 +18,7 @@
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
 #include "sim/ensemble.hpp"
-#include "trace/azure_format.hpp"
+#include "trace/azure_stream.hpp"
 #include "trace/classifier.hpp"
 #include "trace/workload.hpp"
 #include "util/cli.hpp"
@@ -82,11 +82,17 @@ int main(int argc, char** argv) {
     if (const std::string paths = cli.get_string("azure-days"); !paths.empty()) {
       std::vector<std::filesystem::path> files;
       for (const auto& p : split_list(paths)) files.emplace_back(p);
-      const trace::AzureTrace azure = trace::load_azure_days(files);
-      tr = trace::select_top_functions(azure,
+      trace::StreamLoadOptions options;
+      options.format = trace::TraceFormat::kAzure2019Day;
+      const auto azure = trace::stream_load_azure(files, options);
+      if (!azure) {
+        std::fprintf(stderr, "error: %s\n", azure.error().to_string().c_str());
+        return 1;
+      }
+      tr = trace::select_top_functions(azure.value(),
                                        static_cast<std::size_t>(cli.get_int("top")));
       std::printf("loaded Azure trace: %zu functions kept of %zu, %lld minutes\n",
-                  tr.function_count(), azure.functions.size(),
+                  tr.function_count(), azure.value().functions.size(),
                   static_cast<long long>(tr.duration()));
     } else if (const std::string path = cli.get_string("trace"); !path.empty()) {
       tr = trace::Trace::load_csv(path);

@@ -1,0 +1,106 @@
+#include "exp/figures.hpp"
+
+#include <algorithm>
+#include <initializer_list>
+#include <memory>
+#include <utility>
+
+#include "core/pulse_policy.hpp"
+#include "policies/factory.hpp"
+#include "trace/analysis.hpp"
+#include "trace/workload.hpp"
+#include "util/stats.hpp"
+
+namespace pulse::exp {
+
+namespace {
+
+/// Runs PULSE once per (label, value) point, with `set(config, value)`
+/// applied to a default config, and reports each against OpenWhisk.
+template <typename T, typename Set>
+std::vector<ImprovementRow> pulse_sweep(const Scenario& scenario, std::size_t runs,
+                                        std::initializer_list<std::pair<const char*, T>> points,
+                                        Set set) {
+  const PolicySummary openwhisk = run_policy_ensemble(scenario, "openwhisk", runs);
+  std::vector<ImprovementRow> rows;
+  for (const auto& [label, value] : points) {
+    core::PulsePolicy::Config config;
+    set(config, value);
+    const PolicySummary s = run_policy_ensemble(
+        scenario.zoo, scenario.workload.trace, label,
+        [&] { return std::make_unique<core::PulsePolicy>(config); }, runs);
+    rows.push_back(improvement_over(openwhisk, s));
+  }
+  return rows;
+}
+
+}  // namespace
+
+trace::Trace peak_window(const trace::Trace& trace, trace::Minute peak) {
+  return trace.slice(std::max<trace::Minute>(0, peak - 2),
+                     std::min(trace.duration(), peak + trace::kKeepAliveWindow + 3));
+}
+
+std::vector<PeakTable> peak_tables(const Scenario& scenario, std::size_t runs) {
+  std::vector<PeakTable> tables;
+  for (const trace::Minute peak : trace::find_peak_minutes(scenario.workload.trace, 2)) {
+    const trace::Trace window = peak_window(scenario.workload.trace, peak);
+    const auto run = [&](const std::string& policy) {
+      return run_policy_ensemble(scenario.zoo, window, policy,
+                                 [&] { return policies::make_policy(policy); }, runs);
+    };
+    tables.push_back({peak, run("openwhisk"), run("all-low"), run("random-mix"), run("oracle")});
+  }
+  return tables;
+}
+
+MemorySeries memory_series(const Scenario& scenario, const std::string& policy) {
+  sim::RunResult r = run_policy_single(scenario, policy);
+  MemorySeries s;
+  s.policy = policy;
+  s.memory_mb = std::move(r.keepalive_memory_mb);
+  s.average_mb = util::mean(s.memory_mb);
+  s.peak_mb = util::max_of(s.memory_mb);
+  for (std::size_t m = 1; m < s.memory_mb.size(); ++m) {
+    s.max_rise_mb = std::max(s.max_rise_mb, s.memory_mb[m] - s.memory_mb[m - 1]);
+  }
+  s.accuracy_pct = r.average_accuracy_pct();
+  return s;
+}
+
+TradeoffCorners tradeoff_corners(const Scenario& scenario, std::size_t runs) {
+  TradeoffCorners c;
+  c.low = run_policy_ensemble(scenario, "all-low", runs);
+  c.high = run_policy_ensemble(scenario, "openwhisk", runs);
+  c.pulse = run_policy_ensemble(scenario, "pulse", runs);
+  const auto position = [](double low, double high, double x) {
+    return high - low != 0.0 ? (x - low) / (high - low) : 0.0;
+  };
+  c.cost_position = position(c.low.keepalive_cost_usd, c.high.keepalive_cost_usd,
+                             c.pulse.keepalive_cost_usd);
+  c.accuracy_position =
+      position(c.low.accuracy_pct, c.high.accuracy_pct, c.pulse.accuracy_pct);
+  return c;
+}
+
+std::vector<ImprovementRow> threshold_technique_rows(const Scenario& scenario,
+                                                     std::size_t runs) {
+  using core::ThresholdTechnique;
+  return pulse_sweep<ThresholdTechnique>(
+      scenario, runs, {{"T1", ThresholdTechnique::kT1}, {"T2", ThresholdTechnique::kT2}},
+      [](core::PulsePolicy::Config& c, ThresholdTechnique t) { c.technique = t; });
+}
+
+std::vector<ImprovementRow> memory_threshold_rows(const Scenario& scenario, std::size_t runs) {
+  return pulse_sweep<double>(
+      scenario, runs, {{"M1 (5%)", 0.05}, {"M2 (10%)", 0.10}, {"M3 (15%)", 0.15}},
+      [](core::PulsePolicy::Config& c, double m) { c.memory_threshold = m; });
+}
+
+std::vector<ImprovementRow> local_window_rows(const Scenario& scenario, std::size_t runs) {
+  return pulse_sweep<trace::Minute>(
+      scenario, runs, {{"10 min", 10}, {"60 min", 60}, {"120 min", 120}},
+      [](core::PulsePolicy::Config& c, trace::Minute w) { c.local_window = w; });
+}
+
+}  // namespace pulse::exp

@@ -1,5 +1,7 @@
 #include "exp/summary.hpp"
 
+#include <utility>
+
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
 
@@ -18,7 +20,8 @@ PolicySummary summarize(std::string policy, const sim::EnsembleResult& ensemble)
   return s;
 }
 
-PolicySummary run_policy_ensemble(const Scenario& scenario, const std::string& policy,
+PolicySummary run_policy_ensemble(const models::ModelZoo& zoo, const trace::Trace& trace,
+                                  std::string label, const sim::PolicyFactory& factory,
                                   std::size_t runs, std::uint64_t seed,
                                   bool measure_overhead, const obs::Observer& observer) {
   sim::EnsembleConfig config;
@@ -26,10 +29,15 @@ PolicySummary run_policy_ensemble(const Scenario& scenario, const std::string& p
   config.seed = seed;
   config.engine.measure_overhead = measure_overhead;
   config.engine.observer = observer;
-  const sim::EnsembleResult ensemble =
-      sim::run_ensemble(scenario.zoo, scenario.workload.trace,
-                        [&] { return policies::make_policy(policy); }, config);
-  return summarize(policy, ensemble);
+  return summarize(std::move(label), sim::run_ensemble(zoo, trace, factory, config));
+}
+
+PolicySummary run_policy_ensemble(const Scenario& scenario, const std::string& policy,
+                                  std::size_t runs, std::uint64_t seed,
+                                  bool measure_overhead, const obs::Observer& observer) {
+  return run_policy_ensemble(
+      scenario.zoo, scenario.workload.trace, policy,
+      [&] { return policies::make_policy(policy); }, runs, seed, measure_overhead, observer);
 }
 
 sim::RunResult run_policy_single(const Scenario& scenario, const std::string& policy,

@@ -30,10 +30,18 @@ struct PolicySummary {
 /// the paper's aggregation).
 [[nodiscard]] PolicySummary summarize(std::string policy, const sim::EnsembleResult& ensemble);
 
-/// Runs the named policy over the scenario's trace as an ensemble and
-/// summarizes it. Passing a non-disabled `observer` attaches it to every
-/// run (per-worker registries, merged after the pool joins — see
-/// run_ensemble); the merged snapshot lands in PolicySummary::metrics.
+/// Runs `factory`'s policy over `trace` as an ensemble of model-to-function
+/// assignments from `zoo`, summarized under `label`. Passing a non-disabled
+/// `observer` attaches it to every run (per-worker registries, merged after
+/// the pool joins — see run_ensemble) and fills PolicySummary::metrics.
+[[nodiscard]] PolicySummary run_policy_ensemble(const models::ModelZoo& zoo,
+                                                const trace::Trace& trace, std::string label,
+                                                const sim::PolicyFactory& factory,
+                                                std::size_t runs, std::uint64_t seed = 7,
+                                                bool measure_overhead = false,
+                                                const obs::Observer& observer = {});
+
+/// The named form: policies::make_policy(policy) over the scenario.
 [[nodiscard]] PolicySummary run_policy_ensemble(const Scenario& scenario,
                                                 const std::string& policy,
                                                 std::size_t runs, std::uint64_t seed = 7,
