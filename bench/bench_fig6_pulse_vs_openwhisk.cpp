@@ -7,9 +7,8 @@
 
 #include "bench_common.hpp"
 
+#include "exp/figures.hpp"
 #include "policies/factory.hpp"
-#include "sim/engine.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -43,40 +42,24 @@ void print_fig6b(const exp::Scenario& scenario) {
       "(ideal keeps the highest-quality model alive exactly during invocation\n"
       "minutes; error%% = 100 x (policy - ideal) / mean(ideal); 30-minute buckets):\n\n");
 
-  const sim::RunResult pulse = exp::run_policy_single(scenario, "pulse");
-  const sim::RunResult openwhisk = exp::run_policy_single(scenario, "openwhisk");
-  const double ideal_mean = util::mean(pulse.ideal_cost_usd);
-  if (ideal_mean <= 0.0) {
+  const exp::CostError pulse = exp::cost_error_vs_ideal(scenario, "pulse");
+  const exp::CostError openwhisk = exp::cost_error_vs_ideal(scenario, "openwhisk");
+  if (pulse.bucket_pct.empty()) {
     std::printf("  (no invocations in trace; skipped)\n");
     return;
   }
-
-  const std::size_t bucket = 30;
-  const std::size_t limit = std::min<std::size_t>(pulse.keepalive_cost_usd.size(), 360);
   std::printf("  %-14s %18s %18s\n", "minutes", "PULSE error %", "OpenWhisk error %");
-  util::RunningStats pulse_err;
-  util::RunningStats ow_err;
-  for (std::size_t start = 0; start + bucket <= limit; start += bucket) {
-    double p = 0.0;
-    double o = 0.0;
-    double ideal = 0.0;
-    for (std::size_t m = start; m < start + bucket; ++m) {
-      p += pulse.keepalive_cost_usd[m];
-      o += openwhisk.keepalive_cost_usd[m];
-      ideal += pulse.ideal_cost_usd[m];
-    }
-    const double denom = ideal_mean * static_cast<double>(bucket);
-    const double pe = 100.0 * (p - ideal) / denom;
-    const double oe = 100.0 * (o - ideal) / denom;
-    pulse_err.add(pe);
-    ow_err.add(oe);
-    std::printf("  %5zu..%5zu  %18.1f %18.1f\n", start, start + bucket, pe, oe);
+  constexpr std::size_t bucket = exp::CostError::kBucketMinutes;
+  for (std::size_t b = 0; b < pulse.bucket_pct.size(); ++b) {
+    std::printf("  %5zu..%5zu  %18.1f %18.1f\n", b * bucket, (b + 1) * bucket,
+                pulse.bucket_pct[b], openwhisk.bucket_pct[b]);
   }
   std::printf(
       "\n  mean |error|: PULSE %.1f%%, OpenWhisk %.1f%%\n"
+      "  mean error:   PULSE %+.1f%%, OpenWhisk %+.1f%%\n"
       "  Expected shape (paper): OpenWhisk's error is mostly large and\n"
       "  positive; PULSE stays much closer to the ideal line.\n",
-      std::abs(pulse_err.mean()), std::abs(ow_err.mean()));
+      pulse.mean_abs_pct, openwhisk.mean_abs_pct, pulse.mean_pct, openwhisk.mean_pct);
 }
 
 void BM_PulseDecisionPath(benchmark::State& state) {

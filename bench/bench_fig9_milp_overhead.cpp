@@ -9,24 +9,14 @@
 
 #include "core/global_optimizer.hpp"
 #include "core/interarrival.hpp"
-#include "policies/factory.hpp"
+#include "exp/figures.hpp"
 #include "policies/milp.hpp"
-#include "sim/ensemble.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 using namespace pulse;
-
-sim::EnsembleResult run_with_overhead(const exp::Scenario& scenario,
-                                      const std::string& policy, std::size_t runs) {
-  sim::EnsembleConfig config;
-  config.runs = runs;
-  config.engine.measure_overhead = true;
-  return sim::run_ensemble(scenario.zoo, scenario.workload.trace,
-                           [&] { return policies::make_policy(policy); }, config);
-}
 
 void print_overhead_histogram(const char* label, const std::vector<double>& ratios) {
   // Log-scaled buckets over overhead/service-time, like the paper's x-axis.
@@ -114,22 +104,17 @@ int main(int argc, char** argv) {
   const std::size_t runs = std::max<std::size_t>(bench::default_runs() / 2, 10);
   bench::print_scenario_info(scenario, runs);
 
-  const sim::EnsembleResult pulse = run_with_overhead(scenario, "pulse", runs);
-  const sim::EnsembleResult milp = run_with_overhead(scenario, "milp", runs);
+  const exp::DecisionOverhead pulse = exp::decision_overhead(scenario, "pulse", runs);
+  const exp::DecisionOverhead milp = exp::decision_overhead(scenario, "milp", runs);
 
-  std::vector<double> pulse_ratio;
-  std::vector<double> milp_ratio;
-  for (const auto& r : pulse.runs) pulse_ratio.push_back(r.overhead_over_service_time());
-  for (const auto& r : milp.runs) milp_ratio.push_back(r.overhead_over_service_time());
-
-  print_overhead_histogram("Figure 9(a) — PULSE", pulse_ratio);
-  print_overhead_histogram("Figure 9(a) — MILP", milp_ratio);
+  print_overhead_histogram("Figure 9(a) — PULSE", pulse.overhead_ratio);
+  print_overhead_histogram("Figure 9(a) — MILP", milp.overhead_ratio);
 
   util::TextTable table({"Technique", "Median overhead/svc-time", "Accuracy (%)"});
-  table.add_row({"PULSE", util::fmt(util::percentile(pulse_ratio, 50) * 1e6, 2) + "e-6",
-                 util::fmt(pulse.mean_accuracy_pct())});
-  table.add_row({"MILP", util::fmt(util::percentile(milp_ratio, 50) * 1e6, 2) + "e-6",
-                 util::fmt(milp.mean_accuracy_pct())});
+  table.add_row({"PULSE", util::fmt(util::percentile(pulse.overhead_ratio, 50) * 1e6, 2) + "e-6",
+                 util::fmt(pulse.accuracy_pct)});
+  table.add_row({"MILP", util::fmt(util::percentile(milp.overhead_ratio, 50) * 1e6, 2) + "e-6",
+                 util::fmt(milp.accuracy_pct)});
   std::printf("\nFigure 9(b):\n%s", table.render().c_str());
   std::printf(
       "\nExpected shape (paper): MILP's overhead distribution sits at larger\n"

@@ -74,7 +74,6 @@ double run_mode(Mode mode, const sim::Deployment& deployment, const trace::Trace
 
   sim::EngineConfig config;
   config.seed = 12345;
-  config.measure_overhead = true;
   config.memory_capacity_mb = capacity_mb;
   // Sink modes go through the collector lane — the attached transport the
   // ensemble/cluster runners use — not the sink's mutex path.

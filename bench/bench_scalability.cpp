@@ -34,7 +34,6 @@ namespace {
 using namespace pulse;
 
 struct ScaleRow {
-  std::size_t functions = 0;
   double overhead_us_per_invocation = 0.0;
   double overhead_over_service = 0.0;
 };
@@ -50,15 +49,15 @@ ScaleRow run_scale(const std::string& policy, std::size_t functions) {
   util::Pcg32 rng(5);
   const sim::Deployment deployment = sim::Deployment::random(zoo, functions, rng);
 
+  obs::PhaseProfiler profiler;
   sim::EngineConfig config;
-  config.measure_overhead = true;
   config.deterministic_latency = true;
+  config.observer.profiler = &profiler;
   sim::SimulationEngine engine(deployment, workload.trace, config);
   const auto p = policies::make_policy(policy);
   const sim::RunResult r = engine.run(*p);
 
   ScaleRow row;
-  row.functions = functions;
   row.overhead_us_per_invocation =
       r.invocations ? 1e6 * r.policy_overhead_s / static_cast<double>(r.invocations) : 0.0;
   row.overhead_over_service = r.overhead_over_service_time();

@@ -93,6 +93,9 @@ int run_profile(const pulse::trace::Trace& tr, const std::string& events_path) {
                     util::fmt(st.total_s * 1e3, 2), util::fmt(st.mean_s() * 1e6, 2)});
   }
   std::printf("%s", phases.render().c_str());
+  std::printf("schedule / optimize are whole on_invocation / end_of_minute calls, timed at\n"
+              "the engine; calls are exact, schedule time samples 1 call in %llu, scaled.\n",
+              static_cast<unsigned long long>(sim::PolicyCallTimer::kScheduleSampleEvery));
 
   const obs::MetricsSnapshot snap = registry.snapshot();
   util::TextTable counters({"Counter", "Value"});

@@ -47,7 +47,6 @@ trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
 
 void PulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                 sim::KeepAliveSchedule& schedule) {
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   pulse_.record(f, t);
 
   // Function-centric optimization: pick the variant for each minute of the
@@ -70,7 +69,6 @@ void PulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedul
                                 const sim::MemoryHistory& history) {
   (void)history;  // peaks are detected against the policy's own demand record
   if (!config_.enable_global_optimization) return;
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
   pulse_.flatten_peak(t, schedule);
 }
 

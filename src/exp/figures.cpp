@@ -1,8 +1,10 @@
 #include "exp/figures.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/pulse_policy.hpp"
@@ -81,6 +83,41 @@ TradeoffCorners tradeoff_corners(const Scenario& scenario, std::size_t runs) {
   c.accuracy_position =
       position(c.low.accuracy_pct, c.high.accuracy_pct, c.pulse.accuracy_pct);
   return c;
+}
+
+CostError cost_error_vs_ideal(const Scenario& scenario, const std::string& policy) {
+  const sim::RunResult run = run_policy_single(scenario, policy);
+  constexpr std::size_t bucket = CostError::kBucketMinutes;
+  const double denom = util::mean(run.ideal_cost_usd) * static_cast<double>(bucket);
+  const std::size_t limit = std::min<std::size_t>(run.keepalive_cost_usd.size(), 360);
+  CostError err;
+  util::RunningStats signed_err, abs_err;
+  for (std::size_t start = 0; denom > 0.0 && start + bucket <= limit; start += bucket) {
+    const auto sum = [&](const std::vector<double>& series) {
+      return std::accumulate(series.begin() + start, series.begin() + start + bucket, 0.0);
+    };
+    const double e = 100.0 * (sum(run.keepalive_cost_usd) - sum(run.ideal_cost_usd)) / denom;
+    err.bucket_pct.push_back(e);
+    signed_err.add(e);
+    abs_err.add(std::abs(e));
+  }
+  err.mean_pct = signed_err.mean();
+  err.mean_abs_pct = abs_err.mean();
+  return err;
+}
+
+DecisionOverhead decision_overhead(const Scenario& scenario, const std::string& policy,
+                                   std::size_t runs) {
+  obs::PhaseProfiler profiler;
+  sim::EnsembleConfig config;
+  config.runs = runs;
+  config.engine.observer.profiler = &profiler;
+  const sim::EnsembleResult e = sim::run_ensemble(
+      scenario.zoo, scenario.workload.trace, [&] { return policies::make_policy(policy); },
+      config);
+  DecisionOverhead d{{}, e.mean_accuracy_pct()};
+  for (const sim::RunResult& r : e.runs) d.overhead_ratio.push_back(r.overhead_over_service_time());
+  return d;
 }
 
 std::vector<ImprovementRow> threshold_technique_rows(const Scenario& scenario,

@@ -1,7 +1,7 @@
 #pragma once
 // The rows of the paper's tables and figures, computed once: the figure
 // benches print them and tests/integration/paper_shape_test.cpp asserts
-// their orderings. Figures 6, 8 and 9(b) are plain run_policy_ensemble /
+// their orderings. Figures 6(a) and 8 are plain run_policy_ensemble /
 // improvement_over pairs (summary.hpp).
 
 #include <string>
@@ -50,6 +50,27 @@ struct TradeoffCorners {
 };
 
 [[nodiscard]] TradeoffCorners tradeoff_corners(const Scenario& scenario, std::size_t runs);
+
+/// Figure 6(b): one round-robin run's keep-alive cost error against the
+/// ideal policy, in 30-minute buckets over the first six hours; a bucket's
+/// error is 100 x (policy - ideal) / (mean ideal per minute x 30).
+struct CostError {
+  static constexpr std::size_t kBucketMinutes = 30;
+  std::vector<double> bucket_pct;  // empty when the trace has no invocations
+  double mean_abs_pct = 0.0;       // mean of |error|
+  double mean_pct = 0.0;           // signed mean error
+};
+[[nodiscard]] CostError cost_error_vs_ideal(const Scenario& scenario, const std::string& policy);
+
+/// Figure 9: each run's wall-clock policy overhead over its service time, in
+/// run order (a PhaseProfiler attached turns on sim::PolicyCallTimer), and
+/// the mean accuracy.
+struct DecisionOverhead {
+  std::vector<double> overhead_ratio;
+  double accuracy_pct = 0.0;
+};
+[[nodiscard]] DecisionOverhead decision_overhead(const Scenario& scenario,
+                                                 const std::string& policy, std::size_t runs);
 
 /// Figures 10-12: one PULSE configuration per row, each an improvement over
 /// OpenWhisk labelled as the figure labels it. Fig 10: techniques "T1",

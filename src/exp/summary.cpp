@@ -14,30 +14,23 @@ PolicySummary summarize(std::string policy, const sim::EnsembleResult& ensemble)
   s.keepalive_cost_usd = ensemble.mean_keepalive_cost_usd();
   s.accuracy_pct = ensemble.mean_accuracy_pct();
   s.warm_fraction = ensemble.mean_warm_fraction();
-  s.overhead_s = ensemble.mean_overhead_s();
   s.runs = ensemble.runs.size();
-  s.metrics = ensemble.metrics;
   return s;
 }
 
 PolicySummary run_policy_ensemble(const models::ModelZoo& zoo, const trace::Trace& trace,
                                   std::string label, const sim::PolicyFactory& factory,
-                                  std::size_t runs, std::uint64_t seed,
-                                  bool measure_overhead, const obs::Observer& observer) {
+                                  std::size_t runs, std::uint64_t seed) {
   sim::EnsembleConfig config;
   config.runs = runs;
   config.seed = seed;
-  config.engine.measure_overhead = measure_overhead;
-  config.engine.observer = observer;
   return summarize(std::move(label), sim::run_ensemble(zoo, trace, factory, config));
 }
 
 PolicySummary run_policy_ensemble(const Scenario& scenario, const std::string& policy,
-                                  std::size_t runs, std::uint64_t seed,
-                                  bool measure_overhead, const obs::Observer& observer) {
-  return run_policy_ensemble(
-      scenario.zoo, scenario.workload.trace, policy,
-      [&] { return policies::make_policy(policy); }, runs, seed, measure_overhead, observer);
+                                  std::size_t runs, std::uint64_t seed) {
+  return run_policy_ensemble(scenario.zoo, scenario.workload.trace, policy,
+                             [&] { return policies::make_policy(policy); }, runs, seed);
 }
 
 sim::RunResult run_policy_single(const Scenario& scenario, const std::string& policy,

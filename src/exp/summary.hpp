@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "obs/observer.hpp"
 #include "sim/ensemble.hpp"
 
 namespace pulse::exp {
@@ -17,13 +16,7 @@ struct PolicySummary {
   double keepalive_cost_usd = 0.0;
   double accuracy_pct = 0.0;
   double warm_fraction = 0.0;
-  double overhead_s = 0.0;
   std::size_t runs = 0;
-
-  /// Observability counters/gauges/histograms merged over every run. Empty
-  /// unless the ensemble ran with a MetricsRegistry attached (see
-  /// run_policy_ensemble's `observer` parameter).
-  obs::MetricsSnapshot metrics;
 };
 
 /// Collapses an ensemble into a summary (per-run totals averaged, exactly
@@ -31,22 +24,16 @@ struct PolicySummary {
 [[nodiscard]] PolicySummary summarize(std::string policy, const sim::EnsembleResult& ensemble);
 
 /// Runs `factory`'s policy over `trace` as an ensemble of model-to-function
-/// assignments from `zoo`, summarized under `label`. Passing a non-disabled
-/// `observer` attaches it to every run (per-worker registries, merged after
-/// the pool joins — see run_ensemble) and fills PolicySummary::metrics.
+/// assignments from `zoo`, summarized under `label`.
 [[nodiscard]] PolicySummary run_policy_ensemble(const models::ModelZoo& zoo,
                                                 const trace::Trace& trace, std::string label,
                                                 const sim::PolicyFactory& factory,
-                                                std::size_t runs, std::uint64_t seed = 7,
-                                                bool measure_overhead = false,
-                                                const obs::Observer& observer = {});
+                                                std::size_t runs, std::uint64_t seed = 7);
 
 /// The named form: policies::make_policy(policy) over the scenario.
 [[nodiscard]] PolicySummary run_policy_ensemble(const Scenario& scenario,
                                                 const std::string& policy,
-                                                std::size_t runs, std::uint64_t seed = 7,
-                                                bool measure_overhead = false,
-                                                const obs::Observer& observer = {});
+                                                std::size_t runs, std::uint64_t seed = 7);
 
 /// Single deterministic run (round-robin deployment) with per-minute series
 /// recorded — used by the figure benches that plot time series.

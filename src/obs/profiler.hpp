@@ -6,8 +6,8 @@
 //
 // Phase mapping (see docs/OBSERVABILITY.md):
 //   kPredict  — predictor work (Wild's hybrid histogram, IceBreaker's FFT)
-//   kSchedule — per-invocation keep-alive window writes (all policies)
-//   kOptimize — cross-function end-of-minute work (peak flattening, MILP)
+//   kSchedule — whole on_invocation calls (sim::PolicyCallTimer, sampled)
+//   kOptimize — whole end_of_minute calls (sim::PolicyCallTimer)
 //   kSimulate — the whole engine run; parent span of the other three
 //
 // A profiler is single-writer; the ensemble runner keeps one per worker
@@ -52,8 +52,6 @@ class PhaseProfiler {
       phases_[i].total_s += other.phases_[i].total_s;
     }
   }
-
-  void clear() noexcept { phases_ = {}; }
 
  private:
   std::array<PhaseStats, kPhaseCount> phases_{};

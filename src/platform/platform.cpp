@@ -52,6 +52,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   obs::TraceSink* const sink = obs.sink;
   const obs::PhaseTimer run_timer(obs.profiler, obs::Phase::kSimulate);
   policy.attach_observer(obs.any() ? &config_.observer : nullptr);
+  sim::PolicyCallTimer policy_calls(policy, obs.profiler);
 
   PlatformResult result;
   sim::KeepAliveSchedule schedule(dep, duration);
@@ -235,10 +236,10 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
         // The policy observes the arrival even when the platform failed to
         // serve it — predictors track demand, not fulfillment.
-        policy.on_invocation(f, m, schedule);
+        policy_calls.on_invocation(f, m, schedule);
       }
 
-      policy.end_of_minute(m, schedule, kernel);
+      policy_calls.end_of_minute(m, schedule, kernel);
     };
 
     // A capacity victim's idle containers die with its schedule entry,

@@ -51,7 +51,6 @@ void IceBreakerPolicy::forecast(trace::FunctionId f) {
 void IceBreakerPolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
                                       const std::vector<double>& predicted,
                                       sim::KeepAliveSchedule& schedule) {
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   const int highest = static_cast<int>(schedule.variant_count_of(f)) - 1;
   for (std::size_t d = 0; d < predicted.size(); ++d) {
     const trace::Minute m = t + 1 + static_cast<trace::Minute>(d);
@@ -105,7 +104,6 @@ void IceBreakerPulsePolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
                                            sim::KeepAliveSchedule& schedule) {
   // PULSE maps the predicted concurrency to an invocation likelihood and
   // selects the variant greedily instead of always warming the highest one.
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   const std::size_t variants = schedule.variant_count_of(f);
   for (std::size_t d = 0; d < predicted.size(); ++d) {
     const trace::Minute m = t + 1 + static_cast<trace::Minute>(d);
@@ -122,7 +120,6 @@ void IceBreakerPulsePolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
 void IceBreakerPulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                           const sim::MemoryHistory& history) {
   IceBreakerPolicy::end_of_minute(t, schedule, history);
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
   pulse_.flatten_peak(t, schedule);
 }
 

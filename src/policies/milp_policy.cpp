@@ -29,7 +29,6 @@ void MilpPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                sim::KeepAliveSchedule& schedule) {
   // Same function-centric optimization as PULSE: the comparison isolates
   // the cross-function step.
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   pulse_.record(f, t);
   pulse_.schedule_window(f, t, 1, pulse_.config().keepalive_window, schedule);
 }
@@ -37,7 +36,6 @@ void MilpPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 void MilpPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                const sim::MemoryHistory& history) {
   (void)history;  // like PULSE, peaks are detected against demand memory
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
   core::GlobalOptimizer& optimizer = pulse_.optimizer();
   const std::optional<double> prior = optimizer.detect_peak(t, schedule);
   if (!prior) return;

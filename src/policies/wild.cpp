@@ -33,7 +33,6 @@ predict::WindowPrediction WildPolicy::predict_window(trace::FunctionId f, trace:
 
 void WildPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                sim::KeepAliveSchedule& schedule) {
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   const predict::WindowPrediction w = predict_window(f, t);
 
   // Release the container during the predicted idle head, keep the
@@ -55,7 +54,6 @@ void WildPulsePolicy::initialize(const sim::Deployment& deployment, const trace:
 
 void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
                                     sim::KeepAliveSchedule& schedule) {
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kSchedule);
   // Wild forecasts the window ...
   const predict::WindowPrediction w = predict_window(f, t);
   pulse_.record(f, t);
@@ -69,7 +67,6 @@ void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 void WildPulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                     const sim::MemoryHistory& history) {
   (void)history;
-  const obs::PhaseTimer timer(profiler(), obs::Phase::kOptimize);
   pulse_.flatten_peak(t, schedule);
 }
 

@@ -1,15 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <vector>
 
 namespace pulse::sim {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // Stream tags of the hashed (EngineConfig::hashed_rng) per-invocation
 // draws. Disjoint from the FaultInjector's stream tags so fault decisions
@@ -46,6 +43,7 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
       trace_(&trace),
       config_(config),
       policy_(&policy),
+      policy_calls_(policy, config_.observer.profiler),
       schedule_(deployment, trace.duration()),
       kernel_(schedule_, result_, config_.observer, config.faults, config.seed,
               config.hashed_rng, config.global_ids),
@@ -121,7 +119,6 @@ void SteppedRun::step_minute() {
 void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
   const trace::Trace& tr = *trace_;
   const Deployment& dep = *deployment_;
-  KeepAlivePolicy& policy = *policy_;
   KeepAliveSchedule& schedule = schedule_;
   RunResult& result = result_;
   const bool hashed = config_.hashed_rng;
@@ -141,7 +138,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
       serving = static_cast<std::size_t>(alive);
       first_is_cold = false;
     } else {
-      serving = policy.cold_start_variant(f, t, dep);
+      serving = policy_->cold_start_variant(f, t, dep);
       first_is_cold = true;
       // The cold-started container exists for the rest of this minute and
       // counts toward keep-alive memory at t — unless every start attempt
@@ -222,24 +219,10 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
 
     // The policy observes the arrival even when the platform failed to
     // serve it — predictors track demand, not fulfillment.
-    if (config_.measure_overhead) {
-      const auto start = Clock::now();
-      policy.on_invocation(f, t, schedule);
-      result.policy_overhead_s +=
-          std::chrono::duration<double>(Clock::now() - start).count();
-    } else {
-      policy.on_invocation(f, t, schedule);
-    }
+    policy_calls_.on_invocation(f, t, schedule);
   }
 
-  if (config_.measure_overhead) {
-    const auto start = Clock::now();
-    policy.end_of_minute(t, schedule, kernel_);
-    result.policy_overhead_s +=
-        std::chrono::duration<double>(Clock::now() - start).count();
-  } else {
-    policy.end_of_minute(t, schedule, kernel_);
-  }
+  policy_calls_.end_of_minute(t, schedule, kernel_);
 }
 
 void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
@@ -299,7 +282,7 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
     // (demand histories, forecast periods) stays aligned with the clock,
     // and windows it schedules past the outage become recovery pre-warms.
     // Arrivals were lost, so on_invocation is never called.
-    policy_->end_of_minute(t, schedule_, kernel_);
+    policy_calls_.end_of_minute(t, schedule_, kernel_);
 
     // A dead shard holds nothing warm: zero memory, zero keep-alive cost.
     close_minute(t, 0.0, 0, ideal_cost_t);
@@ -320,6 +303,7 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   RunResult& result = result_;
   result.downgrades = policy_->downgrade_count();
   result.guard_incidents = policy_->incident_count();
+  result.policy_overhead_s = policy_calls_.overhead_s();
 
   // Fold the run's aggregates into the registry (zero hot-path cost: one
   // batch of registry adds at the end of the run) and snapshot it into the

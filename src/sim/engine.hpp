@@ -38,10 +38,6 @@ struct EngineConfig {
   /// Seed for the latency-jitter stream (independent of trace generation).
   std::uint64_t seed = 1;
 
-  /// Measure wall-clock time spent inside policy calls (Figure 9). Costs a
-  /// couple of clock reads per invocation minute.
-  bool measure_overhead = false;
-
   /// Keep per-function invocation/warm/cold/service-time/accuracy
   /// breakdowns in the result.
   bool record_per_function = false;
@@ -147,8 +143,8 @@ class SteppedRun {
     return config_.memory_capacity_mb;
   }
 
-  /// Counters and totals accumulated so far (downgrade/guard counters are
-  /// only folded in by finish()). Valid until finish() is called.
+  /// Counters and totals accumulated so far (downgrade/guard counters and
+  /// policy overhead are only folded in by finish()). Valid until finish().
   [[nodiscard]] const RunResult& partial() const noexcept { return result_; }
 
   /// Keep-alive memory recorded at a simulated minute t (0 outside
@@ -189,6 +185,7 @@ class SteppedRun {
   const trace::Trace* trace_;
   EngineConfig config_;
   KeepAlivePolicy* policy_;
+  PolicyCallTimer policy_calls_;
 
   RunResult result_;
   KeepAliveSchedule schedule_;

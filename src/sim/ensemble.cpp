@@ -14,10 +14,6 @@ double EnsembleResult::mean_accuracy_pct() const {
   return stats_of([](const RunResult& r) { return r.average_accuracy_pct(); }).mean();
 }
 
-double EnsembleResult::mean_overhead_s() const {
-  return stats_of([](const RunResult& r) { return r.policy_overhead_s; }).mean();
-}
-
 double EnsembleResult::mean_warm_fraction() const {
   return stats_of([](const RunResult& r) { return r.warm_start_fraction(); }).mean();
 }

@@ -51,7 +51,6 @@ struct EnsembleResult {
   [[nodiscard]] double mean_service_time_s() const;
   [[nodiscard]] double mean_keepalive_cost_usd() const;
   [[nodiscard]] double mean_accuracy_pct() const;
-  [[nodiscard]] double mean_overhead_s() const;
   [[nodiscard]] double mean_warm_fraction() const;
 
   /// Aggregates `metric(run)` over every run. Templated on the callable so

@@ -84,7 +84,8 @@ struct RunResult : FaultCounters {
   std::uint64_t downgrades = 0;
 
   /// Wall-clock time spent inside policy decision calls, seconds — the
-  /// overhead metric of Figure 9.
+  /// overhead metric of Figure 9. Measured only with a PhaseProfiler
+  /// attached (sim::PolicyCallTimer; on_invocation time is sampled), else 0.
   double policy_overhead_s = 0.0;
 
   [[nodiscard]] double failed_fraction() const noexcept {

@@ -6,7 +6,9 @@
 // of the same function within one minute share the container). After all of
 // a minute's invocations it calls end_of_minute(), where cross-function
 // policies (PULSE's global optimizer, MILP) flatten keep-alive memory peaks.
+// Engines make both calls through PolicyCallTimer, which also times them.
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,6 +119,52 @@ class KeepAlivePolicy {
 
  private:
   const obs::Observer* obs_ = nullptr;
+};
+
+/// The call site of a run's on_invocation / end_of_minute, and the one timer of
+/// policy calls. With a PhaseProfiler attached it counts every call (kSchedule,
+/// kOptimize), times every end_of_minute but only one on_invocation in
+/// kScheduleSampleEvery (scaled by it: an estimate), and sums the time into overhead_s().
+class PolicyCallTimer {
+ public:
+  static constexpr std::uint64_t kScheduleSampleEvery = 64;
+
+  PolicyCallTimer(KeepAlivePolicy& policy, obs::PhaseProfiler* profiler) noexcept
+      : policy_(&policy), profiler_(profiler) {}
+
+  void on_invocation(trace::FunctionId f, trace::Minute t, KeepAliveSchedule& schedule) {
+    const bool timed = profiler_ != nullptr && invocations_++ % kScheduleSampleEvery == 0;
+    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+    policy_->on_invocation(f, t, schedule);
+    if (profiler_ != nullptr) {
+      record(obs::Phase::kSchedule, timed ? kScheduleSampleEvery * seconds_since(start) : 0.0);
+    }
+  }
+
+  void end_of_minute(trace::Minute t, KeepAliveSchedule& schedule, const MemoryHistory& history) {
+    const Clock::time_point start = profiler_ != nullptr ? Clock::now() : Clock::time_point{};
+    policy_->end_of_minute(t, schedule, history);
+    if (profiler_ != nullptr) record(obs::Phase::kOptimize, seconds_since(start));
+  }
+
+  /// Policy time of this run so far, seconds; 0 with no profiler.
+  [[nodiscard]] double overhead_s() const noexcept { return overhead_s_; }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  static double seconds_since(Clock::time_point start) noexcept {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  }
+  void record(obs::Phase phase, double seconds) noexcept {
+    profiler_->record(phase, seconds);
+    overhead_s_ += seconds;
+  }
+
+  KeepAlivePolicy* policy_;
+  obs::PhaseProfiler* profiler_;
+  std::uint64_t invocations_ = 0;
+  double overhead_s_ = 0.0;
 };
 
 }  // namespace pulse::sim

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <stdexcept>
 
 #include "util/csv.hpp"
 
@@ -285,19 +284,6 @@ TraceResult<AzureTrace> try_load_azure_invocations(const std::filesystem::path& 
     out.trace.set_function_name(f, out.functions[f].qualified_name());
   }
   return out;
-}
-
-AzureTrace load_azure_day_csv(const std::filesystem::path& path) {
-  return load_azure_days({path});
-}
-
-AzureTrace load_azure_days(const std::vector<std::filesystem::path>& paths) {
-  // An empty path list is a caller bug, not a data problem — keep the
-  // historical invalid_argument contract for it.
-  if (paths.empty()) throw std::invalid_argument("load_azure_days: no files given");
-  auto result = try_load_azure_days(paths);
-  if (!result) throw std::runtime_error(result.error().to_string());
-  return std::move(result.value());
 }
 
 Trace select_top_functions(const AzureTrace& azure, std::size_t k) {

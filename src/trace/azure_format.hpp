@@ -129,11 +129,6 @@ template <typename Fields>
   return nullptr;
 }
 
-/// Throwing convenience wrappers over the try_ loaders (std::runtime_error
-/// carrying TraceError::to_string()). Prefer the try_ forms in new code.
-[[nodiscard]] AzureTrace load_azure_day_csv(const std::filesystem::path& path);
-[[nodiscard]] AzureTrace load_azure_days(const std::vector<std::filesystem::path>& paths);
-
 /// Keeps only the `k` functions with the most total invocations — the
 /// paper's "12 most commonly used functions" selection — returning a
 /// compact Trace whose function names are the qualified Azure names.

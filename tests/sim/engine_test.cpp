@@ -204,8 +204,10 @@ TEST(Engine, OverheadMeasurementAccumulates) {
   trace::Trace t(1, 500);
   for (trace::Minute m = 0; m < 500; m += 2) t.set_count(0, m, 1);
 
+  // An attached profiler is what turns the policy-call timer on.
+  obs::PhaseProfiler profiler;
   EngineConfig config = exact_config();
-  config.measure_overhead = true;
+  config.observer.profiler = &profiler;
   SimulationEngine engine(d, t, config);
   policies::FixedKeepAlivePolicy policy;
   const RunResult r = engine.run(policy);

@@ -42,12 +42,21 @@ class AzureFormatTest : public ::testing::Test {
     return path;
   }
 
+  /// The loaded trace; a load error fails the test with its message.
+  static AzureTrace loaded(TraceResult<AzureTrace> result) {
+    if (!result) {
+      ADD_FAILURE() << result.error().to_string();
+      return {};
+    }
+    return std::move(result.value());
+  }
+
   std::filesystem::path dir_;
 };
 
 TEST_F(AzureFormatTest, LoadSingleDay) {
   const auto path = write_day("day1.csv", {{"f1", {{0, 3}, {100, 1}}}, {"f2", {{5, 2}}}});
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   ASSERT_EQ(azure.functions.size(), 2u);
   EXPECT_EQ(azure.functions[0].function, "f1");
   EXPECT_EQ(azure.trace.duration(), kMinutesPerDay);
@@ -59,14 +68,14 @@ TEST_F(AzureFormatTest, LoadSingleDay) {
 
 TEST_F(AzureFormatTest, LoadWithoutHeader) {
   const auto path = write_day("nohdr.csv", {{"f1", {{7, 4}}}}, /*with_header=*/false);
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   EXPECT_EQ(azure.trace.count(0, 7), 4u);
 }
 
 TEST_F(AzureFormatTest, MultiDayConcatenation) {
   const auto day1 = write_day("d1.csv", {{"f1", {{10, 1}}}, {"f2", {{20, 2}}}});
   const auto day2 = write_day("d2.csv", {{"f2", {{30, 3}}}, {"f3", {{40, 4}}}});
-  const AzureTrace azure = load_azure_days({day1, day2});
+  const AzureTrace azure = loaded(try_load_azure_days({day1, day2}));
 
   ASSERT_EQ(azure.functions.size(), 3u);  // union of f1, f2, f3
   EXPECT_EQ(azure.trace.duration(), 2 * kMinutesPerDay);
@@ -88,7 +97,7 @@ TEST_F(AzureFormatTest, StripsUtf8BomBeforeHeader) {
     std::ofstream out(path, std::ios::binary);
     out << "\xEF\xBB\xBF" << in.rdbuf();
   }
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   ASSERT_EQ(azure.functions.size(), 1u);
   EXPECT_EQ(azure.functions[0].function, "f1");
   EXPECT_EQ(azure.trace.count(0, 0), 3u);
@@ -101,7 +110,7 @@ TEST_F(AzureFormatTest, StripsUtf8BomBeforeHeader) {
 TEST_F(AzureFormatTest, DuplicateRowsSumAndAreCounted) {
   const auto path =
       write_day("dup.csv", {{"f1", {{0, 2}}}, {"f1", {{0, 3}, {5, 1}}}, {"f2", {{9, 9}}}});
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   ASSERT_EQ(azure.functions.size(), 2u);
   EXPECT_EQ(azure.trace.count(0, 0), 5u);
   EXPECT_EQ(azure.trace.count(0, 5), 1u);
@@ -122,37 +131,45 @@ TEST_F(AzureFormatTest, DuplicateRowsErrorUnderStrictPolicy) {
 TEST_F(AzureFormatTest, SameFunctionAcrossDaysIsNotADuplicate) {
   const auto d1 = write_day("d1.csv", {{"f1", {{1, 1}}}});
   const auto d2 = write_day("d2.csv", {{"f1", {{2, 2}}}});
-  const AzureTrace azure = load_azure_days({d1, d2});
+  const AzureTrace azure = loaded(try_load_azure_days({d1, d2}));
   EXPECT_EQ(azure.duplicate_rows, 0u);
   EXPECT_EQ(azure.trace.count(0, 1), 1u);
   EXPECT_EQ(azure.trace.count(0, kMinutesPerDay + 2), 2u);
 }
 
-TEST_F(AzureFormatTest, MalformedWidthThrows) {
+TEST_F(AzureFormatTest, MalformedWidthIsMalformedRow) {
   const auto path = dir_ / "bad.csv";
   std::ofstream(path) << "o,a,f,http,1,2,3\n";
-  EXPECT_THROW(load_azure_day_csv(path), std::runtime_error);
+  const auto result = try_load_azure_day_csv(path);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().kind, TraceErrorKind::kMalformedRow);
 }
 
-TEST_F(AzureFormatTest, MalformedCountThrows) {
+TEST_F(AzureFormatTest, MalformedCountIsBadCount) {
   const auto path = dir_ / "badcount.csv";
   std::ofstream os(path);
   os << "o,a,f,http";
   for (Minute m = 1; m <= kMinutesPerDay; ++m) os << (m == 3 ? ",xyz" : ",0");
   os << '\n';
   os.close();
-  EXPECT_THROW(load_azure_day_csv(path), std::runtime_error);
+  const auto result = try_load_azure_day_csv(path);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().kind, TraceErrorKind::kBadCount);
 }
 
-TEST_F(AzureFormatTest, MissingFileThrows) {
-  EXPECT_THROW(load_azure_day_csv(dir_ / "nope.csv"), std::runtime_error);
-  EXPECT_THROW(load_azure_days({}), std::invalid_argument);
+TEST_F(AzureFormatTest, MissingFileAndEmptyListAreIoErrors) {
+  const auto missing = try_load_azure_day_csv(dir_ / "nope.csv");
+  ASSERT_FALSE(missing.has_value());
+  EXPECT_EQ(missing.error().kind, TraceErrorKind::kIo);
+  const auto none = try_load_azure_days({});
+  ASSERT_FALSE(none.has_value());
+  EXPECT_EQ(none.error().kind, TraceErrorKind::kIo);
 }
 
 TEST_F(AzureFormatTest, SelectTopFunctions) {
   const auto path = write_day(
       "top.csv", {{"cold", {{1, 1}}}, {"hot", {{1, 50}, {2, 50}}}, {"warm", {{1, 5}}}});
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   const Trace top2 = select_top_functions(azure, 2);
   ASSERT_EQ(top2.function_count(), 2u);
   EXPECT_EQ(top2.function_name(0), "o1/a1/hot");
@@ -162,7 +179,7 @@ TEST_F(AzureFormatTest, SelectTopFunctions) {
 
 TEST_F(AzureFormatTest, SelectMoreThanAvailableClamps) {
   const auto path = write_day("few.csv", {{"f1", {{1, 1}}}});
-  const AzureTrace azure = load_azure_day_csv(path);
+  const AzureTrace azure = loaded(try_load_azure_day_csv(path));
   EXPECT_EQ(select_top_functions(azure, 10).function_count(), 1u);
 }
 
@@ -175,8 +192,8 @@ TEST_F(AzureFormatTest, ExportRoundTrip) {
 
   const auto out_dir = dir_ / "export";
   save_azure_day_csvs(workload.trace, out_dir);
-  const AzureTrace back = load_azure_days(
-      {out_dir / "invocations_day_1.csv", out_dir / "invocations_day_2.csv"});
+  const AzureTrace back = loaded(try_load_azure_days(
+      {out_dir / "invocations_day_1.csv", out_dir / "invocations_day_2.csv"}));
 
   ASSERT_EQ(back.trace.function_count(), 3u);
   ASSERT_EQ(back.trace.duration(), workload.trace.duration());
@@ -203,8 +220,8 @@ TEST_F(AzureFormatTest, ExportRoundTripPartialDay) {
 
   const auto out_dir = dir_ / "partial";
   save_azure_day_csvs(tr, out_dir);
-  const AzureTrace back = load_azure_days(
-      {out_dir / "invocations_day_1.csv", out_dir / "invocations_day_2.csv"});
+  const AzureTrace back = loaded(try_load_azure_days(
+      {out_dir / "invocations_day_1.csv", out_dir / "invocations_day_2.csv"}));
 
   ASSERT_EQ(back.trace.function_count(), 2u);
   EXPECT_EQ(back.trace.duration(), 2 * kMinutesPerDay);
@@ -228,7 +245,7 @@ TEST_F(AzureFormatTest, ExportTwoPartNameUsesPlaceholderOwner) {
   tr.set_count(0, 5, 3);
   const auto out_dir = dir_ / "two_part";
   save_azure_day_csvs(tr, out_dir);
-  const AzureTrace back = load_azure_day_csv(out_dir / "invocations_day_1.csv");
+  const AzureTrace back = loaded(try_load_azure_day_csv(out_dir / "invocations_day_1.csv"));
   ASSERT_EQ(back.trace.function_count(), 1u);
   EXPECT_EQ(back.trace.function_name(0), "owner/a1/f1");
   EXPECT_EQ(back.trace.count(0, 5), 3u);

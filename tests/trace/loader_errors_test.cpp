@@ -237,10 +237,14 @@ TEST_F(LoaderErrorsTest, AzureMultiDayReportsFailingFile) {
   EXPECT_NE(result.error().file.find("d2.csv"), std::string::npos);
 }
 
-TEST_F(LoaderErrorsTest, AzureThrowingWrapperStillThrows) {
+TEST_F(LoaderErrorsTest, AzureNanCountAndEmptyListAreErrors) {
   const auto path = write_azure_day("bad.csv", "nan");
-  EXPECT_THROW(load_azure_day_csv(path), std::runtime_error);
-  EXPECT_THROW(load_azure_days({}), std::invalid_argument);
+  const auto nan_count = try_load_azure_day_csv(path);
+  ASSERT_FALSE(nan_count);
+  EXPECT_EQ(nan_count.error().kind, TraceErrorKind::kBadCount);
+  const auto none = try_load_azure_days({});
+  ASSERT_FALSE(none);
+  EXPECT_EQ(none.error().kind, TraceErrorKind::kIo);
 }
 
 TEST_F(LoaderErrorsTest, TraceCsvRoundTripsThroughTryLoad) {
