@@ -65,7 +65,6 @@ ShardFaultRow run_shard_fault_point(const trace::Workload& workload,
   cluster::ClusterConfig cc;
   cc.shards = 4;
   cc.engine.seed = 42;
-  cc.engine.hashed_rng = true;
   cc.engine.memory_capacity_mb = deployment.peak_highest_memory_mb() * 0.35;
   cc.market.rebalance_interval = 30;
   cc.shard_faults.crash_rate = crash_rate;

@@ -20,24 +20,14 @@ using namespace pulse;
 
 void print_overhead_histogram(const char* label, const std::vector<double>& ratios) {
   // Log-scaled buckets over overhead/service-time, like the paper's x-axis.
-  static const double kEdges[] = {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
-  constexpr std::size_t kBuckets = std::size(kEdges) - 1;
-  std::size_t counts[kBuckets] = {};
-  for (double r : ratios) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (r >= kEdges[b] && r < kEdges[b + 1]) {
-        ++counts[b];
-        break;
-      }
-    }
-  }
+  const exp::DecadeHistogram h = exp::decade_histogram(ratios);
   std::size_t max_count = 1;
-  for (std::size_t c : counts) max_count = std::max(max_count, c);
+  for (std::size_t c : h.counts) max_count = std::max(max_count, c);
   std::printf("\n%s (overhead / service time, %zu runs):\n", label, ratios.size());
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    std::printf("  [1e%+d, 1e%+d)  %4zu |%s|\n", static_cast<int>(b) - 7,
-                static_cast<int>(b) - 6, counts[b],
-                util::bar(static_cast<double>(counts[b]), static_cast<double>(max_count), 30)
+  for (std::size_t b = 0; b < h.counts.size(); ++b) {
+    const int d = h.first_decade + static_cast<int>(b);
+    std::printf("  [1e%+d, 1e%+d)  %4zu |%s|\n", d, d + 1, h.counts[b],
+                util::bar(static_cast<double>(h.counts[b]), static_cast<double>(max_count), 30)
                     .c_str());
   }
 }

@@ -113,7 +113,6 @@ ClusterRow run_cluster_scale(const trace::Workload& workload,
   cluster::ClusterConfig cc;
   cc.shards = shards;
   cc.engine.seed = 42;
-  cc.engine.hashed_rng = true;  // shard-count-invariant per-function streams
   cc.engine.memory_capacity_mb = deployment.peak_highest_memory_mb() * 0.35;
   cc.engine.faults.crash_rate = 0.01;
   cc.engine.faults.cold_start_failure_rate = 0.05;

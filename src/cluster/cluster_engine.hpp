@@ -13,15 +13,15 @@
 // (market.hpp) re-trades memory quota between them.
 //
 // Determinism contract:
-//   * One shard, default engine config: bitwise-identical RunResult to
-//     SimulationEngine on the same inputs (the partition is the identity
-//     and the market never runs).
+//   * One shard: bitwise-identical RunResult to SimulationEngine on the
+//     same inputs (the partition is the identity and the market never
+//     runs).
 //   * Fixed (seed, shard count): bit-identical ClusterResult for any
 //     thread count — shards share nothing mutable, and all market /
 //     event / merge work happens on the coordinating thread between
 //     barriers, in shard order.
-//   * With EngineConfig::hashed_rng, per-function samples and faults are
-//     keyed on catalog-global function ids, so aggregate behaviour is
+//   * Samples and faults are keyed on catalog-global function ids (each
+//     function draws from its own streams), so aggregate behaviour is
 //     invariant to the shard count as well (capacity effects excepted —
 //     quota partitioning is visible by design).
 //
@@ -63,8 +63,7 @@ struct ClusterConfig {
   /// Per-shard engine configuration. memory_capacity_mb is the TOTAL
   /// cluster keep-alive capacity: the market splits it into per-shard
   /// quotas proportional to shard populations and re-trades it every
-  /// epoch. 0 disables capacity and the market. Set hashed_rng for
-  /// shard-count-invariant aggregates.
+  /// epoch. 0 disables capacity and the market.
   sim::EngineConfig engine{};
 
   MarketConfig market{};

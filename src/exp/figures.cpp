@@ -120,6 +120,24 @@ DecisionOverhead decision_overhead(const Scenario& scenario, const std::string& 
   return d;
 }
 
+DecadeHistogram decade_histogram(const std::vector<double>& ratios) {
+  std::vector<int> decades;  // of the positive ratios
+  for (const double r : ratios) {
+    if (!(r > 0.0)) continue;
+    // floor(log10 r), corrected where log10 rounds across a power of ten.
+    const int d = static_cast<int>(std::floor(std::log10(r)));
+    decades.push_back(d + (r >= std::pow(10.0, d + 1)) - (r < std::pow(10.0, d)));
+  }
+  if (ratios.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(decades.begin(), decades.end());
+  DecadeHistogram h;
+  h.first_decade = decades.empty() ? 0 : *lo;
+  h.counts.assign(decades.empty() ? 1 : static_cast<std::size_t>(*hi - *lo + 1), 0);
+  h.counts[0] = ratios.size() - decades.size();  // the non-positive ratios
+  for (const int d : decades) ++h.counts[static_cast<std::size_t>(d - h.first_decade)];
+  return h;
+}
+
 std::vector<ImprovementRow> threshold_technique_rows(const Scenario& scenario,
                                                      std::size_t runs) {
   using core::ThresholdTechnique;

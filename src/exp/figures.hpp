@@ -72,6 +72,17 @@ struct DecisionOverhead {
 [[nodiscard]] DecisionOverhead decision_overhead(const Scenario& scenario,
                                                  const std::string& policy, std::size_t runs);
 
+/// Figure 9(a)'s log-scaled histogram: counts[b] ratios lie in the decade
+/// [1e(first_decade + b), 1e(first_decade + b + 1)). The decades run from
+/// the smallest positive ratio's to the largest's, so the counts sum to the
+/// number of ratios; a non-positive ratio (a run with no timed policy call)
+/// counts in the first bucket. No ratios, no buckets.
+struct DecadeHistogram {
+  int first_decade = 0;
+  std::vector<std::size_t> counts;
+};
+[[nodiscard]] DecadeHistogram decade_histogram(const std::vector<double>& ratios);
+
 /// Figures 10-12: one PULSE configuration per row, each an improvement over
 /// OpenWhisk labelled as the figure labels it. Fig 10: techniques "T1",
 /// "T2"; Fig 11: memory thresholds 0.05/0.10/0.15 ("M1 (5%)".."M3 (15%)");

@@ -17,17 +17,6 @@ struct Container {
   double busy_until_s = 0;  // <= now means idle
 };
 
-/// Pcg32 stream for function f's latency jitter, hash-derived from the
-/// function id (the FaultInjector trick applied to generator streams):
-/// each function owns an independent stream, so adding or removing one
-/// function never shifts another function's samples.
-[[nodiscard]] std::uint64_t latency_stream(trace::FunctionId f) noexcept {
-  std::uint64_t z = (static_cast<std::uint64_t>(f) + 0x9e3779b97f4a7c15ULL) ^ 0x9a7f02ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 PlatformSimulator::PlatformSimulator(const sim::Deployment& deployment,
@@ -57,14 +46,10 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   PlatformResult result;
   sim::KeepAliveSchedule schedule(dep, duration);
   // The minute engine's kernel, seed and all: with matching schedules the
-  // two layers crash, retry, clip and evict identically.
+  // two layers crash, retry, clip and evict identically, and draw the same
+  // per-function jitter streams.
   sim::MinuteKernel kernel(schedule, result.faults, config_.observer, config_.faults,
                            config_.seed);
-  std::vector<util::Pcg32> latency_rng;
-  latency_rng.reserve(tr.function_count());
-  for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
-    latency_rng.emplace_back(config_.seed, latency_stream(f));
-  }
 
   std::vector<std::vector<Container>> pool(tr.function_count());
   std::size_t live_containers = 0;
@@ -151,7 +136,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
         const std::uint32_t count = tr.count(f, m);
         if (count == 0) continue;
         const models::ModelFamily& family = dep.family_of(f);
-        util::Pcg32& rng = latency_rng[f];
+        util::Pcg32& rng = kernel.jitter_stream(f);
 
         for (std::uint32_t i = 0; i < count; ++i) {
           double arrival_s = minute_start_s;

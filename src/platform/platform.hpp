@@ -19,10 +19,11 @@
 //
 // Shared kernel: every minute runs through the minute engine's own
 // sim::MinuteKernel, so container crashes, cold-start retry/backoff, SLO
-// timeouts, memory-pressure spikes and capacity eviction (same seeded
-// victim order) are one code path on both layers and their parity holds by
-// construction. The platform adds only its serving rule — the per-container
-// seconds pool above, whose idle containers die with a capacity victim.
+// timeouts, memory-pressure spikes, capacity eviction (same keyed victim
+// draws) and the per-function jitter streams are one code path on both
+// layers and their parity holds by construction. The platform adds only its
+// serving rule — the per-container seconds pool above, whose idle
+// containers die with a capacity victim.
 // The obs::Observer layer threads through under the same zero-overhead
 // contract.
 //
@@ -57,9 +58,9 @@ struct PlatformConfig {
   /// Use expected service times (exact arithmetic for tests).
   bool deterministic_latency = false;
 
-  /// Seed for latency jitter and intra-minute arrival spreading. Jitter is
-  /// drawn from per-function hashed streams (the FaultInjector trick), so
-  /// adding a function never perturbs another function's samples.
+  /// Seed of the capacity victim draws and of every function's jitter
+  /// stream: the minute engine's streams, so the same seed draws the same
+  /// jitter for the same function, whatever other functions run.
   std::uint64_t seed = 1;
 
   /// Spread each minute's invocations uniformly over its 60 seconds (true)

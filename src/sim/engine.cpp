@@ -6,23 +6,6 @@
 
 namespace pulse::sim {
 
-namespace {
-
-// Stream tags of the hashed (EngineConfig::hashed_rng) per-invocation
-// draws. Disjoint from the FaultInjector's stream tags so fault decisions
-// and sampling never correlate.
-constexpr std::uint64_t kHashLatencyStream = 0x1a7e'2c91;
-constexpr std::uint64_t kHashAccuracyStream = 0x0acc'0117;
-
-/// One key per invocation: minute in the high bits, the minute's invocation
-/// index in the low 32 (counts are std::uint32_t, so the packing is exact).
-[[nodiscard]] constexpr std::uint64_t invocation_key(trace::Minute t,
-                                                     std::uint32_t i) noexcept {
-  return (static_cast<std::uint64_t>(t) << 32) | i;
-}
-
-}  // namespace
-
 SimulationEngine::SimulationEngine(const Deployment& deployment, const trace::Trace& trace,
                                    EngineConfig config)
     : deployment_(&deployment), trace_(&trace), config_(config) {
@@ -46,10 +29,8 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
       policy_calls_(policy, config_.observer.profiler),
       schedule_(deployment, trace.duration()),
       kernel_(schedule_, result_, config_.observer, config.faults, config.seed,
-              config.hashed_rng, config.global_ids),
-      latency_(deployment, config.latency),
-      latency_rng_(config.seed, /*stream=*/0xc0ffee),
-      accuracy_rng_(config.seed, /*stream=*/0xacc) {
+              config.global_ids),
+      latency_(deployment, config.latency) {
   if (deployment.function_count() != trace.function_count()) {
     throw std::invalid_argument("SteppedRun: deployment/trace function count mismatch");
   }
@@ -68,6 +49,13 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
   }
   if (config_.record_per_function) {
     result_.per_function.assign(trace.function_count(), FunctionMetrics{});
+  }
+  if (config_.bernoulli_accuracy) {
+    accuracy_rng_.reserve(trace.function_count());
+    for (trace::FunctionId f = 0; f < trace.function_count(); ++f) {
+      accuracy_rng_.push_back(
+          util::function_stream(config_.seed, kernel_.global_id(f), util::kAccuracyStream));
+    }
   }
 
   // Looked up once; per-minute updates are then a pointer check away.
@@ -121,7 +109,6 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
   const Deployment& dep = *deployment_;
   KeepAliveSchedule& schedule = schedule_;
   RunResult& result = result_;
-  const bool hashed = config_.hashed_rng;
   obs::TraceSink* const sink = config_.observer.sink;
 
   for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
@@ -157,36 +144,16 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
       }
       const models::ModelVariant& variant = family.variant(serving);
       const models::LatencyModel::Prepared& jitter = latency_.at(f, serving);
+      util::Pcg32& rng = kernel_.jitter_stream(f);
       for (std::uint32_t i = 0; i < count; ++i) {
         const bool cold = first_is_cold && i == 0;
-        double service_s;
-        if (config_.deterministic_latency) {
-          service_s = models::LatencyModel::expected_service_time(variant, cold);
-        } else if (hashed) {
-          // A function's jitter depends only on its own coordinates: one
-          // short-lived generator per invocation, keyed by the catalog-
-          // global id. See EngineConfig::hashed_rng.
-          util::Pcg32 draw(util::hash_u64(config_.seed, kHashLatencyStream,
-                                          static_cast<std::uint64_t>(gf),
-                                          invocation_key(t, i)),
-                           kHashLatencyStream);
-          service_s = models::LatencyModel::sample(jitter, cold, draw);
-        } else {
-          service_s = models::LatencyModel::sample(jitter, cold, latency_rng_);
-        }
-        double accuracy_credit;
-        if (!config_.bernoulli_accuracy) {
-          accuracy_credit = variant.accuracy_pct;
-        } else if (hashed) {
+        double service_s = config_.deterministic_latency
+                               ? models::LatencyModel::expected_service_time(variant, cold)
+                               : models::LatencyModel::sample(jitter, cold, rng);
+        double accuracy_credit = variant.accuracy_pct;
+        if (!accuracy_rng_.empty()) {
           accuracy_credit =
-              util::hash_uniform(config_.seed, kHashAccuracyStream,
-                                 static_cast<std::uint64_t>(gf), invocation_key(t, i)) <
-                      variant.accuracy_fraction()
-                  ? 100.0
-                  : 0.0;
-        } else {
-          accuracy_credit =
-              accuracy_rng_.bernoulli(variant.accuracy_fraction()) ? 100.0 : 0.0;
+              accuracy_rng_[f].bernoulli(variant.accuracy_fraction()) ? 100.0 : 0.0;
         }
         if (cold) service_s += cs.retry_penalty_s;
         kernel_.clip_to_slo(gf, t, serving, variant, cold, service_s, accuracy_credit);

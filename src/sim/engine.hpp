@@ -35,7 +35,8 @@ struct EngineConfig {
   /// ideal-cost analysis use this for exact arithmetic.
   bool deterministic_latency = false;
 
-  /// Seed for the latency-jitter stream (independent of trace generation).
+  /// Seed of every function's jitter and accuracy streams and of the
+  /// capacity victim draws (independent of trace generation and faults).
   std::uint64_t seed = 1;
 
   /// Keep per-function invocation/warm/cold/service-time/accuracy
@@ -85,23 +86,19 @@ struct EngineConfig {
   /// tallies are plain array increments, no events are emitted.
   std::size_t top_k_function_metrics = 0;
 
-  /// Derive per-invocation latency jitter, Bernoulli accuracy draws, and
-  /// capacity-eviction victim picks by hashing (seed, function, minute,
-  /// invocation) — the FaultInjector discipline applied to the engine's own
-  /// stochastic streams — instead of consuming the run-wide sequential
-  /// Pcg32 streams. A function's samples then depend only on its own
-  /// coordinates, never on which other functions share the engine, which is
-  /// what makes sharded ClusterEngine results shard-count invariant.
-  /// Default off: the sequential streams keep historical golden fixtures
-  /// bitwise identical.
+  /// Ignored. Every run draws a function's latency jitter and Bernoulli
+  /// accuracy from that function's own util::function_stream and picks
+  /// capacity victims by (seed, minute, ordinal) hashing, so results never
+  /// depend on which other functions share the engine. Kept only so
+  /// existing assignments still compile.
   bool hashed_rng = false;
 
   /// Optional catalog-global function ids, one per local function. When a
   /// cluster shard replays a sub-trace, local function f stands for global
-  /// function (*global_ids)[f]; fault-injection hashing, hashed RNG streams
-  /// and trace-event coordinates all use the global id, so fault patterns,
-  /// samples, and events are those of the full catalog regardless of the
-  /// partitioning. Must outlive the engine. nullptr = identity mapping.
+  /// function (*global_ids)[f]; fault-injection hashing, the per-function
+  /// streams and trace-event coordinates all use the global id, so fault
+  /// patterns, samples, and events are those of the full catalog regardless
+  /// of the partitioning. Must outlive the engine. nullptr = identity mapping.
   const std::vector<trace::FunctionId>* global_ids = nullptr;
 };
 
@@ -191,8 +188,9 @@ class SteppedRun {
   KeepAliveSchedule schedule_;
   MinuteKernel kernel_;  // everything but the serving rule of step_minute()
   LatencyTable latency_;
-  util::Pcg32 latency_rng_;
-  util::Pcg32 accuracy_rng_;
+  /// Per-function Bernoulli accuracy streams (empty unless
+  /// EngineConfig::bernoulli_accuracy); jitter comes from the kernel's.
+  std::vector<util::Pcg32> accuracy_rng_;
   util::IntHistogram* alive_hist_ = nullptr;
   /// Per-function tallies for EngineConfig::top_k_function_metrics (empty
   /// when the knob is off or no registry is attached).

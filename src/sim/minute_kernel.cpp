@@ -6,17 +6,19 @@ namespace pulse::sim {
 
 MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
                            const obs::Observer& observer, const fault::FaultConfig& faults,
-                           std::uint64_t seed, bool hashed_rng,
+                           std::uint64_t seed,
                            const std::vector<trace::FunctionId>* global_ids)
     : schedule_(&schedule),
       counters_(&counters),
       observer_(&observer),
       injector_(faults),
       faults_on_(faults.enabled()),
-      hashed_rng_(hashed_rng),
       seed_(seed),
-      global_ids_(global_ids),
-      eviction_rng_(seed, /*stream=*/0xeb1c7) {
+      global_ids_(global_ids) {
+  streams_.reserve(schedule.function_count());
+  for (trace::FunctionId f = 0; f < schedule.function_count(); ++f) {
+    streams_.push_back(util::function_stream(seed, global_id(f), util::kJitterStream));
+  }
   // Capacity-pressured minutes fill this with every kept container; sizing
   // it up front keeps even a late first pressure event allocation-free
   // (the serve-mode hot-path discipline tests/memory enforces).
@@ -57,8 +59,7 @@ void MinuteKernel::fail(trace::FunctionId gf, trace::Minute t, std::int32_t vari
 }
 
 std::uint32_t MinuteKernel::pick_victim(trace::Minute t, std::uint32_t ordinal,
-                                        std::uint32_t live) {
-  if (!hashed_rng_) return eviction_rng_.bounded(live);
+                                        std::uint32_t live) const noexcept {
   // Victim picks keyed by (minute, ordinal): independent of how many
   // evictions earlier minutes performed, hence reproducible whatever quota
   // trajectory the cluster market applied before this minute.

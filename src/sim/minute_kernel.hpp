@@ -34,10 +34,10 @@ class MinuteKernel final : public MemoryHistory {
  public:
   /// `schedule` and `counters` must outlive the kernel; `observer` is read
   /// at every emission, so muting it in place silences the kernel too.
-  /// `hashed_rng` and `global_ids` mean what they mean in EngineConfig.
+  /// `global_ids` means what it means in EngineConfig.
   MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
                const obs::Observer& observer, const fault::FaultConfig& faults,
-               std::uint64_t seed, bool hashed_rng = false,
+               std::uint64_t seed,
                const std::vector<trace::FunctionId>* global_ids = nullptr);
 
   /// Minute t: the crash sweep, `serve()` (the caller's serving rule and
@@ -85,6 +85,10 @@ class MinuteKernel final : public MemoryHistory {
     return global_ids_ != nullptr ? (*global_ids_)[f] : f;
   }
 
+  /// Local function f's jitter stream (util::function_stream of its global
+  /// id): both serving rules draw from it, so they draw the same samples.
+  [[nodiscard]] util::Pcg32& jitter_stream(trace::FunctionId f) noexcept { return streams_[f]; }
+
   // MemoryHistory: the recorded keep-alive memory of closed minutes.
   [[nodiscard]] double memory_at(trace::Minute t) const override {
     if (t < 0 || static_cast<std::size_t>(t) >= record_.size()) return 0.0;
@@ -99,10 +103,10 @@ class MinuteKernel final : public MemoryHistory {
  private:
   static constexpr std::uint64_t kHashEvictStream = 0xeb1c'7005;
 
-  /// Index in [0, live) of the next victim among the `live` entries of
-  /// kept_ not yet evicted this minute.
+  /// Index in [0, live) of the minute's `ordinal`-th victim among the
+  /// `live` entries of kept_ not yet evicted this minute.
   [[nodiscard]] std::uint32_t pick_victim(trace::Minute t, std::uint32_t ordinal,
-                                          std::uint32_t live);
+                                          std::uint32_t live) const noexcept;
 
   /// Marks every entry of kept_ live (O(K)).
   void reset_live();
@@ -123,10 +127,9 @@ class MinuteKernel final : public MemoryHistory {
   const obs::Observer* observer_;
   fault::FaultInjector injector_;
   bool faults_on_;
-  bool hashed_rng_;
   std::uint64_t seed_;
   const std::vector<trace::FunctionId>* global_ids_;
-  util::Pcg32 eviction_rng_;
+  std::vector<util::Pcg32> streams_;  // jitter, by local function id
   std::vector<std::pair<trace::FunctionId, std::size_t>> kept_;
   /// Fenwick tree over kept_'s positions (1-based): live_tree_[i] counts
   /// the live entries in (i - lowbit(i), i]. kept_ never moves during a

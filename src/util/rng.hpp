@@ -94,11 +94,23 @@ class Pcg32 {
 
 /// SplitMix64 finalizer as a pure function: the mixer behind every
 /// hash-derived decision stream in the repository (fault injection, the
-/// engine's hashed per-function RNG, the cluster's shard partitioner).
+/// per-function simulator streams, capacity-eviction victim picks, the
+/// cluster's shard partitioner).
 [[nodiscard]] constexpr std::uint64_t hash_mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// Catalog function f's own generator for one purpose (its latency jitter,
+/// or the engine's Bernoulli accuracy), drawn in serving order: adding,
+/// removing or re-sharding other functions never shifts f's samples, and
+/// the accuracy draws never shift its jitter.
+inline constexpr std::uint64_t kJitterStream = 0x9a7f02;
+inline constexpr std::uint64_t kAccuracyStream = 0x0acc'0117;
+[[nodiscard]] constexpr Pcg32 function_stream(std::uint64_t seed, std::uint64_t f,
+                                              std::uint64_t purpose) noexcept {
+  return Pcg32(seed, hash_mix64((f + 0x9e3779b97f4a7c15ULL) ^ purpose));
 }
 
 /// Well-mixed 64-bit hash of (seed, stream, a, b). `stream` separates

@@ -141,7 +141,6 @@ ClusterResult run_cluster(const Fixture& fx, std::size_t shards, std::size_t thr
   cc.engine = golden_config(fx.deployment, 77, true);
   cc.engine.record_series = false;  // keep the multi-shard runs lean
   cc.engine.record_service_samples = false;
-  cc.engine.hashed_rng = true;
   ClusterEngine cluster(fx.deployment, fx.workload.trace, cc);
   return cluster.run([&] { return policies::make_policy(policy); });
 }

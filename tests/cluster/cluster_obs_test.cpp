@@ -37,7 +37,6 @@ void run_observed(ObservedRun& run, std::size_t shards, std::size_t threads) {
   cc.shards = shards;
   cc.threads = threads;
   cc.engine.seed = 9;
-  cc.engine.hashed_rng = true;
   cc.engine.memory_capacity_mb = deployment.peak_highest_memory_mb() * 0.30;
   cc.engine.faults.crash_rate = 0.02;
   cc.engine.faults.cold_start_failure_rate = 0.05;

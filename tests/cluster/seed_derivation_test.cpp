@@ -1,8 +1,10 @@
-// Shard-count invariance of the hashed RNG streams (the seed-derivation
-// fix): with EngineConfig::hashed_rng, every latency sample, Bernoulli
-// accuracy draw, and fault decision is a pure function of (seed, global
-// function id, coordinates), so a per-function policy must produce the
-// same aggregate behaviour whether the catalog runs in 1, 4, or 16 shards.
+// Shard-count invariance of the per-function streams (the seed-derivation
+// fix): every latency sample and Bernoulli accuracy draw comes from the
+// function's own stream, keyed by (seed, global function id) and consumed
+// in serving order, and every fault decision is a pure function of (seed,
+// global function id, coordinates), so a per-function policy must produce
+// the same aggregate behaviour whether the catalog runs in 1, 4, or 16
+// shards.
 //
 // Scope: memory capacity is off (capacity eviction is a cross-function
 // interaction that quota partitioning changes by design) and the policy is
@@ -35,7 +37,6 @@ ClusterResult run_shards(std::size_t shards) {
   ClusterConfig cc;
   cc.shards = shards;
   cc.engine.seed = 2024;
-  cc.engine.hashed_rng = true;
   cc.engine.bernoulli_accuracy = true;
   cc.engine.memory_capacity_mb = 0.0;
   cc.engine.faults.crash_rate = 0.03;
@@ -79,7 +80,7 @@ TEST(SeedDerivation, AggregatesInvariantAcrossShardCounts) {
   }
 }
 
-// The other half of the contract: the hashed streams must still vary by
+// The other half of the contract: the keyed streams must still vary by
 // function and produce work (a hash stuck at one value would also pass the
 // invariance test above).
 TEST(SeedDerivation, HashedRunsDifferBySeed) {
@@ -95,7 +96,6 @@ TEST(SeedDerivation, HashedRunsDifferBySeed) {
     ClusterConfig cc;
     cc.shards = 2;
     cc.engine.seed = seed;
-    cc.engine.hashed_rng = true;
     cc.engine.faults.seed = seed;  // fault draws key on their own seed
     cc.engine.faults.cold_start_failure_rate = 0.15;
     ClusterEngine cluster(deployment, workload.trace, cc);

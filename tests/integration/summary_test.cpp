@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
+#include <vector>
 
+#include "exp/figures.hpp"
 #include "policies/factory.hpp"
 
 namespace pulse::exp {
@@ -97,6 +100,24 @@ TEST(Summary, BenchEnvOverrides) {
   EXPECT_EQ(bench_trace_days(7), 3);
   ::unsetenv("PULSE_BENCH_DAYS");
   EXPECT_EQ(bench_trace_days(7), 7);
+}
+
+// Figure 9(a)'s buckets span the data: PULSE's ratios sit near 5e-8, below
+// any fixed 1e-7 floor, and nothing may fall off either end.
+TEST(Fig9Histogram, DecadesSpanTheDataAndCountEveryRun) {
+  const std::vector<double> ratios = {3e-9, 5e-8, 5e-8, 1e-7, 2e-4, 0.5, 0.0};
+  const DecadeHistogram h = decade_histogram(ratios);
+  EXPECT_EQ(h.first_decade, -9);
+  const std::vector<std::size_t> expected = {2, 2, 1, 0, 0, 1, 0, 0, 1};  // 1e-9 .. 1e-1
+  EXPECT_EQ(h.counts, expected);
+  EXPECT_EQ(std::accumulate(h.counts.begin(), h.counts.end(), std::size_t{0}), ratios.size());
+
+  EXPECT_TRUE(decade_histogram({}).counts.empty());
+  const DecadeHistogram zeros = decade_histogram({0.0, 0.0});
+  EXPECT_EQ(zeros.counts, std::vector<std::size_t>{2});
+  const DecadeHistogram one = decade_histogram({1e-3});
+  EXPECT_EQ(one.first_decade, -3);  // an exact power of ten opens its decade
+  EXPECT_EQ(one.counts, std::vector<std::size_t>{1});
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Platform-layer fault/capacity/observability parity with the minute
 // engine, plus regression tests for the platform accounting bugfix sweep
-// (stale scale-out variants, free pre-warms, shared latency rng streams).
+// (stale scale-out variants, free pre-warms, shared latency rng streams)
+// and the engine's share of those per-function streams.
 //
 // The central invariant: both layers derive every fault decision from the
 // same hash-seeded fault::FaultInjector, so on a low-concurrency trace
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -360,6 +363,33 @@ TEST(PlatformBugfix, LatencyJitterFixture) {
   EXPECT_EQ(r.invocations, 50u);
   EXPECT_NEAR(r.total_service_time_s, 115.16685373808112, 1e-6 * r.total_service_time_s);
   EXPECT_NEAR(r.total_cost_usd, 0.14042, 1e-6 * r.total_cost_usd);
+}
+
+TEST(PlatformBugfix, JitterMatchesMinuteEngineOnSparseTrace) {
+  // LatencyJitterFixture's trace: no concurrency, so both layers serve the
+  // same cold/warm sequence, and both draw each function's jitter from its
+  // own stream in serving order — the same samples, summed in the same
+  // (minute, function) order.
+  const auto zoo = test_zoo();
+  const auto d = sim::Deployment::round_robin(zoo, 2);
+  trace::Trace t(2, 120);
+  for (trace::Minute m = 1; m < 120; m += 4) t.set_count(0, m, 1);
+  for (trace::Minute m = 3; m < 120; m += 6) t.set_count(1, m, 1);
+
+  PlatformConfig config;
+  config.seed = 42;
+  policies::FixedKeepAlivePolicy platform_policy;
+  const PlatformResult p = PlatformSimulator(d, t, config).run(platform_policy);
+
+  sim::EngineConfig engine_config;
+  engine_config.seed = 42;
+  policies::FixedKeepAlivePolicy engine_policy;
+  const sim::RunResult e = sim::SimulationEngine(d, t, engine_config).run(engine_policy);
+
+  ASSERT_EQ(e.cold_starts, p.cold_starts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.total_service_time_s),
+            std::bit_cast<std::uint64_t>(p.total_service_time_s))
+      << e.total_service_time_s << " vs " << p.total_service_time_s;
 }
 
 /// Throws from end_of_minute once the trace passes minute 5.

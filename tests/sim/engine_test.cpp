@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "policies/fixed_keepalive.hpp"
 
 namespace pulse::sim {
@@ -226,6 +230,52 @@ TEST(Engine, WarmFractionAndAverageAccuracy) {
   const RunResult r = engine.run(policy);
   EXPECT_DOUBLE_EQ(r.warm_start_fraction(), 0.75);
   EXPECT_DOUBLE_EQ(r.average_accuracy_pct(), 90.0);
+}
+
+// A function's sampled jitter and Bernoulli accuracy come from its own
+// streams: replaying A beside B, or A alone under A's catalog-global id,
+// gives A bit-identical metrics (a per-function policy, no capacity).
+TEST(EngineStreams, FunctionMetricsIgnoreOtherFunctions) {
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  const models::ModelFamily& a_family = zoo.family(1);
+  const models::ModelFamily& b_family = zoo.family(2);
+  constexpr trace::Minute kDuration = 600;
+  trace::Trace both(2, kDuration);
+  trace::Trace alone(1, kDuration);
+  util::Pcg32 counts(17, 3);
+  for (trace::Minute t = 0; t < kDuration; ++t) {
+    const std::uint32_t b = counts.bounded(3) == 0 ? counts.bounded(5) : 0;
+    const std::uint32_t a = counts.bounded(4) == 0 ? 1 + counts.bounded(4) : 0;
+    both.set_count(0, t, b);  // B is catalog function 0, A is function 1
+    both.set_count(1, t, a);
+    alone.set_count(0, t, a);
+  }
+
+  EngineConfig config;
+  config.seed = 2024;
+  config.bernoulli_accuracy = true;
+  config.record_per_function = true;
+  const Deployment both_dep({&b_family, &a_family});
+  policies::FixedKeepAlivePolicy both_policy;
+  const RunResult with_b = SimulationEngine(both_dep, both, config).run(both_policy);
+
+  const std::vector<trace::FunctionId> a_id{1};
+  config.global_ids = &a_id;
+  const Deployment alone_dep({&a_family});
+  policies::FixedKeepAlivePolicy alone_policy;
+  const RunResult solo = SimulationEngine(alone_dep, alone, config).run(alone_policy);
+
+  const FunctionMetrics& x = with_b.per_function[1];
+  const FunctionMetrics& y = solo.per_function[0];
+  ASSERT_GT(x.invocations, 100u);
+  ASSERT_GT(with_b.per_function[0].invocations, 100u);
+  EXPECT_EQ(x.invocations, y.invocations);
+  EXPECT_EQ(x.cold_starts, y.cold_starts);
+  EXPECT_EQ(x.warm_starts, y.warm_starts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(x.service_time_s),
+            std::bit_cast<std::uint64_t>(y.service_time_s));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(x.accuracy_pct_sum),
+            std::bit_cast<std::uint64_t>(y.accuracy_pct_sum));
 }
 
 TEST(RunResultHelpers, ImprovementPct) {

@@ -1,14 +1,15 @@
 // Differential test of SteppedRun against a trivially-correct reference
 // engine: one flat minute loop with no incremental state. It rebuilds the
 // capacity-eviction kept list on every eviction, computes the ideal cost
-// directly, and draws from the sequential Pcg32 streams (or the hashed
-// per-coordinate draws) in the engine's order, so the two must agree
-// bit for bit on every RunResult field over seeded random small configs —
-// faults, capacity, hashed draws, sampled latency (at several jitter CVs,
-// zero included) and Bernoulli accuracy on and off. Wide cases (up to 300 functions, capacity on) pick victims
-// deep in long kept lists under both RNG disciplines. A run sliced at two
-// random minutes must also reproduce the uninterrupted run (the cluster
-// engine stops crashing shards mid-epoch).
+// directly, draws each invocation's jitter and its Bernoulli accuracy from
+// its function's own two Pcg32 streams (derived here, not through the
+// production helper) and picks victims by (seed, minute, ordinal) hashing,
+// so the two must agree bit for bit on every RunResult field over seeded
+// random small configs — faults, capacity, sampled latency (at several
+// jitter CVs, zero included) and Bernoulli accuracy on and off. Wide cases
+// (up to 300 functions, capacity on) pick victims deep in long kept lists.
+// A run sliced at two random minutes must also reproduce the uninterrupted
+// run (the cluster engine stops crashing shards mid-epoch).
 
 #include <gtest/gtest.h>
 
@@ -27,13 +28,20 @@ namespace {
 using trace::FunctionId;
 using trace::Minute;
 
-// The engine's stream tags (sequential generators, then hashed draws).
-constexpr std::uint64_t kLatencyStream = 0xc0ffee;
-constexpr std::uint64_t kAccuracyStream = 0xacc;
-constexpr std::uint64_t kEvictionStream = 0xeb1c7;
-constexpr std::uint64_t kHashLatency = 0x1a7e'2c91;
-constexpr std::uint64_t kHashAccuracy = 0x0acc'0117;
+// Stream tags: the victim draw, then a function's jitter and accuracy.
 constexpr std::uint64_t kHashEvict = 0xeb1c'7005;
+constexpr std::uint64_t kJitter = 0x9a7f02;
+constexpr std::uint64_t kAccuracy = 0x0acc'0117;
+
+// Catalog function gf's generator for one purpose: Pcg32 on a
+// SplitMix64-finalized stream id, written out so the reference does not
+// share the engine's helper.
+util::Pcg32 function_rng(std::uint64_t seed, std::uint64_t gf, std::uint64_t purpose) {
+  std::uint64_t z = (gf + 0x9e3779b97f4a7c15ULL) ^ purpose;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return util::Pcg32(seed, z ^ (z >> 31));
+}
 
 class ReferenceHistory final : public MemoryHistory {
  public:
@@ -51,12 +59,15 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
   RunResult r;
   KeepAliveSchedule schedule(dep, tr.duration());
   ReferenceHistory history;
-  util::Pcg32 latency_rng(c.seed, kLatencyStream);
-  util::Pcg32 accuracy_rng(c.seed, kAccuracyStream);
-  util::Pcg32 eviction_rng(c.seed, kEvictionStream);
   const fault::FaultInjector injector(c.faults);
   const bool faults = c.faults.enabled();
   const auto gid = [&](FunctionId f) { return c.global_ids ? (*c.global_ids)[f] : f; };
+  std::vector<util::Pcg32> jitter_rng;
+  std::vector<util::Pcg32> accuracy_rng;
+  for (FunctionId f = 0; f < tr.function_count(); ++f) {
+    jitter_rng.push_back(function_rng(c.seed, gid(f), kJitter));
+    accuracy_rng.push_back(function_rng(c.seed, gid(f), kAccuracy));
+  }
   if (c.record_per_function) r.per_function.assign(tr.function_count(), FunctionMetrics{});
   policy.initialize(dep, tr, schedule);
 
@@ -91,24 +102,12 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
       const models::ModelVariant& variant = family.variant(v);
       for (std::uint32_t i = 0; cs.succeeded && i < count; ++i) {
         const bool first = cold && i == 0;
-        const std::uint64_t key = (static_cast<std::uint64_t>(t) << 32) | i;
-        double s;
-        if (c.deterministic_latency) {
-          s = models::LatencyModel::expected_service_time(variant, first);
-        } else if (c.hashed_rng) {
-          util::Pcg32 draw(util::hash_u64(c.seed, kHashLatency, gid(f), key), kHashLatency);
-          s = c.latency.sample_service_time(variant, first, draw);
-        } else {
-          s = c.latency.sample_service_time(variant, first, latency_rng);
-        }
+        double s = c.deterministic_latency
+                       ? models::LatencyModel::expected_service_time(variant, first)
+                       : c.latency.sample_service_time(variant, first, jitter_rng[f]);
         double acc = variant.accuracy_pct;
         if (c.bernoulli_accuracy) {
-          const bool hit =
-              c.hashed_rng
-                  ? util::hash_uniform(c.seed, kHashAccuracy, gid(f), key) <
-                        variant.accuracy_fraction()
-                  : accuracy_rng.bernoulli(variant.accuracy_fraction());
-          acc = hit ? 100.0 : 0.0;
+          acc = accuracy_rng[f].bernoulli(variant.accuracy_fraction()) ? 100.0 : 0.0;
         }
         if (first) s += cs.retry_penalty_s;
         const double slo = c.faults.slo_multiplier *
@@ -147,15 +146,10 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
       const auto kept = schedule.kept_alive_at(t);
       if (kept.empty()) break;
       const auto n = static_cast<std::uint32_t>(kept.size());
-      std::uint32_t idx;
-      if (c.hashed_rng) {
-        util::Pcg32 draw(util::hash_u64(c.seed, kHashEvict, static_cast<std::uint64_t>(t),
-                                        ordinal),
-                         kHashEvict);
-        idx = draw.bounded(n);
-      } else {
-        idx = eviction_rng.bounded(n);
-      }
+      util::Pcg32 draw(util::hash_u64(c.seed, kHashEvict, static_cast<std::uint64_t>(t),
+                                      ordinal),
+                       kHashEvict);
+      const std::uint32_t idx = draw.bounded(n);
       schedule.evict_from(kept[idx].first, t);
       ++r.capacity_evictions;
     }
@@ -251,7 +245,6 @@ RandomCase make_case(std::uint64_t seed, const Deployment& deployment, std::size
   c.record_service_samples = true;
   c.deterministic_latency = coin();
   c.bernoulli_accuracy = coin();
-  c.hashed_rng = coin();
   const bool faults = coin();
   const bool capacity = coin();
   const double peak = deployment.peak_highest_memory_mb();
@@ -285,7 +278,6 @@ RandomCase make_case(std::uint64_t seed, const Deployment& deployment, std::size
   rc.label = "seed=" + std::to_string(seed) + " policy=" + rc.policy +
              " fns=" + std::to_string(functions) + " T=" + std::to_string(duration) +
              " faults=" + std::to_string(faults) + " capacity=" + std::to_string(capacity) +
-             " hashed=" + std::to_string(c.hashed_rng) +
              " deterministic=" + std::to_string(c.deterministic_latency) +
              " bernoulli=" + std::to_string(c.bernoulli_accuracy) +
              " gids=" + std::to_string(!rc.global_ids.empty()) +
@@ -297,13 +289,13 @@ RandomCase make_case(std::uint64_t seed, const Deployment& deployment, std::size
 TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
   const models::ModelZoo zoo = models::ModelZoo::builtin();
   // Narrow cases (1-6 functions) cover every path; wide ones (64-300
-  // functions, capacity on, both RNG disciplines) make the engine pick
-  // victims deep in a long kept list, as a large cluster shard does.
+  // functions, capacity on) make the engine pick victims deep in a long
+  // kept list, as a large cluster shard does.
   constexpr std::uint64_t kCases = 240;
   constexpr std::uint64_t kWideCases = 12;
   FaultCounters fired;  // summed over every case: each path must be exercised
   std::uint64_t downgrades = 0;
-  std::uint64_t wide_evictions[2] = {0, 0};  // by hashed_rng
+  std::uint64_t wide_evictions = 0;
   for (std::uint64_t seed = 1; seed <= kCases + kWideCases; ++seed) {
     const bool wide = seed > kCases;
     const std::size_t functions =
@@ -312,10 +304,9 @@ TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
     RandomCase rc = make_case(seed, deployment, functions);
     if (wide) {
       util::Pcg32 rng(seed, 0x31de);
-      rc.config.hashed_rng = seed % 2 == 0;
       rc.config.memory_capacity_mb =
           deployment.peak_highest_memory_mb() * (0.1 + 0.3 * rng.uniform());
-      rc.label += " wide hashed=" + std::to_string(rc.config.hashed_rng);
+      rc.label += " wide";
     }
     if (!rc.global_ids.empty()) rc.config.global_ids = &rc.global_ids;
     SCOPED_TRACE(rc.label);
@@ -334,7 +325,7 @@ TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
     fired.capacity_evictions += expected.capacity_evictions;
     fired.degraded_minutes += expected.degraded_minutes;
     downgrades += expected.downgrades;
-    if (wide) wide_evictions[rc.config.hashed_rng ? 1 : 0] += expected.capacity_evictions;
+    if (wide) wide_evictions += expected.capacity_evictions;
 
     // Stop at a random minute, again at a later one, and finish: slicing
     // is exact, so this is identical to the uninterrupted run.
@@ -358,9 +349,8 @@ TEST(ReferenceEngine, SteppedRunMatchesNaiveMinuteLoopBitwise) {
   EXPECT_GT(fired.capacity_evictions, 0u);
   EXPECT_GT(fired.degraded_minutes, 0u);
   EXPECT_GT(downgrades, 0u);
-  // Hundreds of victims per discipline, drawn from lists of 64+ entries.
-  EXPECT_GT(wide_evictions[0], 100u);
-  EXPECT_GT(wide_evictions[1], 100u);
+  // Hundreds of victims, drawn from lists of 64+ entries.
+  EXPECT_GT(wide_evictions, 200u);
 }
 
 }  // namespace
