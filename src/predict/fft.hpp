@@ -65,9 +65,16 @@ class HarmonicForecaster {
                 std::size_t first, std::span<double> out);
 
  private:
+  /// Leaves in ranked_[0, keep) (0 < keep <= n/2) the prefix that sorting
+  /// every (|X_j|, j), j = 1..n/2, by descending |X_j| with std::sort gives:
+  /// by top-k selection over a norm screen when that prefix is unique, else
+  /// by that sort.
+  void rank(std::span<const std::complex<double>> coeffs, std::size_t keep);
+
   std::shared_ptr<const HarmonicPlan> plan_;
   std::vector<std::complex<double>> coeffs_;
-  std::vector<std::pair<double, std::size_t>> ranked_;  // (|X_j|, j)
+  std::vector<std::pair<double, std::size_t>> ranked_;  // (|X_j|, j), or (|X_j|^2, j)
+  std::vector<double> norms_;                           // |X_j|^2 at [j - 1]
   std::vector<std::size_t> bins_;                       // kept: DC + pairs
 };
 

@@ -16,6 +16,7 @@
 // instance.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -28,6 +29,26 @@ namespace pulse::sim {
 
 /// Sentinel for "no container kept alive".
 constexpr int kNoVariant = -1;
+
+#if !defined(__SIZEOF_INT128__)
+#error "KeepAliveSchedule needs unsigned __int128 (gcc or clang on a 64-bit target)"
+#endif
+
+/// static_cast<double>(x), correctly rounded to nearest-even, inline rather
+/// than through libgcc's out-of-line __floatuntidf. Above 2^64 it keeps the
+/// top 63 significant bits and ORs in a sticky bit for any 1 shifted out: 10
+/// bits sit below the 53 that survive, so the sticky bit only decides ties.
+/// The signed conversion rounds that once, and the power-of-two rescale is
+/// exact.
+[[nodiscard]] inline double u128_to_double(unsigned __int128 x) noexcept {
+  const auto hi = static_cast<std::uint64_t>(x >> 64);
+  if (hi == 0) return static_cast<double>(static_cast<std::uint64_t>(x));
+  const int shift = 65 - std::countl_zero(hi);  // 2..65
+  const auto top = static_cast<std::uint64_t>(x >> shift);
+  const bool sticky = (x & ((static_cast<unsigned __int128>(1) << shift) - 1)) != 0;
+  const double scale = std::bit_cast<double>(static_cast<std::uint64_t>(1023 + shift) << 52);
+  return static_cast<double>(static_cast<std::int64_t>(top | sticky)) * scale;
+}
 
 class KeepAliveSchedule {
  public:
@@ -104,7 +125,7 @@ class KeepAliveSchedule {
   /// correctly rounded sum of the kept variants' memories. O(1).
   [[nodiscard]] double memory_at(trace::Minute t) const {
     if (t < 0 || t >= duration_) return 0.0;
-    return static_cast<double>(exact_[static_cast<std::size_t>(t)]) * kUnitMb;
+    return u128_to_double(exact_[static_cast<std::size_t>(t)]) * kUnitMb;
   }
 
   /// Containers alive at minute t. O(1) (incrementally maintained).
@@ -148,9 +169,6 @@ class KeepAliveSchedule {
                      std::vector<std::pair<trace::FunctionId, std::size_t>>& out) const;
 
  private:
-#if !defined(__SIZEOF_INT128__)
-#error "KeepAliveSchedule needs unsigned __int128 (gcc or clang on a 64-bit target)"
-#endif
   using ExactUnits = unsigned __int128;
 
   /// Fixed-point scale of the exact per-minute totals: one unit is

@@ -15,23 +15,6 @@
 
 namespace pulse::util {
 
-/// SplitMix64: used for seed expansion (one 64-bit seed -> a stream of
-/// well-mixed 64-bit values). Reference: Steele, Lea, Flood (2014).
-class SplitMix64 {
- public:
-  explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
-
-  constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
- private:
-  std::uint64_t state_;
-};
-
 /// PCG32 (XSH-RR 64/32, O'Neill 2014): the workhorse generator.
 /// Satisfies std::uniform_random_bit_generator.
 class Pcg32 {
@@ -92,10 +75,10 @@ class Pcg32 {
   std::uint64_t inc_;
 };
 
-/// SplitMix64 finalizer as a pure function: the mixer behind every
-/// hash-derived decision stream in the repository (fault injection, the
-/// per-function simulator streams, capacity-eviction victim picks, the
-/// cluster's shard partitioner).
+/// The SplitMix64 output mixer (Steele, Lea, Flood 2014) as a pure
+/// function: the mixer behind every hash-derived decision stream in the
+/// repository (fault injection, the per-function simulator streams,
+/// capacity-eviction victim picks, the cluster's shard partitioner).
 [[nodiscard]] constexpr std::uint64_t hash_mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

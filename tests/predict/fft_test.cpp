@@ -82,6 +82,29 @@ struct HarmonicModel {
   std::size_t n_padded = 0;
 };
 
+std::vector<std::size_t> kept_bins(const std::vector<std::complex<double>>& coeffs,
+                                   std::size_t harmonics) {
+  const std::size_t n_padded = coeffs.size();
+  // Rank positive-frequency bins by magnitude. Bin j and its conjugate
+  // mirror N-j are kept together so the reconstruction stays real.
+  std::vector<std::size_t> candidates;
+  for (std::size_t j = 1; j <= n_padded / 2; ++j) candidates.push_back(j);
+  std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
+    return std::abs(coeffs[a]) > std::abs(coeffs[b]);
+  });
+
+  std::vector<std::size_t> bins;
+  bins.push_back(0);  // DC: the mean invocation level
+  const std::size_t keep = std::min(harmonics, candidates.size());
+  for (std::size_t k = 0; k < keep; ++k) {
+    const std::size_t j = candidates[k];
+    bins.push_back(j);
+    const std::size_t mirror = (n_padded - j) % n_padded;
+    if (mirror != j && mirror != 0) bins.push_back(mirror);
+  }
+  return bins;
+}
+
 HarmonicModel fit_harmonics(std::span<const double> series, std::size_t harmonics) {
   HarmonicModel model;
   if (series.empty()) return model;
@@ -90,23 +113,7 @@ HarmonicModel fit_harmonics(std::span<const double> series, std::size_t harmonic
   model.coeffs.assign(model.n_padded, {0.0, 0.0});
   for (std::size_t i = 0; i < series.size(); ++i) model.coeffs[i] = series[i];
   fft(model.coeffs, /*inverse=*/false);
-
-  // Rank positive-frequency bins by magnitude. Bin j and its conjugate
-  // mirror N-j are kept together so the reconstruction stays real.
-  std::vector<std::size_t> candidates;
-  for (std::size_t j = 1; j <= model.n_padded / 2; ++j) candidates.push_back(j);
-  std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(model.coeffs[a]) > std::abs(model.coeffs[b]);
-  });
-
-  model.bins.push_back(0);  // DC: the mean invocation level
-  const std::size_t keep = std::min(harmonics, candidates.size());
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = candidates[k];
-    model.bins.push_back(j);
-    const std::size_t mirror = (model.n_padded - j) % model.n_padded;
-    if (mirror != j && mirror != 0) model.bins.push_back(mirror);
-  }
+  model.bins = kept_bins(model.coeffs, harmonics);
   return model;
 }
 
@@ -143,7 +150,23 @@ bool bitwise_equal(const std::vector<T>& expected, std::span<const T> actual) {
          std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(T)) == 0;
 }
 
-enum class SeriesKind { kZero, kConstant, kSparsePoisson, kDenseDiurnal };
+// The last five shapes aim at the forecaster's fallbacks: a lone spike has
+// bins of near-equal magnitude (all inside the norm screen's margin); a
+// spike train whose period divides the fit size has exactly tied and
+// exactly zero bins (the full sort); counts past 2^900 take the checked
+// butterflies and overflow the norms (no screen); an inf and a NaN entry
+// give NaN keys; counts near 2^-500 put every norm below the screen's floor.
+enum class SeriesKind {
+  kZero,
+  kConstant,
+  kSparsePoisson,
+  kDenseDiurnal,
+  kSpike,
+  kPeriodic,
+  kHuge,
+  kNonFinite,
+  kTiny
+};
 
 std::vector<double> make_series(SeriesKind kind, std::size_t n) {
   util::Pcg32 rng(1000 + static_cast<std::uint64_t>(kind));
@@ -157,6 +180,15 @@ std::vector<double> make_series(SeriesKind kind, std::size_t n) {
       case SeriesKind::kDenseDiurnal:
         series[i] = util::poisson(rng, 20.0 + 15.0 * std::sin(day_phase));
         break;
+      case SeriesKind::kSpike: series[i] = i == 300 ? 7.0 : 0.0; break;
+      case SeriesKind::kPeriodic: series[i] = i % 8 == 0 ? 4.0 : (i % 8 == 3 ? 1.0 : 0.0); break;
+      case SeriesKind::kHuge: series[i] = 0x1p1000 * util::poisson(rng, 2.0); break;
+      case SeriesKind::kNonFinite:
+        series[i] = i == 200   ? std::numeric_limits<double>::infinity()
+                    : i == 450 ? std::numeric_limits<double>::quiet_NaN()
+                               : util::poisson(rng, 3.0);
+        break;
+      case SeriesKind::kTiny: series[i] = 0x1p-500 * util::poisson(rng, 3.0); break;
     }
   }
   return series;
@@ -168,6 +200,11 @@ std::string kind_name(const ::testing::TestParamInfo<SeriesKind>& info) {
     case SeriesKind::kConstant: return "constant";
     case SeriesKind::kSparsePoisson: return "sparse_poisson";
     case SeriesKind::kDenseDiurnal: return "dense_diurnal";
+    case SeriesKind::kSpike: return "spike";
+    case SeriesKind::kPeriodic: return "periodic";
+    case SeriesKind::kHuge: return "huge";
+    case SeriesKind::kNonFinite: return "non_finite";
+    case SeriesKind::kTiny: return "tiny";
   }
   return "unknown";
 }
@@ -389,6 +426,33 @@ TEST(Fft, PlanRejectsBadSizes) {
   EXPECT_THROW(plan.transform(too_long), std::invalid_argument);
 }
 
+TEST(HarmonicEvaluate, NanKeyAmongFiniteOnesTakesTheFullSort) {
+  // No transform of a series mixes NaN and finite magnitudes (a NaN or inf
+  // input reaches every bin), but evaluate() takes any spectrum. With keys
+  // 5, 3, NaN, 4, ... std::sort's insertion pass leaves 4 behind the NaN,
+  // so its top two are 5, 3, not the 5, 4 a selection would pick. At 32
+  // points std::sort is that insertion pass alone, which tolerates NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::complex<double>> coeffs(32, {0.0, 0.0});
+  const double keys[] = {5.0, 3.0, nan, 4.0};
+  for (std::size_t j = 1; j <= 16; ++j) {
+    coeffs[j] = {j <= 4 ? keys[j - 1] : 0.01 * static_cast<double>(j), 0.25};
+    coeffs[32 - j] = std::conj(coeffs[j]);
+  }
+  HarmonicForecaster forecaster(std::make_shared<const HarmonicPlan>(32, 0));
+  std::vector<double> out(8);
+  for (std::size_t harmonics = 0; harmonics <= 17; ++harmonics) {
+    const std::vector<std::size_t> bins = replica::kept_bins(coeffs, harmonics);
+    std::vector<double> expected(out.size());
+    for (std::size_t h = 0; h < out.size(); ++h) {
+      expected[h] = replica::evaluate_model(coeffs, bins, 32, static_cast<double>(32 + h));
+    }
+    forecaster.evaluate(coeffs, harmonics, 32, out);
+    ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out)))
+        << "harmonics=" << harmonics;
+  }
+}
+
 class HarmonicBitIdentity : public ::testing::TestWithParam<SeriesKind> {};
 
 TEST_P(HarmonicBitIdentity, ExtrapolateMatchesReplicaAtEveryLength) {
@@ -408,8 +472,10 @@ TEST_P(HarmonicBitIdentity, ExtrapolateMatchesReplicaAtEveryLength) {
       HarmonicForecaster& own =
           exact.try_emplace(n_fit, std::make_shared<const HarmonicPlan>(n_fit, horizon))
               .first->second;
-      for (const std::size_t harmonics :
-           {std::size_t{0}, std::size_t{1}, std::size_t{8}, std::size_t{1000}}) {
+      // n_fit/2 - 1 is the most harmonics the norm screen runs with; from
+      // n_fit/2 up every bin is kept and ranked.
+      for (const std::size_t harmonics : {std::size_t{0}, std::size_t{1}, std::size_t{8},
+                                          n_fit / 2 - (n_fit > 1), n_fit / 2, std::size_t{1000}}) {
         const std::vector<double> expected =
             replica::harmonic_extrapolate(series, harmonics, horizon);
         const auto where = [&] {
@@ -434,7 +500,8 @@ TEST_P(HarmonicBitIdentity, ReconstructMatchesReplica) {
   const std::vector<double> full = make_series(GetParam(), 600);
   for (std::size_t length = 1; length <= full.size(); length += 13) {
     const std::span<const double> series(full.data(), length);
-    for (const std::size_t harmonics : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+    for (const std::size_t harmonics :
+         {std::size_t{0}, std::size_t{1}, std::size_t{8}, std::size_t{1000}}) {
       ASSERT_TRUE(bitwise_equal(replica::harmonic_reconstruct(series, harmonics),
                                 std::span<const double>(harmonic_reconstruct(series, harmonics))))
           << "length=" << length << " harmonics=" << harmonics;
@@ -445,7 +512,9 @@ TEST_P(HarmonicBitIdentity, ReconstructMatchesReplica) {
 INSTANTIATE_TEST_SUITE_P(SeriesKinds, HarmonicBitIdentity,
                          ::testing::Values(SeriesKind::kZero, SeriesKind::kConstant,
                                            SeriesKind::kSparsePoisson,
-                                           SeriesKind::kDenseDiurnal),
+                                           SeriesKind::kDenseDiurnal, SeriesKind::kSpike,
+                                           SeriesKind::kPeriodic, SeriesKind::kHuge,
+                                           SeriesKind::kNonFinite, SeriesKind::kTiny),
                          kind_name);
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+
+#include "util/rng.hpp"
 
 namespace pulse::sim {
 namespace {
@@ -220,6 +225,55 @@ TEST_F(ScheduleTest, ScheduledEndBoundsTail) {
   schedule_.clear_from(0, 12);
   EXPECT_LE(schedule_.scheduled_end(0), 12);
   EXPECT_EQ(schedule_.variant_at(0, 11), 1);
+}
+
+// memory_at's inline conversion against the compiler's (libgcc's
+// __floatuntidf), bit for bit.
+TEST(U128ToDouble, MatchesStaticCastBitForBit) {
+  using U128 = unsigned __int128;
+  const auto check = [](U128 x, const std::string& what) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(u128_to_double(x)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(x)))
+        << what << " hi=" << static_cast<std::uint64_t>(x >> 64)
+        << " lo=" << static_cast<std::uint64_t>(x);
+  };
+  const U128 one = 1;
+  check(0, "zero");
+  check((one << 53) - 1, "2^53-1");
+  check((one << 53) + 1, "2^53+1");
+  check(~std::uint64_t{0}, "2^64-1");
+  check(one << 64, "2^64");
+  check((one << 64) + 1, "2^64+1");
+  check((one << 114) - 1, "2^114-1");
+  check(~U128{0}, "2^128-1");
+
+  // Round-half-even at every magnitude past 2^64: a 53-bit significand
+  // (odd or even) followed by exactly half an ulp, then with one extra bit
+  // at the bottom, which the 63-bit shift drops into the sticky bit.
+  for (int length = 65; length <= 128; ++length) {
+    const int low = length - 53;  // bits below the kept significand
+    for (const std::uint64_t significand :
+         {std::uint64_t{1} << 52, (std::uint64_t{1} << 52) | 1, (std::uint64_t{1} << 53) - 1}) {
+      const U128 base = static_cast<U128>(significand) << low;
+      const U128 half = one << (low - 1);
+      const std::string at = "length=" + std::to_string(length) + " significand=" +
+                             std::to_string(significand);
+      check(base, "exact " + at);
+      check(base | half, "tie " + at);
+      check(base | half | 1, "tie+sticky " + at);
+      check(base | 1, "below-half sticky " + at);
+      check(base | (half - 1), "just below half " + at);
+    }
+  }
+
+  util::Pcg32 rng(2024);
+  const auto u64 = [&] {
+    return (static_cast<std::uint64_t>(rng.next_u32()) << 32) | rng.next_u32();
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const U128 x = (static_cast<U128>(u64()) << 64) | u64();
+    check(x >> rng.bounded(128), "random " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -13,18 +13,6 @@
 namespace pulse::util {
 namespace {
 
-TEST(SplitMix64, Deterministic) {
-  SplitMix64 a(123);
-  SplitMix64 b(123);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(SplitMix64, DifferentSeedsDiffer) {
-  SplitMix64 a(1);
-  SplitMix64 b(2);
-  EXPECT_NE(a.next(), b.next());
-}
-
 TEST(Pcg32, DeterministicStream) {
   Pcg32 a(42, 7);
   Pcg32 b(42, 7);
