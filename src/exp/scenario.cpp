@@ -171,7 +171,11 @@ trace::Trace inject_flash_crowds(const trace::Trace& base,
       if (surge > 0.0) {
         util::Pcg32 rng(util::hash_u64(config.seed, kStreamCrowdSurge, f,
                                        static_cast<std::uint64_t>(t)));
-        c += static_cast<std::uint32_t>(util::poisson(rng, surge));
+        // Saturating: a huge surge_rate must not wrap the count.
+        const std::uint32_t fresh = static_cast<std::uint32_t>(util::poisson(rng, surge));
+        c = fresh > std::numeric_limits<std::uint32_t>::max() - c
+                ? std::numeric_limits<std::uint32_t>::max()
+                : c + fresh;
       }
       if (c > 0) out.set_count(f, t, c);
     }

@@ -88,7 +88,7 @@ void inject_global_peak(Trace& trace, Minute minute, Minute length, double inten
       if (t < 0 || t >= trace.duration()) continue;
       // 1 + Poisson keeps every function active during the peak — the
       // paper's peak windows have all 12 functions invoked.
-      const auto n = static_cast<std::uint32_t>(1 + util::poisson(rng, intensity));
+      const std::uint32_t n = 1u + static_cast<std::uint32_t>(util::poisson(rng, intensity));
       trace.add_invocations(f, t, n);
     }
   }

@@ -8,10 +8,10 @@
 // paths: Pcg32 is smaller, faster, and its output is stable across standard
 // library implementations, which std::distributions are not.
 
-#include <cstdint>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <numbers>
 
 namespace pulse::util {
 
@@ -117,14 +117,74 @@ inline constexpr std::uint64_t kAccuracyStream = 0x0acc'0117;
          (1.0 / 9007199254740992.0);  // 2^53
 }
 
-/// Standard normal via Box-Muller (no cached second value: keeps the
-/// generator state a pure function of the call count).
+namespace detail {
+
+/// The 256-layer ziggurat for the standard normal (Marsaglia & Tsang
+/// 2000) in its 64-bit form (52-bit magnitudes, as NumPy draws): layer 0
+/// is the base strip plus the tail beyond kR, layers 1..255 the boxes
+/// stacked above it, each of area kV. Built once from the closed-form
+/// recurrence; no draw runs any setup.
+struct NormalZiggurat {
+  static constexpr double kR = 3.6541528853610088;  // start of the tail
+  static constexpr double kV = 0.00492867323399;    // area of every layer
+  std::uint64_t k[256]{};  // magnitude below which layer i accepts outright
+  double w[256]{};         // layer i's x per magnitude unit
+  double f[256]{};         // exp(-x_i^2 / 2) at layer i's outer edge
+
+  NormalZiggurat() noexcept {
+    constexpr double kM = 0x1p52;
+    double x = kR;
+    const double q = kV / std::exp(-0.5 * x * x);
+    k[0] = static_cast<std::uint64_t>(x / q * kM);
+    k[1] = 0;  // the top layer has no inner box: every draw there takes the wedge test
+    w[0] = q / kM;
+    w[255] = x / kM;
+    f[0] = 1.0;
+    f[255] = std::exp(-0.5 * x * x);
+    for (int i = 254; i >= 1; --i) {
+      const double inner = std::sqrt(-2.0 * std::log(kV / x + std::exp(-0.5 * x * x)));
+      k[i + 1] = static_cast<std::uint64_t>(inner / x * kM);
+      x = inner;
+      f[i] = std::exp(-0.5 * x * x);
+      w[i] = x / kM;
+    }
+  }
+};
+
+}  // namespace detail
+
+/// Normal draw by the ziggurat above. One 64-bit word (two next_u32)
+/// gives the layer (low 8 bits), the sign (bit 8) and a 52-bit magnitude;
+/// about 98.5% of draws return from the first comparison, with no libm
+/// call. The rest pay one `exp` (the wedge test) or `log1p` (the tail)
+/// and consume further words, so the generator state is not a function
+/// of the call count: it is a pure function of the stream's history,
+/// and both simulators draw each function's stream in serving order.
 inline double normal(Pcg32& rng, double mean = 0.0, double stddev = 1.0) {
-  double u1 = rng.uniform();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double u2 = rng.uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
+  static const detail::NormalZiggurat z;
+  for (;;) {
+    const std::uint64_t hi = rng.next_u32();
+    const std::uint64_t lo = rng.next_u32();
+    const std::uint64_t word = (hi << 32) | lo;
+    const std::size_t layer = word & 0xffu;
+    const bool negative = (word >> 8) & 1u;
+    const std::uint64_t magnitude = (word >> 9) & 0x000f'ffff'ffff'ffffULL;
+    const double x = static_cast<double>(magnitude) * z.w[layer];
+    if (magnitude < z.k[layer]) return mean + stddev * (negative ? -x : x);
+    if (layer == 0) {
+      // The tail beyond kR (Marsaglia 1964), from 1 - U so log1p never sees -1.
+      for (;;) {
+        const double tx = -std::log1p(-rng.uniform()) / detail::NormalZiggurat::kR;
+        const double ty = -std::log1p(-rng.uniform());
+        if (ty + ty > tx * tx) {
+          const double t = detail::NormalZiggurat::kR + tx;
+          return mean + stddev * (negative ? -t : t);
+        }
+      }
+    }
+    const double y = z.f[layer] + (z.f[layer - 1] - z.f[layer]) * rng.uniform();
+    if (y < std::exp(-0.5 * x * x)) return mean + stddev * (negative ? -x : x);
+  }
 }
 
 /// Lognormal with given *underlying* normal mu/sigma.
@@ -155,12 +215,16 @@ inline double lognormal(Pcg32& rng, const LognormalParams& p) {
   return p.random ? lognormal(rng, p.mu, p.sigma) : p.constant;
 }
 
-/// Poisson sample. Knuth for small lambda, normal approximation above 64.
+/// Poisson sample. Knuth for small lambda, normal approximation above 64,
+/// saturating at INT_MAX (lambda = +inf included): never negative.
 inline int poisson(Pcg32& rng, double lambda) {
   if (lambda <= 0.0) return 0;
   if (lambda > 64.0) {
-    const double v = normal(rng, lambda, std::sqrt(lambda));
-    return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
+    const double v = normal(rng, lambda, std::sqrt(lambda)) + 0.5;
+    if (v < 0.5) return 0;
+    // !(v < 2^31) also catches the NaN that inf - inf gives at lambda = +inf.
+    if (!(v < 2147483648.0)) return std::numeric_limits<int>::max();
+    return static_cast<int>(v);
   }
   const double limit = std::exp(-lambda);
   double prod = rng.uniform();

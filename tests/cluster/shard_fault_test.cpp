@@ -412,8 +412,8 @@ std::uint64_t obs_fingerprint(const PinnedRun& run) {
 }
 
 TEST(ShardFaultCluster, PinnedCrashRecoveryRun) {
-  constexpr std::uint64_t kPinnedState = 1518108721987404545ULL;
-  constexpr std::uint64_t kPinnedObs = 1827741692648418091ULL;
+  constexpr std::uint64_t kPinnedState = 16210650350184474981ULL;
+  constexpr std::uint64_t kPinnedObs = 2946540619776725319ULL;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     PinnedRun run;
     run_pinned(run, threads);

@@ -6,13 +6,20 @@
 //     bit-for-bit. Any change to schedule bookkeeping, summation order, or
 //     RNG consumption shows up here before it can silently shift paper
 //     numbers.
-// (b) Thread-count invariance: run_ensemble must produce identical results
+// (b) Deterministic-latency fixtures: the same cases with every service
+//     time at its expectation, on the engine and on the container
+//     simulator. Nothing in them reads a latency draw.
+// (c) Thread-count invariance: run_ensemble must produce identical results
 //     for 1 thread, 4 threads, and hardware concurrency.
 //
 // Regenerating fixtures (only when an *intentional* behaviour change is
 // made): run with PULSE_PRINT_GOLDEN=1 and paste the printed table into
-// golden_fixtures.inc. Never regenerate to "fix" an optimization PR — an
-// optimization must reproduce the old fingerprints exactly.
+// golden_fixtures.inc. Never regenerate to "fix" an optimization — an
+// optimization must reproduce the old fingerprints exactly. Replacing the
+// jitter sampler's algorithm (Box-Muller gave way to a ziggurat) is an
+// intentional change to the draws: it may re-pin golden_fixtures.inc only
+// while (b) stays bit-equal, which shows that nothing but the sampled
+// service times moved.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +29,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "platform/platform.hpp"
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
 #include "sim/ensemble.hpp"
@@ -77,6 +85,32 @@ std::uint64_t fingerprint(const RunResult& r) {
   return fp.value();
 }
 
+/// The container simulator's PlatformResult (every counter, both totals,
+/// the memory series) as one hash.
+std::uint64_t fingerprint(const platform::PlatformResult& r) {
+  Fingerprint fp;
+  fp.add_double(r.total_service_time_s);
+  fp.add_double(r.total_cost_usd);
+  fp.add_double(r.accuracy_pct_sum);
+  fp.add_u64(r.invocations);
+  fp.add_u64(r.warm_starts);
+  fp.add_u64(r.cold_starts);
+  fp.add_u64(r.scale_out_cold_starts);
+  fp.add_u64(r.containers_created);
+  fp.add_u64(r.prewarm_starts);
+  fp.add_u64(r.peak_containers);
+  fp.add_u64(r.downgrades);
+  fp.add_u64(r.faults.failed_invocations);
+  fp.add_u64(r.faults.retries);
+  fp.add_u64(r.faults.timeouts);
+  fp.add_u64(r.faults.crash_evictions);
+  fp.add_u64(r.faults.capacity_evictions);
+  fp.add_u64(r.faults.degraded_minutes);
+  fp.add_u64(r.faults.guard_incidents);
+  for (double v : r.memory_mb) fp.add_double(v);
+  return fp.value();
+}
+
 struct GoldenCase {
   const char* policy;
   std::uint64_t seed;
@@ -101,35 +135,71 @@ constexpr GoldenExpectation kExpected[] = {
 #include "golden_fixtures.inc"
 };
 
-RunResult golden_run(const GoldenCase& c) {
+/// The deployments point into it, so it outlives every case.
+const models::ModelZoo& golden_zoo() {
+  static const models::ModelZoo zoo = models::ModelZoo::builtin();
+  return zoo;
+}
+
+/// One golden case's inputs, shared by the engine and the container
+/// simulator.
+struct GoldenSetup {
+  trace::Workload workload;
+  Deployment deployment;
+  std::uint64_t seed = 0;
+  double memory_capacity_mb = 0.0;
+  fault::FaultConfig faults{};
+};
+
+GoldenSetup golden_setup(const GoldenCase& c) {
   trace::WorkloadConfig wc;
   wc.function_count = 16;
   wc.duration = 1440;  // one day is enough to exercise every code path
   wc.seed = c.seed;
-  const trace::Workload workload = trace::build_azure_like_workload(wc);
+  GoldenSetup s{trace::build_azure_like_workload(wc),
+                Deployment::round_robin(golden_zoo(), wc.function_count)};
+  s.seed = c.seed * 7919 + 17;
+  // Tight enough that capacity eviction fires regularly.
+  s.memory_capacity_mb = s.deployment.peak_highest_memory_mb() * 0.35;
+  if (c.faults) {
+    s.faults.crash_rate = 0.02;
+    s.faults.cold_start_failure_rate = 0.10;
+    s.faults.slo_multiplier = 3.0;
+    s.faults.memory_pressure_rate = 0.05;
+    s.faults.memory_pressure_capacity_mb = s.deployment.peak_highest_memory_mb() * 0.25;
+  }
+  return s;
+}
 
-  const models::ModelZoo zoo = models::ModelZoo::builtin();
-  const Deployment deployment = Deployment::round_robin(zoo, wc.function_count);
-
+RunResult golden_run(const GoldenCase& c, bool deterministic_latency = false) {
+  const GoldenSetup s = golden_setup(c);
   EngineConfig config;
-  config.seed = c.seed * 7919 + 17;
+  config.seed = s.seed;
   config.record_series = true;
   config.record_per_function = true;
   config.record_service_samples = true;
   config.bernoulli_accuracy = true;
-  // Tight enough that capacity eviction fires regularly.
-  config.memory_capacity_mb = deployment.peak_highest_memory_mb() * 0.35;
-  if (c.faults) {
-    config.faults.crash_rate = 0.02;
-    config.faults.cold_start_failure_rate = 0.10;
-    config.faults.slo_multiplier = 3.0;
-    config.faults.memory_pressure_rate = 0.05;
-    config.faults.memory_pressure_capacity_mb = deployment.peak_highest_memory_mb() * 0.25;
-  }
+  config.deterministic_latency = deterministic_latency;
+  config.memory_capacity_mb = s.memory_capacity_mb;
+  config.faults = s.faults;
 
-  SimulationEngine engine(deployment, workload.trace, config);
+  SimulationEngine engine(s.deployment, s.workload.trace, config);
   auto policy = policies::make_policy(c.policy);
   return engine.run(*policy);
+}
+
+platform::PlatformResult golden_platform_run(const GoldenCase& c) {
+  const GoldenSetup s = golden_setup(c);
+  platform::PlatformConfig config;
+  config.seed = s.seed;
+  config.record_series = true;
+  config.deterministic_latency = true;
+  config.memory_capacity_mb = s.memory_capacity_mb;
+  config.faults = s.faults;
+
+  platform::PlatformSimulator sim(s.deployment, s.workload.trace, config);
+  auto policy = policies::make_policy(c.policy);
+  return sim.run(*policy);
 }
 
 TEST(GoldenFixtures, RunResultBitwiseStable) {
@@ -158,6 +228,36 @@ TEST(GoldenFixtures, RunResultBitwiseStable) {
     EXPECT_EQ(r.invocations, e.invocations);
     EXPECT_EQ(r.capacity_evictions, e.capacity_evictions);
     EXPECT_EQ(fingerprint(r), e.fingerprint);
+  }
+}
+
+struct DeterministicGolden {
+  std::uint64_t engine;
+  std::uint64_t platform;
+};
+
+constexpr DeterministicGolden kDeterministicExpected[] = {
+#include "golden_deterministic_fixtures.inc"
+};
+
+TEST(GoldenFixtures, DeterministicLatencyBitwiseStable) {
+  const bool regen = std::getenv("PULSE_PRINT_GOLDEN") != nullptr;
+  static_assert(std::size(kCases) == std::size(kDeterministicExpected));
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    const GoldenCase& c = kCases[i];
+    SCOPED_TRACE(std::string(c.policy) + " seed=" + std::to_string(c.seed) +
+                 (c.faults ? " faults" : " no-faults"));
+    const std::uint64_t engine = fingerprint(golden_run(c, /*deterministic_latency=*/true));
+    const std::uint64_t platform = fingerprint(golden_platform_run(c));
+    if (regen) {
+      std::printf("    {0x%016llxULL, 0x%016llxULL},  // %s seed=%llu %s\n",
+                  static_cast<unsigned long long>(engine),
+                  static_cast<unsigned long long>(platform), c.policy,
+                  static_cast<unsigned long long>(c.seed), c.faults ? "faults" : "no-faults");
+      continue;
+    }
+    EXPECT_EQ(engine, kDeterministicExpected[i].engine);
+    EXPECT_EQ(platform, kDeterministicExpected[i].platform);
   }
 }
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "models/zoo.hpp"
 #include "policies/fixed_keepalive.hpp"
 
 namespace pulse::sim {
@@ -276,6 +280,77 @@ TEST(EngineStreams, FunctionMetricsIgnoreOtherFunctions) {
             std::bit_cast<std::uint64_t>(y.service_time_s));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(x.accuracy_pct_sum),
             std::bit_cast<std::uint64_t>(y.accuracy_pct_sum));
+}
+
+/// Keeps nothing alive and cold-starts minute t with the variant of class
+/// t % classes: each minute's first invocation is cold, the rest warm.
+class VariantPerMinutePolicy final : public KeepAlivePolicy {
+ public:
+  explicit VariantPerMinutePolicy(std::vector<std::size_t> variant_of_class)
+      : variant_of_class_(std::move(variant_of_class)) {}
+  [[nodiscard]] std::string name() const override { return "variant-per-minute"; }
+  void on_invocation(trace::FunctionId, trace::Minute, KeepAliveSchedule&) override {}
+  [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId, trace::Minute t,
+                                               const Deployment&) const override {
+    return variant_of_class_[static_cast<std::size_t>(t) % variant_of_class_.size()];
+  }
+
+ private:
+  std::vector<std::size_t> variant_of_class_;
+};
+
+// The sampled jitter is unbiased where it is spent: over a long run, the
+// mean service time of every (variant, warm/cold) of the builtin zoo lies
+// within 4.5 standard errors of expected_service_time, the standard error
+// following from the latency model's CVs (a cold time is an independent
+// warm draw plus a cold-start draw).
+TEST(EngineJitter, MeanServiceTimePerVariantMatchesExpectation) {
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  const Deployment d = Deployment::round_robin(zoo, zoo.family_count());
+  std::vector<trace::FunctionId> function_of_class;
+  std::vector<std::size_t> variant_of_class;
+  for (std::size_t f = 0; f < zoo.family_count(); ++f) {
+    for (std::size_t v = 0; v < zoo.family(f).variant_count(); ++v) {
+      function_of_class.push_back(f);
+      variant_of_class.push_back(v);
+    }
+  }
+  const std::size_t classes = variant_of_class.size();
+  constexpr std::size_t kMinutesPerClass = 1500;
+  constexpr std::uint32_t kPerMinute = 16;  // 1 cold + 15 warm
+  trace::Trace t(zoo.family_count(), static_cast<trace::Minute>(classes * kMinutesPerClass));
+  for (trace::Minute m = 0; m < t.duration(); ++m) {
+    t.set_count(function_of_class[static_cast<std::size_t>(m) % classes], m, kPerMinute);
+  }
+
+  EngineConfig config;
+  config.seed = 29;
+  config.record_service_samples = true;
+  VariantPerMinutePolicy policy(variant_of_class);
+  const RunResult r = SimulationEngine(d, t, config).run(policy);
+  ASSERT_EQ(r.cold_starts, static_cast<std::uint64_t>(t.duration()));
+  ASSERT_EQ(r.service_time_samples.size(), static_cast<std::size_t>(t.duration()) * kPerMinute);
+
+  std::vector<double> cold_sum(classes, 0.0), warm_sum(classes, 0.0);
+  for (std::size_t m = 0; m < static_cast<std::size_t>(t.duration()); ++m) {
+    const double* s = &r.service_time_samples[m * kPerMinute];
+    cold_sum[m % classes] += s[0];
+    for (std::uint32_t i = 1; i < kPerMinute; ++i) warm_sum[m % classes] += s[i];
+  }
+  const double warm_cv = config.latency.warm_cv();
+  const double cold_cv = config.latency.cold_cv();
+  for (std::size_t c = 0; c < classes; ++c) {
+    const models::ModelVariant& v = zoo.family(function_of_class[c]).variant(variant_of_class[c]);
+    SCOPED_TRACE(zoo.family(function_of_class[c]).name() + "/" + v.name);
+    const double warm_n = static_cast<double>(kMinutesPerClass * (kPerMinute - 1));
+    const double warm_sd = warm_cv * v.warm_service_time_s;
+    EXPECT_NEAR(warm_sum[c] / warm_n, models::LatencyModel::expected_service_time(v, false),
+                4.5 * warm_sd / std::sqrt(warm_n));
+    const double cold_n = static_cast<double>(kMinutesPerClass);
+    const double cold_sd = std::hypot(warm_sd, cold_cv * v.cold_start_time_s);
+    EXPECT_NEAR(cold_sum[c] / cold_n, models::LatencyModel::expected_service_time(v, true),
+                4.5 * cold_sd / std::sqrt(cold_n));
+  }
 }
 
 TEST(RunResultHelpers, ImprovementPct) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pulse::trace {
 namespace {
 
@@ -94,6 +96,18 @@ TEST(InjectGlobalPeak, RaisesEveryFunction) {
     EXPECT_GE(t.count(f, 50), 1u);
     EXPECT_GE(t.count(f, 51), 1u);
     EXPECT_EQ(t.count(f, 52), 0u);
+  }
+}
+
+TEST(InjectGlobalPeak, InfiniteIntensitySaturatesInsteadOfWrapping) {
+  // Poisson(+inf) saturates at INT_MAX; 1 + that fits a uint32 count.
+  Trace t(2, 4);
+  util::Pcg32 rng(3);
+  inject_global_peak(t, 1, 2, std::numeric_limits<double>::infinity(), rng);
+  for (FunctionId f = 0; f < 2; ++f) {
+    EXPECT_EQ(t.count(f, 1), 2147483648u);
+    EXPECT_EQ(t.count(f, 2), 2147483648u);
+    EXPECT_EQ(t.count(f, 3), 0u);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -96,6 +97,66 @@ TEST(Distributions, NormalMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+// The ziggurat's distribution, on one fixed stream of 10^6 draws. The
+// bounds follow from the sample size alone: the Kolmogorov-Smirnov 1%
+// critical value 1.628 / sqrt(n), and 4-sigma binomial intervals.
+constexpr int kZigguratDraws = 1'000'000;
+
+const std::vector<double>& ziggurat_draws() {
+  static const std::vector<double> xs = [] {
+    Pcg32 rng(0x2166'0013, 3);
+    std::vector<double> v(kZigguratDraws);
+    for (double& x : v) x = normal(rng);
+    return v;
+  }();
+  return xs;
+}
+
+// `count` lies within 4 sigma of a Binomial(n, p) mean.
+void expect_binomial(std::size_t count, double n, double p, const char* what) {
+  const double sd = std::sqrt(n * p * (1.0 - p));
+  EXPECT_NEAR(static_cast<double>(count), n * p, 4.0 * sd) << what;
+}
+
+TEST(Ziggurat, KolmogorovSmirnovAgainstPhi) {
+  std::vector<double> xs = ziggurat_draws();
+  std::sort(xs.begin(), xs.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double phi = 0.5 * std::erfc(-xs[i] / std::sqrt(2.0));
+    const double lo = static_cast<double>(i) / kZigguratDraws;
+    const double hi = static_cast<double>(i + 1) / kZigguratDraws;
+    d = std::max({d, phi - lo, hi - phi});
+  }
+  EXPECT_LT(d, 1.628 / std::sqrt(static_cast<double>(kZigguratDraws)));
+}
+
+TEST(Ziggurat, TailBeyondRHasNormalMassOnBothSides) {
+  // Only the tail branch returns |x| >= r: every other layer's x < r.
+  constexpr double kR = detail::NormalZiggurat::kR;
+  const double p_side = 0.5 * std::erfc(kR / std::sqrt(2.0));  // 1.29e-4
+  std::size_t above = 0, below = 0;
+  for (const double x : ziggurat_draws()) {
+    above += x >= kR;
+    below += x <= -kR;
+  }
+  expect_binomial(above + below, kZigguratDraws, 2.0 * p_side,
+                  "two-sided mass beyond r (2.58e-4)");
+  expect_binomial(above, static_cast<double>(above + below), 0.5, "tail sign balance");
+}
+
+TEST(Ziggurat, SignsAreSymmetric) {
+  std::size_t negative = 0, beyond_one_neg = 0, beyond_one_pos = 0;
+  for (const double x : ziggurat_draws()) {
+    negative += x < 0.0;
+    beyond_one_neg += x < -1.0;
+    beyond_one_pos += x > 1.0;
+  }
+  expect_binomial(negative, kZigguratDraws, 0.5, "negative draws");
+  expect_binomial(beyond_one_neg, static_cast<double>(beyond_one_neg + beyond_one_pos), 0.5,
+                  "|x| > 1 sign balance");
+}
+
 TEST(Distributions, LognormalMeanCvMatchesTarget) {
   Pcg32 rng(21);
   double sum = 0.0;
@@ -163,6 +224,21 @@ TEST(Distributions, PoissonZeroLambdaIsZero) {
 TEST(Distributions, PoissonNeverNegative) {
   Pcg32 rng(26);
   for (int i = 0; i < 10000; ++i) EXPECT_GE(poisson(rng, 2.5), 0);
+}
+
+TEST(Distributions, PoissonSaturatesAtIntMaxForHugeLambda) {
+  // The normal branch's mean (1e12) or its NaN (inf - inf at +inf) is far
+  // past int: the count saturates instead of a float-to-int overflow.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  Pcg32 rng(30);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(poisson(rng, 1e12), kMax);
+    EXPECT_EQ(poisson(rng, std::numeric_limits<double>::infinity()), kMax);
+  }
+  // 22 sigma below INT_MAX: an ordinary draw, not clipped.
+  const int below = poisson(rng, 2147483648.0 - 1048576.0);
+  EXPECT_GT(below, 0);
+  EXPECT_LT(below, kMax);
 }
 
 TEST(Distributions, ParetoAtLeastScale) {
