@@ -80,7 +80,6 @@ double run_mode(Mode mode, const sim::Deployment& deployment, const trace::Trace
   std::unique_ptr<obs::EventCollector> collector;
   if (mode == Mode::kSink || mode == Mode::kFull) {
     collector = std::make_unique<obs::EventCollector>(sink, 1);
-    collector->lane(0).begin_stream(0);
     config.observer.sink = &collector->lane(0);
   }
   if (mode == Mode::kMetrics || mode == Mode::kFull) config.observer.metrics = &registry;

@@ -18,14 +18,13 @@ void print_table1() {
                        "PULSE paper, Table I (+ Table IV families)");
 
   const models::ModelZoo zoo = models::ModelZoo::builtin();
-  const sim::CostModel cost;
 
   util::TextTable table({"Model", "Service Time w/ Warmup (s)", "Cold Start (s)",
                          "Keep-Alive Cost (cents/h)", "Accuracy (%)", "Memory (MB)"});
   for (const auto& family : zoo.families()) {
     for (const auto& v : family.variants()) {
       table.add_row({v.name, util::fmt(v.warm_service_time_s), util::fmt(v.cold_start_time_s),
-                     util::fmt(cost.cents_per_hour(v)), util::fmt(v.accuracy_pct),
+                     util::fmt(sim::cents_per_hour(v)), util::fmt(v.accuracy_pct),
                      util::fmt(v.memory_mb, 0)});
     }
     table.add_separator();
@@ -37,13 +36,14 @@ void print_table1() {
       "documented synthesis (DESIGN.md section 1).\n");
 }
 
+// The prepared draw both simulators run per served invocation.
 void BM_LatencySample(benchmark::State& state, bool cold) {
   const models::ModelZoo zoo = models::ModelZoo::builtin();
-  const models::ModelVariant& v = zoo.family_by_name("GPT").highest();
-  const models::LatencyModel latency;
+  const models::LatencyModel::Prepared prepared =
+      models::LatencyModel().prepare(zoo.family_by_name("GPT").highest());
   util::Pcg32 rng(cold ? 2 : 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(latency.sample_service_time(v, cold, rng));
+    benchmark::DoNotOptimize(models::LatencyModel::sample(prepared, cold, rng));
   }
 }
 BENCHMARK_CAPTURE(BM_LatencySample, warm, false);

@@ -177,8 +177,7 @@ int run_replay(const std::string& path) {
   std::printf("  cold starts: %llu\n",
               static_cast<unsigned long long>(replay.total_cold_starts()));
   if (replay.minute_samples > 0) {
-    std::printf("  keep-alive cost (default cost model): $%.4f\n",
-                replay.total_keepalive_cost_usd());
+    std::printf("  keep-alive cost: $%.4f\n", replay.total_keepalive_cost_usd());
     std::printf("  peak keep-alive memory: %.1f MB\n", replay.peak_memory_mb());
     if (replay.minute_samples < static_cast<std::uint64_t>(replay.duration)) {
       std::printf("  (%llu of %lld minutes carried a sample; unsampled minutes cost $0)\n",

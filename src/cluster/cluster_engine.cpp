@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/collector.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pulse::cluster {
@@ -163,8 +164,7 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   std::unique_ptr<obs::EventCollector> collector;
   obs::Observer coord_obs = user_obs;  // coordinator-side emits (crash/rebalance)
   if (user_obs.sink != nullptr) {
-    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, n + 1, config_.obs);
-    for (std::size_t s = 0; s <= n; ++s) collector->lane(s).begin_stream(s);
+    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, n + 1);
     coord_obs.sink = &collector->lane(n);
   }
 

@@ -42,7 +42,6 @@
 #include "cluster/market.hpp"
 #include "cluster/partition.hpp"
 #include "fault/shard_faults.hpp"
-#include "obs/collector.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/deployment.hpp"
 #include "sim/engine.hpp"
@@ -76,14 +75,6 @@ struct ClusterConfig {
   /// barrier, so market.rebalance_interval is also the detection cadence
   /// even when the market itself is off.
   fault::ShardFaultConfig shard_faults{};
-
-  /// An attached TraceSink always sits behind an obs::EventCollector: lane
-  /// s carries shard s's events, lane `shards` carries the coordinator's
-  /// (crash / recovery / rebalance). Shard→lane mapping is fixed, so the
-  /// canonical feed order — and therefore a RingBufferSink's retained
-  /// window — is identical for any thread count. This sets that transport's
-  /// deterministic sampling (ignored unless a sink is attached).
-  obs::ObsConfig obs{};
 };
 
 /// One shard crash and its recovery, as the cluster engine observed them.

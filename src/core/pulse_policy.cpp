@@ -39,7 +39,7 @@ void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Tra
 
 trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
   if (!config_.adaptive_window) return config_.keepalive_window;
-  const auto tail = pulse_.trackers().at(f).gap_percentile(config_.adaptive_window_percentile);
+  const auto tail = pulse_.trackers().at(f).gap_percentile(kAdaptiveWindowPercentile);
   if (!tail) return config_.keepalive_window;
   return std::clamp<trace::Minute>(static_cast<trace::Minute>(*tail), 1,
                                    config_.max_adaptive_window);

@@ -43,9 +43,11 @@ class PulsePolicy : public sim::KeepAlivePolicy {
     /// distribution — clamp(p-quantile of observed gaps, 1,
     /// max_adaptive_window) — instead of the fixed keepalive_window.
     bool adaptive_window = false;
-    double adaptive_window_percentile = 0.95;
     trace::Minute max_adaptive_window = 30;
   };
+
+  /// The gap quantile p an adaptive window follows.
+  static constexpr double kAdaptiveWindowPercentile = 0.95;
 
   PulsePolicy();  // default Config
   explicit PulsePolicy(Config config);

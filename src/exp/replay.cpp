@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/trace_sink.hpp"
+#include "sim/cost_model.hpp"
 
 namespace pulse::exp {
 
@@ -121,12 +122,12 @@ void replay_event(ReplayResult& result, const obs::TraceEvent& event) {
   }
 }
 
-double ReplayResult::total_keepalive_cost_usd(const sim::CostModel& cost) const noexcept {
+double ReplayResult::total_keepalive_cost_usd() const noexcept {
   // Same accumulation the engine performs: one minute of keep-alive at each
   // minute's resident MB, summed in minute order — bit-identical to
   // RunResult::total_keepalive_cost_usd when every minute carried a sample.
   double total = 0.0;
-  for (const double mb : memory_mb) total += cost.keepalive_cost_usd(mb, 1.0);
+  for (const double mb : memory_mb) total += sim::keepalive_cost_usd(mb, 1.0);
   return total;
 }
 

@@ -7,22 +7,21 @@
 // anchor the keep-alive memory curve — one sample per simulated minute with
 // the end-of-minute resident MB and alive container count. Everything else
 // (cold starts, evictions, faults) is counted from the typed events
-// directly. Costing the memory curve through the same sim::CostModel the
-// run used reproduces RunResult::total_keepalive_cost_usd exactly: the
+// directly. Costing the memory curve at sim::kCentsPerMbHour, the rate
+// every run uses, reproduces RunResult::total_keepalive_cost_usd exactly: the
 // engine accrues cost as memory_mb(t) * 1 minute, which is precisely what
 // the samples carry, and %.17g round-trips doubles bit-exactly.
 //
 // The parser accepts exactly the schema obs::format_event_jsonl emits. A
 // malformed or unknown-type line is skipped and counted, never fatal — the
-// replayer is a forensic tool and partial streams (truncated files, sampled
-// runs) are expected inputs.
+// replayer is a forensic tool and partial (truncated) streams are expected
+// inputs.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/event.hpp"
-#include "sim/cost_model.hpp"
 
 namespace pulse::exp {
 
@@ -67,10 +66,8 @@ struct ReplayResult {
 
   /// Cost of the reconstructed memory curve: sum over minutes of one
   /// minute's keep-alive at that minute's resident MB. Equals the run's
-  /// total_keepalive_cost_usd when every minute carried a sample and `cost`
-  /// matches the run's cost model.
-  [[nodiscard]] double total_keepalive_cost_usd(
-      const sim::CostModel& cost = sim::CostModel()) const noexcept;
+  /// total_keepalive_cost_usd when every minute carried a sample.
+  [[nodiscard]] double total_keepalive_cost_usd() const noexcept;
 
   /// Peak of the reconstructed memory curve (0 for an empty stream).
   [[nodiscard]] double peak_memory_mb() const noexcept;

@@ -6,10 +6,7 @@
 namespace pulse::fault {
 
 GuardedPolicy::GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner)
-    : GuardedPolicy(std::move(inner), Config{}) {}
-
-GuardedPolicy::GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner, Config config)
-    : inner_(std::move(inner)), config_(config) {
+    : inner_(std::move(inner)) {
   if (!inner_) throw std::invalid_argument("GuardedPolicy: inner policy is null");
 }
 
@@ -68,7 +65,7 @@ void GuardedPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
     }
   }
   const auto& family = schedule.deployment().family_of(f);
-  schedule.fill(f, t + 1, t + 1 + config_.fallback_window,
+  schedule.fill(f, t + 1, t + 1 + trace::kKeepAliveWindow,
                 static_cast<int>(family.highest_index()));
 }
 

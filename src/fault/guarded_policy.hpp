@@ -19,13 +19,7 @@ namespace pulse::fault {
 
 class GuardedPolicy : public sim::KeepAlivePolicy {
  public:
-  struct Config {
-    /// Window the fallback schedules after each invocation, minutes.
-    trace::Minute fallback_window = trace::kKeepAliveWindow;
-  };
-
-  explicit GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner);  // default Config
-  GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner, Config config);
+  explicit GuardedPolicy(std::unique_ptr<sim::KeepAlivePolicy> inner);
 
   [[nodiscard]] std::string name() const override;
 
@@ -60,7 +54,6 @@ class GuardedPolicy : public sim::KeepAlivePolicy {
   void record_incident(trace::Minute t, const char* what) const;
 
   std::unique_ptr<sim::KeepAlivePolicy> inner_;
-  Config config_;
   // cold_start_variant() is const on the interface but must still be able
   // to trip the guard, hence mutable incident state.
   mutable std::uint64_t incidents_ = 0;

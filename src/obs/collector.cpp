@@ -1,45 +1,11 @@
 #include "obs/collector.hpp"
 
-#include "util/rng.hpp"
-
 namespace pulse::obs {
 
-namespace {
-
-/// Hash stream tag of the sampling decisions (disjoint from every engine
-/// and fault stream tag; see util::hash_u64).
-constexpr std::uint64_t kSampleStream = 0x5a3b'1e00;
-
-}  // namespace
-
-EventLane::EventLane(TraceSink& downstream, std::size_t id, std::size_t retain,
-                     const ObsConfig& config)
-    : downstream_(&downstream),
-      retain_(retain),
-      sample_seed_(config.sample_seed),
-      every_(config.sample_every),
-      stream_key_(id) {
-  for (const std::uint32_t e : every_) {
-    if (e > 1) sampling_active_ = true;
-  }
-}
+EventLane::EventLane(TraceSink& downstream, std::size_t retain)
+    : downstream_(&downstream), retain_(retain) {}
 
 void EventLane::record(const TraceEvent& event) {
-  const auto type = static_cast<std::size_t>(event.type);
-  if (sampling_active_) {
-    const std::uint32_t every = every_[type];
-    if (every > 1) {
-      // Counter-hash selection: a pure function of (sample seed, type,
-      // stream key, per-type ordinal), so the kept subset is identical for
-      // any thread count.
-      const std::uint64_t n = ordinal_[type]++;
-      if (util::hash_u64(sample_seed_, kSampleStream ^ type, stream_key_, n) % every != 0) {
-        ++sampled_out_[type];
-        ++sampled_out_total_;
-        return;
-      }
-    }
-  }
   ++produced_;
   if (retain_ == 0) {
     buffer_.push_back(event);
@@ -61,7 +27,7 @@ void EventLane::feed_downstream() {
   buffer_.clear();
 }
 
-EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes, ObsConfig config) {
+EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes) {
   if (lanes == 0) lanes = 1;
   std::size_t retain = 0;
   if (downstream.drain_mode() == TraceSink::DrainMode::kCanonical) {
@@ -70,7 +36,7 @@ EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes, ObsConf
   }
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::unique_ptr<EventLane>(new EventLane(downstream, i, retain, config)));
+    lanes_.push_back(std::unique_ptr<EventLane>(new EventLane(downstream, retain)));
   }
 }
 
@@ -94,12 +60,6 @@ void EventCollector::finish() {
 std::uint64_t EventCollector::produced() const noexcept {
   std::uint64_t total = 0;
   for (const auto& lane : lanes_) total += lane->produced();
-  return total;
-}
-
-std::uint64_t EventCollector::sampled_out() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->sampled_out();
   return total;
 }
 

@@ -3,9 +3,8 @@
 // thread (engine, cluster shard, ensemble worker slot) in front of a shared
 // downstream sink.
 //
-//   EventLane::record():
-//     deterministic sampling check (counter-hash)
-//     push into the lane's own buffer — no lock, no atomic, no thread
+//   EventLane::record(): push into the lane's own buffer — no lock, no
+//   atomic, no thread
 //
 // Each lane buffers into a util::RingBuffer that only its producer touches
 // until finish(). What that buffer holds depends on the sink:
@@ -26,12 +25,6 @@
 //     interleave in whole batches (the sink's lock serializes them) and
 //     totals stay exact.
 //
-// Sampling is a pure function of (sample_seed, event type, stream key,
-// per-type ordinal) via util::hash_u64, so the sampled stream is seed- and
-// thread-count-invariant — never timing-dependent. Events dropped by
-// sampling are counted per lane, separately from any downstream ring
-// overwrite.
-//
 // Lifecycle: construct with the downstream sink and the lane count, hand
 // lane(i) out as the obs::Observer sink of producer i (one producer at a
 // time per lane; moving a lane to another thread needs a happens-before
@@ -49,27 +42,9 @@
 
 namespace pulse::obs {
 
-/// Attached-mode observability tuning: the deterministic sampling knob.
-struct ObsConfig {
-  /// Seed of the sampling hash stream (independent of every engine seed).
-  std::uint64_t sample_seed = 0x0b5'5eed;
-
-  /// Per-event-type sampling stride: keep ~1/sample_every[type] events,
-  /// chosen by counter-hash so the kept subset is deterministic. 1 (the
-  /// default) keeps everything. Use set_sample_every() to adjust.
-  std::array<std::uint32_t, kEventTypeCount> sample_every{};
-
-  ObsConfig() { sample_every.fill(1); }
-
-  ObsConfig& set_sample_every(EventType type, std::uint32_t every) noexcept {
-    sample_every[static_cast<std::size_t>(type)] = every == 0 ? 1 : every;
-    return *this;
-  }
-};
-
 /// Single-producer emission handle: the TraceSink a producer attaches as its
-/// Observer sink. record() is the whole hot path — one sampling branch and
-/// one buffer push, no lock.
+/// Observer sink. record() is the whole hot path — one buffer push, no
+/// lock.
 ///
 /// All state is producer-owned: read the accounting (or the collector's
 /// sums) only after the producer has quiesced — joining the producer thread
@@ -84,30 +59,12 @@ class EventLane final : public TraceSink {
 
   void record(const TraceEvent& event) override;
 
-  /// Starts a new deterministic sampling stream: resets the per-type
-  /// ordinals and keys subsequent sampling decisions on `key`. Call before
-  /// each logical event stream (e.g. per ensemble run, keyed by run index)
-  /// so sampling decisions depend on the stream, never on which worker
-  /// slot or thread happens to replay it.
-  void begin_stream(std::uint64_t key) noexcept {
-    stream_key_ = key;
-    ordinal_.fill(0);
-  }
-
-  /// Events accepted by the lane (post-sampling).
+  /// Events recorded into the lane.
   [[nodiscard]] std::uint64_t produced() const noexcept { return produced_; }
-
-  /// Events dropped by the sampling knob (deterministic, counted per type).
-  [[nodiscard]] std::uint64_t sampled_out() const noexcept { return sampled_out_total_; }
-  [[nodiscard]] const std::array<std::uint64_t, kEventTypeCount>& sampled_out_by_type()
-      const noexcept {
-    return sampled_out_;
-  }
 
  private:
   friend class EventCollector;
-  /// `id` (the lane index) is the sampling stream key until begin_stream().
-  EventLane(TraceSink& downstream, std::size_t id, std::size_t retain, const ObsConfig& config);
+  EventLane(TraceSink& downstream, std::size_t retain);
 
   /// Hands the buffered events to the sink, oldest first, and empties the
   /// buffer.
@@ -115,23 +72,16 @@ class EventLane final : public TraceSink {
 
   TraceSink* const downstream_;
   const std::size_t retain_;  // canonical window size; 0 for a streaming lane
-  const std::uint64_t sample_seed_;
-  const std::array<std::uint32_t, kEventTypeCount> every_;
-  bool sampling_active_ = false;  // any every_[t] > 1
 
   util::RingBuffer<TraceEvent> buffer_;
   std::array<std::uint64_t, kEventTypeCount> overwritten_{};  // canonical evictions
-  std::uint64_t stream_key_;
-  std::array<std::uint64_t, kEventTypeCount> ordinal_{};
-  std::array<std::uint64_t, kEventTypeCount> sampled_out_{};
-  std::uint64_t sampled_out_total_ = 0;
   std::uint64_t produced_ = 0;
 };
 
 class EventCollector {
  public:
   /// `downstream` must outlive the collector. One lane per producer.
-  EventCollector(TraceSink& downstream, std::size_t lanes, ObsConfig config = {});
+  EventCollector(TraceSink& downstream, std::size_t lanes);
   ~EventCollector();
 
   EventCollector(const EventCollector&) = delete;
@@ -149,7 +99,6 @@ class EventCollector {
   // Collector-wide sums of the per-lane accounting (valid after finish,
   // or once every producer has quiesced).
   [[nodiscard]] std::uint64_t produced() const noexcept;
-  [[nodiscard]] std::uint64_t sampled_out() const noexcept;
 
  private:
   std::vector<std::unique_ptr<EventLane>> lanes_;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/cost_model.hpp"
 #include "sim/minute_kernel.hpp"
 #include "util/rng.hpp"
 
@@ -64,7 +65,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   auto retire = [&](trace::FunctionId f, std::size_t index, double at_s) {
     const Container& c = pool[f][index];
     const double minutes = std::max(0.0, at_s - c.born_s) / 60.0;
-    result.total_cost_usd += config_.cost_model.keepalive_cost_usd(memory_of(c, f), minutes);
+    result.total_cost_usd += sim::keepalive_cost_usd(memory_of(c, f), minutes);
     pool[f][index] = pool[f].back();
     pool[f].pop_back();
     --live_containers;

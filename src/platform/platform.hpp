@@ -38,7 +38,6 @@
 #include "fault/injector.hpp"
 #include "models/latency.hpp"
 #include "obs/observer.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/policy.hpp"
@@ -52,7 +51,6 @@ using Second = std::int64_t;
 constexpr Second kSecondsPerMinute = 60;
 
 struct PlatformConfig {
-  sim::CostModel cost_model{};
   models::LatencyModel latency{};
 
   /// Use expected service times (exact arithmetic for tests).

@@ -16,11 +16,11 @@ void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace
   // keeps end_of_minute() off the allocator for the whole run.
   for (auto& series : history_) series.reserve(static_cast<std::size_t>(trace.duration()));
   current_minute_count_.assign(deployment.function_count(), 0);
-  // One plan per run: its tables cover every refit size up to fft_window
+  // One plan per run: its tables cover every refit size up to kFftWindow
   // and the basis of full-window forecasts.
   const auto horizon = static_cast<std::size_t>(config_.refresh_interval);
-  forecaster_ = predict::HarmonicForecaster(std::make_shared<const predict::HarmonicPlan>(
-      predict::prev_pow2(std::max<std::size_t>(config_.fft_window, 1)), horizon));
+  forecaster_ = predict::HarmonicForecaster(
+      std::make_shared<const predict::HarmonicPlan>(kFftWindow, horizon));
   forecast_buffer_.assign(horizon, 0.0);
 }
 
@@ -43,8 +43,8 @@ void IceBreakerPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 void IceBreakerPolicy::forecast(trace::FunctionId f) {
   const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
   const std::span<const double> series = history_.at(f);
-  forecaster_.extrapolate(series.last(std::min(config_.fft_window, series.size())),
-                          config_.harmonics, forecast_buffer_);
+  forecaster_.extrapolate(series.last(std::min(kFftWindow, series.size())), kHarmonics,
+                          forecast_buffer_);
   predict::ensure_finite(forecast_buffer_, "icebreaker/fft");
 }
 
@@ -54,7 +54,7 @@ void IceBreakerPolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
   const int highest = static_cast<int>(schedule.variant_count_of(f)) - 1;
   for (std::size_t d = 0; d < predicted.size(); ++d) {
     const trace::Minute m = t + 1 + static_cast<trace::Minute>(d);
-    if (predicted[d] >= config_.activation_threshold) {
+    if (predicted[d] >= kActivationThreshold) {
       schedule.set(f, m, highest);
     } else {
       schedule.set(f, m, sim::kNoVariant);
@@ -107,7 +107,7 @@ void IceBreakerPulsePolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
   const std::size_t variants = schedule.variant_count_of(f);
   for (std::size_t d = 0; d < predicted.size(); ++d) {
     const trace::Minute m = t + 1 + static_cast<trace::Minute>(d);
-    if (predicted[d] < config_.activation_threshold) {
+    if (predicted[d] < kActivationThreshold) {
       schedule.set(f, m, sim::kNoVariant);
       continue;
     }

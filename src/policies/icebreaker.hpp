@@ -25,16 +25,17 @@ namespace pulse::policies {
 
 class IceBreakerPolicy : public sim::KeepAlivePolicy {
  public:
+  /// History window fed to the FFT, minutes.
+  static constexpr std::size_t kFftWindow = 256;
+  /// Number of dominant harmonics kept.
+  static constexpr std::size_t kHarmonics = 8;
+  /// Predicted invocations/minute at or above which the function is warmed
+  /// for that minute.
+  static constexpr double kActivationThreshold = 0.30;
+
   struct Config {
-    /// History window fed to the FFT, minutes.
-    std::size_t fft_window = 256;
-    /// Number of dominant harmonics kept.
-    std::size_t harmonics = 8;
     /// Forecast horizon == scheduling period, minutes.
     trace::Minute refresh_interval = trace::kKeepAliveWindow;
-    /// Predicted invocations/minute at or above which the function is
-    /// warmed for that minute.
-    double activation_threshold = 0.30;
   };
 
   IceBreakerPolicy();  // default Config

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -27,10 +28,15 @@ void OnlineServer::ingest(const StreamEvent& event) {
         }
         return;
       }
-      if (event.minute >= config_.horizon || event.function >= buffer_.function_count()) {
+      // The last clause keeps the minute's uint32 cell from saturating, so
+      // stats_.invocations stays the sum of what the buffer holds.
+      if (event.minute >= config_.horizon || event.function >= buffer_.function_count() ||
+          event.count > std::numeric_limits<std::uint32_t>::max() -
+                            buffer_.count(event.function, event.minute)) {
         ++stats_.dropped_out_of_range;
         if (config_.strict) {
-          throw std::runtime_error("OnlineServer: invocation outside horizon/deployment");
+          throw std::runtime_error(
+              "OnlineServer: invocation outside horizon/deployment or past 2^32 - 1 per minute");
         }
         return;
       }

@@ -48,7 +48,8 @@ struct ServeStats {
   std::uint64_t invocations = 0;        // sum of their counts
   std::uint64_t ticks = 0;              // minutes closed
   std::uint64_t dropped_late = 0;       // minute already simulated
-  std::uint64_t dropped_out_of_range = 0;  // minute >= horizon or bad function
+  std::uint64_t dropped_out_of_range = 0;  // minute >= horizon, bad function or
+                                           // a minute's count past 2^32 - 1
 };
 
 class OnlineServer {

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/cost_model.hpp"
+
 namespace pulse::sim {
 
 SimulationEngine::SimulationEngine(const Deployment& deployment, const trace::Trace& trace,
@@ -182,7 +184,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
     // The ideal reference keeps the highest-quality model alive exactly
     // during invocation minutes (Figure 6b's ideal line). It is fault-free
     // by definition, so failed minutes still accrue it.
-    ideal_cost_t += config_.cost_model.keepalive_cost_usd(family.highest().memory_mb, 1.0);
+    ideal_cost_t += keepalive_cost_usd(family.highest().memory_mb, 1.0);
 
     // The policy observes the arrival even when the platform failed to
     // serve it — predictors track demand, not fulfillment.
@@ -195,7 +197,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
 void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
                               double ideal_cost_t) {
   kernel_.close_minute(memory_t);
-  const double cost_t = config_.cost_model.keepalive_cost_usd(memory_t, 1.0);
+  const double cost_t = keepalive_cost_usd(memory_t, 1.0);
   result_.total_keepalive_cost_usd += cost_t;
   if (alive_hist_ != nullptr) alive_hist_->add(alive_n);
   obs::TraceSink* const sink = config_.observer.sink;
@@ -239,7 +241,7 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
       if (count == 0) continue;
       // The ideal reference is fault-free by definition, so outage minutes
       // still accrue it — exactly like failed minutes in step_minute().
-      ideal_cost_t += config_.cost_model.keepalive_cost_usd(
+      ideal_cost_t += keepalive_cost_usd(
           deployment_->family_of(f).highest().memory_mb, 1.0);
       kernel_.fail(kernel_.global_id(f), t, -1, count, "shard_outage");
     }

@@ -14,7 +14,6 @@
 #include "fault/injector.hpp"
 #include "models/latency.hpp"
 #include "obs/observer.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/minute_kernel.hpp"
@@ -24,7 +23,6 @@
 namespace pulse::sim {
 
 struct EngineConfig {
-  CostModel cost_model{};
   models::LatencyModel latency{};
 
   /// Keep the per-minute memory/cost series in the result (Figures 4/6b/7).
@@ -82,8 +80,7 @@ struct EngineConfig {
   /// Keep per-function cold-start/eviction tallies and fold the top K
   /// functions (by count, ties broken by ascending catalog-global id) into
   /// the metrics registry at finish as engine.topk.* counters. 0 = off.
-  /// Combine with ObsConfig::sample_every to keep attached cost flat: the
-  /// tallies are plain array increments, no events are emitted.
+  /// The tallies are plain array increments; no events are emitted.
   std::size_t top_k_function_metrics = 0;
 
   /// Ignored. Every run draws a function's latency jitter and Bernoulli

@@ -1,5 +1,7 @@
 #include "sim/ensemble.hpp"
 
+#include "obs/collector.hpp"
+
 namespace pulse::sim {
 
 double EnsembleResult::mean_service_time_s() const {
@@ -39,14 +41,12 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
       user_obs.profiler != nullptr ? pool.task_slot_count() : 0);
 
   // Event transport: one producer-owned lane per worker slot in front of
-  // the user's sink. Workers never take the sink's lock per event, and each
-  // run keys its sampling stream by run index, so sampling decisions and
+  // the user's sink. Workers never take the sink's lock per event, and
   // event totals are thread-count invariant (see obs/collector.hpp for the
   // full determinism contract).
   std::unique_ptr<obs::EventCollector> collector;
   if (user_obs.sink != nullptr) {
-    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count(),
-                                                      config.obs);
+    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count());
   }
 
   for (std::size_t slot = 0; slot < pool.task_slot_count(); ++slot) {
@@ -65,7 +65,6 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
 
     EngineConfig& engine_config = task_config[slot];
     engine_config.seed = config.seed * 1000003 + i;
-    if (collector) collector->lane(slot).begin_stream(i);
 
     SimulationEngine engine(deployment, trace, engine_config);
     auto policy = factory();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "models/zoo.hpp"
-#include "obs/collector.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy.hpp"
 #include "trace/trace.hpp"
@@ -26,14 +25,6 @@ struct EnsembleConfig {
   std::uint64_t seed = 7;
   EngineConfig engine{};
   std::size_t threads = 0;  // 0 -> hardware concurrency
-
-  /// An attached TraceSink always sits behind an obs::EventCollector: each
-  /// worker slot emits into its own producer-owned lane (no per-event sink
-  /// lock on the simulation threads) and every run starts a sampling stream
-  /// keyed by its run index, so event totals, per-type counts and sampling
-  /// decisions are identical for any thread count. This sets that
-  /// transport's deterministic sampling (ignored unless a sink is attached).
-  obs::ObsConfig obs{};
 };
 
 struct EnsembleResult {
@@ -65,7 +56,9 @@ struct EnsembleResult {
 
 /// Runs `config.runs` simulations of `trace` with per-run random
 /// model-to-function assignments from `zoo`, each under a fresh policy from
-/// `factory`.
+/// `factory`. An attached sink is fed through an obs::EventCollector, one
+/// lane per worker slot, so event totals and per-type counts are identical
+/// for any thread count.
 [[nodiscard]] EnsembleResult run_ensemble(const models::ModelZoo& zoo,
                                           const trace::Trace& trace,
                                           const PolicyFactory& factory,

@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -47,7 +48,10 @@ void Trace::set_count(FunctionId f, Minute t, std::uint32_t value) {
 
 void Trace::add_invocations(FunctionId f, Minute t, std::uint32_t value) {
   if (t < 0 || t >= duration_) throw std::out_of_range("Trace::add_invocations: minute out of range");
-  counts_.at(f)[static_cast<std::size_t>(t)] += value;
+  // Saturating, like util::poisson: a sum past 2^32 - 1 stays there.
+  std::uint32_t& cell = counts_.at(f)[static_cast<std::size_t>(t)];
+  const std::uint32_t sum = cell + value;
+  cell = sum < cell ? std::numeric_limits<std::uint32_t>::max() : sum;
 }
 
 std::uint64_t Trace::total_invocations(FunctionId f) const {

@@ -65,6 +65,7 @@ class Trace {
   }
 
   void set_count(FunctionId f, Minute t, std::uint32_t value);
+  /// Adds `value` to f's count at minute t, saturating at 2^32 - 1.
   void add_invocations(FunctionId f, Minute t, std::uint32_t value = 1);
 
   /// Whole per-minute series of one function.

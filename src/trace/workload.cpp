@@ -74,7 +74,7 @@ Workload build_azure_like_workload(const WorkloadConfig& config) {
     const Minute at = config.duration * static_cast<Minute>(p + 1) /
                       static_cast<Minute>(config.global_peaks + 1);
     util::Pcg32 peak_rng(config.seed + 77 + p, /*stream=*/200 + p);
-    inject_global_peak(w.trace, at, config.peak_length, config.peak_intensity, peak_rng);
+    inject_global_peak(w.trace, at, kGlobalPeakLength, config.peak_intensity, peak_rng);
     w.peak_minutes.push_back(at);
   }
   return w;

@@ -22,10 +22,12 @@ struct WorkloadConfig {
   std::size_t global_peaks = 2;
 
   /// During a peak, every function receives Poisson(peak_intensity)
-  /// invocations per minute for peak_length minutes.
+  /// invocations per minute for kGlobalPeakLength minutes.
   double peak_intensity = 6.0;
-  Minute peak_length = 3;
 };
+
+/// Length of every injected global peak, minutes.
+inline constexpr Minute kGlobalPeakLength = 3;
 
 /// One function's description inside a built workload.
 struct FunctionSpec {

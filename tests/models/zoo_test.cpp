@@ -51,11 +51,10 @@ TEST(Zoo, KeepAliveCostsReproduceTableI) {
   // The cost model should recover Table I's cents/hour from the memory
   // footprints (that is how the footprints were derived).
   const ModelZoo zoo = ModelZoo::builtin();
-  const sim::CostModel cost;
-  EXPECT_NEAR(cost.cents_per_hour(zoo.family_by_name("GPT").variant(2)), 41.71, 0.01);
-  EXPECT_NEAR(cost.cents_per_hour(zoo.family_by_name("GPT").variant(0)), 11.70, 0.01);
-  EXPECT_NEAR(cost.cents_per_hour(zoo.family_by_name("BERT").variant(0)), 4.392, 0.01);
-  EXPECT_NEAR(cost.cents_per_hour(zoo.family_by_name("DenseNet").variant(0)), 3.46, 0.01);
+  EXPECT_NEAR(sim::cents_per_hour(zoo.family_by_name("GPT").variant(2)), 41.71, 0.01);
+  EXPECT_NEAR(sim::cents_per_hour(zoo.family_by_name("GPT").variant(0)), 11.70, 0.01);
+  EXPECT_NEAR(sim::cents_per_hour(zoo.family_by_name("BERT").variant(0)), 4.392, 0.01);
+  EXPECT_NEAR(sim::cents_per_hour(zoo.family_by_name("DenseNet").variant(0)), 3.46, 0.01);
 }
 
 TEST(Zoo, MemoryFootprintsInPaperRange) {

@@ -6,10 +6,8 @@
 //   * canonical feed — a RingBufferSink behind the collector retains
 //     bit-identically what serial per-lane feeding would retain, also when
 //     the lanes are uneven and the retained window spans several of them;
-//   * deterministic sampling — the kept subset depends on (seed, stream,
-//     ordinal) only, never on lane count, thread count, or timing;
-//   * overflow accounting — ring overwrites and sampling drops are counted
-//     separately and sum to the produced total.
+//   * overflow accounting — ring overwrites are counted per type and the
+//     sink's totals stay exact.
 
 #include "obs/collector.hpp"
 
@@ -46,14 +44,12 @@ TEST(EventCollector, MultiProducerDrainIsLossless) {
   constexpr std::uint64_t kPerProducer = 20'000;
 
   RingBufferSink sink(1 << 15);
-  ObsConfig config;
-  EventCollector collector(sink, kProducers, config);
+  EventCollector collector(sink, kProducers);
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&collector, p] {
       EventLane& lane = collector.lane(p);
-      lane.begin_stream(p);
       for (std::uint64_t i = 0; i < kPerProducer; ++i) lane.record(make_event(p, i));
     });
   }
@@ -62,7 +58,6 @@ TEST(EventCollector, MultiProducerDrainIsLossless) {
 
   constexpr std::uint64_t kTotal = kProducers * kPerProducer;
   EXPECT_EQ(collector.produced(), kTotal);
-  EXPECT_EQ(collector.sampled_out(), 0u);
   EXPECT_EQ(sink.recorded(), kTotal);  // lossless: nothing dropped in transit
 
   // Per-type counts survive the transport exactly.
@@ -156,89 +151,12 @@ TEST(EventCollector, CanonicalWindowMatchesSerialFeed) {
   }
 }
 
-TEST(EventCollector, SamplingIsLaneCountInvariant) {
-  constexpr std::size_t kStreams = 8;
-  constexpr std::uint64_t kPerStream = 2'000;
-
-  ObsConfig config;
-  config.set_sample_every(EventType::kWarmStart, 4)
-      .set_sample_every(EventType::kPolicyDecision, 16);
-
-  // The same logical streams spread over 1, 2, and 4 lanes must keep the
-  // same events: sampling keys on (stream, ordinal), not on the lane.
-  std::vector<std::vector<std::uint64_t>> counts;
-  std::vector<std::uint64_t> kept;
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    RingBufferSink sink(1 << 15);
-    EventCollector collector(sink, lanes, config);
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      EventLane& lane = collector.lane(s % lanes);
-      lane.begin_stream(s);
-      for (std::uint64_t i = 0; i < kPerStream; ++i) lane.record(make_event(s, i));
-    }
-    collector.finish();
-    EXPECT_EQ(collector.produced() + collector.sampled_out(), kStreams * kPerStream);
-    counts.push_back(sink.counts_by_type());
-    kept.push_back(sink.recorded());
-    EXPECT_LT(sink.recorded(), kStreams * kPerStream);  // sampling did drop
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], counts[2]);
-  EXPECT_EQ(kept[0], kept[1]);
-  EXPECT_EQ(kept[0], kept[2]);
-}
-
-TEST(EventCollector, SamplingDropsAreCountedSeparatelyFromOverwrites) {
-  constexpr std::uint64_t kEvents = 1'000;
-  RingBufferSink sink(64);
-
-  ObsConfig config;
-  config.set_sample_every(EventType::kColdStart, 2);
-  EventCollector collector(sink, 1, config);
-  EventLane& lane = collector.lane(0);
-  lane.begin_stream(0);
-  TraceEvent e;
-  e.type = EventType::kColdStart;
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    e.minute = static_cast<trace::Minute>(i);
-    lane.record(e);
-  }
-  collector.finish();
-
-  // Roughly half sampled out at the lane (counter-hash selection is ~1/every,
-  // not an exact stride); every kept event reaches the sink, whose own window
-  // keeps 64 and counts the remainder as ring overwrites. The split is exact
-  // between the two ledgers: nothing is dropped by the transport itself.
-  EXPECT_EQ(lane.sampled_out() + lane.produced(), kEvents);
-  EXPECT_NEAR(static_cast<double>(lane.sampled_out()), kEvents / 2.0, kEvents * 0.1);
-  EXPECT_EQ(lane.sampled_out_by_type()[static_cast<std::size_t>(EventType::kColdStart)],
-            lane.sampled_out());
-  EXPECT_EQ(sink.recorded(), lane.produced());
-  EXPECT_EQ(sink.events().size(), 64u);
-  EXPECT_EQ(sink.dropped(), lane.produced() - 64);
-
-  // And the decision is deterministic: an identical second pass sees the
-  // exact same split.
-  RingBufferSink sink2(64);
-  EventCollector collector2(sink2, 1, config);
-  EventLane& lane2 = collector2.lane(0);
-  lane2.begin_stream(0);
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    e.minute = static_cast<trace::Minute>(i);
-    lane2.record(e);
-  }
-  collector2.finish();
-  EXPECT_EQ(lane2.sampled_out(), lane.sampled_out());
-  EXPECT_EQ(sink2.recorded(), sink.recorded());
-}
-
 // A stream ~50x the retained window: the lane overwrites nearly every
 // event in place, yet the sink's totals count each one exactly.
 TEST(EventCollector, WindowOverwritesKeepTotalsExact) {
   constexpr std::uint64_t kEvents = 50'000;
   RingBufferSink sink(1 << 10);
-  ObsConfig config;
-  EventCollector collector(sink, 1, config);
+  EventCollector collector(sink, 1);
   for (std::uint64_t i = 0; i < kEvents; ++i) {
     collector.lane(0).record(make_event(0, i));
   }
@@ -250,7 +168,7 @@ TEST(EventCollector, WindowOverwritesKeepTotalsExact) {
 
 // --- end-to-end through the ensemble runner ---
 
-sim::EnsembleResult run_sampled_ensemble(std::size_t threads, RingBufferSink& sink) {
+sim::EnsembleResult run_attached_ensemble(std::size_t threads, RingBufferSink& sink) {
   trace::WorkloadConfig wc;
   wc.function_count = 10;
   wc.duration = 360;
@@ -263,8 +181,6 @@ sim::EnsembleResult run_sampled_ensemble(std::size_t threads, RingBufferSink& si
   config.seed = 33;
   config.threads = threads;
   config.engine.observer.sink = &sink;
-  config.obs.set_sample_every(EventType::kWarmStart, 4)
-      .set_sample_every(EventType::kPolicyDecision, 8);
   return sim::run_ensemble(zoo, workload.trace,
                            [] { return policies::make_policy("pulse"); }, config);
 }
@@ -275,7 +191,7 @@ TEST(EnsembleCollector, EventTotalsAreThreadCountInvariant) {
   std::uint64_t baseline_cost_bits = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
     RingBufferSink sink(1 << 14);
-    const sim::EnsembleResult result = run_sampled_ensemble(threads, sink);
+    const sim::EnsembleResult result = run_attached_ensemble(threads, sink);
     counts.push_back(sink.counts_by_type());
     recorded.push_back(sink.recorded());
     // The simulation itself must not notice the transport: identical runs
@@ -287,8 +203,7 @@ TEST(EnsembleCollector, EventTotalsAreThreadCountInvariant) {
     if (baseline_cost_bits == 0) baseline_cost_bits = bits;
     EXPECT_EQ(bits, baseline_cost_bits);
   }
-  // Sampling decisions key on the run index (begin_stream), so totals and
-  // per-type counts are exact across 1/4/16 threads.
+  // Totals and per-type counts are exact across 1/4/16 threads.
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_EQ(counts[0], counts[2]);
   EXPECT_EQ(recorded[0], recorded[1]);

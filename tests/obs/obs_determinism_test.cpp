@@ -142,7 +142,6 @@ TEST(ObsDeterminism, FullObserverLeavesRunResultBitwiseIdentical) {
     MetricsRegistry full_registry;
     PhaseProfiler full_profiler;
     EventCollector collector(lane_sink, 1);
-    collector.lane(0).begin_stream(0);
     Observer full;
     full.sink = &collector.lane(0);
     full.metrics = &full_registry;

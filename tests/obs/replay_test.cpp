@@ -104,7 +104,6 @@ ReplayFixture run_and_replay(const std::string& path, bool through_collector) {
     auto policy = policies::make_policy("pulse");
     if (through_collector) {
       obs::EventCollector collector(sink, 1);
-      collector.lane(0).begin_stream(0);
       config.observer.sink = &collector.lane(0);
       sim::SimulationEngine engine(deployment, workload.trace, config);
       fx.result = engine.run(*policy);

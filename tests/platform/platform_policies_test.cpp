@@ -7,6 +7,7 @@
 
 #include "platform/platform.hpp"
 #include "policies/factory.hpp"
+#include "sim/cost_model.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::platform {
@@ -86,9 +87,8 @@ TEST(PlatformCostParity, NoKeepAliveMeansExecutionOnlyCost) {
 
   // One container, alive from its spawn at minute 50 until reaped at the
   // next reconciliation: about one minute of residency.
-  const sim::CostModel cost;
   const double upper =
-      cost.keepalive_cost_usd(d.family_of(0).highest().memory_mb, 2.0);
+      sim::keepalive_cost_usd(d.family_of(0).highest().memory_mb, 2.0);
   EXPECT_LE(r.total_cost_usd, upper);
   EXPECT_GT(r.total_cost_usd, 0.0);
 }

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -144,10 +145,23 @@ std::vector<double> harmonic_reconstruct(std::span<const double> series,
 
 }  // namespace replica
 
+// Bit-for-bit equality, except that any two NaNs match: IEEE 754-2008
+// §6.3 leaves the sign of a NaN result unspecified, and builds differ in it
+// (CI's gcc-tsan build flips it on some all-NaN spectra). Every other value,
+// ±inf and ±0 included, must match bit for bit.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+bool same_bits(std::complex<double> a, std::complex<double> b) {
+  return same_bits(a.real(), b.real()) && same_bits(a.imag(), b.imag());
+}
+
 template <typename T>
 bool bitwise_equal(const std::vector<T>& expected, std::span<const T> actual) {
-  return expected.size() == actual.size() &&
-         std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(T)) == 0;
+  return std::equal(expected.begin(), expected.end(), actual.begin(), actual.end(),
+                    [](const T& a, const T& b) { return same_bits(a, b); });
 }
 
 // The last five shapes aim at the forecaster's fallbacks: a lone spike has

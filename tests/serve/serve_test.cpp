@@ -245,6 +245,29 @@ TEST(Serve, LateAndOutOfRangeEventsAreDropped) {
   EXPECT_EQ(server.stats().ticks, 1u);
 }
 
+TEST(Serve, CountPastUint32IsDroppedOrThrowsInStrictMode) {
+  // Two `inv` lines of 4294967295 for one (minute, function) would wrap the
+  // buffer's uint32 cell while stats().invocations counted both.
+  const trace::Trace trace = small_trace();
+  const sim::Deployment deployment = deployment_for(trace);
+  for (const bool strict : {false, true}) {
+    const auto policy = policies::make_policy("pulse");
+    ServeConfig config;
+    config.horizon = 100;
+    config.strict = strict;
+    OnlineServer server(deployment, *policy, config);
+    server.ingest({EventKind::kInvocation, 3, 0, 4294967295u});
+    if (strict) {
+      EXPECT_THROW(server.ingest({EventKind::kInvocation, 3, 0, 1}), std::runtime_error);
+    } else {
+      server.ingest({EventKind::kInvocation, 3, 0, 4294967295u});
+    }
+    EXPECT_EQ(server.stats().dropped_out_of_range, 1u);
+    EXPECT_EQ(server.stats().invocation_events, 1u);
+    EXPECT_EQ(server.stats().invocations, 4294967295u);
+  }
+}
+
 TEST(Serve, StrictServerThrowsOnLateEvent) {
   const trace::Trace trace = small_trace();
   const sim::Deployment deployment = deployment_for(trace);

@@ -5,6 +5,7 @@
 
 #include "core/pulse_policy.hpp"
 #include "policies/fixed_keepalive.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
 
 namespace pulse::sim {
@@ -56,9 +57,8 @@ TEST(EngineEdge, InvocationAtLastMinuteClipsWindow) {
   policies::FixedKeepAlivePolicy policy;
   const RunResult r = engine.run(policy);
 
-  const CostModel cost;
   // Only minute 9 (the execution minute) is inside the horizon.
-  EXPECT_NEAR(r.total_keepalive_cost_usd, cost.keepalive_cost_usd(300.0, 1.0), 1e-12);
+  EXPECT_NEAR(r.total_keepalive_cost_usd, keepalive_cost_usd(300.0, 1.0), 1e-12);
 }
 
 TEST(EngineEdge, InvocationAtMinuteZero) {

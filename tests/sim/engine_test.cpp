@@ -11,6 +11,7 @@
 
 #include "models/zoo.hpp"
 #include "policies/fixed_keepalive.hpp"
+#include "sim/cost_model.hpp"
 
 namespace pulse::sim {
 namespace {
@@ -132,8 +133,7 @@ TEST(Engine, KeepAliveCostMatchesHandComputation) {
   const RunResult r = engine.run(policy);
 
   // High variant (300 MB) alive at minute 5 (execution) + minutes 6..15.
-  const CostModel cost;
-  const double expected = cost.keepalive_cost_usd(300.0, 11.0);
+  const double expected = keepalive_cost_usd(300.0, 11.0);
   EXPECT_NEAR(r.total_keepalive_cost_usd, expected, 1e-12);
 }
 
@@ -164,8 +164,7 @@ TEST(Engine, IdealCostOnlyDuringInvocationMinutes) {
   policies::FixedKeepAlivePolicy policy;
   const RunResult r = engine.run(policy);
 
-  const CostModel cost;
-  const double per_minute = cost.keepalive_cost_usd(300.0, 1.0);
+  const double per_minute = keepalive_cost_usd(300.0, 1.0);
   ASSERT_EQ(r.ideal_cost_usd.size(), 30u);
   EXPECT_DOUBLE_EQ(r.ideal_cost_usd[5], per_minute);
   EXPECT_DOUBLE_EQ(r.ideal_cost_usd[6], 0.0);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "policies/factory.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
 
 namespace pulse::sim {
@@ -131,7 +132,7 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
           fm.accuracy_pct_sum += acc;
         }
       }
-      ideal_t += c.cost_model.keepalive_cost_usd(family.highest().memory_mb, 1.0);
+      ideal_t += keepalive_cost_usd(family.highest().memory_mb, 1.0);
       policy.on_invocation(f, t, schedule);
     }
     policy.end_of_minute(t, schedule, history);
@@ -156,7 +157,7 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
     if (degraded) ++r.degraded_minutes;
 
     const double mem = schedule.memory_at(t);
-    const double cost = c.cost_model.keepalive_cost_usd(mem, 1.0);
+    const double cost = keepalive_cost_usd(mem, 1.0);
     r.total_keepalive_cost_usd += cost;
     history.record.push_back(mem);
     if (c.record_series) {

@@ -111,6 +111,20 @@ TEST(InjectGlobalPeak, InfiniteIntensitySaturatesInsteadOfWrapping) {
   }
 }
 
+TEST(InjectGlobalPeak, OverlappingInfinitePeaksSaturateAtUint32Max) {
+  // Each +inf peak adds 2^31 per function-minute; two on the same minutes
+  // would wrap a uint32 cell to 0.
+  Trace t(2, 4);
+  util::Pcg32 rng(3);
+  for (int peak = 0; peak < 2; ++peak) {
+    inject_global_peak(t, 1, 2, std::numeric_limits<double>::infinity(), rng);
+  }
+  for (FunctionId f = 0; f < 2; ++f) {
+    EXPECT_EQ(t.count(f, 1), 4294967295u);
+    EXPECT_EQ(t.count(f, 2), 4294967295u);
+  }
+}
+
 TEST(InjectGlobalPeak, ClipsAtHorizon) {
   Trace t(1, 10);
   util::Pcg32 rng(1);
