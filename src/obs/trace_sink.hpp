@@ -85,8 +85,8 @@ class RingBufferSink final : public TraceSink {
   /// Total events ever recorded (retained + overwritten).
   [[nodiscard]] std::uint64_t recorded() const;
 
-  /// Events overwritten because the buffer was full (ring overwrites; the
-  /// sampling knob's drops are counted at the lane, never here).
+  /// Events overwritten because the buffer was full: recorded() minus the
+  /// retained ones, including those a collector lane overwrote.
   [[nodiscard]] std::uint64_t dropped() const;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

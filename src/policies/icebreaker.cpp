@@ -71,15 +71,20 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
     current_minute_count_[f] = 0;
   }
 
-  // At period boundaries, forecast and schedule the next period.
-  if ((t + 1) % config_.refresh_interval != 0) return;
-  refreshes_.add();
+  // Staggered refits: function f refits when (t + 1 + f) % refresh_interval
+  // == 0 and schedules its own next refresh_interval minutes, so each minute
+  // refits at most ceil(F / refresh_interval) functions instead of all F
+  // every refresh_interval-th minute.
+  const auto interval = static_cast<std::size_t>(config_.refresh_interval);
+  const std::size_t due = (interval - static_cast<std::size_t>(t + 1) % interval) % interval;
+  if (due >= history_.size()) return;
+  const std::size_t refits = (history_.size() - due + interval - 1) / interval;
+  refreshes_.add(refits);
   if (obs::TraceSink* const s = sink()) {
     s->record({obs::EventType::kPolicyDecision, t, obs::TraceEvent::kNoFunction, -1,
-               static_cast<double>(history_.size()), "forecast_refresh"});
+               static_cast<double>(refits), "forecast_refresh"});
   }
-  for (trace::FunctionId f = 0; f < history_.size(); ++f) {
-    if (history_[f].empty()) continue;
+  for (trace::FunctionId f = due; f < history_.size(); f += interval) {
     forecast(f);
     apply_forecast(f, t, forecast_buffer_, schedule);
   }

@@ -71,7 +71,7 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
   std::vector<std::uint32_t> current_minute_count_;  // accumulating minute t
   predict::HarmonicForecaster forecaster_;           // one plan + fit scratch per run
   std::vector<double> forecast_buffer_;              // forecast() output
-  obs::CounterHandle refreshes_;                     // icebreaker.refreshes
+  obs::CounterHandle refreshes_;                     // icebreaker.refreshes: function refits
 };
 
 class IceBreakerPulsePolicy : public IceBreakerPolicy {

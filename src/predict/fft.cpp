@@ -41,16 +41,12 @@ std::vector<std::complex<double>> twiddle_table(std::size_t n, bool inverse) {
   return table;
 }
 
-/// A fitted count within 2^900 in magnitude runs the unchecked butterflies.
-constexpr double kBounded = 0x1p900;
-
 /// Radix-2 transform of `data`, a power of two no larger than the tables
 /// (whose first stages are the smaller transform's). The twiddle product is
-/// std::complex's inline expansion, (ac - bd, ad + bc) with the operator's
-/// infinity recovery when both parts are NaN, spelled out to stay in registers.
-/// kChecked = false drops the recovery: only for inputs within kBounded,
-/// where every part stays below 2^964 over up to 63 stages, so no product is
-/// NaN and the recovery is unreachable.
+/// std::complex's inline expansion, (ac - bd, ad + bc), spelled out to stay
+/// in registers; kChecked adds the operator's infinity recovery when both
+/// parts are NaN, so fft() matches std::complex arithmetic. The harmonic
+/// model's transform is the plain expansion.
 template <bool kChecked>
 void butterflies(std::span<std::complex<double>> data, std::span<const std::size_t> bit_reverse,
                  std::span<const std::complex<double>> twiddles) {
@@ -86,22 +82,39 @@ void butterflies(std::span<std::complex<double>> data, std::span<const std::size
   }
 }
 
-/// Offers (key, j) to top[0, count): the largest keys offered so far, in
-/// descending order, at most top.size() of them. Returns the key left out:
-/// the offered one, the smallest one it pushed out, or -inf while top has
-/// room. Equal keys keep arrival order, NaN sinks to the end; callers that
-/// need a unique order check for both.
-double offer(std::span<std::pair<double, std::size_t>> top, std::size_t& count, double key,
-             std::size_t j) {
-  double left_out = -std::numeric_limits<double>::infinity();
-  if (count == top.size()) {
-    if (!(key > top[count - 1].first)) return key;
-    left_out = top[--count].first;
+/// Turns Z_0 .. Z_{m-1}, the m-point transform of z_k = x_{2k} + i x_{2k+1},
+/// into X_0 .. X_m of the real 2m-point x, in place (spectrum holds m + 1
+/// bins). With E_k = (Z_k + conj Z_{m-k}) / 2 and O_k = (Z_k - conj Z_{m-k})
+/// / 2i, the transforms of the even and the odd samples, X_k = E_k + W^k O_k
+/// and X_{m-k} = conj(E_k - W^k O_k); twiddles[k] is W^k = e^{-2*pi*i*k/2m}.
+void split_real(std::span<std::complex<double>> spectrum,
+                std::span<const std::complex<double>> twiddles) {
+  const std::size_t m = spectrum.size() - 1;
+  const double r0 = spectrum[0].real();
+  const double i0 = spectrum[0].imag();
+  spectrum[0] = r0 + i0;
+  spectrum[m] = r0 - i0;
+  // Parts are read and written one double at a time, as in the butterflies,
+  // so the loop stays in registers.
+  for (std::size_t k = 1; 2 * k <= m; ++k) {
+    std::complex<double>& a = spectrum[k];
+    std::complex<double>& b = spectrum[m - k];
+    const double ar = a.real();
+    const double ai = a.imag();
+    const double br = b.real();
+    const double bi = b.imag();
+    const double er = 0.5 * (ar + br);
+    const double ei = 0.5 * (ai - bi);
+    const double o_r = 0.5 * (ai + bi);
+    const double o_i = 0.5 * (br - ar);
+    const std::complex<double>& w = twiddles[k];
+    const double tr = o_r * w.real() - o_i * w.imag();
+    const double ti = o_r * w.imag() + o_i * w.real();
+    b.real(er - tr);  // before X_k: the same bin when 2k = m
+    b.imag(ti - ei);
+    a.real(er + tr);
+    a.imag(ei + ti);
   }
-  std::size_t pos = count++;
-  for (; pos > 0 && top[pos - 1].first < key; --pos) top[pos] = top[pos - 1];
-  top[pos] = {key, j};
-  return left_out;
 }
 
 }  // namespace
@@ -124,26 +137,14 @@ HarmonicPlan::HarmonicPlan(std::size_t n, std::size_t horizon) : horizon_(horizo
   if (!std::has_single_bit(n)) throw std::invalid_argument("HarmonicPlan: n must be a power of 2");
   bit_reverse_ = bit_reverse_table(n);
   twiddles_ = twiddle_table(n, /*inverse=*/false);
-  basis_.reserve(n * horizon);
+  basis_.reserve((n / 2 + 1) * horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    for (std::size_t j = 0; j < n; ++j) basis_.push_back(basis_at(j, n + h, n));
+    for (std::size_t j = 0; j <= n / 2; ++j) basis_.push_back(basis_at(j, n + h, n));
   }
-}
-
-void HarmonicPlan::transform(std::span<std::complex<double>> data) const {
-  if (!std::has_single_bit(data.size()) || data.size() > n()) {
-    throw std::invalid_argument("HarmonicPlan::transform: size must be a power of two <= n()");
-  }
-  butterflies<true>(data, bit_reverse_, twiddles_);
 }
 
 HarmonicForecaster::HarmonicForecaster(std::shared_ptr<const HarmonicPlan> plan)
-    : plan_(std::move(plan)),
-      coeffs_(plan_->n()),
-      ranked_(plan_->n() / 2),
-      norms_(plan_->n() / 2) {
-  bins_.reserve(plan_->n() + 1);
-}
+    : plan_(std::move(plan)), spectrum_(plan_->n() / 2 + 1), ranked_(plan_->n() / 2) {}
 
 void HarmonicForecaster::extrapolate(std::span<const double> series, std::size_t harmonics,
                                      std::span<double> out) {
@@ -152,100 +153,70 @@ void HarmonicForecaster::extrapolate(std::span<const double> series, std::size_t
     return;
   }
   const std::size_t n = prev_pow2(series.size());  // suffix fit: see harmonic_extrapolate
-  if (n > coeffs_.size()) throw std::invalid_argument("HarmonicForecaster: series exceeds plan");
-  const std::span<std::complex<double>> coeffs(coeffs_.data(), n);
-  const double* const suffix = series.data() + (series.size() - n);
-  bool bounded = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    coeffs[i] = suffix[i];
-    bounded &= std::abs(suffix[i]) <= kBounded;  // false on NaN and inf
-  }
-  if (bounded) {
-    butterflies<false>(coeffs, plan_->bit_reverse_, plan_->twiddles_);
-  } else {
-    butterflies<true>(coeffs, plan_->bit_reverse_, plan_->twiddles_);
-  }
-  evaluate(coeffs, harmonics, n, out);
+  fit(series.last(n), harmonics, n, out);
 }
 
-void HarmonicForecaster::evaluate(std::span<const std::complex<double>> coeffs,
+void HarmonicForecaster::fit(std::span<const double> window, std::size_t harmonics,
+                             std::size_t first, std::span<double> out) {
+  const std::size_t n = window.size();
+  if (!std::has_single_bit(n) || n > plan_->n()) {
+    throw std::invalid_argument("HarmonicForecaster: window must be a power of two <= plan n");
+  }
+  const std::size_t m = n / 2;
+  const std::span<std::complex<double>> spectrum(spectrum_.data(), m + 1);
+  if (m == 0) {
+    spectrum[0] = window[0];
+  } else {
+    for (std::size_t k = 0; k < m; ++k) spectrum[k] = {window[2 * k], window[2 * k + 1]};
+    butterflies<false>(spectrum.first(m), plan_->bit_reverse_, plan_->twiddles_);
+    split_real(spectrum, std::span(plan_->twiddles_).subspan(m - 1, m));  // stage n
+  }
+  evaluate(spectrum, harmonics, first, out);
+}
+
+void HarmonicForecaster::evaluate(std::span<const std::complex<double>> spectrum,
                                   std::size_t harmonics, std::size_t first,
                                   std::span<double> out) {
-  const std::size_t n = coeffs.size();
-  if (n > coeffs_.size()) throw std::invalid_argument("HarmonicForecaster: spectrum exceeds plan");
-
-  // Bin j and its conjugate mirror N-j are kept together so the model stays
-  // real.
-  const std::size_t keep = std::min(harmonics, n / 2);
-  if (keep > 0) rank(coeffs, keep);
-  bins_.clear();
-  bins_.push_back(0);  // DC: the mean invocation level
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = ranked_[k].second;
-    bins_.push_back(j);
-    const std::size_t mirror = (n - j) % n;
-    if (mirror != j && mirror != 0) bins_.push_back(mirror);
+  const std::size_t m = spectrum.empty() ? 0 : spectrum.size() - 1;  // the Nyquist bin n/2
+  const std::size_t n = std::max<std::size_t>(2 * m, 1);
+  if (spectrum.empty() || !std::has_single_bit(n) || n > plan_->n()) {
+    throw std::invalid_argument("HarmonicForecaster: spectrum must be X_0 .. X_{n/2}, n <= plan n");
   }
+  const std::size_t keep = std::min(harmonics, m);
+  rank(spectrum, keep);
 
   // The plan tabulates the basis at indices n .. n+horizon-1 of its own size.
   const bool tabled = first == n && n == plan_->n();
   for (std::size_t h = 0; h < out.size(); ++h) {
     const std::complex<double>* const row =
-        tabled && h < plan_->horizon() ? plan_->basis_.data() + h * n : nullptr;
-    std::complex<double> acc{0.0, 0.0};
-    for (const std::size_t j : bins_) {
-      acc += coeffs[j] * (row != nullptr ? row[j] : basis_at(j, first + h, n));
+        tabled && h < plan_->horizon() ? plan_->basis_.data() + h * (m + 1) : nullptr;
+    double acc = spectrum[0].real();
+    for (std::size_t k = 0; k < keep; ++k) {
+      const std::size_t j = ranked_[k].second;
+      const std::complex<double> b = row != nullptr ? row[j] : basis_at(j, first + h, n);
+      const double term = spectrum[j].real() * b.real() - spectrum[j].imag() * b.imag();
+      acc += j == m ? term : 2.0 * term;
     }
-    out[h] = acc.real() / static_cast<double>(n);
+    out[h] = acc / static_cast<double>(n);
   }
 }
 
-void HarmonicForecaster::rank(std::span<const std::complex<double>> coeffs, std::size_t keep) {
-  const std::size_t half = coeffs.size() / 2;
-  const std::span<std::pair<double, std::size_t>> top(ranked_.data(), keep);
-
-  // Screen: a bin whose squared magnitude is 2^-40 (relative) below the
-  // keep-th largest is below at least `keep` bins in |X_j| too, since norm
-  // and abs each err by a few ulp. Off when any norm is NaN or the keep-th
-  // is infinite or below 2^-900 (where x*x may underflow): then every bin
-  // is ranked.
-  bool screened = false;
-  double cutoff = 0.0;
-  if (keep < half) {
-    bool nan = false;
-    std::size_t count = 0;
-    for (std::size_t j = 1; j <= half; ++j) {
-      const double norm = std::norm(coeffs[j]);
-      norms_[j - 1] = norm;
-      nan |= std::isnan(norm);
-      offer(top, count, norm, j);
-    }
-    const double kth = top[keep - 1].first;
-    screened = !nan && std::isfinite(kth) && kth >= 0x1p-900;
-    cutoff = kth * (1.0 - 0x1p-40);
-  }
-
-  // Select the top `keep` of |X_j| among the screened-in bins. If their keys
-  // fall strictly and every other key is below the last, that is the only
-  // prefix std::sort (or any correct sort) can produce.
+void HarmonicForecaster::rank(std::span<const std::complex<double>> spectrum, std::size_t keep) {
+  if (keep == 0) return;
+  // Keys descend along ranked_, equal keys in bin order; a NaN norm keys
+  // as -inf, below every norm.
   std::size_t count = 0;
-  double rest = -std::numeric_limits<double>::infinity();  // largest key left out
-  bool nan = false;
-  for (std::size_t j = 1; j <= half; ++j) {
-    if (screened && norms_[j - 1] < cutoff) continue;
-    const double key = std::abs(coeffs[j]);
-    nan |= std::isnan(key);
-    rest = std::max(rest, offer(top, count, key, j));
+  for (std::size_t j = 1; j < spectrum.size(); ++j) {
+    const double norm = std::norm(spectrum[j]);
+    const double key = std::isnan(norm) ? -std::numeric_limits<double>::infinity() : norm;
+    if (count == keep) {
+      if (!(key > ranked_[count - 1].first)) continue;
+      --count;
+    }
+    std::size_t pos = count++;
+    for (; pos > 0 && ranked_[pos - 1].first < key; --pos) ranked_[pos] = ranked_[pos - 1];
+    ranked_[pos] = {key, j};
   }
-  bool unique = !nan && rest < top[keep - 1].first;
-  for (std::size_t k = 1; unique && k < keep; ++k) unique = top[k - 1].first > top[k].first;
-  if (unique) return;
-
-  // A tie or a NaN: the order is whatever std::sort makes of the keys in
-  // bin order, one |X_j| per bin.
-  for (std::size_t j = 1; j <= half; ++j) ranked_[j - 1] = {std::abs(coeffs[j]), j};
-  std::sort(ranked_.begin(), ranked_.begin() + static_cast<std::ptrdiff_t>(half),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
 }
 
 std::vector<double> harmonic_extrapolate(std::span<const double> series, std::size_t harmonics,
@@ -262,11 +233,10 @@ std::vector<double> harmonic_reconstruct(std::span<const double> series,
                                          std::size_t harmonics) {
   std::vector<double> out(series.size(), 0.0);
   if (series.empty()) return out;
-  std::vector<std::complex<double>> coeffs(next_pow2(series.size()), 0.0);
-  std::copy(series.begin(), series.end(), coeffs.begin());
-  fft(coeffs);
-  HarmonicForecaster(std::make_shared<const HarmonicPlan>(coeffs.size(), 0))
-      .evaluate(coeffs, harmonics, 0, out);
+  std::vector<double> padded(next_pow2(series.size()), 0.0);
+  std::copy(series.begin(), series.end(), padded.begin());
+  HarmonicForecaster(std::make_shared<const HarmonicPlan>(padded.size(), 0))
+      .fit(padded, harmonics, 0, out);
   return out;
 }
 

@@ -25,7 +25,7 @@ void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 /// Immutable tables built once per (n, horizon): the bit reversal and
 /// twiddles of forward transforms of every power of two up to n (a power of
 /// two, else std::invalid_argument), and the basis e^{2*pi*i*j*(n+h)/n} for
-/// every bin j < n and step h < horizon. Each entry is the expression an
+/// every bin j <= n/2 and step h < horizon. Each entry is the expression an
 /// untabled fit evaluates, so tabled forecasts are bit-identical.
 class HarmonicPlan {
  public:
@@ -34,21 +34,20 @@ class HarmonicPlan {
   [[nodiscard]] std::size_t n() const noexcept { return bit_reverse_.size(); }
   [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
 
-  /// In-place forward FFT, bit-identical to fft(data); data.size() must be
-  /// a power of two no larger than n().
-  void transform(std::span<std::complex<double>> data) const;
-
  private:
   friend class HarmonicForecaster;
   std::size_t horizon_;
   std::vector<std::size_t> bit_reverse_;        // over log2(n) bits
   std::vector<std::complex<double>> twiddles_;  // stage `len` at [len/2 - 1, len - 1)
-  std::vector<std::complex<double>> basis_;     // step h, bin j at [h * n + j]
+  std::vector<std::complex<double>> basis_;     // step h, bin j at [h * (n/2 + 1) + j]
 };
 
-/// A shared plan plus the scratch of one fit; both methods are
-/// allocation-free. The model is DC plus the `harmonics` largest-magnitude
-/// positive-frequency pairs of a transform of at most plan()->n() points.
+/// A shared plan plus the scratch of one fit; every method is
+/// allocation-free. The model of an n-point real window at index t is
+///   (X_0 + sum_j c_j Re(X_j e^{2*pi*i*j*t/n})) / n
+/// over the `harmonics` bins j in 1..n/2 of largest std::norm(X_j) (ties
+/// to the lower bin, NaN norms last), c_j = 2 but 1 for the Nyquist bin
+/// n/2: DC plus conjugate pairs, so the model is real.
 class HarmonicForecaster {
  public:
   HarmonicForecaster() = default;  // empty until a plan is assigned
@@ -59,23 +58,27 @@ class HarmonicForecaster {
   /// harmonic_extrapolate(series, harmonics, out.size()), written to out.
   void extrapolate(std::span<const double> series, std::size_t harmonics, std::span<double> out);
 
-  /// Writes the model of `coeffs` (an n-point forward transform) at indices
-  /// first, first+1, ... to out.
-  void evaluate(std::span<const std::complex<double>> coeffs, std::size_t harmonics,
+  /// Fits `window` (a power of two no longer than plan()->n(), else
+  /// std::invalid_argument) and writes its model at indices first,
+  /// first+1, ... to out. The transform packs the window as n/2 complex
+  /// points, runs their FFT and splits it into X_0 .. X_{n/2}.
+  void fit(std::span<const double> window, std::size_t harmonics, std::size_t first,
+           std::span<double> out);
+
+  /// Writes the model of `spectrum`, the bins X_0 .. X_{n/2} of a real
+  /// n-point transform (X_0 alone when n = 1), at indices first, first+1,
+  /// ... to out. Only X_0's real part is read.
+  void evaluate(std::span<const std::complex<double>> spectrum, std::size_t harmonics,
                 std::size_t first, std::span<double> out);
 
  private:
-  /// Leaves in ranked_[0, keep) (0 < keep <= n/2) the prefix that sorting
-  /// every (|X_j|, j), j = 1..n/2, by descending |X_j| with std::sort gives:
-  /// by top-k selection over a norm screen when that prefix is unique, else
-  /// by that sort.
-  void rank(std::span<const std::complex<double>> coeffs, std::size_t keep);
+  /// Leaves in ranked_[0, keep) the `keep` model bins of spectrum, in rank
+  /// order, by top-k insertion of (norm, j) keys.
+  void rank(std::span<const std::complex<double>> spectrum, std::size_t keep);
 
   std::shared_ptr<const HarmonicPlan> plan_;
-  std::vector<std::complex<double>> coeffs_;
-  std::vector<std::pair<double, std::size_t>> ranked_;  // (|X_j|, j), or (|X_j|^2, j)
-  std::vector<double> norms_;                           // |X_j|^2 at [j - 1]
-  std::vector<std::size_t> bins_;                       // kept: DC + pairs
+  std::vector<std::complex<double>> spectrum_;          // X_0 .. X_{n/2}
+  std::vector<std::pair<double, std::size_t>> ranked_;  // (rank key, j)
 };
 
 /// Fits the largest power-of-two *suffix* of `series` and evaluates its
@@ -88,8 +91,9 @@ class HarmonicForecaster {
                                                        std::size_t harmonics,
                                                        std::size_t horizon);
 
-/// Smoothed reconstruction of the input itself from the top harmonics
-/// (indices [0, series.size())); useful for diagnostics and tests.
+/// Smoothed reconstruction of the input itself from the top harmonics of
+/// its zero-padded power-of-two transform (indices [0, series.size()));
+/// useful for diagnostics and tests.
 [[nodiscard]] std::vector<double> harmonic_reconstruct(std::span<const double> series,
                                                        std::size_t harmonics);
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics_registry.hpp"
+#include "obs/observer.hpp"
+#include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
 #include "trace/workload.hpp"
 
@@ -151,6 +158,78 @@ TEST_F(IceBreakerTest, RefreshIntervalConfigRespected) {
   // The schedule beyond now + refresh_interval must be untouched.
   for (trace::Minute m = 206; m < 1200; ++m) {
     EXPECT_FALSE(schedule_.is_alive(0, m)) << "minute " << m;
+  }
+}
+
+/// Records every refit (function, minute) on its way to the schedule.
+class RefitRecorder final : public IceBreakerPolicy {
+ public:
+  using IceBreakerPolicy::IceBreakerPolicy;
+  std::vector<std::pair<trace::FunctionId, trace::Minute>> refits;
+
+ protected:
+  void apply_forecast(trace::FunctionId f, trace::Minute t, const std::vector<double>& predicted,
+                      sim::KeepAliveSchedule& schedule) override {
+    EXPECT_EQ(predicted.size(), static_cast<std::size_t>(config_.refresh_interval));
+    refits.emplace_back(f, t);
+    IceBreakerPolicy::apply_forecast(f, t, predicted, schedule);
+  }
+};
+
+TEST(IceBreakerStagger, EveryFunctionRefitsOncePerIntervalAndMinutesStayBalanced) {
+  constexpr std::size_t kFunctions = 23;
+  constexpr trace::Minute kMinutes = 300;
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  const sim::Deployment deployment = sim::Deployment::round_robin(zoo, kFunctions);
+  trace::Trace trace(kFunctions, kMinutes);
+  for (trace::FunctionId f = 0; f < kFunctions; ++f) {
+    for (trace::Minute m = static_cast<trace::Minute>(f); m < kMinutes; m += 7) {
+      trace.set_count(f, m, 1);
+    }
+  }
+  for (const trace::Minute interval : {trace::Minute{1}, trace::Minute{4}, trace::kKeepAliveWindow,
+                                       trace::Minute{30}}) {
+    SCOPED_TRACE("refresh_interval " + std::to_string(interval));
+    sim::KeepAliveSchedule schedule(deployment, kMinutes);
+    obs::RingBufferSink sink(1 << 12);
+    obs::MetricsRegistry registry;
+    obs::Observer observer;
+    observer.sink = &sink;
+    observer.metrics = &registry;
+    RefitRecorder p(IceBreakerPolicy::Config{interval});
+    p.attach_observer(&observer);
+    ManualDriver driver(p, deployment, trace, schedule);
+    driver.run_until(kMinutes);
+
+    // Each whole interval [k*R, (k+1)*R) refits each function exactly once,
+    // at the minute with (t + 1 + f) % R == 0.
+    const auto r = static_cast<std::size_t>(interval);
+    std::map<std::pair<trace::FunctionId, trace::Minute>, int> per_interval;
+    std::map<trace::Minute, std::size_t> per_minute;
+    for (const auto& [f, t] : p.refits) {
+      EXPECT_EQ((static_cast<std::size_t>(t) + 1 + f) % r, 0u) << "f=" << f << " t=" << t;
+      ++per_interval[{f, t / interval}];
+      ++per_minute[t];
+    }
+    const trace::Minute whole = kMinutes / interval;
+    for (trace::FunctionId f = 0; f < kFunctions; ++f) {
+      for (trace::Minute k = 0; k < whole; ++k) {
+        EXPECT_EQ((per_interval[{f, k}]), 1) << "f=" << f << " interval " << k;
+      }
+    }
+    const std::size_t bound = (kFunctions + r - 1) / r;
+    for (const auto& [t, count] : per_minute) EXPECT_LE(count, bound) << "t=" << t;
+
+    // One forecast_refresh event per minute that refits, valued at its
+    // refit count; icebreaker.refreshes counts refits.
+    std::size_t events = 0;
+    for (const obs::TraceEvent& e : sink.events()) {
+      if (e.type != obs::EventType::kPolicyDecision) continue;
+      ++events;
+      EXPECT_EQ(e.value, static_cast<double>(per_minute[e.minute])) << "t=" << e.minute;
+    }
+    EXPECT_EQ(events, per_minute.size());
+    EXPECT_EQ(registry.snapshot().counter_or("icebreaker.refreshes"), p.refits.size());
   }
 }
 

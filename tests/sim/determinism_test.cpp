@@ -19,7 +19,9 @@
 // jitter sampler's algorithm (Box-Muller gave way to a ziggurat) is an
 // intentional change to the draws: it may re-pin golden_fixtures.inc only
 // while (b) stays bit-equal, which shows that nothing but the sampled
-// service times moved.
+// service times moved. Likewise a deliberate change to one policy's model
+// (IceBreaker's real-input refit and staggered refits) may re-pin that
+// policy's rows of both tables only while every other row stays bit-equal.
 
 #include <gtest/gtest.h>
 
