@@ -4,9 +4,9 @@
 // day; 128 with --quick) in four observability modes:
 //
 //   disabled — no observer attached (the default everyone else pays for)
-//   sink     — RingBufferSink behind an EventCollector lane (the attached
-//              transport: a push into the lane's own retention window, fed
-//              to the sink once at finish)
+//   sink     — RingBufferSink attached to the engine, which puts it behind
+//              its own one-lane EventCollector (a push into the lane's
+//              retention window, fed to the sink once at finish)
 //   metrics  — MetricsRegistry only (handle-bundle batched counters)
 //   full     — sink + metrics + PhaseProfiler + top-K function tallies
 //
@@ -28,11 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/collector.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
@@ -75,13 +73,7 @@ double run_mode(Mode mode, const sim::Deployment& deployment, const trace::Trace
   sim::EngineConfig config;
   config.seed = 12345;
   config.memory_capacity_mb = capacity_mb;
-  // Sink modes go through the collector lane — the attached transport the
-  // ensemble/cluster runners use — not the sink's mutex path.
-  std::unique_ptr<obs::EventCollector> collector;
-  if (mode == Mode::kSink || mode == Mode::kFull) {
-    collector = std::make_unique<obs::EventCollector>(sink, 1);
-    config.observer.sink = &collector->lane(0);
-  }
+  if (mode == Mode::kSink || mode == Mode::kFull) config.observer.sink = &sink;
   if (mode == Mode::kMetrics || mode == Mode::kFull) config.observer.metrics = &registry;
   if (mode == Mode::kFull) {
     config.observer.profiler = &profiler;
@@ -90,12 +82,12 @@ double run_mode(Mode mode, const sim::Deployment& deployment, const trace::Trace
 
   sim::SimulationEngine engine(deployment, trace, config);
   const auto policy = policies::make_policy("pulse");
-  // The timed window covers the collector's finish() feed too: the
-  // attached cost is end-to-end, not just the producer-side push.
+  // The timed window covers the engine's final collector feed too (run()
+  // returns after it): the attached cost is end-to-end, not just the
+  // producer-side push.
   const auto start = std::chrono::steady_clock::now();
   // Held past the timer: destroying the result is not part of the run.
   [[maybe_unused]] const sim::RunResult result = engine.run(*policy);
-  if (collector) collector->finish();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
   events_out = sink.recorded();

@@ -156,9 +156,9 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   // Per-shard observability state: metrics/profilers are per-shard and
   // merged after the pool joins. An attached sink goes behind the event
   // collector — lane s for shard s, lane n for the coordinator's own
-  // events — so shard threads never contend on the sink per event, and the
-  // fixed shard→lane mapping keeps the canonical feed (and with it any
-  // RingBufferSink retained window) thread-count deterministic.
+  // events — and the fixed shard→lane mapping keeps the canonical feed
+  // (and with it any RingBufferSink retained window) thread-count
+  // deterministic.
   std::vector<obs::MetricsRegistry> shard_metrics(user_obs.metrics != nullptr ? n : 0);
   std::vector<obs::PhaseProfiler> shard_profilers(user_obs.profiler != nullptr ? n : 0);
   std::unique_ptr<obs::EventCollector> collector;

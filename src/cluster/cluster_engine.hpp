@@ -27,10 +27,11 @@
 //
 // Observability: an attached TraceSink sits behind an obs::EventCollector
 // — one producer-owned lane per shard plus one for the coordinator's own
-// events — so no simulation thread takes the sink's lock per event, and
-// because the shard→lane mapping is fixed, the canonical (lane, sequence)
-// feed makes the retained event stream fully deterministic for a fixed
-// shard count. Metrics registries and profilers are per-shard and merged
+// events — which each shard's SteppedRun emits into as is. Because the
+// shard→lane mapping is fixed, the canonical (lane, sequence) feed at the
+// end of the run makes the retained event stream fully deterministic for a
+// fixed shard count; a streaming sink receives the shards' batches
+// concurrently. Metrics registries and profilers are per-shard and merged
 // into the user's after the pool joins — the single-writer discipline the
 // ensemble runner established.
 // Market decisions emit kRebalance events and cluster.* metrics.

@@ -1,8 +1,10 @@
 #include "exp/replay.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace_sink.hpp"
@@ -11,6 +13,9 @@
 namespace pulse::exp {
 
 namespace {
+
+/// Function ids past 2^53 are not exact in a double; no catalog comes near.
+constexpr double kMaxFunction = 9007199254740992.0;
 
 /// Position just past `"key":` in `line`, or npos.
 std::size_t after_key(std::string_view line, std::string_view key) {
@@ -39,6 +44,14 @@ bool parse_number(std::string_view line, std::size_t pos, double& out) {
   return end != buf;
 }
 
+/// Parses an integer in [lo, hi) at `pos`. A fraction, NaN or out-of-range
+/// value is malformed: a cast of it would be undefined, and the replayer
+/// indexes its curves by the minute.
+bool parse_integer(std::string_view line, std::size_t pos, double lo, double hi,
+                   double& out) {
+  return parse_number(line, pos, out) && out >= lo && out < hi && std::floor(out) == out;
+}
+
 }  // namespace
 
 bool parse_event_jsonl(std::string_view line, obs::TraceEvent& out, std::string* detail) {
@@ -62,21 +75,30 @@ bool parse_event_jsonl(std::string_view line, obs::TraceEvent& out, std::string*
   if (!known) return false;
 
   // minute and value: required numerics.
-  double minute = 0.0;
+  double number = 0.0;
   pos = after_key(line, "minute");
-  if (pos == std::string_view::npos || !parse_number(line, pos, minute)) return false;
-  out.minute = static_cast<trace::Minute>(minute);
+  if (pos == std::string_view::npos ||
+      !parse_integer(line, pos, 0.0, static_cast<double>(trace::kMaxInvocationMinute),
+                     number)) {
+    return false;
+  }
+  out.minute = static_cast<trace::Minute>(number);
   pos = after_key(line, "value");
   if (pos == std::string_view::npos || !parse_number(line, pos, out.value)) return false;
 
-  // function and variant: optional (the writer omits kNoFunction / -1).
-  double number = 0.0;
+  // function and variant: optional (the writer omits kNoFunction / -1), but
+  // present ones must be in range for their types.
   pos = after_key(line, "function");
-  if (pos != std::string_view::npos && parse_number(line, pos, number)) {
+  if (pos != std::string_view::npos) {
+    if (!parse_integer(line, pos, 0.0, kMaxFunction, number)) return false;
     out.function = static_cast<trace::FunctionId>(number);
   }
   pos = after_key(line, "variant");
-  if (pos != std::string_view::npos && parse_number(line, pos, number)) {
+  if (pos != std::string_view::npos) {
+    if (!parse_integer(line, pos, std::numeric_limits<std::int32_t>::min(),
+                       std::numeric_limits<std::int32_t>::max() + 1.0, number)) {
+      return false;
+    }
     out.variant = static_cast<std::int32_t>(number);
   }
 

@@ -15,7 +15,9 @@
 // The parser accepts exactly the schema obs::format_event_jsonl emits. A
 // malformed or unknown-type line is skipped and counted, never fatal — the
 // replayer is a forensic tool and partial (truncated) streams are expected
-// inputs.
+// inputs. A minute that is not an integer in [0, trace::kMaxInvocationMinute)
+// and a function or variant that is not an integer in its type's range make
+// a line malformed.
 
 #include <string>
 #include <string_view>

@@ -5,20 +5,8 @@ namespace pulse::obs {
 EventLane::EventLane(TraceSink& downstream, std::size_t retain)
     : downstream_(&downstream), retain_(retain) {}
 
-void EventLane::record(const TraceEvent& event) {
-  ++produced_;
-  if (retain_ == 0) {
-    buffer_.push_back(event);
-    if (buffer_.size() == kStreamBatch) feed_downstream();
-    return;
-  }
-  // Retention window full: the oldest event is exactly what the sink's own
-  // window would evict, so drop it here and keep only its type count.
-  if (buffer_.size() == retain_) {
-    ++overwritten_[static_cast<std::size_t>(buffer_.front().type)];
-    buffer_.pop_front();
-  }
-  buffer_.push_back(event);
+void EventLane::record_batch(const TraceEvent* events, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) record(events[i]);
 }
 
 void EventLane::feed_downstream() {
@@ -29,11 +17,7 @@ void EventLane::feed_downstream() {
 
 EventCollector::EventCollector(TraceSink& downstream, std::size_t lanes) {
   if (lanes == 0) lanes = 1;
-  std::size_t retain = 0;
-  if (downstream.drain_mode() == TraceSink::DrainMode::kCanonical) {
-    retain = downstream.canonical_capacity();
-    if (retain == 0) retain = 1;
-  }
+  const std::size_t retain = downstream.canonical_capacity();
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     lanes_.push_back(std::unique_ptr<EventLane>(new EventLane(downstream, retain)));
@@ -57,10 +41,11 @@ void EventCollector::finish() {
   }
 }
 
-std::uint64_t EventCollector::produced() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->produced();
-  return total;
+EventLane* own_lane(TraceSink* sink, std::unique_ptr<EventCollector>& owner) {
+  if (sink == nullptr) return nullptr;
+  if (auto* const lane = dynamic_cast<EventLane*>(sink)) return lane;
+  owner = std::make_unique<EventCollector>(*sink, 1);
+  return &owner->lane(0);
 }
 
 }  // namespace pulse::obs

@@ -1,29 +1,35 @@
 #pragma once
-// Attached-mode event transport: one producer-owned lane per emitting
-// thread (engine, cluster shard, ensemble worker slot) in front of a shared
-// downstream sink.
+// The one event transport: one producer-owned lane per emitting thread
+// (engine, cluster shard, ensemble worker slot) in front of a downstream
+// sink.
 //
 //   EventLane::record(): push into the lane's own buffer — no lock, no
 //   atomic, no thread
 //
+// Every sink is fed through a collector. The ensemble and cluster runners
+// own one with a lane per producer; a lone SteppedRun (engine, online
+// server) or PlatformSimulator::run puts an attached sink that is not
+// already a lane behind a one-lane collector of its own (own_lane()) and
+// finishes it before it returns.
+//
 // Each lane buffers into a util::RingBuffer that only its producer touches
 // until finish(). What that buffer holds depends on the sink:
-//   - Canonical sinks (RingBufferSink: DrainMode::kCanonical): the buffer is
-//     the lane's retention window. It keeps the sink's last
+//   - Canonical sinks (canonical_capacity() > 0, e.g. RingBufferSink): the
+//     buffer is the lane's retention window. It keeps the sink's last
 //     canonical_capacity() events; once full, each record overwrites the
 //     lane's oldest event and counts that event's type. finish() folds the
 //     overwritten counts into the sink and feeds every lane's window in
 //     canonical (lane id, then sequence) order. The retained event window,
 //     recorded()/dropped() and counts_by_type() are therefore bit-identical
-//     to feeding the same per-lane streams serially, for any thread count.
-//     With one lane this is exactly direct attachment.
-//   - Streaming sinks (JsonlFileSink: DrainMode::kStream) must see every
-//     event: the buffer is one batch of kStreamBatch events, handed to the
-//     sink's record_batch() on the producer thread whenever it fills, and
-//     finish() hands over the partial batches in lane id order. With one
-//     lane the line order is the emission order; with several, lines
-//     interleave in whole batches (the sink's lock serializes them) and
-//     totals stay exact.
+//     to feeding the same per-lane streams serially, for any thread count,
+//     and the sink is only ever called from the thread running finish().
+//   - Streaming sinks (canonical_capacity() == 0, e.g. JsonlFileSink) must
+//     see every event: the buffer is one batch of kStreamBatch events,
+//     handed to the sink's record_batch() on the producer thread whenever
+//     it fills, and finish() hands over the partial batches in lane id
+//     order. With one lane the line order is the emission order; with
+//     several, lanes call the sink concurrently (JsonlFileSink's lock
+//     serializes the writes) and totals stay exact.
 //
 // Lifecycle: construct with the downstream sink and the lane count, hand
 // lane(i) out as the obs::Observer sink of producer i (one producer at a
@@ -46,9 +52,8 @@ namespace pulse::obs {
 /// Observer sink. record() is the whole hot path — one buffer push, no
 /// lock.
 ///
-/// All state is producer-owned: read the accounting (or the collector's
-/// sums) only after the producer has quiesced — joining the producer thread
-/// or calling EventCollector::finish() both order the reads.
+/// All state is producer-owned until EventCollector::finish(), which must
+/// run after the producer has quiesced.
 class EventLane final : public TraceSink {
  public:
   /// Events a streaming lane buffers before handing them to the sink.
@@ -57,10 +62,21 @@ class EventLane final : public TraceSink {
   EventLane(const EventLane&) = delete;
   EventLane& operator=(const EventLane&) = delete;
 
-  void record(const TraceEvent& event) override;
-
-  /// Events recorded into the lane.
-  [[nodiscard]] std::uint64_t produced() const noexcept { return produced_; }
+  void record(const TraceEvent& event) override {
+    if (retain_ == 0) {
+      buffer_.push_back(event);
+      if (buffer_.size() == kStreamBatch) feed_downstream();
+      return;
+    }
+    // Retention window full: the oldest event is exactly what the sink's own
+    // window would evict, so drop it here and keep only its type count.
+    if (buffer_.size() == retain_) {
+      ++overwritten_[static_cast<std::size_t>(buffer_.front().type)];
+      buffer_.pop_front();
+    }
+    buffer_.push_back(event);
+  }
+  void record_batch(const TraceEvent* events, std::size_t count) override;
 
  private:
   friend class EventCollector;
@@ -75,7 +91,6 @@ class EventLane final : public TraceSink {
 
   util::RingBuffer<TraceEvent> buffer_;
   std::array<std::uint64_t, kEventTypeCount> overwritten_{};  // canonical evictions
-  std::uint64_t produced_ = 0;
 };
 
 class EventCollector {
@@ -88,7 +103,6 @@ class EventCollector {
   EventCollector& operator=(const EventCollector&) = delete;
 
   [[nodiscard]] EventLane& lane(std::size_t i) { return *lanes_[i]; }
-  [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
 
   /// Feeds every lane's buffered events downstream in (lane id, sequence)
   /// order — for canonical sinks after folding in the lane's overwritten
@@ -96,13 +110,17 @@ class EventCollector {
   /// destructor.
   void finish();
 
-  // Collector-wide sums of the per-lane accounting (valid after finish,
-  // or once every producer has quiesced).
-  [[nodiscard]] std::uint64_t produced() const noexcept;
-
  private:
   std::vector<std::unique_ptr<EventLane>> lanes_;
   bool finished_ = false;
 };
+
+/// The lane a lone run emits into: null when `sink` is null, `sink` itself
+/// when it already is an EventLane (a runner's collector handed it out),
+/// otherwise lane 0 of a new one-lane collector in front of `sink`, stored
+/// in `owner` — the run finishes it before returning its result. The run's
+/// own emission sites call the returned lane directly (EventLane is final,
+/// so the push inlines).
+[[nodiscard]] EventLane* own_lane(TraceSink* sink, std::unique_ptr<EventCollector>& owner);
 
 }  // namespace pulse::obs

@@ -26,34 +26,19 @@ const char* to_string(EventType type) noexcept {
 }
 
 RingBufferSink::RingBufferSink(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), type_counts_(kEventTypeCount, 0) {
-  buffer_.reserve(capacity_);
-}
-
-void RingBufferSink::record_locked(const TraceEvent& event) {
-  ++recorded_;
-  ++type_counts_[static_cast<std::size_t>(event.type)];
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
-    return;
-  }
-  buffer_[head_] = event;
-  head_ = (head_ + 1) % capacity_;
-}
-
-void RingBufferSink::record(const TraceEvent& event) {
-  std::lock_guard lock(mutex_);
-  record_locked(event);
-}
+    : capacity_(capacity == 0 ? 1 : capacity), type_counts_(kEventTypeCount, 0) {}
 
 void RingBufferSink::record_batch(const TraceEvent* events, std::size_t count) {
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < count; ++i) record_locked(events[i]);
+  for (std::size_t i = 0; i < count; ++i) {
+    ++recorded_;
+    ++type_counts_[static_cast<std::size_t>(events[i].type)];
+    if (window_.size() == capacity_) window_.pop_front();
+    window_.push_back(events[i]);
+  }
 }
 
 void RingBufferSink::account_overwritten(const std::uint64_t* by_type,
                                          std::size_t type_count) {
-  std::lock_guard lock(mutex_);
   if (type_count > type_counts_.size()) type_count = type_counts_.size();
   for (std::size_t i = 0; i < type_count; ++i) {
     type_counts_[i] += by_type[i];
@@ -62,35 +47,13 @@ void RingBufferSink::account_overwritten(const std::uint64_t* by_type,
 }
 
 std::vector<TraceEvent> RingBufferSink::events() const {
-  std::lock_guard lock(mutex_);
   std::vector<TraceEvent> out;
-  out.reserve(buffer_.size());
-  // Oldest first: once the buffer wrapped, head_ points at the oldest entry.
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    out.push_back(buffer_[(head_ + i) % buffer_.size()]);
-  }
+  window_.copy_to(out);
   return out;
 }
 
-std::uint64_t RingBufferSink::recorded() const {
-  std::lock_guard lock(mutex_);
-  return recorded_;
-}
-
-std::uint64_t RingBufferSink::dropped() const {
-  std::lock_guard lock(mutex_);
-  return recorded_ - buffer_.size();
-}
-
-std::vector<std::uint64_t> RingBufferSink::counts_by_type() const {
-  std::lock_guard lock(mutex_);
-  return type_counts_;
-}
-
 void RingBufferSink::clear() {
-  std::lock_guard lock(mutex_);
-  buffer_.clear();
-  head_ = 0;
+  window_.clear();
   recorded_ = 0;
   type_counts_.assign(kEventTypeCount, 0);
 }
@@ -126,22 +89,6 @@ JsonlFileSink::~JsonlFileSink() {
   if (file_ != nullptr) (void)std::fclose(file_);
 }
 
-void JsonlFileSink::write_locked(const char* data, std::size_t n, std::size_t lines) {
-  if (std::fwrite(data, 1, n, file_) == n) {
-    lines_ += lines;
-  } else {
-    failed_ = true;
-  }
-}
-
-void JsonlFileSink::record(const TraceEvent& event) {
-  // Format on the caller's stack; the lock covers only the write + counter.
-  char line[kJsonlMaxLine];
-  const std::size_t n = format_event_jsonl(event, line, sizeof line);
-  std::lock_guard lock(mutex_);
-  write_locked(line, n, 1);
-}
-
 void JsonlFileSink::record_batch(const TraceEvent* events, std::size_t count) {
   // One buffered chunk, one fwrite, one lock acquisition per chunk. 64 lines
   // per chunk keeps the buffer on the stack.
@@ -154,9 +101,13 @@ void JsonlFileSink::record_batch(const TraceEvent* events, std::size_t count) {
     for (std::size_t j = 0; j < lines; ++j) {
       n += format_event_jsonl(events[i + j], chunk + n, kJsonlMaxLine);
     }
-    std::lock_guard lock(mutex_);
-    write_locked(chunk, n, lines);
     i += lines;
+    std::lock_guard lock(mutex_);
+    if (std::fwrite(chunk, 1, n, file_) == n) {
+      lines_ += lines;
+    } else {
+      failed_ = true;
+    }
   }
 }
 

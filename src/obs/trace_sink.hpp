@@ -3,12 +3,16 @@
 //
 // The engine and the policies never talk to a concrete sink — they emit
 // through obs::Observer, which is a null check when nothing is attached.
-// Both provided implementations are internally synchronized so one sink can
-// be shared across ensemble worker threads; the cheap attached path,
-// however, is to put an obs::EventCollector in front (see collector.hpp):
-// each producer then buffers into its own lane, and the sink's lock is
-// taken once per batch of events through record_batch(), never per event
-// on the simulation hot path.
+// Every run feeds its sink through an obs::EventCollector (collector.hpp):
+// a lone engine, server or platform simulator puts an attached sink behind
+// a one-lane collector of its own, and the ensemble and cluster runners
+// hand each producer a lane of theirs. A sink therefore only ever sees
+// record_batch() and account_overwritten() from a collector:
+//   - a canonical sink (canonical_capacity() > 0) is fed once, by one
+//     collector, at its finish(), from one thread;
+//   - a streaming sink (canonical_capacity() == 0) receives each lane's
+//     batches on that lane's producer thread, so batches from several
+//     lanes may arrive concurrently.
 
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace pulse::obs {
 
@@ -24,30 +29,20 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  /// How an EventCollector hands lane events to this sink.
-  ///   kStream    — every event, in batches from the producer thread as
-  ///                each lane's batch fills (file/streaming sinks; line
-  ///                order across lanes is batch order).
-  ///   kCanonical — the collector retains bounded per-lane tails and feeds
-  ///                the sink exactly once, at finish(), in canonical
-  ///                (lane id, sequence) order, so the retained window and
-  ///                all drop accounting are independent of thread timing.
-  enum class DrainMode : std::uint8_t { kStream, kCanonical };
+  /// Records `count` events, oldest first: the one entry a collector uses.
+  virtual void record_batch(const TraceEvent* events, std::size_t count) = 0;
 
-  /// Records one event. Must be safe to call from multiple threads.
-  virtual void record(const TraceEvent& event) = 0;
+  /// Records one event as a batch of one. An EventLane overrides it with its
+  /// buffer push (the emission hot path); tests that attach a sink straight
+  /// to a policy reach the sink through it.
+  virtual void record(const TraceEvent& event) { record_batch(&event, 1); }
 
-  /// Records `count` events in one call (the collector's path). The
-  /// default loops over record(); synchronized sinks override it to take
-  /// their lock once per batch.
-  virtual void record_batch(const TraceEvent* events, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) record(events[i]);
-  }
-
-  [[nodiscard]] virtual DrainMode drain_mode() const noexcept { return DrainMode::kStream; }
-
-  /// Retained-window capacity a canonical collector should mirror per lane.
-  /// Only meaningful when drain_mode() is kCanonical.
+  /// Retained window a collector mirrors per lane. A sink is canonical
+  /// exactly when this is > 0: the collector keeps each lane's last
+  /// canonical_capacity() events and feeds them once, at finish(), in
+  /// (lane id, sequence) order, so the retained window and all drop
+  /// accounting are independent of thread timing. A streaming sink (0) gets
+  /// every event, in batches from the producer threads.
   [[nodiscard]] virtual std::size_t canonical_capacity() const noexcept { return 0; }
 
   /// Folds events that were overwritten upstream (a canonical collector's
@@ -61,19 +56,14 @@ class TraceSink {
 };
 
 /// Fixed-capacity ring buffer: keeps the most recent `capacity` events and
-/// counts what it had to drop. The cheap always-on-capable sink.
+/// counts what it had to drop. Canonical: a collector feeds it from one
+/// thread, once, so it needs no lock; read it after the run has returned.
 class RingBufferSink final : public TraceSink {
  public:
   explicit RingBufferSink(std::size_t capacity = 4096);
 
-  void record(const TraceEvent& event) override;
   void record_batch(const TraceEvent* events, std::size_t count) override;
 
-  /// Canonical drain: an EventCollector feeds this sink once, at finish, in
-  /// (lane id, sequence) order — deterministic for any thread count.
-  [[nodiscard]] DrainMode drain_mode() const noexcept override {
-    return DrainMode::kCanonical;
-  }
   [[nodiscard]] std::size_t canonical_capacity() const noexcept override {
     return capacity_;
   }
@@ -83,26 +73,22 @@ class RingBufferSink final : public TraceSink {
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
   /// Total events ever recorded (retained + overwritten).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
 
   /// Events overwritten because the buffer was full: recorded() minus the
   /// retained ones, including those a collector lane overwrote.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return recorded_ - window_.size(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Per-type counts over every event ever recorded (index = EventType).
-  [[nodiscard]] std::vector<std::uint64_t> counts_by_type() const;
+  [[nodiscard]] std::vector<std::uint64_t> counts_by_type() const { return type_counts_; }
 
   void clear();
 
  private:
-  void record_locked(const TraceEvent& event);
-
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<TraceEvent> buffer_;  // ring storage, wraps at capacity_
-  std::size_t head_ = 0;            // next write position once full
+  util::RingBuffer<TraceEvent> window_;  // the newest <= capacity_ events
   std::uint64_t recorded_ = 0;
   std::vector<std::uint64_t> type_counts_;
 };
@@ -117,13 +103,12 @@ std::size_t format_event_jsonl(const TraceEvent& event, char* buf, std::size_t c
 ///    "value":4,"detail":""}
 /// `function` is omitted for aggregate events and `variant` when -1.
 ///
-/// Formatting happens outside the lock (per-call stack buffer); the lock
-/// only covers the fwrite, and record_batch() formats up to 64 lines into
-/// one buffer and writes them with a single fwrite.
+/// record_batch() formats up to 64 lines into one stack buffer outside the
+/// lock and writes them with a single fwrite under it.
 ///
-/// Write errors never throw from record()/record_batch() (they run on
-/// producer threads): a failed write sets a sticky failure flag, its lines
-/// are not counted, and flush() reports the failure.
+/// Write errors never throw from record_batch() (it runs on producer
+/// threads): a failed write sets a sticky failure flag, its lines are not
+/// counted, and flush() reports the failure.
 class JsonlFileSink final : public TraceSink {
  public:
   /// Opens `path` for writing (truncates). Throws std::runtime_error when
@@ -134,7 +119,6 @@ class JsonlFileSink final : public TraceSink {
   JsonlFileSink(const JsonlFileSink&) = delete;
   JsonlFileSink& operator=(const JsonlFileSink&) = delete;
 
-  void record(const TraceEvent& event) override;
   void record_batch(const TraceEvent* events, std::size_t count) override;
 
   /// Lines handed to the file without a write error (lines still buffered
@@ -146,10 +130,11 @@ class JsonlFileSink final : public TraceSink {
   void flush();
 
  private:
-  /// Writes `n` bytes holding `lines` lines; caller holds mutex_.
-  void write_locked(const char* data, std::size_t n, std::size_t lines);
-
   const std::string path_;
+  // Streaming: the lanes of an ensemble or cluster each hand over their
+  // full batches on their own producer thread, so record_batch() runs
+  // concurrently. The lock keeps each 64-line chunk contiguous in the file
+  // and guards the line count and the failure flag.
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
   std::uint64_t lines_ = 0;

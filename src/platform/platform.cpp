@@ -1,9 +1,11 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/collector.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/minute_kernel.hpp"
 #include "util/rng.hpp"
@@ -38,10 +40,14 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
   // Observability: all three handles are optional; `sink` is the only one
   // consulted on the per-second hot path, as a single null-check branch.
-  const obs::Observer& obs = config_.observer;
-  obs::TraceSink* const sink = obs.sink;
+  // A sink that is not already a lane goes behind this run's own one-lane
+  // collector, finished before the run returns.
+  std::unique_ptr<obs::EventCollector> collector;
+  obs::Observer obs = config_.observer;
+  obs::EventLane* const sink = obs::own_lane(obs.sink, collector);
+  obs.sink = sink;
   const obs::PhaseTimer run_timer(obs.profiler, obs::Phase::kSimulate);
-  policy.attach_observer(obs.any() ? &config_.observer : nullptr);
+  policy.attach_observer(obs.any() ? &obs : nullptr);
   sim::PolicyCallTimer policy_calls(policy, obs.profiler);
 
   PlatformResult result;
@@ -49,7 +55,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   // The minute engine's kernel, seed and all: with matching schedules the
   // two layers crash, retry, clip and evict identically, and draw the same
   // per-function jitter streams.
-  sim::MinuteKernel kernel(schedule, result.faults, config_.observer, config_.faults,
+  sim::MinuteKernel kernel(schedule, result.faults, obs, config_.faults,
                            config_.seed);
 
   std::vector<std::vector<Container>> pool(tr.function_count());
@@ -253,6 +259,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
   result.downgrades = policy.downgrade_count();
   result.faults.guard_incidents = policy.incident_count();
+  if (collector) collector->finish();
 
   // Fold the run's aggregates into the registry (one batch of adds at the
   // end; zero hot-path cost) and snapshot it into the result.

@@ -84,7 +84,9 @@ struct PlatformConfig {
   /// Observability context: optional event sink, metrics registry, and
   /// phase profiler (all non-owning; default fully disabled). Attaching
   /// any of them leaves PlatformResult bitwise identical — the layer
-  /// observes, it never steers.
+  /// observes, it never steers. A sink that is not an obs::EventLane is fed
+  /// through a one-lane obs::EventCollector the run owns; it holds every
+  /// event once run() returns.
   obs::Observer observer{};
 };
 

@@ -41,6 +41,8 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
     throw std::invalid_argument("SteppedRun: global_ids/trace function count mismatch");
   }
   const trace::Minute duration = trace.duration();
+  lane_ = obs::own_lane(config_.observer.sink, collector_);
+  config_.observer.sink = lane_;
   const obs::Observer& obs = config_.observer;
   policy_->attach_observer(obs.any() ? &config_.observer : nullptr);
 
@@ -111,7 +113,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
   const Deployment& dep = *deployment_;
   KeepAliveSchedule& schedule = schedule_;
   RunResult& result = result_;
-  obs::TraceSink* const sink = config_.observer.sink;
+  obs::EventLane* const sink = lane_;
 
   for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
     const std::uint32_t count = tr.count(f, t);
@@ -200,7 +202,7 @@ void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t aliv
   const double cost_t = keepalive_cost_usd(memory_t, 1.0);
   result_.total_keepalive_cost_usd += cost_t;
   if (alive_hist_ != nullptr) alive_hist_->add(alive_n);
-  obs::TraceSink* const sink = config_.observer.sink;
+  obs::EventLane* const sink = lane_;
   if (sink != nullptr && config_.emit_minute_samples) {
     // End-of-minute aggregate: the replayer's cost-curve anchor. value
     // carries the exact memory double (%.17g survives the JSONL round
@@ -268,6 +270,7 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   }
   run_until(end);
   finished_ = true;
+  if (collector_) collector_->finish();
 
   RunResult& result = result_;
   result.downgrades = policy_->downgrade_count();

@@ -9,10 +9,12 @@
 // from the keep-alive schedule the policy maintains.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "models/latency.hpp"
+#include "obs/collector.hpp"
 #include "obs/observer.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
@@ -69,6 +71,9 @@ struct EngineConfig {
   /// phase profiler (all non-owning; default fully disabled). Attaching
   /// any of them leaves RunResult bitwise identical — the layer observes,
   /// it never steers (tests/obs/obs_determinism_test.cpp is the gate).
+  /// A sink that is not an obs::EventLane is fed through a one-lane
+  /// obs::EventCollector the run owns; it holds every event once the run
+  /// has finished.
   obs::Observer observer{};
 
   /// Emit one kMinuteSample event per simulated minute (value = keep-alive
@@ -145,8 +150,9 @@ class SteppedRun {
   /// [0, next_minute())) — the pressure signal the capacity market reads.
   [[nodiscard]] double keepalive_memory_mb(trace::Minute t) const noexcept;
 
-  /// Runs any remaining minutes, folds end-of-run counters and metrics, and
-  /// returns the final result. Call at most once.
+  /// Runs any remaining minutes, folds end-of-run counters and metrics,
+  /// feeds the run's own collector (if any) to the sink, and returns the
+  /// final result. Call at most once.
   RunResult finish();
 
   /// finish(), but stopping at minute `end` instead of the trace's full
@@ -178,6 +184,10 @@ class SteppedRun {
   const Deployment* deployment_;
   const trace::Trace* trace_;
   EngineConfig config_;
+  /// One-lane collector in front of an attached sink that is not already a
+  /// lane (obs::own_lane); finished by finish_at().
+  std::unique_ptr<obs::EventCollector> collector_;
+  obs::EventLane* lane_ = nullptr;  // == config_.observer.sink
   KeepAlivePolicy* policy_;
   PolicyCallTimer policy_calls_;
 

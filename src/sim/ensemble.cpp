@@ -41,9 +41,9 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
       user_obs.profiler != nullptr ? pool.task_slot_count() : 0);
 
   // Event transport: one producer-owned lane per worker slot in front of
-  // the user's sink. Workers never take the sink's lock per event, and
-  // event totals are thread-count invariant (see obs/collector.hpp for the
-  // full determinism contract).
+  // the user's sink; each slot's engine emits into its lane as is. Event
+  // totals are thread-count invariant (see obs/collector.hpp for the full
+  // determinism contract).
   std::unique_ptr<obs::EventCollector> collector;
   if (user_obs.sink != nullptr) {
     collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count());

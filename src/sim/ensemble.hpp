@@ -58,7 +58,8 @@ struct EnsembleResult {
 /// model-to-function assignments from `zoo`, each under a fresh policy from
 /// `factory`. An attached sink is fed through an obs::EventCollector, one
 /// lane per worker slot, so event totals and per-type counts are identical
-/// for any thread count.
+/// for any thread count. A canonical sink is fed once, at the end; a
+/// streaming sink receives the slots' batches concurrently.
 [[nodiscard]] EnsembleResult run_ensemble(const models::ModelZoo& zoo,
                                           const trace::Trace& trace,
                                           const PolicyFactory& factory,

@@ -19,12 +19,14 @@
 //
 // The traces themselves are not redistributable, so this repository ships a
 // generator instead (trace/workload.hpp) — but anyone holding the datasets
-// can load them here (or via the streaming front end in
-// trace/azure_stream.hpp, which autodetects the format and reads
-// multi-million-row files in O(chunk) memory) and run every experiment on
-// the real thing.
+// can load them through the streaming front end in trace/azure_stream.hpp,
+// which autodetects the format and reads multi-million-row files in
+// O(chunk) memory, and run every experiment on the real thing. This header
+// holds the format's types and the cell, timestamp and selection helpers
+// that front end and `simulate` share. The batch loaders the streaming
+// loader is tested against live with its tests
+// (tests/trace/azure_batch_loaders.hpp).
 
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,10 +67,6 @@ enum class DuplicatePolicy {
   kError,  // report a kDuplicateRow TraceError naming the second row
 };
 
-struct AzureLoadOptions {
-  DuplicatePolicy duplicates = DuplicatePolicy::kSum;
-};
-
 /// A loaded multi-day Azure trace before function selection.
 struct AzureTrace {
   std::vector<AzureFunctionId> functions;
@@ -76,29 +74,6 @@ struct AzureTrace {
   /// Rows merged under DuplicatePolicy::kSum (0 for clean inputs).
   std::uint64_t duplicate_rows = 0;
 };
-
-/// Parses one day file (1440 minute columns). Functions are keyed by
-/// (owner, app, function). Malformed input — unreadable file, wrong column
-/// count, count cells that are not plain non-negative integers (NaN,
-/// negative, fractional, overflowing) — is reported as a TraceError naming
-/// the file, line and offending cell; nothing throws on bad data. A UTF-8
-/// BOM in front of the header is tolerated.
-[[nodiscard]] TraceResult<AzureTrace> try_load_azure_day_csv(
-    const std::filesystem::path& path, const AzureLoadOptions& options = {});
-
-/// Loads several day files and concatenates them along the time axis.
-/// Functions present in only some days contribute zero counts elsewhere;
-/// the function set is the union, ordered by first appearance.
-[[nodiscard]] TraceResult<AzureTrace> try_load_azure_days(
-    const std::vector<std::filesystem::path>& paths, const AzureLoadOptions& options = {});
-
-/// Loads a 2021-format per-invocation file whole (the streaming front end in
-/// azure_stream.hpp reads the same format in O(chunk) memory; this batch
-/// reference exists for small files and as the equality baseline the
-/// streaming loader is gated against). The horizon is the invocation span
-/// rounded up to whole days, matching the day-granular 2019 loader.
-[[nodiscard]] TraceResult<AzureTrace> try_load_azure_invocations(
-    const std::filesystem::path& path);
 
 /// Strict 2021-format seconds parser: the whole cell must be one finite,
 /// non-negative decimal number (no trailing garbage, no NaN/inf/hex).
@@ -108,8 +83,9 @@ struct AzureTrace {
 /// Minute bucket of a 2021-format invocation: floor((end - duration) / 60),
 /// with starts before the trace epoch clamped into minute 0 (`clamped` set
 /// when that happens). A start at or past kMaxInvocationMinute gives
-/// nullopt, which both loaders report as kBadTimestamp. Shared by the batch
-/// and streaming loaders so the two bin every row identically.
+/// nullopt, which both loaders report as kBadTimestamp. Shared by the
+/// streaming loader and its batch reference so the two bin every row
+/// identically.
 [[nodiscard]] std::optional<Minute> invocation_start_minute(double end_timestamp,
                                                             double duration_s,
                                                             bool* clamped = nullptr);
@@ -133,14 +109,5 @@ template <typename Fields>
 /// paper's "12 most commonly used functions" selection — returning a
 /// compact Trace whose function names are the qualified Azure names.
 [[nodiscard]] Trace select_top_functions(const AzureTrace& azure, std::size_t k);
-
-/// Writes a Trace back out in the Azure day format (splitting the horizon
-/// into 1440-minute days; the last partial day is explicitly zero-padded).
-/// Function names of the form "owner/app/function" are split back into
-/// their columns so an Azure-loaded trace round-trips exactly; other names
-/// are exported under placeholder owner/app hashes. Useful for exporting
-/// synthetic workloads to tools that consume the Azure format.
-void save_azure_day_csvs(const Trace& trace, const std::filesystem::path& directory,
-                         const std::string& prefix = "invocations_day_");
 
 }  // namespace pulse::trace

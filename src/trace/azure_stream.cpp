@@ -124,8 +124,9 @@ AzureTrace StreamingTraceBuilder::finish(Minute duration_minutes) && {
 namespace {
 
 // Streaming 2019 day-format loader: one pass per file, rows fed straight
-// into the builder. Mirrors try_load_azure_days exactly (function order,
-// duplicate semantics, horizon) — the equality is test- and bench-gated.
+// into the builder. Mirrors the tests' batch reference try_load_azure_days
+// exactly (function order, duplicate semantics, horizon) — the equality is
+// test-gated.
 TraceResult<AzureTrace> stream_load_2019(const std::vector<std::filesystem::path>& paths,
                                          const StreamLoadOptions& options,
                                          StreamLoadStats& stats) {

@@ -1,9 +1,9 @@
 #pragma once
 // Streaming, format-autodetecting ingestion of the Azure traces.
 //
-// The batch loaders in azure_format.hpp materialise every parsed row before
-// building the Trace — fine for the paper's 12-function subset, hopeless
-// for the full datasets (the 2021 release alone is tens of millions of
+// A batch loader that materialises every parsed row before building the
+// Trace (the tests' reference, tests/trace/azure_batch_loaders.hpp) is fine
+// for the paper's 12-function subset but hopeless for the full datasets (the 2021 release alone is tens of millions of
 // invocation rows). This front end reads files through util::LineReader in
 // fixed-size chunks, feeds rows directly into an incremental function-index
 // builder, and never holds more than one chunk, one line, one 16 KB block of
@@ -129,11 +129,13 @@ class StreamingTraceBuilder {
 ///
 /// 2019 day format: files are consecutive days concatenated along the time
 /// axis (horizon = files x 1440 minutes), duplicate rows within one file
-/// resolved per options.duplicates — exactly try_load_azure_days semantics.
+/// resolved per options.duplicates — exactly the semantics of the batch
+/// reference try_load_azure_days.
 ///
 /// 2021 invocation format: all files share the trace epoch; rows merge into
 /// one timeline whose horizon is the invocation span rounded up to whole
-/// days — exactly try_load_azure_invocations semantics.
+/// days — exactly the semantics of the batch reference
+/// try_load_azure_invocations.
 ///
 /// Malformed input is a TraceError carrying file, line, and byte offset.
 [[nodiscard]] TraceResult<AzureTrace> stream_load_azure(

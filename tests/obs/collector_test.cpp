@@ -20,7 +20,9 @@
 
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_sink.hpp"
+#include "platform/platform.hpp"
 #include "policies/factory.hpp"
+#include "serve/server.hpp"
 #include "sim/ensemble.hpp"
 #include "trace/workload.hpp"
 #include "util/rng.hpp"
@@ -57,7 +59,6 @@ TEST(EventCollector, MultiProducerDrainIsLossless) {
   collector.finish();
 
   constexpr std::uint64_t kTotal = kProducers * kPerProducer;
-  EXPECT_EQ(collector.produced(), kTotal);
   EXPECT_EQ(sink.recorded(), kTotal);  // lossless: nothing dropped in transit
 
   // Per-type counts survive the transport exactly.
@@ -163,7 +164,9 @@ TEST(EventCollector, WindowOverwritesKeepTotalsExact) {
   collector.finish();
   EXPECT_EQ(sink.recorded(), kEvents);
   EXPECT_EQ(sink.dropped(), kEvents - (1u << 10));
-  EXPECT_EQ(collector.produced(), kEvents);
+  std::uint64_t by_type = 0;
+  for (const std::uint64_t c : sink.counts_by_type()) by_type += c;
+  EXPECT_EQ(by_type, kEvents);
 }
 
 // --- end-to-end through the ensemble runner ---
@@ -212,8 +215,9 @@ TEST(EnsembleCollector, EventTotalsAreThreadCountInvariant) {
 }
 
 // The collector-fed ensemble against the same runs executed serially, each
-// with the sink attached straight to its SimulationEngine (no collector):
-// the transport must neither lose nor invent events, nor perturb a run.
+// with the sink attached to its own SimulationEngine (which feeds it through
+// a one-lane collector of its own): the transport must neither lose nor
+// invent events, nor perturb a run.
 TEST(EnsembleCollector, LockFreeAndDirectPathsAgreeOnTotals) {
   trace::WorkloadConfig wc;
   wc.function_count = 8;
@@ -251,6 +255,93 @@ TEST(EnsembleCollector, LockFreeAndDirectPathsAgreeOnTotals) {
   EXPECT_GT(collected.recorded(), 0u);
   EXPECT_EQ(collected.recorded(), direct.recorded());
   EXPECT_EQ(collected.counts_by_type(), direct.counts_by_type());
+}
+
+// --- lone runs: the run's own one-lane collector ---
+
+void expect_same_events(const RingBufferSink& got, const RingBufferSink& want) {
+  EXPECT_EQ(got.recorded(), want.recorded());
+  EXPECT_EQ(got.counts_by_type(), want.counts_by_type());
+  const std::vector<TraceEvent> a = got.events();
+  const std::vector<TraceEvent> b = want.events();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].type, b[i].type) << i;
+    EXPECT_EQ(a[i].minute, b[i].minute) << i;
+    EXPECT_EQ(a[i].function, b[i].function) << i;
+    EXPECT_EQ(a[i].variant, b[i].variant) << i;
+    EXPECT_EQ(a[i].value, b[i].value) << i;
+    EXPECT_STREQ(a[i].detail, b[i].detail) << i;
+  }
+}
+
+std::uint64_t count_of(const RingBufferSink& sink, EventType type) {
+  return sink.counts_by_type().at(static_cast<std::size_t>(type));
+}
+
+// A RingBufferSink attached straight to a PlatformSimulator or an
+// OnlineServer holds every event as soon as run() / finish() returns (the
+// server is still alive then): the run puts it behind a one-lane collector
+// of its own and finishes it first. The reference is the same run emitting
+// into a caller-owned lane, which the run passes through untouched.
+TEST(OwnLane, LonePlatformAndServerRunsHoldEveryEvent) {
+  trace::WorkloadConfig wc;
+  wc.function_count = 8;
+  wc.duration = 240;
+  wc.seed = 5;
+  const trace::Trace trace = trace::build_azure_like_workload(wc).trace;
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  const sim::Deployment deployment = sim::Deployment::round_robin(zoo, wc.function_count);
+  constexpr std::size_t kCapacity = 1 << 16;
+
+  {
+    SCOPED_TRACE("platform");
+    RingBufferSink attached(kCapacity);
+    platform::PlatformConfig config;
+    config.observer.sink = &attached;
+    const auto policy = policies::make_policy("pulse");
+    const platform::PlatformResult result =
+        platform::PlatformSimulator(deployment, trace, config).run(*policy);
+
+    RingBufferSink reference(kCapacity);
+    {
+      EventCollector collector(reference, 1);
+      config.observer.sink = &collector.lane(0);
+      const auto fresh = policies::make_policy("pulse");
+      (void)platform::PlatformSimulator(deployment, trace, config).run(*fresh);
+      collector.finish();
+    }
+    EXPECT_GT(attached.recorded(), 0u);
+    EXPECT_EQ(attached.dropped(), 0u);
+    EXPECT_EQ(count_of(attached, EventType::kPrewarm), result.prewarm_starts);
+    expect_same_events(attached, reference);
+  }
+  {
+    SCOPED_TRACE("server");
+    RingBufferSink attached(kCapacity);
+    serve::ServeConfig config;
+    config.horizon = trace.duration();
+    config.engine.observer.sink = &attached;
+    const auto policy = policies::make_policy("pulse");
+    serve::OnlineServer server(deployment, *policy, config);
+    serve::ReplaySource source(trace);
+    server.drain(source);
+    const sim::RunResult result = server.finish();
+
+    RingBufferSink reference(kCapacity);
+    {
+      EventCollector collector(reference, 1);
+      sim::EngineConfig engine_config;
+      engine_config.observer.sink = &collector.lane(0);
+      const auto fresh = policies::make_policy("pulse");
+      (void)sim::SimulationEngine(deployment, trace, engine_config).run(*fresh);
+      collector.finish();
+    }
+    EXPECT_GT(attached.recorded(), 0u);
+    EXPECT_EQ(attached.dropped(), 0u);
+    EXPECT_EQ(count_of(attached, EventType::kColdStart), result.cold_starts);
+    expect_same_events(attached, reference);
+  }
 }
 
 }  // namespace

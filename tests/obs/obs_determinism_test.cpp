@@ -1,6 +1,7 @@
 // The observability layer's core contract: attaching any combination of
-// sink (direct or through an EventCollector lane) / metrics / profiler /
-// top-K tallies leaves the simulation result bitwise identical.
+// sink (attached to the engine or through a caller's EventCollector lane) /
+// metrics / profiler / top-K tallies leaves the simulation result bitwise
+// identical.
 // Mirrors the golden-fixture engine configuration (capacity pressure +
 // fault injection) across every policy family that emits events.
 

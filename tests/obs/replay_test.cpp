@@ -71,6 +71,29 @@ TEST(ReplayParser, RejectsMalformedLines) {
   EXPECT_FALSE(parse_event_jsonl("not json at all", out));
   EXPECT_FALSE(parse_event_jsonl(R"({"type":"no_such_event","minute":1,"value":0})", out));
   EXPECT_FALSE(parse_event_jsonl(R"({"type":"cold_start"})", out));  // no minute/value
+  // Coordinates out of range for their types, or not integers.
+  for (const char* line : {
+           R"({"type":"cold_start","minute":-100000,"function":1,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1e300,"function":1,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":527040,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":2.5,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":nan,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"function":-1e30,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"function":-1,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"function":1.5,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"function":x,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"variant":2147483648,"value":1,"detail":""})",
+           R"({"type":"cold_start","minute":1,"variant":-1e300,"value":1,"detail":""})",
+       }) {
+    EXPECT_FALSE(parse_event_jsonl(line, out)) << line;
+  }
+  // The edges of the ranges still parse.
+  ASSERT_TRUE(parse_event_jsonl(
+      R"({"type":"cold_start","minute":527039,"function":0,"variant":-1,"value":1,"detail":""})",
+      out));
+  EXPECT_EQ(out.minute, 527039);
+  EXPECT_EQ(out.function, 0u);
+  EXPECT_EQ(out.variant, -1);
 }
 
 struct ReplayFixture {
@@ -81,8 +104,9 @@ struct ReplayFixture {
 };
 
 /// One observed PULSE run streamed to JSONL, then replayed from the file.
-/// `through_collector` routes the sink behind an EventLane — the attached
-/// transport the ensemble/cluster use — instead of attaching it directly.
+/// `through_collector` hands the engine a caller-owned EventLane, as the
+/// ensemble/cluster do, instead of the sink itself (which the engine puts
+/// behind a one-lane collector of its own).
 ReplayFixture run_and_replay(const std::string& path, bool through_collector) {
   trace::WorkloadConfig wc;
   wc.function_count = 8;
@@ -165,6 +189,8 @@ TEST(Replay, SkipsGarbageLinesAndKeepsGoing) {
         << "\n";
     out << "garbage line\n";
     out << R"({"type":"unknown_kind","minute":1,"value":0,"detail":""})" << "\n";
+    out << R"({"type":"cold_start","minute":-100000,"function":1,"value":2,"detail":""})"
+        << "\n";
     out << R"({"type":"minute_sample","minute":2,"variant":3,"value":128.5,"detail":""})"
         << "\n";
   }
@@ -172,7 +198,7 @@ TEST(Replay, SkipsGarbageLinesAndKeepsGoing) {
   std::remove(path.c_str());
 
   EXPECT_EQ(replay.events, 2u);
-  EXPECT_EQ(replay.skipped_lines, 2u);
+  EXPECT_EQ(replay.skipped_lines, 3u);
   EXPECT_EQ(replay.duration, 3);
   EXPECT_EQ(replay.total_cold_starts(), 1u);
   EXPECT_DOUBLE_EQ(replay.memory_mb[2], 128.5);

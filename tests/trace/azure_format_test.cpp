@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "support/temp_dir.hpp"
+#include "trace/azure_batch_loaders.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::trace {

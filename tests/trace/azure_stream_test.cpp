@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/temp_dir.hpp"
+#include "trace/azure_batch_loaders.hpp"
 #include "trace/azure_format.hpp"
 #include "util/rng.hpp"
 

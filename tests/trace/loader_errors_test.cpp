@@ -10,6 +10,7 @@
 #include <string>
 
 #include "support/temp_dir.hpp"
+#include "trace/azure_batch_loaders.hpp"
 #include "trace/azure_format.hpp"
 #include "trace/errors.hpp"
 #include "trace/trace.hpp"
