@@ -95,7 +95,12 @@ int main(int argc, char** argv) {
                   tr.function_count(), azure.value().functions.size(),
                   static_cast<long long>(tr.duration()));
     } else if (const std::string path = cli.get_string("trace"); !path.empty()) {
-      tr = trace::Trace::load_csv(path);
+      auto loaded = trace::Trace::try_load_csv(path);
+      if (!loaded) {
+        std::fprintf(stderr, "error: %s\n", loaded.error().to_string().c_str());
+        return 1;
+      }
+      tr = std::move(loaded.value());
       std::printf("loaded trace: %zu functions, %lld minutes\n", tr.function_count(),
                   static_cast<long long>(tr.duration()));
     } else {

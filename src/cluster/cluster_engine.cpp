@@ -162,10 +162,10 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   std::vector<obs::MetricsRegistry> shard_metrics(user_obs.metrics != nullptr ? n : 0);
   std::vector<obs::PhaseProfiler> shard_profilers(user_obs.profiler != nullptr ? n : 0);
   std::unique_ptr<obs::EventCollector> collector;
-  obs::Observer coord_obs = user_obs;  // coordinator-side emits (crash/rebalance)
+  obs::EventLane* coord_lane = nullptr;  // coordinator-side events (crash/rebalance)
   if (user_obs.sink != nullptr) {
     collector = std::make_unique<obs::EventCollector>(*user_obs.sink, n + 1);
-    coord_obs.sink = &collector->lane(n);
+    coord_lane = &collector->lane(n);
   }
 
   std::vector<std::unique_ptr<sim::KeepAlivePolicy>> policies;
@@ -270,8 +270,10 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
         fail.reclaimed_quota_mb = reclaimed;
         result.failures.push_back(fail);
         ++result.shard_crashes;
-        coord_obs.emit({obs::EventType::kShardCrash, tc, s, -1,
-                       static_cast<double>(warm_lost), "shard_crash"});
+        if (coord_lane != nullptr) {
+          coord_lane->record({obs::EventType::kShardCrash, tc, s, -1,
+                              static_cast<double>(warm_lost), "shard_crash"});
+        }
         cm.crashes.add();
         cm.warm_lost.add(warm_lost);
         cm.reclaimed_mb.add(reclaimed);
@@ -299,17 +301,21 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
             if (!from_reserve) {
               runs[cb.donor]->set_memory_capacity_mb(market.quota_mb(cb.donor));
             }
-            coord_obs.emit({obs::EventType::kRebalance, t1, cb.recipient,
-                           from_reserve ? -2 : static_cast<std::int32_t>(cb.donor),
-                           cb.mb, "quota_clawback"});
+            if (coord_lane != nullptr) {
+              coord_lane->record({obs::EventType::kRebalance, t1, cb.recipient,
+                                  from_reserve ? -2 : static_cast<std::int32_t>(cb.donor),
+                                  cb.mb, "quota_clawback"});
+            }
             cm.transfers.add();
             cm.quota_moved_mb.add(cb.mb);
           }
           runs[s]->set_memory_capacity_mb(market.quota_mb(s));
         }
         const trace::Minute latency = t1 - fail.crash_minute;
-        coord_obs.emit({obs::EventType::kShardRecover, t1, s, -1,
-                       static_cast<double>(latency), "shard_recover"});
+        if (coord_lane != nullptr) {
+          coord_lane->record({obs::EventType::kShardRecover, t1, s, -1,
+                              static_cast<double>(latency), "shard_recover"});
+        }
         cm.recoveries.add();
         cm.recovery_latency.record(static_cast<std::size_t>(std::max<trace::Minute>(latency, 0)));
       }
@@ -347,9 +353,11 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
         runs[trade.donor]->set_memory_capacity_mb(market.quota_mb(trade.donor));
       }
       runs[trade.recipient]->set_memory_capacity_mb(market.quota_mb(trade.recipient));
-      coord_obs.emit({obs::EventType::kRebalance, t1, trade.recipient,
-                     from_reserve ? -2 : static_cast<std::int32_t>(trade.donor),
-                     trade.mb, from_reserve ? "reserve_grant" : "quota_transfer"});
+      if (coord_lane != nullptr) {
+        coord_lane->record({obs::EventType::kRebalance, t1, trade.recipient,
+                            from_reserve ? -2 : static_cast<std::int32_t>(trade.donor),
+                            trade.mb, from_reserve ? "reserve_grant" : "quota_transfer"});
+      }
       cm.transfers.add();
       cm.quota_moved_mb.add(trade.mb);
     }

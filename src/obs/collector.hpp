@@ -7,10 +7,10 @@
 //   atomic, no thread
 //
 // Every sink is fed through a collector. The ensemble and cluster runners
-// own one with a lane per producer; a lone SteppedRun (engine, online
-// server) or PlatformSimulator::run puts an attached sink that is not
+// own one with a lane per producer; the sim::MinuteKernel of a lone run
+// (engine, online server, platform) puts an attached sink that is not
 // already a lane behind a one-lane collector of its own (own_lane()) and
-// finishes it before it returns.
+// finishes it before the run returns.
 //
 // Each lane buffers into a util::RingBuffer that only its producer touches
 // until finish(). What that buffer holds depends on the sink:
@@ -115,12 +115,12 @@ class EventCollector {
   bool finished_ = false;
 };
 
-/// The lane a lone run emits into: null when `sink` is null, `sink` itself
-/// when it already is an EventLane (a runner's collector handed it out),
-/// otherwise lane 0 of a new one-lane collector in front of `sink`, stored
-/// in `owner` — the run finishes it before returning its result. The run's
-/// own emission sites call the returned lane directly (EventLane is final,
-/// so the push inlines).
+/// The lane a run's sim::MinuteKernel emits into: null when `sink` is null,
+/// `sink` itself when it already is an EventLane (a runner's collector
+/// handed it out), otherwise lane 0 of a new one-lane collector in front of
+/// `sink`, stored in `owner` — the kernel finishes it before the run
+/// returns its result. The run's own emission sites call the returned lane
+/// directly (EventLane is final, so the push inlines).
 [[nodiscard]] EventLane* own_lane(TraceSink* sink, std::unique_ptr<EventCollector>& owner);
 
 }  // namespace pulse::obs

@@ -24,12 +24,6 @@ struct Observer {
   [[nodiscard]] bool any() const noexcept {
     return sink != nullptr || metrics != nullptr || profiler != nullptr;
   }
-
-  /// Records `event` if a sink is attached. Call sites that would pay to
-  /// *construct* the event should guard on `sink` themselves.
-  void emit(const TraceEvent& event) const {
-    if (sink != nullptr) sink->record(event);
-  }
 };
 
 }  // namespace pulse::obs

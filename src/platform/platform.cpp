@@ -1,14 +1,11 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/collector.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/minute_kernel.hpp"
-#include "util/rng.hpp"
 
 namespace pulse::platform {
 
@@ -24,10 +21,7 @@ struct Container {
 
 PlatformSimulator::PlatformSimulator(const sim::Deployment& deployment,
                                      const trace::Trace& trace, PlatformConfig config)
-    : deployment_(&deployment),
-      trace_(&trace),
-      config_(std::move(config)),
-      latency_(deployment, config_.latency) {
+    : deployment_(&deployment), trace_(&trace), config_(std::move(config)) {
   if (deployment.function_count() != trace.function_count()) {
     throw std::invalid_argument("PlatformSimulator: deployment/trace function count mismatch");
   }
@@ -38,31 +32,22 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   const sim::Deployment& dep = *deployment_;
   const trace::Minute duration = tr.duration();
 
-  // Observability: all three handles are optional; `sink` is the only one
-  // consulted on the per-second hot path, as a single null-check branch.
-  // A sink that is not already a lane goes behind this run's own one-lane
-  // collector, finished before the run returns.
-  std::unique_ptr<obs::EventCollector> collector;
-  obs::Observer obs = config_.observer;
-  obs::EventLane* const sink = obs::own_lane(obs.sink, collector);
-  obs.sink = sink;
-  const obs::PhaseTimer run_timer(obs.profiler, obs::Phase::kSimulate);
-  policy.attach_observer(obs.any() ? &obs : nullptr);
-  sim::PolicyCallTimer policy_calls(policy, obs.profiler);
-
+  const obs::PhaseTimer run_timer(config_.observer.profiler, obs::Phase::kSimulate);
   PlatformResult result;
-  sim::KeepAliveSchedule schedule(dep, duration);
   // The minute engine's kernel, seed and all: with matching schedules the
   // two layers crash, retry, clip and evict identically, and draw the same
   // per-function jitter streams.
-  sim::MinuteKernel kernel(schedule, result.faults, obs, config_.faults,
-                           config_.seed);
+  sim::MinuteKernel kernel(dep, tr, policy, result.faults, config_.observer, config_.faults,
+                           config_.latency, config_.deterministic_latency, config_.seed);
+  sim::KeepAliveSchedule& schedule = kernel.schedule();
+  obs::EventLane* const sink = kernel.lane();
 
   std::vector<std::vector<Container>> pool(tr.function_count());
   std::size_t live_containers = 0;
 
+  obs::MetricsRegistry* const metrics = config_.observer.metrics;
   obs::HistogramHandle live_hist;  // resolved once; per-minute updates are pointer adds
-  if (obs.metrics != nullptr) live_hist.bind(*obs.metrics, "platform.live_containers", 512);
+  if (metrics != nullptr) live_hist.bind(*metrics, "platform.live_containers", 512);
 
   auto memory_of = [&](const Container& c, trace::FunctionId f) {
     return dep.family_of(f).variant(c.variant).memory_mb;
@@ -92,8 +77,6 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
     }
     return mem;
   };
-
-  policy.initialize(dep, tr, schedule);
 
   for (trace::Minute m = 0; m < duration; ++m) {
     const double minute_start_s = static_cast<double>(m) * kSecondsPerMinute;
@@ -143,7 +126,6 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
         const std::uint32_t count = tr.count(f, m);
         if (count == 0) continue;
         const models::ModelFamily& family = dep.family_of(f);
-        util::Pcg32& rng = kernel.jitter_stream(f);
 
         for (std::uint32_t i = 0; i < count; ++i) {
           double arrival_s = minute_start_s;
@@ -162,16 +144,11 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
             }
           }
 
-          double service_s;
           std::size_t served_variant;
           const bool cold = idle == nullptr;
+          fault::ColdStartOutcome cs;
           if (!cold) {
             served_variant = idle->variant;
-            const auto& variant = family.variant(served_variant);
-            service_s = config_.deterministic_latency
-                            ? models::LatencyModel::expected_service_time(variant, false)
-                            : models::LatencyModel::sample(latency_.at(f, served_variant),
-                                                           false, rng);
           } else {
             // Scale-out or fresh cold start: serve the variant the schedule
             // currently prescribes, not whatever container happens to sit at
@@ -181,20 +158,14 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
             const int scheduled_now = schedule.variant_at(f, m);
             served_variant = scheduled_now != sim::kNoVariant
                                  ? static_cast<std::size_t>(scheduled_now)
-                                 : policy.cold_start_variant(f, m, dep);
-            const auto& variant = family.variant(served_variant);
+                                 : kernel.cold_start_variant(f, m);
 
             // Every spawn attempt of this minute shares the minute engine's
             // (f, m) cold-start draw, so a failed minute fails all of its
             // cold invocations on both layers.
-            const fault::ColdStartOutcome cs = kernel.start_cold(f, m, served_variant, 1);
+            cs = kernel.start_cold(f, m, served_variant, 1);
             if (!cs.succeeded) continue;  // no container starts; the invocation is lost
 
-            service_s = config_.deterministic_latency
-                            ? models::LatencyModel::expected_service_time(variant, true)
-                            : models::LatencyModel::sample(latency_.at(f, served_variant),
-                                                           true, rng);
-            service_s += cs.retry_penalty_s;
             if (scheduled_now == sim::kNoVariant) {
               // As in the minute engine, the cold-started container exists
               // for the rest of this minute and counts toward keep-alive
@@ -205,6 +176,8 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
           // A clipped invocation frees its container at the deadline too.
           const auto& variant = family.variant(served_variant);
+          double service_s = kernel.service_draw(f, served_variant, variant)(cold);
+          if (cold) service_s += cs.retry_penalty_s;
           double accuracy_credit = variant.accuracy_pct;
           kernel.clip_to_slo(f, m, served_variant, variant, cold, service_s, accuracy_credit);
 
@@ -228,10 +201,8 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
 
         // The policy observes the arrival even when the platform failed to
         // serve it — predictors track demand, not fulfillment.
-        policy_calls.on_invocation(f, m, schedule);
+        kernel.on_invocation(f, m);
       }
-
-      policy_calls.end_of_minute(m, schedule, kernel);
     };
 
     // A capacity victim's idle containers die with its schedule entry,
@@ -257,36 +228,18 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
     for (std::size_t i = pool[f].size(); i-- > 0;) retire(f, i, end_s);
   }
 
-  result.downgrades = policy.downgrade_count();
-  result.faults.guard_incidents = policy.incident_count();
-  if (collector) collector->finish();
-
-  // Fold the run's aggregates into the registry (one batch of adds at the
-  // end; zero hot-path cost) and snapshot it into the result.
-  if (obs.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *obs.metrics;
-    reg.counter("platform.runs").add(1);
-    reg.counter("platform.invocations").add(result.invocations);
-    reg.counter("platform.warm_starts").add(result.warm_starts);
-    reg.counter("platform.cold_starts").add(result.cold_starts);
-    reg.counter("platform.scale_out_cold_starts").add(result.scale_out_cold_starts);
-    reg.counter("platform.containers_created").add(result.containers_created);
-    reg.counter("platform.prewarm_starts").add(result.prewarm_starts);
-    reg.counter("platform.downgrades").add(result.downgrades);
-    reg.counter("platform.capacity_evictions").add(result.faults.capacity_evictions);
-    reg.counter("platform.crash_evictions").add(result.faults.crash_evictions);
-    reg.counter("platform.failed_invocations").add(result.faults.failed_invocations);
-    reg.counter("platform.retries").add(result.faults.retries);
-    reg.counter("platform.timeouts").add(result.faults.timeouts);
-    reg.counter("platform.degraded_minutes").add(result.faults.degraded_minutes);
-    reg.counter("platform.guard_incidents").add(result.faults.guard_incidents);
-    reg.gauge("platform.service_time_s").add(result.total_service_time_s);
-    reg.gauge("platform.cost_usd").add(result.total_cost_usd);
+  result.downgrades = kernel.finish("platform", result.invocations, result.warm_starts,
+                                    result.cold_starts, result.total_service_time_s);
+  if (metrics != nullptr) {
+    metrics->counter("platform.scale_out_cold_starts").add(result.scale_out_cold_starts);
+    metrics->counter("platform.containers_created").add(result.containers_created);
+    metrics->counter("platform.prewarm_starts").add(result.prewarm_starts);
+    metrics->gauge("platform.cost_usd").add(result.total_cost_usd);
     // Peak gauge: kMax so merging per-slot registries takes the maximum
     // instead of summing every slot's peak.
-    reg.gauge("platform.peak_containers", obs::GaugeMerge::kMax)
+    metrics->gauge("platform.peak_containers", obs::GaugeMerge::kMax)
         .max_with(static_cast<double>(result.peak_containers));
-    result.metrics = reg.snapshot();
+    result.metrics = metrics->snapshot();
   }
   return result;
 }

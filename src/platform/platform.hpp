@@ -17,15 +17,15 @@
 //     minute engine): scheduled functions keep one pre-warmed container of
 //     the scheduled variant; unscheduled idle containers are reaped.
 //
-// Shared kernel: every minute runs through the minute engine's own
-// sim::MinuteKernel, so container crashes, cold-start retry/backoff, SLO
-// timeouts, memory-pressure spikes, capacity eviction (same keyed victim
-// draws) and the per-function jitter streams are one code path on both
-// layers and their parity holds by construction. The platform adds only its
-// serving rule — the per-container seconds pool above, whose idle
-// containers die with a capacity victim.
-// The obs::Observer layer threads through under the same zero-overhead
-// contract.
+// Shared kernel: every run is framed by the minute engine's own
+// sim::MinuteKernel: the schedule, the policy's calls and their timer, the
+// event lane, the service-time draw over the per-function jitter streams,
+// container crashes, cold-start retry/backoff, SLO timeouts, memory-pressure
+// spikes, capacity eviction (same keyed victim draws) and the end-of-run
+// counter fold are one code path on both layers, so their parity holds by
+// construction. The platform adds only its serving rule (the per-container
+// seconds pool above, whose idle containers die with a capacity victim) and
+// its own result fields.
 //
 // Its purpose is cross-validation: on low-concurrency workloads it must
 // agree with the minute engine — fault counters and total cost included
@@ -164,7 +164,6 @@ class PlatformSimulator {
   const sim::Deployment* deployment_;
   const trace::Trace* trace_;
   PlatformConfig config_;
-  sim::LatencyTable latency_;
 };
 
 }  // namespace pulse::platform

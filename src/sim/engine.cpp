@@ -27,25 +27,9 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
     : deployment_(&deployment),
       trace_(&trace),
       config_(config),
-      policy_(&policy),
-      policy_calls_(policy, config_.observer.profiler),
-      schedule_(deployment, trace.duration()),
-      kernel_(schedule_, result_, config_.observer, config.faults, config.seed,
-              config.global_ids),
-      latency_(deployment, config.latency) {
-  if (deployment.function_count() != trace.function_count()) {
-    throw std::invalid_argument("SteppedRun: deployment/trace function count mismatch");
-  }
-  if (config_.global_ids != nullptr &&
-      config_.global_ids->size() != trace.function_count()) {
-    throw std::invalid_argument("SteppedRun: global_ids/trace function count mismatch");
-  }
+      kernel_(deployment, trace, policy, result_, config.observer, config.faults,
+              config.latency, config.deterministic_latency, config.seed, config.global_ids) {
   const trace::Minute duration = trace.duration();
-  lane_ = obs::own_lane(config_.observer.sink, collector_);
-  config_.observer.sink = lane_;
-  const obs::Observer& obs = config_.observer;
-  policy_->attach_observer(obs.any() ? &config_.observer : nullptr);
-
   if (config_.record_series) {
     result_.keepalive_memory_mb.reserve(static_cast<std::size_t>(duration));
     result_.keepalive_cost_usd.reserve(static_cast<std::size_t>(duration));
@@ -63,6 +47,7 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
   }
 
   // Looked up once; per-minute updates are then a pointer check away.
+  const obs::Observer& obs = config_.observer;
   alive_hist_ = obs.metrics != nullptr
                     ? &obs.metrics->histogram("engine.alive_containers", 512)
                     : nullptr;
@@ -71,11 +56,7 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
     fn_cold_starts_.assign(trace.function_count(), 0);
     fn_evictions_.assign(trace.function_count(), 0);
   }
-
-  policy_->initialize(deployment, trace, schedule_);
 }
-
-SteppedRun::~SteppedRun() = default;
 
 trace::Minute SteppedRun::duration() const noexcept { return trace_->duration(); }
 
@@ -103,7 +84,8 @@ void SteppedRun::step_minute() {
       [&](trace::FunctionId f, Eviction) {
         if (!fn_evictions_.empty()) ++fn_evictions_[f];
       });
-  close_minute(t, schedule_.memory_at(t), schedule_.alive_count_at(t), ideal_cost_t);
+  const KeepAliveSchedule& schedule = kernel_.schedule();
+  close_minute(t, schedule.memory_at(t), schedule.alive_count_at(t), ideal_cost_t);
 }
 
 // The engine's serving rule: all of a minute's invocations of f share one
@@ -111,9 +93,9 @@ void SteppedRun::step_minute() {
 void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
   const trace::Trace& tr = *trace_;
   const Deployment& dep = *deployment_;
-  KeepAliveSchedule& schedule = schedule_;
+  KeepAliveSchedule& schedule = kernel_.schedule();
   RunResult& result = result_;
-  obs::EventLane* const sink = lane_;
+  obs::EventLane* const sink = kernel_.lane();
 
   for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
     const std::uint32_t count = tr.count(f, t);
@@ -129,7 +111,7 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
       serving = static_cast<std::size_t>(alive);
       first_is_cold = false;
     } else {
-      serving = policy_->cold_start_variant(f, t, dep);
+      serving = kernel_.cold_start_variant(f, t);
       first_is_cold = true;
       // The cold-started container exists for the rest of this minute and
       // counts toward keep-alive memory at t — unless every start attempt
@@ -147,13 +129,10 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
                       static_cast<double>(count), ""});
       }
       const models::ModelVariant& variant = family.variant(serving);
-      const models::LatencyModel::Prepared& jitter = latency_.at(f, serving);
-      util::Pcg32& rng = kernel_.jitter_stream(f);
+      const MinuteKernel::ServiceDraw draw = kernel_.service_draw(f, serving, variant);
       for (std::uint32_t i = 0; i < count; ++i) {
         const bool cold = first_is_cold && i == 0;
-        double service_s = config_.deterministic_latency
-                               ? models::LatencyModel::expected_service_time(variant, cold)
-                               : models::LatencyModel::sample(jitter, cold, rng);
+        double service_s = draw(cold);
         double accuracy_credit = variant.accuracy_pct;
         if (!accuracy_rng_.empty()) {
           accuracy_credit =
@@ -190,10 +169,8 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
 
     // The policy observes the arrival even when the platform failed to
     // serve it — predictors track demand, not fulfillment.
-    policy_calls_.on_invocation(f, t, schedule);
+    kernel_.on_invocation(f, t);
   }
-
-  policy_calls_.end_of_minute(t, schedule, kernel_);
 }
 
 void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
@@ -202,7 +179,7 @@ void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t aliv
   const double cost_t = keepalive_cost_usd(memory_t, 1.0);
   result_.total_keepalive_cost_usd += cost_t;
   if (alive_hist_ != nullptr) alive_hist_->add(alive_n);
-  obs::EventLane* const sink = lane_;
+  obs::EventLane* const sink = kernel_.lane();
   if (sink != nullptr && config_.emit_minute_samples) {
     // End-of-minute aggregate: the replayer's cost-curve anchor. value
     // carries the exact memory double (%.17g survives the JSONL round
@@ -218,11 +195,11 @@ void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t aliv
 }
 
 std::uint64_t SteppedRun::lose_warm_pool(trace::Minute t) {
-  const std::uint64_t lost = schedule_.alive_count_at(t);
+  const std::uint64_t lost = kernel_.schedule().alive_count_at(t);
   // Everything scheduled from t onward dies with the shard: the alive
   // containers (charged as crash evictions) and any planned keep-alive.
   for (trace::FunctionId f = 0; f < trace_->function_count(); ++f) {
-    schedule_.clear_from(f, t);
+    kernel_.schedule().clear_from(f, t);
   }
   result_.crash_evictions += lost;
   return lost;
@@ -253,7 +230,7 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
     // (demand histories, forecast periods) stays aligned with the clock,
     // and windows it schedules past the outage become recovery pre-warms.
     // Arrivals were lost, so on_invocation is never called.
-    policy_calls_.end_of_minute(t, schedule_, kernel_);
+    kernel_.end_of_minute(t);
 
     // A dead shard holds nothing warm: zero memory, zero keep-alive cost.
     close_minute(t, 0.0, 0, ideal_cost_t);
@@ -270,40 +247,20 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   }
   run_until(end);
   finished_ = true;
-  if (collector_) collector_->finish();
 
   RunResult& result = result_;
-  result.downgrades = policy_->downgrade_count();
-  result.guard_incidents = policy_->incident_count();
-  result.policy_overhead_s = policy_calls_.overhead_s();
-
-  // Fold the run's aggregates into the registry (zero hot-path cost: one
-  // batch of registry adds at the end of the run) and snapshot it into the
-  // result.
-  const obs::Observer& obs = config_.observer;
-  if (obs.metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs.metrics;
-    m.counter("engine.runs").add(1);
-    m.counter("engine.invocations").add(result.invocations);
-    m.counter("engine.warm_starts").add(result.warm_starts);
-    m.counter("engine.cold_starts").add(result.cold_starts);
-    m.counter("engine.downgrades").add(result.downgrades);
-    m.counter("engine.capacity_evictions").add(result.capacity_evictions);
-    m.counter("engine.crash_evictions").add(result.crash_evictions);
-    m.counter("engine.failed_invocations").add(result.failed_invocations);
-    m.counter("engine.retries").add(result.retries);
-    m.counter("engine.timeouts").add(result.timeouts);
-    m.counter("engine.degraded_minutes").add(result.degraded_minutes);
-    m.counter("engine.guard_incidents").add(result.guard_incidents);
-    m.gauge("engine.service_time_s").add(result.total_service_time_s);
-    m.gauge("engine.keepalive_cost_usd").add(result.total_keepalive_cost_usd);
+  result.downgrades = kernel_.finish("engine", result.invocations, result.warm_starts,
+                                     result.cold_starts, result.total_service_time_s);
+  result.policy_overhead_s = kernel_.policy_overhead_s();
+  if (obs::MetricsRegistry* const m = config_.observer.metrics) {
+    m->gauge("engine.keepalive_cost_usd").add(result.total_keepalive_cost_usd);
     double peak = 0.0;
     for (const double v : kernel_.record()) peak = std::max(peak, v);
     // kMax: ensemble merges take the max across slots instead of summing
     // per-slot peaks.
-    m.gauge("engine.peak_keepalive_memory_mb", obs::GaugeMerge::kMax).max_with(peak);
-    fold_top_k(*obs.metrics);
-    result.metrics = obs.metrics->snapshot();
+    m->gauge("engine.peak_keepalive_memory_mb", obs::GaugeMerge::kMax).max_with(peak);
+    fold_top_k(*m);
+    result.metrics = m->snapshot();
   }
   return std::move(result_);
 }

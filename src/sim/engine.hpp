@@ -9,12 +9,10 @@
 // from the keep-alive schedule the policy maintains.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "models/latency.hpp"
-#include "obs/collector.hpp"
 #include "obs/observer.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
@@ -119,7 +117,6 @@ class SteppedRun {
  public:
   SteppedRun(const Deployment& deployment, const trace::Trace& trace, EngineConfig config,
              KeepAlivePolicy& policy);
-  ~SteppedRun();
 
   SteppedRun(const SteppedRun&) = delete;
   SteppedRun& operator=(const SteppedRun&) = delete;
@@ -184,17 +181,9 @@ class SteppedRun {
   const Deployment* deployment_;
   const trace::Trace* trace_;
   EngineConfig config_;
-  /// One-lane collector in front of an attached sink that is not already a
-  /// lane (obs::own_lane); finished by finish_at().
-  std::unique_ptr<obs::EventCollector> collector_;
-  obs::EventLane* lane_ = nullptr;  // == config_.observer.sink
-  KeepAlivePolicy* policy_;
-  PolicyCallTimer policy_calls_;
 
   RunResult result_;
-  KeepAliveSchedule schedule_;
   MinuteKernel kernel_;  // everything but the serving rule of step_minute()
-  LatencyTable latency_;
   /// Per-function Bernoulli accuracy streams (empty unless
   /// EngineConfig::bernoulli_accuracy); jitter comes from the kernel's.
   std::vector<util::Pcg32> accuracy_rng_;

@@ -1,30 +1,50 @@
 #include "sim/minute_kernel.hpp"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace pulse::sim {
 
-MinuteKernel::MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
+MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
+                           KeepAlivePolicy& policy, FaultCounters& counters,
                            const obs::Observer& observer, const fault::FaultConfig& faults,
+                           const models::LatencyModel& latency, bool deterministic_latency,
                            std::uint64_t seed,
                            const std::vector<trace::FunctionId>* global_ids)
-    : schedule_(&schedule),
+    : schedule_(deployment, trace.duration()),
+      latency_(deployment, latency),
+      deterministic_latency_(deterministic_latency),
       counters_(&counters),
-      observer_(&observer),
+      observer_(observer),
+      policy_(&policy),
+      policy_calls_(policy, observer.profiler),
       injector_(faults),
       faults_on_(faults.enabled()),
       seed_(seed),
       global_ids_(global_ids) {
-  streams_.reserve(schedule.function_count());
-  for (trace::FunctionId f = 0; f < schedule.function_count(); ++f) {
+  const std::size_t functions = deployment.function_count();
+  if (functions != trace.function_count()) {
+    throw std::invalid_argument("MinuteKernel: deployment/trace function count mismatch");
+  }
+  if (global_ids != nullptr && global_ids->size() != functions) {
+    throw std::invalid_argument("MinuteKernel: global_ids/trace function count mismatch");
+  }
+  streams_.reserve(functions);
+  for (trace::FunctionId f = 0; f < functions; ++f) {
     streams_.push_back(util::function_stream(seed, global_id(f), util::kJitterStream));
   }
   // Capacity-pressured minutes fill this with every kept container; sizing
   // it up front keeps even a late first pressure event allocation-free
   // (the serve-mode hot-path discipline tests/memory enforces).
-  kept_.reserve(schedule.function_count());
-  live_tree_.reserve(schedule.function_count() + 1);
-  record_.reserve(static_cast<std::size_t>(schedule.duration()));
+  kept_.reserve(functions);
+  live_tree_.reserve(functions + 1);
+  record_.reserve(static_cast<std::size_t>(trace.duration()));
+
+  lane_ = obs::own_lane(observer.sink, collector_);
+  observer_.sink = lane_;
+  policy.attach_observer(observer_.any() ? &observer_ : nullptr);
+  policy.initialize(deployment, trace, schedule_);
 }
 
 void MinuteKernel::close_minute(double memory_mb) {
@@ -49,6 +69,32 @@ fault::ColdStartOutcome MinuteKernel::start_cold(trace::FunctionId gf, trace::Mi
     fail(gf, t, static_cast<std::int32_t>(variant), count, "cold_start_failure");
   }
   return cs;
+}
+
+std::uint64_t MinuteKernel::finish(std::string_view prefix, std::uint64_t invocations,
+                                   std::uint64_t warm_starts, std::uint64_t cold_starts,
+                                   double service_time_s) {
+  if (collector_) collector_->finish();
+  counters_->guard_incidents = policy_->incident_count();
+  const std::uint64_t downgrades = policy_->downgrade_count();
+  // One batch of registry adds at the end of the run: zero hot-path cost.
+  if (obs::MetricsRegistry* const m = observer_.metrics) {
+    const std::string p(prefix);
+    m->counter(p + ".runs").add(1);
+    m->counter(p + ".invocations").add(invocations);
+    m->counter(p + ".warm_starts").add(warm_starts);
+    m->counter(p + ".cold_starts").add(cold_starts);
+    m->counter(p + ".downgrades").add(downgrades);
+    m->counter(p + ".failed_invocations").add(counters_->failed_invocations);
+    m->counter(p + ".retries").add(counters_->retries);
+    m->counter(p + ".timeouts").add(counters_->timeouts);
+    m->counter(p + ".crash_evictions").add(counters_->crash_evictions);
+    m->counter(p + ".capacity_evictions").add(counters_->capacity_evictions);
+    m->counter(p + ".degraded_minutes").add(counters_->degraded_minutes);
+    m->counter(p + ".guard_incidents").add(counters_->guard_incidents);
+    m->gauge(p + ".service_time_s").add(service_time_s);
+  }
+  return downgrades;
 }
 
 void MinuteKernel::fail(trace::FunctionId gf, trace::Minute t, std::int32_t variant,

@@ -1,28 +1,36 @@
 #pragma once
-// The minute-boundary rules of both simulators, written once.
+// The run frame and minute-boundary rules of both simulators, written once.
 //
 // sim::SteppedRun (one shared container per function-minute) and
 // platform::PlatformSimulator (a per-container seconds pool) differ only in
-// how they serve a minute's invocations. The kernel owns the rest: the
+// how they serve a minute's invocations and in their own result fields. The
+// kernel owns the rest: the schedule, the latency table and the one
+// service-time draw, the run's event lane and the Observer copy the policy
+// sees, the policy's initialization and its one PolicyCallTimer, the
 // injected crash sweep, cold-start retry and backoff, per-variant SLO
 // clipping, memory pressure and capacity eviction, the degraded-minute
-// tally, and the per-minute memory record policies read as their
-// MemoryHistory. Crash, retry, SLO and capacity parity between the layers
-// thus holds by construction (request scheduling kept apart from the
-// resource model, as in CloudSimSC). The serving rule is a lambda passed to
-// step(), so the engine's hot path makes no virtual call per
-// function-minute.
+// tally, the per-minute memory record policies read as their MemoryHistory,
+// and the end-of-run fold of the counters both report. Crash, retry, SLO
+// and capacity parity between the layers thus holds by construction
+// (request scheduling kept apart from the resource model, as in CloudSimSC).
+// The serving rule is a lambda passed to step(), so the engine's hot path
+// makes no virtual call per function-minute.
 
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "models/latency.hpp"
+#include "obs/collector.hpp"
 #include "obs/observer.hpp"
+#include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/policy.hpp"
 #include "sim/schedule.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace pulse::sim {
@@ -32,23 +40,79 @@ enum class Eviction { kCrash, kCapacity };
 
 class MinuteKernel final : public MemoryHistory {
  public:
-  /// `schedule` and `counters` must outlive the kernel; `observer` is read
-  /// at every emission, so muting it in place silences the kernel too.
-  /// `global_ids` means what it means in EngineConfig.
-  MinuteKernel(KeepAliveSchedule& schedule, FaultCounters& counters,
+  /// One run of `policy` over `trace`; both, `deployment` and `counters`
+  /// must outlive the kernel. Attaches the policy to a copy of `observer`
+  /// whose sink is the run's lane (obs::own_lane), then initializes it. The
+  /// other arguments mean what the EngineConfig fields of their names mean.
+  MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
+               KeepAlivePolicy& policy, FaultCounters& counters,
                const obs::Observer& observer, const fault::FaultConfig& faults,
+               const models::LatencyModel& latency, bool deterministic_latency,
                std::uint64_t seed,
                const std::vector<trace::FunctionId>* global_ids = nullptr);
 
-  /// Minute t: the crash sweep, `serve()` (the caller's serving rule and
-  /// policy callbacks), then eviction until the schedule fits `capacity_mb`
-  /// (0 = unlimited; pressure spikes tighten it), calling `on_evict(f,
-  /// cause)` per victim. close_minute() then ends the minute.
+  // The policy holds a pointer to observer_.
+  MinuteKernel(const MinuteKernel&) = delete;
+  MinuteKernel& operator=(const MinuteKernel&) = delete;
+
+  /// Minute t: the crash sweep, `serve()` (the caller's serving rule, which
+  /// calls on_invocation()), the policy's end_of_minute(), then eviction
+  /// until the schedule fits `capacity_mb` (0 = unlimited; pressure spikes
+  /// tighten it), calling `on_evict(f, cause)` per victim. close_minute()
+  /// then ends the minute.
   template <typename Serve, typename OnEvict>
   void step(trace::Minute t, double capacity_mb, Serve&& serve, OnEvict&& on_evict);
 
   /// Tallies the minute as degraded if a fault fired; records its memory.
   void close_minute(double memory_mb);
+
+  /// The policy calls of a minute, timed by the run's PolicyCallTimer.
+  void on_invocation(trace::FunctionId f, trace::Minute t) {
+    policy_calls_.on_invocation(f, t, schedule_);
+  }
+  void end_of_minute(trace::Minute t) { policy_calls_.end_of_minute(t, schedule_, *this); }
+
+  /// The policy's variant for a cold start of f at t.
+  [[nodiscard]] std::size_t cold_start_variant(trace::FunctionId f, trace::Minute t) const {
+    return policy_->cold_start_variant(f, t, schedule_.deployment());
+  }
+
+  /// f's service time on one variant, bound per function-minute and called
+  /// per invocation: the expected time under deterministic latency, else a
+  /// draw from f's jitter stream (util::function_stream of its global id).
+  struct ServiceDraw {
+    const models::ModelVariant* variant;
+    const models::LatencyModel::Prepared* prepared;
+    util::Pcg32* rng;
+    bool deterministic;
+
+    [[nodiscard]] double operator()(bool cold) const {
+      return deterministic ? models::LatencyModel::expected_service_time(*variant, cold)
+                           : models::LatencyModel::sample(*prepared, cold, *rng);
+    }
+  };
+  /// `variant` is f's family's variant `variant_index`.
+  [[nodiscard]] ServiceDraw service_draw(trace::FunctionId f, std::size_t variant_index,
+                                         const models::ModelVariant& variant) noexcept {
+    return {&variant, &latency_.at(f, variant_index), &streams_[f], deterministic_latency_};
+  }
+
+  /// Ends the run: feeds the run's own collector (if any) to the sink, sets
+  /// the guard incidents, and adds `<prefix>.runs`, the given tallies,
+  /// `.downgrades` and the fault counters to an attached registry. Returns
+  /// the policy's downgrade count.
+  std::uint64_t finish(std::string_view prefix, std::uint64_t invocations,
+                       std::uint64_t warm_starts, std::uint64_t cold_starts,
+                       double service_time_s);
+
+  [[nodiscard]] KeepAliveSchedule& schedule() noexcept { return schedule_; }
+
+  /// The run's event lane (null with no sink attached): the serving rules
+  /// record into it directly.
+  [[nodiscard]] obs::EventLane* lane() const noexcept { return lane_; }
+
+  /// Policy time of the run so far, seconds; 0 with no profiler.
+  [[nodiscard]] double policy_overhead_s() const noexcept { return policy_calls_.overhead_s(); }
 
   /// Cold start of catalog function `gf` at t on `variant`, through the
   /// injected failure/retry loop. Tallies retries and emits their kFault
@@ -85,10 +149,6 @@ class MinuteKernel final : public MemoryHistory {
     return global_ids_ != nullptr ? (*global_ids_)[f] : f;
   }
 
-  /// Local function f's jitter stream (util::function_stream of its global
-  /// id): both serving rules draw from it, so they draw the same samples.
-  [[nodiscard]] util::Pcg32& jitter_stream(trace::FunctionId f) noexcept { return streams_[f]; }
-
   // MemoryHistory: the recorded keep-alive memory of closed minutes.
   [[nodiscard]] double memory_at(trace::Minute t) const override {
     if (t < 0 || static_cast<std::size_t>(t) >= record_.size()) return 0.0;
@@ -117,14 +177,18 @@ class MinuteKernel final : public MemoryHistory {
 
   void emit(obs::EventType type, trace::Minute t, trace::FunctionId f, std::int32_t variant,
             double value, const char* detail) const {
-    if (obs::TraceSink* const sink = observer_->sink) {
-      sink->record({type, t, f, variant, value, detail});
-    }
+    if (lane_ != nullptr) lane_->record({type, t, f, variant, value, detail});
   }
 
-  KeepAliveSchedule* schedule_;
+  KeepAliveSchedule schedule_;
+  LatencyTable latency_;
+  bool deterministic_latency_;
   FaultCounters* counters_;
-  const obs::Observer* observer_;
+  std::unique_ptr<obs::EventCollector> collector_;  // see obs::own_lane
+  obs::EventLane* lane_ = nullptr;
+  obs::Observer observer_;
+  KeepAlivePolicy* policy_;
+  PolicyCallTimer policy_calls_;
   fault::FaultInjector injector_;
   bool faults_on_;
   std::uint64_t seed_;
@@ -142,7 +206,7 @@ class MinuteKernel final : public MemoryHistory {
 template <typename Serve, typename OnEvict>
 void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
                         OnEvict&& on_evict) {
-  KeepAliveSchedule& schedule = *schedule_;
+  KeepAliveSchedule& schedule = schedule_;
 
   // Injected crashes fire at the minute boundary: the crashed container's
   // remaining keep-alive stretch is evicted, so this minute's invocations
@@ -160,6 +224,7 @@ void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
   }
 
   serve();
+  end_of_minute(t);
 
   // Capacity pressure: evict random kept containers until keep-alive memory
   // fits (the provider behaviour under memory stress; PULSE-style policies

@@ -6,7 +6,8 @@
 // of the same function within one minute share the container). After all of
 // a minute's invocations it calls end_of_minute(), where cross-function
 // policies (PULSE's global optimizer, MILP) flatten keep-alive memory peaks.
-// Engines make both calls through PolicyCallTimer, which also times them.
+// Both simulators make both calls through sim::MinuteKernel's one
+// PolicyCallTimer, which also times them.
 
 #include <chrono>
 #include <memory>
@@ -99,7 +100,7 @@ class KeepAlivePolicy {
   virtual void restore(const PolicyCheckpoint* snapshot) { (void)snapshot; }
 
   /// Attaches the observability context (nullptr = disabled, the default).
-  /// The engine calls this before initialize(); wrapper policies forward to
+  /// The run's MinuteKernel calls this before initialize(); wrappers forward to
   /// their inner policy. The observer must outlive the policy's use.
   virtual void attach_observer(const obs::Observer* observer) { obs_ = observer; }
 

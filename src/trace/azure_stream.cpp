@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "util/csv.hpp"
@@ -74,16 +75,57 @@ TraceResult<TraceFormat> detect_trace_format(const std::filesystem::path& path) 
                     "cannot autodetect trace format of an empty file"};
 }
 
-FunctionId StreamingTraceBuilder::intern(AzureFunctionId id) {
-  const std::string key = id.qualified_name();
-  const FunctionId existing = lookup(key);
-  if (existing != kNoFunction) return existing;
-  return insert(key, std::move(id));
-}
+namespace {
+
+/// Incremental function-index builder: interns (owner, app, function)
+/// identities in first-appearance order and grows per-function minute
+/// series on demand, so a loader can stream rows without knowing the
+/// function set or horizon up front. finish() hands the accumulated
+/// columns to Trace::from_columns without copying.
+class StreamingTraceBuilder {
+ public:
+  /// Allocation-free hot path: `lookup` finds an already-interned function
+  /// by its qualified-name key (returns kNoFunction when absent);
+  /// `insert` interns a new one under that key. Loaders build the key into
+  /// a reused buffer and only construct the AzureFunctionId on first sight.
+  [[nodiscard]] FunctionId lookup(std::string_view key) const;
+  FunctionId insert(std::string_view key, AzureFunctionId id);
+
+  /// Adds invocations at minute `t` (grows the series as needed). Returns
+  /// false, leaving the cell unchanged, when the sum would pass
+  /// 4294967295 (summed duplicate rows); the loader reports the row.
+  [[nodiscard]] bool add(FunctionId f, Minute t, std::uint32_t count);
+
+  /// Pre-reserves per-function series for a known horizon (optional).
+  void set_horizon_hint(Minute duration_minutes) noexcept {
+    horizon_hint_ = duration_minutes;
+  }
+
+  [[nodiscard]] std::size_t function_count() const noexcept { return ids_.size(); }
+  [[nodiscard]] Minute max_minute() const noexcept { return max_minute_; }
+
+  /// Builds the AzureTrace over `duration_minutes` (series zero-padded to
+  /// the horizon). The builder is consumed.
+  [[nodiscard]] AzureTrace finish(Minute duration_minutes) &&;
+
+ private:
+  struct TransparentHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::unordered_map<std::string, FunctionId, TransparentHash, std::equal_to<>> index_;
+  std::vector<AzureFunctionId> ids_;
+  std::vector<std::vector<std::uint32_t>> series_;
+  Minute max_minute_ = -1;
+  Minute horizon_hint_ = 0;
+};
 
 FunctionId StreamingTraceBuilder::lookup(std::string_view key) const {
   const auto it = index_.find(key);
-  return it == index_.end() ? static_cast<FunctionId>(-1) : it->second;
+  return it == index_.end() ? kNoFunction : it->second;
 }
 
 FunctionId StreamingTraceBuilder::insert(std::string_view key, AzureFunctionId id) {
@@ -120,8 +162,6 @@ AzureTrace StreamingTraceBuilder::finish(Minute duration_minutes) && {
   out.functions = std::move(ids_);
   return out;
 }
-
-namespace {
 
 // Streaming 2019 day-format loader: one pass per file, rows fed straight
 // into the builder. Mirrors the tests' batch reference try_load_azure_days

@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/azure_format.hpp"
@@ -74,55 +73,6 @@ struct StreamLoadStats {
   std::uint64_t duplicate_rows = 0;   // 2019: merged duplicate function rows
   std::uint64_t clamped_rows = 0;     // 2021: starts before the epoch, binned at 0
   std::size_t max_line_bytes = 0;     // longest line seen (memory-bound witness)
-};
-
-/// Incremental function-index builder: interns (owner, app, function)
-/// identities in first-appearance order and grows per-function minute
-/// series on demand, so a loader can stream rows without knowing the
-/// function set or horizon up front. finish() hands the accumulated
-/// columns to Trace::from_columns without copying.
-class StreamingTraceBuilder {
- public:
-  /// Returns the id for `id`, interning it on first sight.
-  FunctionId intern(AzureFunctionId id);
-
-  /// Allocation-free hot path: `lookup` finds an already-interned function
-  /// by its qualified-name key (returns FunctionId(-1) when absent);
-  /// `insert` interns a new one under that key. Loaders build the key into
-  /// a reused buffer and only construct the AzureFunctionId on first sight.
-  [[nodiscard]] FunctionId lookup(std::string_view key) const;
-  FunctionId insert(std::string_view key, AzureFunctionId id);
-
-  /// Adds invocations at minute `t` (grows the series as needed). Returns
-  /// false, leaving the cell unchanged, when the sum would pass
-  /// 4294967295 (summed duplicate rows); the loader reports the row.
-  [[nodiscard]] bool add(FunctionId f, Minute t, std::uint32_t count);
-
-  /// Pre-reserves per-function series for a known horizon (optional).
-  void set_horizon_hint(Minute duration_minutes) noexcept {
-    horizon_hint_ = duration_minutes;
-  }
-
-  [[nodiscard]] std::size_t function_count() const noexcept { return ids_.size(); }
-  [[nodiscard]] Minute max_minute() const noexcept { return max_minute_; }
-
-  /// Builds the AzureTrace over `duration_minutes` (series zero-padded to
-  /// the horizon). The builder is consumed.
-  [[nodiscard]] AzureTrace finish(Minute duration_minutes) &&;
-
- private:
-  struct TransparentHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::unordered_map<std::string, FunctionId, TransparentHash, std::equal_to<>> index_;
-  std::vector<AzureFunctionId> ids_;
-  std::vector<std::vector<std::uint32_t>> series_;
-  Minute max_minute_ = -1;
-  Minute horizon_hint_ = 0;
 };
 
 /// Streams one or more trace files into a single AzureTrace.

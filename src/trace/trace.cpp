@@ -134,12 +134,6 @@ void Trace::save_csv(const std::filesystem::path& path) const {
   table.write_file(path);
 }
 
-Trace Trace::load_csv(const std::filesystem::path& path) {
-  auto result = try_load_csv(path);
-  if (!result) throw std::runtime_error(result.error().to_string());
-  return std::move(result.value());
-}
-
 TraceResult<Trace> Trace::try_load_csv(const std::filesystem::path& path) {
   util::CsvTable table;
   try {

@@ -101,7 +101,6 @@ class Trace {
 
   /// CSV round trip. Columns: function,name then one count per minute.
   void save_csv(const std::filesystem::path& path) const;
-  [[nodiscard]] static Trace load_csv(const std::filesystem::path& path);
 
   /// Non-throwing loader: malformed input (unreadable file, bad header,
   /// ragged rows, count cells that are not plain non-negative integers)

@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/guarded_policy.hpp"
@@ -75,11 +77,20 @@ TEST(PlatformFaultParity, CountersAndCostMatchMinuteEngine) {
   const trace::Trace t = parity_trace(4, 500);
   const fault::FaultConfig faults = parity_faults();
 
+  // Both runs observed: the kernel's events and fault counters must match
+  // too, not only the results.
+  obs::RingBufferSink minute_sink(1 << 16);
+  obs::RingBufferSink platform_sink(1 << 16);
+  obs::MetricsRegistry minute_metrics;
+  obs::MetricsRegistry platform_metrics;
+
   sim::EngineConfig econfig;
   econfig.deterministic_latency = true;
   econfig.seed = 5;
   econfig.faults = faults;
   econfig.memory_capacity_mb = 650.0;
+  econfig.observer.sink = &minute_sink;
+  econfig.observer.metrics = &minute_metrics;
   sim::SimulationEngine engine(d, t, econfig);
   policies::FixedKeepAlivePolicy minute_policy;
   const sim::RunResult minute = engine.run(minute_policy);
@@ -89,6 +100,8 @@ TEST(PlatformFaultParity, CountersAndCostMatchMinuteEngine) {
   pconfig.seed = 5;
   pconfig.faults = faults;
   pconfig.memory_capacity_mb = 650.0;
+  pconfig.observer.sink = &platform_sink;
+  pconfig.observer.metrics = &platform_metrics;
   PlatformSimulator platform(d, t, pconfig);
   policies::FixedKeepAlivePolicy platform_policy;
   const PlatformResult container = platform.run(platform_policy);
@@ -116,6 +129,36 @@ TEST(PlatformFaultParity, CountersAndCostMatchMinuteEngine) {
   // per-minute, so allow only floating-point regrouping error.
   EXPECT_NEAR(container.total_cost_usd, minute.total_keepalive_cost_usd,
               1e-9 * minute.total_keepalive_cost_usd);
+
+  // The events sim::MinuteKernel emits form one sequence on both layers,
+  // in order and field for field.
+  const auto kernel_events = [](const obs::RingBufferSink& sink) {
+    EXPECT_EQ(sink.dropped(), 0u);
+    std::vector<std::tuple<obs::EventType, trace::Minute, trace::FunctionId, std::int32_t,
+                           double, std::string>>
+        out;
+    for (const obs::TraceEvent& e : sink.events()) {
+      if (e.type == obs::EventType::kFault || e.type == obs::EventType::kCrashEviction ||
+          e.type == obs::EventType::kEviction || e.type == obs::EventType::kCapacityPressure) {
+        out.emplace_back(e.type, e.minute, e.function, e.variant, e.value, e.detail);
+      }
+    }
+    return out;
+  };
+  const auto minute_events = kernel_events(minute_sink);
+  EXPECT_FALSE(minute_events.empty());
+  EXPECT_EQ(kernel_events(platform_sink), minute_events);
+
+  // The seven fault counters fold under engine.* and platform.* alike.
+  const obs::MetricsSnapshot ms = minute_metrics.snapshot();
+  const obs::MetricsSnapshot ps = platform_metrics.snapshot();
+  for (const char* name : {"failed_invocations", "retries", "timeouts", "crash_evictions",
+                           "capacity_evictions", "degraded_minutes", "guard_incidents"}) {
+    const std::string engine_name = std::string("engine.") + name;
+    const std::string platform_name = std::string("platform.") + name;
+    EXPECT_EQ(ps.counter_or(platform_name, ~0ULL), ms.counter_or(engine_name, ~1ULL)) << name;
+  }
+  EXPECT_EQ(ms.counter_or("engine.capacity_evictions"), minute.capacity_evictions);
 }
 
 TEST(PlatformFaultParity, ZeroRateFaultConfigAndCapacityIsIdentity) {

@@ -40,6 +40,15 @@ TEST(Engine, MismatchedFunctionCountThrows) {
   const Deployment d = Deployment::round_robin(zoo, 2);
   trace::Trace t(3, 10);
   EXPECT_THROW(SimulationEngine(d, t, {}), std::invalid_argument);
+
+  // A global-id table shorter than the trace is rejected before any id is
+  // read (ASan builds catch a read past its end).
+  const trace::Trace matching(2, 10);
+  const std::vector<trace::FunctionId> short_ids{0};
+  EngineConfig config;
+  config.global_ids = &short_ids;
+  policies::FixedKeepAlivePolicy policy;
+  EXPECT_THROW(SteppedRun(d, matching, config, policy), std::invalid_argument);
 }
 
 TEST(Engine, SingleInvocationIsCold) {

@@ -104,7 +104,9 @@ TEST(Trace, CsvRoundTrip) {
   const testutil::TempDir dir;
   const auto path = dir.path() / "trace.csv";
   t.save_csv(path);
-  const Trace back = Trace::load_csv(path);
+  const auto loaded = Trace::try_load_csv(path);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().to_string();
+  const Trace& back = loaded.value();
 
   EXPECT_EQ(back.function_count(), 2u);
   EXPECT_EQ(back.duration(), 6);
