@@ -1,5 +1,6 @@
 #include "core/pulse_layer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pulse::core {
@@ -8,8 +9,15 @@ void PulseLayer::initialize(const Config& config, std::size_t function_count,
                             trace::Minute horizon, trace::Minute longest_window,
                             const obs::Observer* observer) {
   config_ = config;
+  // Every probabilities()/probability_within() offset the layer's owners
+  // ask for is at most the widest window they schedule or score, so the
+  // trackers keep a bin per offset up to it, never past 240: a longer gap
+  // stays overflow, p_full reads 0 for it as before.
+  const trace::Minute widest = std::max(longest_window, config_.keepalive_window);
   InterArrivalTracker::Config tracker_config;
   tracker_config.local_window = config_.local_window;
+  tracker_config.histogram_capacity = static_cast<std::size_t>(std::clamp<trace::Minute>(
+      widest, 1, static_cast<trace::Minute>(InterArrivalTracker::kMaxHistogramCapacity)));
   trackers_.assign(function_count, InterArrivalTracker(tracker_config));
   window_probability_.assign(static_cast<std::size_t>(longest_window), 0.0);
 

@@ -11,6 +11,9 @@ PulsePolicy::PulsePolicy(Config config) : config_(config) {
   if (config_.keepalive_window <= 0) {
     throw std::invalid_argument("PulsePolicy: keepalive_window must be positive");
   }
+  if (config_.adaptive_window && config_.max_adaptive_window < 1) {
+    throw std::invalid_argument("PulsePolicy: max_adaptive_window must be positive");
+  }
 }
 
 std::string PulsePolicy::name() const {
@@ -25,10 +28,13 @@ void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Tra
                              sim::KeepAliveSchedule& schedule) {
   (void)schedule;
   // Room for the longest window window_for() can return, so on_invocation
-  // never allocates.
+  // never allocates. An adaptive window reads gap_percentile over the full
+  // 240-bin histogram, so it asks for at least that many offsets.
   const trace::Minute longest_window =
-      config_.adaptive_window ? std::max(config_.keepalive_window, config_.max_adaptive_window)
-                              : config_.keepalive_window;
+      config_.adaptive_window
+          ? std::max({config_.keepalive_window, config_.max_adaptive_window,
+                      static_cast<trace::Minute>(InterArrivalTracker::kMaxHistogramCapacity)})
+          : config_.keepalive_window;
   pulse_.initialize({.keepalive_window = config_.keepalive_window,
                      .local_window = config_.local_window,
                      .memory_threshold = config_.memory_threshold,

@@ -4,8 +4,6 @@
 // optimization (utility-value peak flattening). This is the paper's primary
 // contribution, packaged as a sim::KeepAlivePolicy.
 
-#include <vector>
-
 #include "core/pulse_layer.hpp"
 #include "sim/policy.hpp"
 
@@ -41,7 +39,9 @@ class PulsePolicy : public sim::KeepAlivePolicy {
     /// adapted to different keep-alive durations"): when enabled, each
     /// function's window length follows the tail of its own inter-arrival
     /// distribution — clamp(p-quantile of observed gaps, 1,
-    /// max_adaptive_window) — instead of the fixed keepalive_window.
+    /// max_adaptive_window) — instead of the fixed keepalive_window. The
+    /// constructor throws std::invalid_argument when adaptive_window is set
+    /// and max_adaptive_window < 1.
     bool adaptive_window = false;
     trace::Minute max_adaptive_window = 30;
   };
@@ -73,10 +73,6 @@ class PulsePolicy : public sim::KeepAlivePolicy {
     return pulse_.downgrade_count();
   }
 
-  /// Introspection for tests and benches.
-  [[nodiscard]] const std::vector<InterArrivalTracker>& trackers() const noexcept {
-    return pulse_.trackers();
-  }
   /// Throws std::logic_error before initialize().
   [[nodiscard]] const GlobalOptimizer& optimizer() const { return pulse_.optimizer(); }
   [[nodiscard]] const Config& config() const noexcept { return config_; }

@@ -40,12 +40,6 @@ class LatencyModel {
     return t;
   }
 
-  /// The same draw for a caller without a prepared table.
-  [[nodiscard]] double sample_service_time(const ModelVariant& variant, bool cold,
-                                           util::Pcg32& rng) const {
-    return sample(prepare(variant), cold, rng);
-  }
-
   /// Expected (mean) service time — what the deterministic experiment paths
   /// and the ideal-cost computation use.
   [[nodiscard]] static double expected_service_time(const ModelVariant& variant,

@@ -11,10 +11,12 @@ namespace pulse::policies {
 void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                                   sim::KeepAliveSchedule& schedule) {
   (void)schedule;
-  history_.assign(deployment.function_count(), {});
-  // The count series grows to exactly trace.duration(); reserving up front
-  // keeps end_of_minute() off the allocator for the whole run.
-  for (auto& series : history_) series.reserve(static_cast<std::size_t>(trace.duration()));
+  (void)trace;
+  // forecast() reads only the last kFftWindow minutes, so each function's
+  // history is a fixed kHistoryCapacity block: end_of_minute() never
+  // allocates, however long the run.
+  history_.assign(deployment.function_count() * kHistoryCapacity, 0.0);
+  history_minutes_ = 0;
   current_minute_count_.assign(deployment.function_count(), 0);
   // One plan per run: its tables cover every refit size up to kFftWindow
   // and the basis of full-window forecasts.
@@ -42,7 +44,8 @@ void IceBreakerPolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 
 void IceBreakerPolicy::forecast(trace::FunctionId f) {
   const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
-  const std::span<const double> series = history_.at(f);
+  const std::span<const double> series(history_.data() + f * kHistoryCapacity,
+                                        history_minutes_);
   forecaster_.extrapolate(series.last(std::min(kFftWindow, series.size())), kHarmonics,
                           forecast_buffer_);
   predict::ensure_finite(forecast_buffer_, "icebreaker/fft");
@@ -65,11 +68,22 @@ void IceBreakerPolicy::apply_forecast(trace::FunctionId f, trace::Minute t,
 void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                      const sim::MemoryHistory& history) {
   (void)history;
-  // Close the accounting for minute t.
-  for (trace::FunctionId f = 0; f < history_.size(); ++f) {
-    history_[f].push_back(static_cast<double>(current_minute_count_[f]));
+  // Close the accounting for minute t. A full history drops its older
+  // half, which no forecast reads any more.
+  const std::size_t functions = current_minute_count_.size();
+  if (history_minutes_ == kHistoryCapacity) {
+    for (std::size_t f = 0; f < functions; ++f) {
+      double* const series = history_.data() + f * kHistoryCapacity;
+      std::copy(series + kFftWindow, series + kHistoryCapacity, series);
+    }
+    history_minutes_ = kFftWindow;
+  }
+  for (trace::FunctionId f = 0; f < functions; ++f) {
+    history_[f * kHistoryCapacity + history_minutes_] =
+        static_cast<double>(current_minute_count_[f]);
     current_minute_count_[f] = 0;
   }
+  ++history_minutes_;
 
   // Staggered refits: function f refits when (t + 1 + f) % refresh_interval
   // == 0 and schedules its own next refresh_interval minutes, so each minute
@@ -77,14 +91,14 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   // every refresh_interval-th minute.
   const auto interval = static_cast<std::size_t>(config_.refresh_interval);
   const std::size_t due = (interval - static_cast<std::size_t>(t + 1) % interval) % interval;
-  if (due >= history_.size()) return;
-  const std::size_t refits = (history_.size() - due + interval - 1) / interval;
+  if (due >= functions) return;
+  const std::size_t refits = (functions - due + interval - 1) / interval;
   refreshes_.add(refits);
   if (obs::TraceSink* const s = sink()) {
     s->record({obs::EventType::kPolicyDecision, t, obs::TraceEvent::kNoFunction, -1,
                static_cast<double>(refits), "forecast_refresh"});
   }
-  for (trace::FunctionId f = due; f < history_.size(); f += interval) {
+  for (trace::FunctionId f = due; f < functions; f += interval) {
     forecast(f);
     apply_forecast(f, t, forecast_buffer_, schedule);
   }

@@ -27,6 +27,9 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
  public:
   /// History window fed to the FFT, minutes.
   static constexpr std::size_t kFftWindow = 256;
+  /// Minutes of count history kept per function: twice the FFT window, so
+  /// the older half is dropped once every kFftWindow minutes.
+  static constexpr std::size_t kHistoryCapacity = 2 * kFftWindow;
   /// Number of dominant harmonics kept.
   static constexpr std::size_t kHarmonics = 8;
   /// Predicted invocations/minute at or above which the function is warmed
@@ -67,7 +70,11 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
                               sim::KeepAliveSchedule& schedule);
 
   Config config_;
-  std::vector<std::vector<double>> history_;        // per function per-minute counts
+  /// Per-function per-minute counts, kHistoryCapacity per function; the
+  /// first history_minutes_ of each are filled (the same for every
+  /// function: end_of_minute closes every function's minute).
+  std::vector<double> history_;
+  std::size_t history_minutes_ = 0;
   std::vector<std::uint32_t> current_minute_count_;  // accumulating minute t
   predict::HarmonicForecaster forecaster_;           // one plan + fit scratch per run
   std::vector<double> forecast_buffer_;              // forecast() output

@@ -205,24 +205,29 @@ TEST(InterArrival, ProbabilityWithinEqualsPerOffsetSum) {
   }
 }
 
-TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
-  // Fuzz the incremental window against the rescanning reference across
-  // interleaved records and queries, including queries with non-monotone
-  // `now` (which force the rare backward window rebuild) and gaps beyond
-  // histogram_capacity (which take the window-suffix scan path). The
-  // one-pass probabilities() is checked against per-d probability().
+/// One fuzz run for IncrementalWindowMatchesNaiveRescan: 3000 records from
+/// `start`, the gap at each step in `forced_gaps` replacing the random one.
+struct WindowFuzz {
   InterArrivalTracker::Config config;
-  config.local_window = 25;
-  config.histogram_capacity = 40;
-  InterArrivalTracker t(config);
-  InterArrivalTracker shadow(config);  // queried only through probability()
-  NaiveTracker naive(config);
+  trace::Minute start = 0;
+  std::size_t max_to_d = 60;  // probabilities() windows end in [1, max_to_d]
+  std::vector<std::pair<int, trace::Minute>> forced_gaps;  // {step, gap}
+};
+
+void fuzz_against_naive(const WindowFuzz& fuzz) {
+  InterArrivalTracker t(fuzz.config);
+  InterArrivalTracker shadow(fuzz.config);  // queried only through probability()
+  NaiveTracker naive(fuzz.config);
 
   util::Pcg32 rng(77);
-  trace::Minute now = 0;
+  trace::Minute now = fuzz.start;
   for (int step = 0; step < 3000; ++step) {
     // Mostly small gaps; occasionally a gap past histogram_capacity.
-    now += 1 + static_cast<trace::Minute>(rng.bounded(rng.bounded(20) == 0 ? 60 : 6));
+    trace::Minute gap = 1 + static_cast<trace::Minute>(rng.bounded(rng.bounded(20) == 0 ? 60 : 6));
+    for (const auto& [at, forced] : fuzz.forced_gaps) {
+      if (at == step) gap = forced;
+    }
+    now += gap;
     t.record(now);
     shadow.record(now);
     naive.record(now);
@@ -240,12 +245,13 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
     }
 
     // The one-pass window against per-d probability() on a second tracker
-    // fed the same records. Windows run past histogram_capacity (40), and
-    // `now` sometimes jumps backward; values must agree bit for bit.
+    // fed the same records. Windows run past histogram_capacity, and `now`
+    // sometimes jumps backward; values must agree bit for bit.
     if (step % 5 == 0) {
       trace::Minute q = now;
       if (rng.bounded(4) == 0) q = now - static_cast<trace::Minute>(rng.bounded(40));
-      const std::size_t to_d = 1 + static_cast<std::size_t>(rng.bounded(60));
+      const std::size_t to_d =
+          1 + static_cast<std::size_t>(rng.bounded(static_cast<std::uint32_t>(fuzz.max_to_d)));
       std::vector<double> window(to_d + 1, -1.0);
       t.probabilities(to_d, q, window);
       for (std::size_t d = 1; d <= to_d; ++d) {
@@ -255,6 +261,43 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
       }
       ASSERT_EQ(window[to_d], -1.0) << "wrote past to_d";
     }
+  }
+  EXPECT_EQ(t.total_gaps(), 2999u);
+}
+
+TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
+  // Fuzz the incremental window against the rescanning reference across
+  // interleaved records and queries, including queries with non-monotone
+  // `now` (which force the rare backward window rebuild) and gaps beyond
+  // histogram_capacity (which take the window-suffix scan path). The
+  // one-pass probabilities() is checked against per-d probability().
+  {
+    SCOPED_TRACE("capacity 40, local window 25");
+    WindowFuzz fuzz;
+    fuzz.config.local_window = 25;
+    fuzz.config.histogram_capacity = 40;
+    fuzz_against_naive(fuzz);
+  }
+  {
+    // PulseLayer sizes the bins to the keep-alive window: every offset past
+    // 10 is overflow for the full history and a ring scan for the window.
+    SCOPED_TRACE("window-sized capacity 10, queried to d = 70");
+    WindowFuzz fuzz;
+    fuzz.config.histogram_capacity = 10;
+    fuzz.max_to_d = 70;
+    fuzz_against_naive(fuzz);
+  }
+  {
+    // The ring keeps 32-bit end-minute offsets from a base minute: a first
+    // record far from minute 0, a gap just under 2^32 that later small
+    // gaps carry past the offset range (rebase with events retained), and
+    // a gap past 2^32 (rebase after the ring emptied).
+    SCOPED_TRACE("first record at 2^40, gaps around 2^32");
+    WindowFuzz fuzz;
+    fuzz.config.histogram_capacity = 10;
+    fuzz.start = (trace::Minute{1} << 40) + 12345;
+    fuzz.forced_gaps = {{1, (trace::Minute{1} << 32) - 10}, {1500, (trace::Minute{1} << 32) + 3}};
+    fuzz_against_naive(fuzz);
   }
 }
 

@@ -37,6 +37,20 @@ TEST(PulsePolicy, InvalidWindowThrows) {
   EXPECT_THROW({ [[maybe_unused]] PulsePolicy p(config); }, std::invalid_argument);
 }
 
+TEST(PulsePolicy, ZeroAdaptiveWindowThrows) {
+  // window_for() clamps the gap percentile to [1, max_adaptive_window]; a
+  // cap below 1 would be an empty clamp range.
+  PulsePolicy::Config config;
+  config.adaptive_window = true;
+  for (const trace::Minute cap : {0, -5}) {
+    config.max_adaptive_window = cap;
+    EXPECT_THROW({ [[maybe_unused]] PulsePolicy p(config); }, std::invalid_argument) << cap;
+  }
+  // The cap is unused while the window is fixed.
+  config.adaptive_window = false;
+  EXPECT_NO_THROW({ [[maybe_unused]] PulsePolicy p(config); });
+}
+
 TEST(PulsePolicy, OptimizerBeforeInitializeThrows) {
   PulsePolicy p;
   EXPECT_THROW(static_cast<void>(p.optimizer()), std::logic_error);

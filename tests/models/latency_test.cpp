@@ -25,15 +25,15 @@ TEST(Latency, ExpectedColdTimeAddsPenalty) {
 TEST(Latency, ZeroCvIsDeterministic) {
   LatencyModel model(0.0, 0.0);
   util::Pcg32 rng(1);
-  EXPECT_DOUBLE_EQ(model.sample_service_time(variant(), false, rng), 2.0);
-  EXPECT_DOUBLE_EQ(model.sample_service_time(variant(), true, rng), 8.0);
+  EXPECT_DOUBLE_EQ(LatencyModel::sample(model.prepare(variant()), false, rng), 2.0);
+  EXPECT_DOUBLE_EQ(LatencyModel::sample(model.prepare(variant()), true, rng), 8.0);
 }
 
 TEST(Latency, SamplesArePositive) {
   LatencyModel model;
   util::Pcg32 rng(2);
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_GT(model.sample_service_time(variant(), i % 2 == 0, rng), 0.0);
+    EXPECT_GT(LatencyModel::sample(model.prepare(variant()), i % 2 == 0, rng), 0.0);
   }
 }
 
@@ -42,7 +42,7 @@ TEST(Latency, WarmSampleMeanNearCharacterizedTime) {
   util::Pcg32 rng(3);
   double sum = 0.0;
   constexpr int kN = 50000;
-  for (int i = 0; i < kN; ++i) sum += model.sample_service_time(variant(), false, rng);
+  for (int i = 0; i < kN; ++i) sum += LatencyModel::sample(model.prepare(variant()), false, rng);
   EXPECT_NEAR(sum / kN, 2.0, 0.02);
 }
 
@@ -51,7 +51,7 @@ TEST(Latency, ColdSampleMeanNearCharacterizedTime) {
   util::Pcg32 rng(4);
   double sum = 0.0;
   constexpr int kN = 50000;
-  for (int i = 0; i < kN; ++i) sum += model.sample_service_time(variant(), true, rng);
+  for (int i = 0; i < kN; ++i) sum += LatencyModel::sample(model.prepare(variant()), true, rng);
   EXPECT_NEAR(sum / kN, 8.0, 0.05);
 }
 
@@ -61,8 +61,8 @@ TEST(Latency, ColdAlwaysSlowerOnAverage) {
   double warm = 0.0;
   double cold = 0.0;
   for (int i = 0; i < 10000; ++i) {
-    warm += model.sample_service_time(variant(), false, rng);
-    cold += model.sample_service_time(variant(), true, rng);
+    warm += LatencyModel::sample(model.prepare(variant()), false, rng);
+    cold += LatencyModel::sample(model.prepare(variant()), true, rng);
   }
   EXPECT_GT(cold, warm);
 }
@@ -72,12 +72,12 @@ TEST(Latency, DeterministicGivenSameRngState) {
   util::Pcg32 a(7);
   util::Pcg32 b(7);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(model.sample_service_time(variant(), i % 3 == 0, a),
-                     model.sample_service_time(variant(), i % 3 == 0, b));
+    EXPECT_DOUBLE_EQ(LatencyModel::sample(model.prepare(variant()), i % 3 == 0, a),
+                     LatencyModel::sample(model.prepare(variant()), i % 3 == 0, b));
   }
 }
 
-// sample_service_time as it was before the prepared draw: both lognormal
+// The service-time draw as it was before the prepared draw: both lognormal
 // parameter sets recomputed on every call.
 double unprepared_sample(const LatencyModel& model, const ModelVariant& v, bool cold,
                          util::Pcg32& rng) {

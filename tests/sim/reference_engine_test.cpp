@@ -105,7 +105,8 @@ RunResult reference_run(const Deployment& dep, const trace::Trace& tr, const Eng
         const bool first = cold && i == 0;
         double s = c.deterministic_latency
                        ? models::LatencyModel::expected_service_time(variant, first)
-                       : c.latency.sample_service_time(variant, first, jitter_rng[f]);
+                       : models::LatencyModel::sample(c.latency.prepare(variant), first,
+                                                      jitter_rng[f]);
         double acc = variant.accuracy_pct;
         if (c.bernoulli_accuracy) {
           acc = accuracy_rng[f].bernoulli(variant.accuracy_fraction()) ? 100.0 : 0.0;
