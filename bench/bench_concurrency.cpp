@@ -205,10 +205,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
   std::printf(
-      "\nReading: with fast models the container-granular cold rate tracks the\n"
-      "minute-level one (the abstraction the paper relies on is sound); with\n"
-      "GPT-class execution times, overlap adds scale-out cold starts the\n"
-      "minute model cannot see. PULSE's orderings hold in both models.\n");
+      "\nReading: OpenWhisk never switches variants, and with fast models its\n"
+      "container-granular cold rate equals the minute-level one; GPT-class\n"
+      "execution times add scale-out cold starts the minute model cannot see.\n"
+      "PULSE's cold rate nearly doubles on containers with either zoo: its\n"
+      "window switches variants from minute to minute, each switch reaps the\n"
+      "old variant's idle container and pre-warms the new one, and arrivals\n"
+      "that find only the provisioning container scale out cold. The minute\n"
+      "model treats those switches as free (EXPERIMENTS.md, Beyond the paper).\n");
 
   // --- fault / capacity parity: both layers on the same injected faults ---
   fault::FaultConfig faults;

@@ -1,6 +1,8 @@
 #include "core/global_optimizer.hpp"
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace pulse::core {
 
@@ -104,12 +106,17 @@ std::size_t GlobalOptimizer::flatten_peak(trace::Minute t, sim::KeepAliveSchedul
 
 std::optional<double> GlobalOptimizer::detect_peak(trace::Minute t,
                                                    const sim::KeepAliveSchedule& schedule) {
-  // Record this minute's demand before any flattening, then compare it
-  // against the prior derived from past demand (see DemandHistory).
-  while (demand_.now() < t) demand_.push(0.0);  // tolerate skipped idle minutes
-  const double prior = detector_.prior_memory(demand_, t);
-  demand_.push(schedule.memory_at(t));
-  if (!detector_.is_peak(schedule.memory_at(t), prior)) return std::nullopt;
+  if (t != detector_.minutes_seen()) {
+    throw std::logic_error("GlobalOptimizer::detect_peak: minute " + std::to_string(t) +
+                           " is not the next minute " +
+                           std::to_string(detector_.minutes_seen()));
+  }
+  // Compare this minute's demand, before any flattening, against the prior
+  // derived from past demand, then record it.
+  const double demand = schedule.memory_at(t);
+  const double prior = detector_.prior_memory();
+  detector_.push(demand);
+  if (!detector_.is_peak(demand, prior)) return std::nullopt;
   return prior;
 }
 

@@ -22,34 +22,6 @@
 
 namespace pulse::core {
 
-/// Per-minute record of *demand* keep-alive memory — what the
-/// function-centric optimizer scheduled before any peak flattening. The
-/// peak detector's prior must come from this series, not from the
-/// post-flatten memory the platform actually held: comparing against the
-/// flattened series would classify any recovery above the flattened level
-/// as a new peak and ratchet keep-alive memory toward zero.
-class DemandHistory final : public sim::MemoryHistory {
- public:
-  void push(double memory_mb) { values_.push_back(memory_mb); }
-
-  /// Pre-sizes the backing store (one slot per simulated minute) so push()
-  /// never reallocates during a run — required by the serve-mode
-  /// allocation-free hot-path discipline.
-  void reserve(std::size_t minutes) { values_.reserve(minutes); }
-
-  [[nodiscard]] double memory_at(trace::Minute t) const override {
-    if (t < 0 || static_cast<std::size_t>(t) >= values_.size()) return 0.0;
-    return values_[static_cast<std::size_t>(t)];
-  }
-
-  [[nodiscard]] trace::Minute now() const override {
-    return static_cast<trace::Minute>(values_.size());
-  }
-
- private:
-  std::vector<double> values_;
-};
-
 class GlobalOptimizer {
  public:
   struct Config {
@@ -70,19 +42,22 @@ class GlobalOptimizer {
   std::size_t flatten_peak(trace::Minute t, sim::KeepAliveSchedule& schedule,
                            const std::vector<InterArrivalTracker>& trackers);
 
-  /// Algorithm 1 for minute t: records minute t's demand memory, then
-  /// returns the prior it was compared against when t is a peak (demand
-  /// vs. the demand history's prior), nullopt otherwise. Must be called
-  /// once per minute in order; flatten_peak calls it.
+  /// Algorithm 1 for minute t: feeds minute t's demand memory to the
+  /// detector, then returns the prior it was compared against when t is a
+  /// peak, nullopt otherwise. Must be called once per minute in order from
+  /// minute 0; flatten_peak calls it. Throws std::logic_error when t is not
+  /// the next minute.
+  ///
+  /// The detector sees *demand* — what the function-centric step scheduled
+  /// before any peak flattening — not the post-flatten memory the platform
+  /// actually held: comparing against the flattened series would classify
+  /// any recovery above the flattened level as a new peak and ratchet
+  /// keep-alive memory toward zero.
   std::optional<double> detect_peak(trace::Minute t, const sim::KeepAliveSchedule& schedule);
 
   /// Tallies one downgrade of f (Algorithm 2, line 10) for a peak step
   /// that chooses its downgrades itself.
   void record_downgrade(trace::FunctionId f) { priority_.record_downgrade(f); }
-
-  /// Pre-sizes the demand history for a run of `minutes` minutes, keeping
-  /// flatten_peak's bookkeeping off the allocator.
-  void reserve_horizon(std::size_t minutes) { demand_.reserve(minutes); }
 
   /// Utility score for function f keeping variant `variant` alive at t,
   /// with f's priority normalized over this optimizer's downgrade counts.
@@ -109,13 +84,11 @@ class GlobalOptimizer {
   }
   [[nodiscard]] const PriorityStructure& priority() const noexcept { return priority_; }
   [[nodiscard]] const PeakDetector& detector() const noexcept { return detector_; }
-  [[nodiscard]] const DemandHistory& demand_history() const noexcept { return demand_; }
 
  private:
   Config config_;
   PeakDetector detector_;
   PriorityStructure priority_;
-  DemandHistory demand_;
   const obs::Observer* obs_ = nullptr;
   Metrics metrics_;
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace pulse::core {
 
@@ -49,13 +50,18 @@ void InterArrivalTracker::rebase(trace::Minute t) {
 }
 
 void InterArrivalTracker::record(trace::Minute t) {
+  // Same minute (or out of order): one sample per minute.
+  if (last_invocation_ && t <= *last_invocation_) return;
+  if (t < cached_cutoff_) {
+    throw std::logic_error("InterArrivalTracker::record: minute " + std::to_string(t) +
+                           " is behind the last query's window");
+  }
   if (!last_invocation_) {
     base_ = t;
     front_start_ = t;
     last_invocation_ = t;
     return;
   }
-  if (t <= *last_invocation_) return;  // same minute (or out of order): one sample per minute
   const auto gap = static_cast<std::size_t>(t - *last_invocation_);
   if (gap < bin_count()) {
     ++block_[2 * gap];
@@ -76,34 +82,21 @@ void InterArrivalTracker::record(trace::Minute t) {
   if (t - base_ > kMaxOffset) rebase(t);
   slot(ring_end_seq_) = static_cast<std::uint32_t>(t - base_);
   ++ring_end_seq_;
-  if (t >= cached_cutoff_) {
-    window_add(ring_end_seq_ - 1);
-  } else {
-    // The new event predates the memoized cutoff (a query ran with a
-    // `now` past this record time); keep it out of the window.
-    win_begin_seq_ = ring_end_seq_;
-  }
+  window_add(ring_end_seq_ - 1);
   last_invocation_ = t;
 }
 
 void InterArrivalTracker::advance_window(trace::Minute cutoff) const {
-  if (cutoff == cached_cutoff_) return;
-  if (cutoff > cached_cutoff_) {
-    // Forward move: shed events that fell off the window's trailing edge.
-    while (win_begin_seq_ < ring_end_seq_ && end_at(win_begin_seq_) < cutoff) {
-      window_remove(win_begin_seq_);
-      ++win_begin_seq_;
-    }
-  } else {
-    // Backward move (query older than the previous one): rebuild the window
-    // from the ring. Rare; bounded by the ring's retention horizon.
-    for (std::size_t g = 0; g < bin_count(); ++g) window_count(g) = 0;
-    window_total_ = 0;
-    win_begin_seq_ = ring_end_seq_;
-    while (win_begin_seq_ > ring_begin_seq_ && end_at(win_begin_seq_ - 1) >= cutoff) {
-      --win_begin_seq_;
-      window_add(win_begin_seq_);
-    }
+  if (cutoff == cached_cutoff_) return;  // leaves the ring untouched
+  if (cutoff < cached_cutoff_) {
+    throw std::logic_error("InterArrivalTracker: query at minute " +
+                           std::to_string(cutoff + config_.local_window) +
+                           " is older than the previous one");
+  }
+  // Shed events that fell off the window's trailing edge.
+  while (win_begin_seq_ < ring_end_seq_ && end_at(win_begin_seq_) < cutoff) {
+    window_remove(win_begin_seq_);
+    ++win_begin_seq_;
   }
   cached_cutoff_ = cutoff;
 }

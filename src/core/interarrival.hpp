@@ -10,10 +10,12 @@
 //
 // The local-window estimate is maintained incrementally: a per-gap count
 // table covers the gaps currently inside [now - local_window, now], and is
-// advanced lazily as `now` moves forward. probability() is O(1) amortized,
-// and probability_within() and probabilities() are O(range) after one
-// window advance — previously every query rescanned the recent-gap deque
-// per candidate gap. Queries are bit-identical to the rescanning
+// advanced lazily as `now` moves forward. The tracker is forward-only:
+// queries come in non-decreasing `now`, and records never fall behind the
+// last query's window. probability() is O(1) amortized, and
+// probability_within() and probabilities() are O(range) after one window
+// advance — previously every query rescanned the recent-gap deque per
+// candidate gap. Queries are bit-identical to the rescanning
 // implementation: the per-d arithmetic (0.5 * (p_full + match/total)) is
 // written once, in mixed_probability(); only how match/total are obtained
 // differs.
@@ -64,17 +66,20 @@ class InterArrivalTracker {
 
   /// Records an invocation at minute t. Invocations must be recorded in
   /// non-decreasing time order; repeated minutes are ignored (the paper's
-  /// inter-arrival resolution is one minute). Allocation-free.
+  /// inter-arrival resolution is one minute). Allocation-free. Throws
+  /// std::logic_error when t is behind the last query's window cutoff
+  /// (its `now` - local_window).
   void record(trace::Minute t);
 
   /// P(inter-arrival == d), averaged over the local-window estimate and the
   /// full-history estimate, evaluated at minute `now`. When the local
   /// window holds no gaps the full-history estimate is used alone.
   ///
-  /// Memoizes the window position across calls (O(1) amortized when `now`
-  /// is non-decreasing; a backward jump triggers an O(window) rebuild), so
+  /// Memoizes the window position across calls (O(1) amortized), so
   /// concurrent queries on one tracker are not safe — each simulation run
-  /// owns its trackers exclusively.
+  /// owns its trackers exclusively. Throws std::logic_error when `now` is
+  /// older than the previous query's; the same holds for the two queries
+  /// below.
   [[nodiscard]] double probability(std::size_t d, trace::Minute now) const;
 
   /// probability(d, now) for every d in [1, to_d], written to out[d - 1]:
@@ -132,9 +137,8 @@ class InterArrivalTracker {
   /// minutes, or after a gap that long.
   void rebase(trace::Minute t);
 
-  /// Moves the memoized window to cover end_minutes >= cutoff. Forward
-  /// moves pop events off the window's leading edge; a backward move (rare:
-  /// only a query older than the previous one) rebuilds from the ring.
+  /// Moves the memoized window forward to cover end_minutes >= cutoff,
+  /// popping events off its trailing edge.
   void advance_window(trace::Minute cutoff) const;
 
   /// Adds/removes the event with absolute sequence seq from the memoized

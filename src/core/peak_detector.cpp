@@ -4,69 +4,41 @@
 
 namespace pulse::core {
 
-double PeakDetector::prior_memory(const sim::MemoryHistory& history, trace::Minute t) const {
-  if (t <= 0) return kInfiniteMemory;
+PeakDetector::PeakDetector(Config config)
+    : config_(config),
+      window_(static_cast<std::size_t>(std::max<trace::Minute>(config.local_window, 0)), 0.0) {}
 
-  const double previous = history.memory_at(t - 1);
-  if (previous > 0.0) {
-    // Continuous activity: minutes after the first of a keep-alive period
-    // simply compare against the previous minute (Algorithm 1, line 21).
-    return previous;
-  }
+double PeakDetector::prior_memory() const noexcept {
+  if (seen_ == 0) return kInfiniteMemory;
 
-  // First minute of a keep-alive period after inactivity.
+  // Continuous activity: minutes after the first of a keep-alive period
+  // simply compare against the previous minute (Algorithm 1, line 21).
+  if (previous_ > 0.0) return previous_;
+
+  // First minute of a keep-alive period after inactivity. Once the system
+  // has run for 2x the window the ring is full; its average is summed
+  // oldest to newest.
   const trace::Minute window = config_.local_window;
-  double window_sum = 0.0;
-  trace::Minute window_count = 0;
-  for (trace::Minute q = std::max<trace::Minute>(0, t - window); q < t; ++q) {
-    window_sum += history.memory_at(q);
-    ++window_count;
-  }
-  const double window_avg = window_count > 0 ? window_sum / static_cast<double>(window_count) : 0.0;
-
-  if (t >= 2 * window && window_avg > 0.0) {
-    return window_avg;
+  if (window > 0 && seen_ >= 2 * window) {
+    double window_sum = 0.0;
+    for (std::size_t i = head_; i < window_.size(); ++i) window_sum += window_[i];
+    for (std::size_t i = 0; i < head_; ++i) window_sum += window_[i];
+    const double window_avg = window_sum / static_cast<double>(window);
+    if (window_avg > 0.0) return window_avg;
   }
 
   // Fall back to the last non-zero keep-alive memory value ever recorded.
-  // Memoized: instead of walking t-1..0 on every call (~20k iterations per
-  // call late in a 14-day trace), remember how far this history has been
-  // scanned and where its latest non-zero value sits, and only examine the
-  // minutes appended since.
-  const bool same_history =
-      &history == memo_history_ && history.now() >= memo_scanned_ &&
-      (memo_last_minute_ < 0 || history.memory_at(memo_last_minute_) == memo_last_value_);
-  if (!same_history) {
-    memo_history_ = &history;
-    memo_scanned_ = 0;
-    memo_last_minute_ = -1;
-    memo_last_value_ = 0.0;
-  }
+  return last_nonzero_;
+}
 
-  if (t < memo_scanned_) {
-    if (memo_last_minute_ < t) {
-      // No non-zero exists in [memo_last_minute_+1, memo_scanned_), so the
-      // memoized hit (or miss) also answers the earlier query.
-      return memo_last_minute_ >= 0 ? memo_last_value_ : kInfiniteMemory;
-    }
-    // The memoized non-zero sits at or past t; scan backwards without
-    // disturbing the memo (queries for old minutes are rare).
-    for (trace::Minute q = t - 1; q >= 0; --q) {
-      const double m = history.memory_at(q);
-      if (m > 0.0) return m;
-    }
-    return kInfiniteMemory;
+void PeakDetector::push(double memory_mb) noexcept {
+  if (!window_.empty()) {
+    window_[head_] = memory_mb;
+    if (++head_ == window_.size()) head_ = 0;
   }
-
-  for (trace::Minute q = memo_scanned_; q < t; ++q) {
-    const double m = history.memory_at(q);
-    if (m > 0.0) {
-      memo_last_minute_ = q;
-      memo_last_value_ = m;
-    }
-  }
-  memo_scanned_ = t;
-  return memo_last_minute_ >= 0 ? memo_last_value_ : kInfiniteMemory;
+  previous_ = memory_mb;
+  if (memory_mb > 0.0) last_nonzero_ = memory_mb;
+  ++seen_;
 }
 
 }  // namespace pulse::core

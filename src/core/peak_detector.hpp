@@ -19,10 +19,16 @@
 //   * otherwise:
 //       P_KaM = the last non-zero keep-alive memory ever recorded, or
 //       +infinity when none exists (never a peak right at system start).
+//
+// The detector is a streaming rule: it is fed one memory value per minute
+// and keeps only what those rules read — the previous minute's value, the
+// last local_window values, the number of minutes seen and the last
+// non-zero value.
 
+#include <cstddef>
 #include <limits>
+#include <vector>
 
-#include "sim/policy.hpp"
 #include "trace/trace.hpp"
 
 namespace pulse::core {
@@ -38,47 +44,35 @@ class PeakDetector {
   };
 
   PeakDetector();  // default Config
-  explicit PeakDetector(Config config) : config_(config) {}
+  /// Sizes the local-window ring once; push() never allocates.
+  explicit PeakDetector(Config config);
 
   /// The ISPEAK predicate of Algorithm 1.
   [[nodiscard]] bool is_peak(double current_memory, double prior_memory) const noexcept {
     return current_memory > prior_memory + config_.memory_threshold * prior_memory;
   }
 
-  /// P_KaM for minute t given the recorded history (minutes < t).
-  ///
-  /// The last-non-zero fallback memoizes its scan position, so repeated
-  /// calls over an append-only history cost O(1) amortized instead of an
-  /// O(t) backward walk per call. The memo keys on the history object's
-  /// address and resets when a different history (or a rolled-back one,
-  /// history.now() < scanned prefix) is presented; recorded minutes are
-  /// assumed immutable once written, which holds for both the engine's
-  /// memory record and the optimizer's demand history.
-  [[nodiscard]] double prior_memory(const sim::MemoryHistory& history,
-                                    trace::Minute t) const;
+  /// P_KaM for the next minute, minutes_seen(), given the values pushed
+  /// for the minutes before it.
+  [[nodiscard]] double prior_memory() const noexcept;
 
-  /// Convenience: full Algorithm 1 decision for minute t.
-  [[nodiscard]] bool detect(double current_memory, const sim::MemoryHistory& history,
-                            trace::Minute t) const {
-    return is_peak(current_memory, prior_memory(history, t));
-  }
+  /// Appends minute minutes_seen()'s keep-alive memory.
+  void push(double memory_mb) noexcept;
 
+  [[nodiscard]] trace::Minute minutes_seen() const noexcept { return seen_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   static constexpr double kInfiniteMemory = std::numeric_limits<double>::infinity();
 
  private:
   Config config_;
-
-  // Memo for the last-non-zero fallback scan: minutes [0, memo_scanned_)
-  // of *memo_history_ have been examined; memo_last_minute_ / _value_ hold
-  // the most recent non-zero among them (-1 when none). Mutable because
-  // prior_memory() is logically const; a detector is owned by exactly one
-  // single-threaded run.
-  mutable const sim::MemoryHistory* memo_history_ = nullptr;
-  mutable trace::Minute memo_scanned_ = 0;
-  mutable trace::Minute memo_last_minute_ = -1;
-  mutable double memo_last_value_ = 0.0;
+  /// The last local_window values; window_[head_] is the oldest once the
+  /// ring is full, and the next slot push() writes.
+  std::vector<double> window_;
+  std::size_t head_ = 0;
+  trace::Minute seen_ = 0;
+  double previous_ = 0.0;
+  double last_nonzero_ = kInfiniteMemory;
 };
 
 inline PeakDetector::PeakDetector() : PeakDetector(Config{}) {}

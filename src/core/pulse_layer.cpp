@@ -6,8 +6,7 @@
 namespace pulse::core {
 
 void PulseLayer::initialize(const Config& config, std::size_t function_count,
-                            trace::Minute horizon, trace::Minute longest_window,
-                            const obs::Observer* observer) {
+                            trace::Minute longest_window, const obs::Observer* observer) {
   config_ = config;
   // Every probabilities()/probability_within() offset the layer's owners
   // ask for is at most the widest window they schedule or score, so the
@@ -27,7 +26,6 @@ void PulseLayer::initialize(const Config& config, std::size_t function_count,
   opt_config.keepalive_window = config_.keepalive_window;
   opt_config.weights = config_.utility_weights;
   optimizer_ = std::make_unique<GlobalOptimizer>(function_count, opt_config);
-  optimizer_->reserve_horizon(static_cast<std::size_t>(horizon));
   optimizer_->set_observer(observer);
 }
 

@@ -38,14 +38,14 @@ class PulseLayer {
     UtilityWeights utility_weights{};
   };
 
-  /// Builds one tracker per function and the optimizer for a run of
-  /// `horizon` minutes. `longest_window` is the largest offset the window
-  /// pass will be asked for; its buffer is sized once, here, so the pass
-  /// never allocates. The trackers' histograms end at
+  /// Builds one tracker per function and the optimizer. `longest_window`
+  /// is the largest offset the window pass will be asked for; its buffer
+  /// is sized once, here, so the pass never allocates. The trackers'
+  /// histograms end at
   /// min(240, max(longest_window, keepalive_window)), the largest offset
   /// the window pass and the optimizer's Ip read. The optimizer emits
   /// through `observer` (nullptr = disabled).
-  void initialize(const Config& config, std::size_t function_count, trace::Minute horizon,
+  void initialize(const Config& config, std::size_t function_count,
                   trace::Minute longest_window, const obs::Observer* observer);
 
   /// Records f's invocation at minute t in its tracker.

@@ -11,6 +11,11 @@ PulsePolicy::PulsePolicy(Config config) : config_(config) {
   if (config_.keepalive_window <= 0) {
     throw std::invalid_argument("PulsePolicy: keepalive_window must be positive");
   }
+  // A negative window would put the trackers' window cutoff ahead of the
+  // query minute, and the next record behind it.
+  if (config_.local_window < 0) {
+    throw std::invalid_argument("PulsePolicy: local_window must not be negative");
+  }
   if (config_.adaptive_window && config_.max_adaptive_window < 1) {
     throw std::invalid_argument("PulsePolicy: max_adaptive_window must be positive");
   }
@@ -26,6 +31,7 @@ std::string PulsePolicy::name() const {
 
 void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                              sim::KeepAliveSchedule& schedule) {
+  (void)trace;
   (void)schedule;
   // Room for the longest window window_for() can return, so on_invocation
   // never allocates. An adaptive window reads gap_percentile over the full
@@ -40,7 +46,7 @@ void PulsePolicy::initialize(const sim::Deployment& deployment, const trace::Tra
                      .memory_threshold = config_.memory_threshold,
                      .technique = config_.technique,
                      .utility_weights = config_.utility_weights},
-                    deployment.function_count(), trace.duration(), longest_window, observer());
+                    deployment.function_count(), longest_window, observer());
 }
 
 trace::Minute PulsePolicy::window_for(trace::FunctionId f) const {
@@ -73,7 +79,7 @@ void PulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,
 
 void PulsePolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& schedule,
                                 const sim::MemoryHistory& history) {
-  (void)history;  // peaks are detected against the policy's own demand record
+  (void)history;  // peaks are detected against the optimizer's own demand stream
   if (!config_.enable_global_optimization) return;
   pulse_.flatten_peak(t, schedule);
 }

@@ -109,7 +109,7 @@ void IceBreakerPulsePolicy::initialize(const sim::Deployment& deployment,
                                        sim::KeepAliveSchedule& schedule) {
   IceBreakerPolicy::initialize(deployment, trace, schedule);
   // The forecast, not the window pass, picks the variants here.
-  pulse_.initialize({}, deployment.function_count(), trace.duration(), 0, observer());
+  pulse_.initialize({}, deployment.function_count(), 0, observer());
 }
 
 void IceBreakerPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,

@@ -7,12 +7,12 @@ namespace pulse::policies {
 
 void MilpPolicy::initialize(const sim::Deployment& deployment, const trace::Trace& trace,
                             sim::KeepAliveSchedule& schedule) {
+  (void)trace;
   (void)schedule;
   // The optimizer only detects peaks, scores and tallies here; MILP emits
   // its own milp.* metrics and events, so the optimizer gets no observer.
   const core::PulseLayer::Config config{};
-  pulse_.initialize(config, deployment.function_count(), trace.duration(),
-                    config.keepalive_window, nullptr);
+  pulse_.initialize(config, deployment.function_count(), config.keepalive_window, nullptr);
 }
 
 void MilpPolicy::attach_observer(const obs::Observer* observer) {

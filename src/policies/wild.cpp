@@ -48,8 +48,7 @@ void WildPulsePolicy::initialize(const sim::Deployment& deployment, const trace:
                                  sim::KeepAliveSchedule& schedule) {
   WildPolicy::initialize(deployment, trace, schedule);
   // Wild's window reaches at most max_horizon minutes past the invocation.
-  pulse_.initialize({}, deployment.function_count(), trace.duration(), config_.max_horizon,
-                    observer());
+  pulse_.initialize({}, deployment.function_count(), config_.max_horizon, observer());
 }
 
 void WildPulsePolicy::on_invocation(trace::FunctionId f, trace::Minute t,

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -46,7 +45,7 @@ void OnlineServer::ingest(const StreamEvent& event) {
       return;
     }
     case EventKind::kTick: {
-      if (event.minute + 1 <= run_->next_minute()) {
+      if (event.minute < run_->next_minute()) {
         // A tick for an already-closed minute carries no new information.
         ++stats_.dropped_late;
         if (config_.strict) {
@@ -56,7 +55,9 @@ void OnlineServer::ingest(const StreamEvent& event) {
         return;
       }
       ++stats_.ticks;
-      run_->run_until(std::min<trace::Minute>(event.minute + 1, config_.horizon));
+      // Closes minutes up to and including event.minute; comparing before
+      // adding one keeps a tick at the largest minute from overflowing.
+      run_->run_until(event.minute >= config_.horizon ? config_.horizon : event.minute + 1);
       return;
     }
     case EventKind::kEnd:

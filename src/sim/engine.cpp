@@ -227,8 +227,9 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
     kernel_.degrade();
 
     // The control plane outlives the worker: minute-indexed policy state
-    // (demand histories, forecast periods) stays aligned with the clock,
-    // and windows it schedules past the outage become recovery pre-warms.
+    // (the peak detector's demand stream, forecast periods) stays aligned
+    // with the clock, and windows it schedules past the outage become
+    // recovery pre-warms.
     // Arrivals were lost, so on_invocation is never called.
     kernel_.end_of_minute(t);
 

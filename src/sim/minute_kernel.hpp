@@ -9,8 +9,9 @@
 // sees, the policy's initialization and its one PolicyCallTimer, the
 // injected crash sweep, cold-start retry and backoff, per-variant SLO
 // clipping, memory pressure and capacity eviction, the degraded-minute
-// tally, the per-minute memory record policies read as their MemoryHistory,
-// and the end-of-run fold of the counters both report. Crash, retry, SLO
+// tally, the per-minute memory record (handed to end_of_minute as its
+// MemoryHistory, which no policy in src/ reads; the run's peak-memory
+// gauge does), and the end-of-run fold of the counters both report. Crash, retry, SLO
 // and capacity parity between the layers thus holds by construction
 // (request scheduling kept apart from the resource model, as in CloudSimSC).
 // The serving rule is a lambda passed to step(), so the engine's hot path

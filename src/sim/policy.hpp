@@ -30,7 +30,8 @@ class PolicyCheckpoint {
 /// Read-only view of the per-minute keep-alive memory history that the
 /// engine has recorded so far. memory_at(t) is valid for t < now; the
 /// current minute's (possibly still mutating) memory comes from the
-/// schedule.
+/// schedule. It is part of end_of_minute's signature, but no policy in
+/// src/ reads it: PULSE's peak detector streams its own demand series.
 class MemoryHistory {
  public:
   virtual ~MemoryHistory() = default;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/trace_sink.hpp"
@@ -171,13 +173,31 @@ TEST_F(GlobalOptimizerTest, DowngradeAffectsRestOfWindow) {
 
 TEST_F(GlobalOptimizerTest, DemandHistoryRecordsPreFlattenMemory) {
   GlobalOptimizer opt(2, config_with_threshold(0.10));
-  warm(opt, 0, 10, 0, 0);
-  schedule_.set(0, 10, 1);
-  schedule_.set(1, 10, 1);
-  opt.flatten_peak(10, schedule_, trackers_);
-  EXPECT_DOUBLE_EQ(opt.demand_history().memory_at(10), 1400.0);
-  EXPECT_DOUBLE_EQ(opt.demand_history().memory_at(5), 500.0);
-  EXPECT_EQ(opt.demand_history().now(), 11);
+  warm(opt, 0, 10, 0, 0);  // steady 500 MB
+  schedule_.set(0, 10, 0);
+  schedule_.set(1, 10, 1);  // 1100 MB demand
+  ASSERT_GT(opt.flatten_peak(10, schedule_, trackers_), 0u);
+  ASSERT_LE(schedule_.memory_at(10), 550.0);
+  // Minute 11's prior is minute 10's demand before flattening, not the
+  // flattened memory the platform held.
+  EXPECT_EQ(opt.detector().minutes_seen(), 11);
+  EXPECT_DOUBLE_EQ(opt.detector().prior_memory(), 1100.0);
+  schedule_.set(0, 11, 1);
+  schedule_.set(1, 11, 1);  // 1400 MB > 1210 MB
+  const std::optional<double> prior = opt.detect_peak(11, schedule_);
+  ASSERT_TRUE(prior.has_value());
+  EXPECT_DOUBLE_EQ(*prior, 1100.0);
+  EXPECT_DOUBLE_EQ(opt.detector().prior_memory(), 1400.0);
+}
+
+TEST_F(GlobalOptimizerTest, DetectPeakTakesMinutesInOrder) {
+  GlobalOptimizer opt(2, config_with_threshold(0.10));
+  EXPECT_THROW((void)opt.detect_peak(1, schedule_), std::logic_error);  // skips minute 0
+  warm(opt, 0, 3, 0, 0);
+  EXPECT_THROW((void)opt.detect_peak(2, schedule_), std::logic_error);  // repeats minute 2
+  EXPECT_THROW((void)opt.flatten_peak(5, schedule_, trackers_), std::logic_error);
+  EXPECT_EQ(opt.detector().minutes_seen(), 3);
+  EXPECT_FALSE(opt.detect_peak(3, schedule_).has_value());
 }
 
 TEST_F(GlobalOptimizerTest, ScoreComponentsInRange) {
@@ -221,18 +241,20 @@ struct Downgrade {
 class ReferenceFlattener {
  public:
   ReferenceFlattener(std::size_t model_count, GlobalOptimizer::Config config)
-      : config_(config), scorer_(model_count, config), detector_(config.peak),
+      : config_(config), scorer_(model_count, config), detector_(model_count, config),
         priority_(model_count) {}
 
   void flatten_peak(trace::Minute t, sim::KeepAliveSchedule& schedule,
                     const std::vector<InterArrivalTracker>& trackers,
                     std::vector<Downgrade>& log) {
-    while (demand_.now() < t) demand_.push(0.0);
-    const double prior = detector_.prior_memory(demand_, t);
-    demand_.push(schedule.memory_at(t));
+    // The prior is detect_peak's, on an optimizer of its own fed the same
+    // demand: only the flattening rounds are the reference's.
+    const std::optional<double> peak_prior = detector_.detect_peak(t, schedule);
+    if (!peak_prior) return;
+    const double prior = *peak_prior;
     std::vector<std::pair<trace::FunctionId, std::size_t>> kept;
     bool kept_built = false;
-    while (detector_.is_peak(schedule.memory_at(t), prior)) {
+    while (detector_.detector().is_peak(schedule.memory_at(t), prior)) {
       if (!kept_built) {
         kept = schedule.kept_alive_at(t);
         kept_built = true;
@@ -272,9 +294,8 @@ class ReferenceFlattener {
  private:
   GlobalOptimizer::Config config_;
   GlobalOptimizer scorer_;  // only score()'s Ai and Ip are used
-  PeakDetector detector_;
+  GlobalOptimizer detector_;  // only detect_peak() is used
   PriorityStructure priority_;
-  DemandHistory demand_;
 };
 
 TEST(GlobalOptimizerDifferential, MatchesPerRoundRescoringReference) {

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -190,7 +192,9 @@ TEST(InterArrival, ProbabilityWithinEqualsPerOffsetSum) {
     now += 1 + static_cast<trace::Minute>(rng.bounded(9));
     t.record(now);
   }
-  const trace::Minute queries[] = {now, now + 3, now - 40, now + 200, now};
+  // Non-decreasing, as the tracker requires: the first lags the last
+  // record, the last two repeat one minute.
+  const trace::Minute queries[] = {now - 40, now, now + 3, now + 200, now + 200};
   for (const trace::Minute q : queries) {
     for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{1, 10},
                                    {2, 5},
@@ -221,6 +225,16 @@ void fuzz_against_naive(const WindowFuzz& fuzz) {
 
   util::Pcg32 rng(77);
   trace::Minute now = fuzz.start;
+  // Queries never go back past the previous one, and run at most
+  // local_window ahead of the latest record, so no later record falls
+  // behind a queried window.
+  trace::Minute last_q = std::numeric_limits<trace::Minute>::min();
+  const auto query_at = [&](trace::Minute candidate) {
+    last_q = std::max(last_q, candidate);
+    return last_q;
+  };
+  const auto ahead =
+      static_cast<std::uint32_t>(std::min<trace::Minute>(30, fuzz.config.local_window));
   for (int step = 0; step < 3000; ++step) {
     // Mostly small gaps; occasionally a gap past histogram_capacity.
     trace::Minute gap = 1 + static_cast<trace::Minute>(rng.bounded(rng.bounded(20) == 0 ? 60 : 6));
@@ -233,10 +247,11 @@ void fuzz_against_naive(const WindowFuzz& fuzz) {
     naive.record(now);
 
     if (step % 7 == 0) {
-      trace::Minute q = now;
+      trace::Minute candidate = now;
       const auto jitter = rng.bounded(5);
-      if (jitter == 0) q = now - static_cast<trace::Minute>(rng.bounded(30));  // backward
-      if (jitter == 1) q = now + static_cast<trace::Minute>(rng.bounded(30));  // ahead
+      if (jitter == 0) candidate = now - static_cast<trace::Minute>(rng.bounded(30));  // lagging
+      if (jitter == 1) candidate = now + static_cast<trace::Minute>(rng.bounded(ahead));
+      const trace::Minute q = query_at(candidate);
       const std::size_t d = 1 + static_cast<std::size_t>(rng.bounded(70));
       ASSERT_DOUBLE_EQ(t.probability(d, q), naive.probability(d, q))
           << "step=" << step << " d=" << d << " now=" << q;
@@ -246,10 +261,11 @@ void fuzz_against_naive(const WindowFuzz& fuzz) {
 
     // The one-pass window against per-d probability() on a second tracker
     // fed the same records. Windows run past histogram_capacity, and `now`
-    // sometimes jumps backward; values must agree bit for bit.
+    // sometimes lags the latest record; values must agree bit for bit.
     if (step % 5 == 0) {
-      trace::Minute q = now;
-      if (rng.bounded(4) == 0) q = now - static_cast<trace::Minute>(rng.bounded(40));
+      trace::Minute candidate = now;
+      if (rng.bounded(4) == 0) candidate = now - static_cast<trace::Minute>(rng.bounded(40));
+      const trace::Minute q = query_at(candidate);
       const std::size_t to_d =
           1 + static_cast<std::size_t>(rng.bounded(static_cast<std::uint32_t>(fuzz.max_to_d)));
       std::vector<double> window(to_d + 1, -1.0);
@@ -267,10 +283,10 @@ void fuzz_against_naive(const WindowFuzz& fuzz) {
 
 TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
   // Fuzz the incremental window against the rescanning reference across
-  // interleaved records and queries, including queries with non-monotone
-  // `now` (which force the rare backward window rebuild) and gaps beyond
-  // histogram_capacity (which take the window-suffix scan path). The
-  // one-pass probabilities() is checked against per-d probability().
+  // interleaved records and forward queries (some lagging the latest
+  // record, some ahead of it) and gaps beyond histogram_capacity (which
+  // take the window-suffix scan path). The one-pass probabilities() is
+  // checked against per-d probability().
   {
     SCOPED_TRACE("capacity 40, local window 25");
     WindowFuzz fuzz;
@@ -301,10 +317,9 @@ TEST(InterArrival, IncrementalWindowMatchesNaiveRescan) {
   }
 }
 
-TEST(InterArrival, RecordBehindCachedQueryStaysConsistent) {
-  // A record older than the last query's window cutoff must not leak into
-  // the cached window: the paper's estimator defines the window relative to
-  // the query's `now`, and the reference rescans per query.
+TEST(InterArrival, BackwardQueryThrows) {
+  // The tracker is forward-only: a query older than the previous one has
+  // no window to answer from. The failed query leaves the state intact.
   InterArrivalTracker::Config config;
   config.local_window = 10;
   InterArrivalTracker t(config);
@@ -313,17 +328,44 @@ TEST(InterArrival, RecordBehindCachedQueryStaysConsistent) {
     t.record(m);
     naive.record(m);
   }
-  // Query far ahead: the window (cutoff 990) is empty.
-  ASSERT_DOUBLE_EQ(t.probability(4, 1000), naive.probability(4, 1000));
-  // These records predate the cached cutoff.
-  for (const trace::Minute m : {16, 20}) {
+  ASSERT_DOUBLE_EQ(t.probability(4, 14), naive.probability(4, 14));
+  std::vector<double> out(10);
+  EXPECT_THROW((void)t.probability(4, 13), std::logic_error);
+  EXPECT_THROW((void)t.probability_within(1, 10, 13), std::logic_error);
+  EXPECT_THROW(t.probabilities(10, 13, out), std::logic_error);
+  EXPECT_DOUBLE_EQ(t.probability(4, 14), naive.probability(4, 14));
+  EXPECT_DOUBLE_EQ(t.probability_within(1, 10, 20), naive.probability_within(1, 10, 20));
+}
+
+TEST(InterArrival, RecordBehindQueriedWindowThrows) {
+  // A record older than the last query's window cutoff (its now -
+  // local_window) would have to be both in and out of that window. The
+  // tracker refuses it and keeps its state.
+  InterArrivalTracker::Config config;
+  config.local_window = 10;
+  InterArrivalTracker t(config);
+  NaiveTracker naive(config);
+  for (const trace::Minute m : {0, 4, 8, 12}) {
     t.record(m);
     naive.record(m);
   }
-  EXPECT_DOUBLE_EQ(t.probability(4, 1000), naive.probability(4, 1000));
-  // Re-querying at the present rebuilds the window and sees them again.
-  EXPECT_DOUBLE_EQ(t.probability(4, 20), naive.probability(4, 20));
-  EXPECT_DOUBLE_EQ(t.probability_within(1, 10, 20), naive.probability_within(1, 10, 20));
+  ASSERT_DOUBLE_EQ(t.probability(4, 30), naive.probability(4, 30));  // cutoff 20
+  EXPECT_THROW(t.record(16), std::logic_error);
+  EXPECT_EQ(t.last_invocation(), 12);
+  EXPECT_EQ(t.total_gaps(), 3u);
+  // At the cutoff is inside the window.
+  t.record(20);
+  naive.record(20);
+  EXPECT_DOUBLE_EQ(t.probability(8, 30), naive.probability(8, 30));
+  EXPECT_DOUBLE_EQ(t.probability_within(1, 10, 30), naive.probability_within(1, 10, 30));
+
+  // The first record of a tracker is held to the same rule.
+  InterArrivalTracker fresh(config);
+  (void)fresh.probability(1, 100);
+  EXPECT_THROW(fresh.record(89), std::logic_error);
+  EXPECT_FALSE(fresh.last_invocation().has_value());
+  fresh.record(90);
+  EXPECT_EQ(fresh.last_invocation(), 90);
 }
 
 TEST(InterArrival, DefaultConfigMatchesPaper) {

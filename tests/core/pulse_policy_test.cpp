@@ -35,6 +35,11 @@ TEST(PulsePolicy, InvalidWindowThrows) {
   PulsePolicy::Config config;
   config.keepalive_window = 0;
   EXPECT_THROW({ [[maybe_unused]] PulsePolicy p(config); }, std::invalid_argument);
+  config = {};
+  config.local_window = -1;
+  EXPECT_THROW({ [[maybe_unused]] PulsePolicy p(config); }, std::invalid_argument);
+  config.local_window = 0;
+  EXPECT_NO_THROW({ [[maybe_unused]] PulsePolicy p(config); });
 }
 
 TEST(PulsePolicy, ZeroAdaptiveWindowThrows) {

@@ -280,6 +280,32 @@ TEST(Serve, StrictServerThrowsOnLateEvent) {
   EXPECT_THROW(server.ingest({EventKind::kInvocation, 0, 0, 1}), std::runtime_error);
 }
 
+TEST(Serve, TickAtTheLargestMinuteClosesTheHorizon) {
+  // `tick 9223372036854775807` is a valid line; the server must close every
+  // minute of its horizon for it, as it does for any tick past the horizon,
+  // so finish() keeps the invocations delivered before it.
+  const trace::Trace trace = small_trace();
+  const sim::Deployment deployment = deployment_for(trace);
+  constexpr trace::Minute kLargest = std::numeric_limits<trace::Minute>::max();
+  for (const bool strict : {false, true}) {
+    for (const trace::Minute tick : {kLargest, kLargest - 1}) {
+      SCOPED_TRACE(std::string(strict ? "strict" : "lenient") + " tick " + std::to_string(tick));
+      std::istringstream in("inv 0 0\ninv 5 1\ntick " + std::to_string(tick) + "\nend\n");
+      LineProtocolSource source(in, {.strict = strict});
+      const auto policy = policies::make_policy("pulse");
+      ServeConfig config;
+      config.horizon = 30;
+      config.strict = strict;
+      OnlineServer server(deployment, *policy, config);
+      const ServeStats& stats = server.drain(source);
+      EXPECT_EQ(stats.ticks, 1u);
+      EXPECT_EQ(stats.dropped_late, 0u);
+      EXPECT_EQ(server.open_minute(), 30);
+      EXPECT_EQ(server.finish().invocations, 2u);
+    }
+  }
+}
+
 TEST(Serve, TickGapsSimulateSkippedIdleMinutes) {
   // A tick for minute m certifies everything before it; skipping straight
   // to m must behave like the batch run over the same (idle) minutes.
