@@ -96,7 +96,7 @@ FaultComparison compare_faults(const models::ModelZoo& zoo, const trace::Trace& 
 
   FaultComparison fc;
   fc.minute = minute.fault_counters();
-  fc.container = container.faults;
+  fc.container = container.fault_counters();
   fc.minute_failed_pct = 100.0 * minute.failed_fraction();
   fc.container_failed_pct = 100.0 * container.failed_fraction();
   if (minute.total_keepalive_cost_usd > 0.0) {

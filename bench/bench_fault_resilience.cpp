@@ -75,12 +75,14 @@ ShardFaultRow run_shard_fault_point(const trace::Workload& workload,
   const cluster::ClusterResult result =
       engine.run([policy] { return policies::make_policy(policy); });
 
+  const sim::RunTotals totals = result.totals();
+
   ShardFaultRow row;
   row.policy = policy;
   row.crash_rate = crash_rate;
   row.cost_usd = result.total_keepalive_cost_usd();
-  row.cold_starts = result.cold_starts();
-  row.failed = result.fault_counters().failed_invocations;
+  row.cold_starts = totals.cold_starts;
+  row.failed = totals.failed_invocations;
   row.crashes = result.shard_crashes;
   row.recoveries = result.shard_recoveries;
   return row;

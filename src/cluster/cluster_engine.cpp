@@ -39,60 +39,15 @@ struct ClusterMetricHandles {
 
 }  // namespace
 
-double ClusterResult::total_service_time_s() const noexcept {
-  double total = 0.0;
-  for (const auto& r : shards) total += r.total_service_time_s;
+sim::RunTotals ClusterResult::totals() const noexcept {
+  sim::RunTotals total;
+  for (const auto& r : shards) total += r;
   return total;
 }
 
 double ClusterResult::total_keepalive_cost_usd() const noexcept {
   double total = 0.0;
   for (const auto& r : shards) total += r.total_keepalive_cost_usd;
-  return total;
-}
-
-double ClusterResult::accuracy_pct_sum() const noexcept {
-  double total = 0.0;
-  for (const auto& r : shards) total += r.accuracy_pct_sum;
-  return total;
-}
-
-std::uint64_t ClusterResult::invocations() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& r : shards) total += r.invocations;
-  return total;
-}
-
-std::uint64_t ClusterResult::warm_starts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& r : shards) total += r.warm_starts;
-  return total;
-}
-
-std::uint64_t ClusterResult::cold_starts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& r : shards) total += r.cold_starts;
-  return total;
-}
-
-std::uint64_t ClusterResult::capacity_evictions() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& r : shards) total += r.capacity_evictions;
-  return total;
-}
-
-sim::FaultCounters ClusterResult::fault_counters() const noexcept {
-  sim::FaultCounters total;
-  for (const auto& r : shards) {
-    const sim::FaultCounters c = r.fault_counters();
-    total.failed_invocations += c.failed_invocations;
-    total.retries += c.retries;
-    total.timeouts += c.timeouts;
-    total.crash_evictions += c.crash_evictions;
-    total.capacity_evictions += c.capacity_evictions;
-    total.degraded_minutes += c.degraded_minutes;
-    total.guard_incidents += c.guard_incidents;
-  }
   return total;
 }
 

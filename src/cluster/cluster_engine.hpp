@@ -128,23 +128,11 @@ struct ClusterResult {
   /// metrics; empty when no registry was attached.
   obs::MetricsSnapshot metrics;
 
-  // Catalog-wide aggregates (plain sums over shards).
-  [[nodiscard]] double total_service_time_s() const noexcept;
+  /// Catalog-wide totals: every shard's sim::RunTotals summed field-wise,
+  /// in shard order.
+  [[nodiscard]] sim::RunTotals totals() const noexcept;
+  /// Catalog-wide keep-alive spend (a plain sum over shards).
   [[nodiscard]] double total_keepalive_cost_usd() const noexcept;
-  [[nodiscard]] double accuracy_pct_sum() const noexcept;
-  [[nodiscard]] std::uint64_t invocations() const noexcept;
-  [[nodiscard]] std::uint64_t warm_starts() const noexcept;
-  [[nodiscard]] std::uint64_t cold_starts() const noexcept;
-  [[nodiscard]] std::uint64_t capacity_evictions() const noexcept;
-
-  [[nodiscard]] double average_accuracy_pct() const noexcept {
-    const std::uint64_t n = invocations();
-    return n ? accuracy_pct_sum() / static_cast<double>(n) : 0.0;
-  }
-
-  /// Field-wise sum of every shard's fault counters (the equality the
-  /// cluster fault test asserts against per-shard sums).
-  [[nodiscard]] sim::FaultCounters fault_counters() const noexcept;
 };
 
 class ClusterEngine {

@@ -1,5 +1,6 @@
 #include "exp/artifact.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -45,11 +46,20 @@ std::vector<double> read_artifact_metric(const std::filesystem::path& path) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
+    // One finite number per line; trailing whitespace (a CRLF file's '\r')
+    // is fine, anything else after the number is not.
+    std::size_t used = 0;
+    double value = 0.0;
     try {
-      values.push_back(std::stod(line));
+      value = std::stod(line, &used);
     } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || line.find_first_not_of(" \t\r", used) != std::string::npos ||
+        !std::isfinite(value)) {
       throw std::runtime_error("malformed artifact line in " + path.string() + ": " + line);
     }
+    values.push_back(value);
   }
   return values;
 }

@@ -37,7 +37,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   // The minute engine's kernel, seed and all: with matching schedules the
   // two layers crash, retry, clip and evict identically, and draw the same
   // per-function jitter streams.
-  sim::MinuteKernel kernel(dep, tr, policy, result.faults, config_.observer, config_.faults,
+  sim::MinuteKernel kernel(dep, tr, policy, result, config_.observer, config_.faults,
                            config_.latency, config_.deterministic_latency, config_.seed);
   sim::KeepAliveSchedule& schedule = kernel.schedule();
   obs::EventLane* const sink = kernel.lane();
@@ -228,8 +228,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
     for (std::size_t i = pool[f].size(); i-- > 0;) retire(f, i, end_s);
   }
 
-  result.downgrades = kernel.finish("platform", result.invocations, result.warm_starts,
-                                    result.cold_starts, result.total_service_time_s);
+  kernel.finish("platform");
   if (metrics != nullptr) {
     metrics->counter("platform.scale_out_cold_starts").add(result.scale_out_cold_starts);
     metrics->counter("platform.containers_created").add(result.containers_created);

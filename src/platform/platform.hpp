@@ -22,7 +22,8 @@
 // event lane, the service-time draw over the per-function jitter streams,
 // container crashes, cold-start retry/backoff, SLO timeouts, memory-pressure
 // spikes, capacity eviction (same keyed victim draws) and the end-of-run
-// counter fold are one code path on both layers, so their parity holds by
+// fold of the sim::RunTotals that PlatformResult, like RunResult, derives
+// from are one code path on both layers, so their parity holds by
 // construction. The platform adds only its serving rule (the per-container
 // seconds pool above, whose idle containers die with a capacity victim) and
 // its own result fields.
@@ -90,11 +91,10 @@ struct PlatformConfig {
   obs::Observer observer{};
 };
 
-struct PlatformResult {
-  std::uint64_t invocations = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t cold_starts = 0;
-
+/// The run's sim::RunTotals (the counters, service time and accuracy the
+/// minute engine reports, folded by the same kernel) plus the
+/// container-level tallies and cost only this layer has.
+struct PlatformResult : sim::RunTotals {
   /// Cold starts caused purely by concurrency (a warm container existed
   /// but every one was busy) — the error term of the minute abstraction.
   std::uint64_t scale_out_cold_starts = 0;
@@ -110,20 +110,9 @@ struct PlatformResult {
   /// Largest number of simultaneously live containers.
   std::size_t peak_containers = 0;
 
-  double total_service_time_s = 0.0;
-  double accuracy_pct_sum = 0.0;
-
   /// Keep-alive + execution memory cost, USD (container-seconds priced by
   /// the same cost model as the minute engine).
   double total_cost_usd = 0.0;
-
-  /// Downgrades performed by the policy's cross-function optimizer.
-  std::uint64_t downgrades = 0;
-
-  /// Fault tallies (all zero unless PlatformConfig::faults has nonzero
-  /// rates or a capacity limit is set). Same struct the minute engine
-  /// reports, so parity tests compare them with one ==.
-  sim::FaultCounters faults;
 
   /// Per-minute container-memory samples (PlatformConfig::record_series).
   std::vector<double> memory_mb;
@@ -131,20 +120,6 @@ struct PlatformResult {
   /// Snapshot of the attached obs::MetricsRegistry taken at the end of the
   /// run; empty when no registry was attached.
   obs::MetricsSnapshot metrics;
-
-  [[nodiscard]] double average_accuracy_pct() const noexcept {
-    return invocations ? accuracy_pct_sum / static_cast<double>(invocations) : 0.0;
-  }
-  [[nodiscard]] double warm_start_fraction() const noexcept {
-    return invocations ? static_cast<double>(warm_starts) / static_cast<double>(invocations)
-                       : 0.0;
-  }
-  [[nodiscard]] double failed_fraction() const noexcept {
-    const std::uint64_t attempted = invocations + faults.failed_invocations;
-    return attempted ? static_cast<double>(faults.failed_invocations) /
-                           static_cast<double>(attempted)
-                     : 0.0;
-  }
 };
 
 class PlatformSimulator {

@@ -249,9 +249,8 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   run_until(end);
   finished_ = true;
 
+  kernel_.finish("engine");
   RunResult& result = result_;
-  result.downgrades = kernel_.finish("engine", result.invocations, result.warm_starts,
-                                     result.cold_starts, result.total_service_time_s);
   result.policy_overhead_s = kernel_.policy_overhead_s();
   if (obs::MetricsRegistry* const m = config_.observer.metrics) {
     m->gauge("engine.keepalive_cost_usd").add(result.total_keepalive_cost_usd);

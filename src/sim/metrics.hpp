@@ -1,7 +1,9 @@
 #pragma once
 // Per-run simulation results: the three metrics the paper evaluates
 // (service time, keep-alive cost, accuracy) plus the per-minute series
-// behind Figures 4, 6(b) and 7.
+// behind Figures 4, 6(b) and 7. RunTotals is what every run frame reports
+// alike (engine, platform, cluster); each result adds its own cost and
+// series.
 
 #include <cstdint>
 #include <span>
@@ -28,9 +30,9 @@ struct FunctionMetrics {
   }
 };
 
-/// The fault tallies sim::MinuteKernel writes for both simulators (RunResult
-/// is one, PlatformResult holds one). One kernel makes every fault decision,
-/// so on low-concurrency traces the two produce *identical* counter sets —
+/// The fault tallies sim::MinuteKernel writes for both simulators (part of
+/// every RunTotals). One kernel makes every fault decision, so on
+/// low-concurrency traces the two produce *identical* counter sets —
 /// tests/platform/platform_fault_test.cpp compares these structs directly.
 struct FaultCounters {
   /// Invocations that could not be served (every cold-start retry failed,
@@ -62,20 +64,13 @@ struct FaultCounters {
   [[nodiscard]] bool operator==(const FaultCounters&) const noexcept = default;
 };
 
-/// Per-run result; the FaultCounters base is all zero unless EngineConfig
-/// sets fault rates (fault/injector.hpp) or a capacity.
-struct RunResult : FaultCounters {
-  /// Cumulative service time over every invocation (cold start + execution),
-  /// seconds. The paper's "Service Time" metric.
-  double total_service_time_s = 0.0;
-
-  /// Total provider keep-alive spend, USD.
-  double total_keepalive_cost_usd = 0.0;
-
-  /// Sum over invocations of the serving variant's accuracy (percent);
-  /// divide by `invocations` for the paper's accuracy metric.
-  double accuracy_pct_sum = 0.0;
-
+/// The totals behind the paper's service-time and accuracy metrics, as
+/// sim::MinuteKernel folds them at the end of every run and publishes them
+/// as `<prefix>.*` (engine, platform). RunResult and PlatformResult are
+/// one; ClusterResult::totals() sums its shards' in shard order. Keep-alive
+/// cost is not here: each serving rule prices memory its own way. The
+/// FaultCounters base is all zero unless faults or a capacity are set.
+struct RunTotals : FaultCounters {
   std::uint64_t invocations = 0;
   std::uint64_t warm_starts = 0;
   std::uint64_t cold_starts = 0;
@@ -83,10 +78,13 @@ struct RunResult : FaultCounters {
   /// Downgrades performed by the policy's cross-function optimizer.
   std::uint64_t downgrades = 0;
 
-  /// Wall-clock time spent inside policy decision calls, seconds — the
-  /// overhead metric of Figure 9. Measured only with a PhaseProfiler
-  /// attached (sim::PolicyCallTimer; on_invocation time is sampled), else 0.
-  double policy_overhead_s = 0.0;
+  /// Cumulative service time over every invocation (cold start + execution),
+  /// seconds. The paper's "Service Time" metric.
+  double total_service_time_s = 0.0;
+
+  /// Sum over invocations of the serving variant's accuracy (percent);
+  /// divide by `invocations` for the paper's accuracy metric.
+  double accuracy_pct_sum = 0.0;
 
   [[nodiscard]] double failed_fraction() const noexcept {
     const std::uint64_t attempted = invocations + failed_invocations;
@@ -94,10 +92,34 @@ struct RunResult : FaultCounters {
                      : 0.0;
   }
 
-  /// The fault tallies alone (parity tests compare them with the platform's).
+  [[nodiscard]] double average_accuracy_pct() const noexcept {
+    return invocations ? accuracy_pct_sum / static_cast<double>(invocations) : 0.0;
+  }
+
+  [[nodiscard]] double warm_start_fraction() const noexcept {
+    return invocations ? static_cast<double>(warm_starts) / static_cast<double>(invocations)
+                       : 0.0;
+  }
+
+  /// The fault tallies alone (parity tests compare the two layers' with ==).
   [[nodiscard]] FaultCounters fault_counters() const noexcept { return *this; }
+
+  /// Field-wise sum.
+  RunTotals& operator+=(const RunTotals& o) noexcept;
+
   /// The inherited == would compare only the fault tallies.
-  bool operator==(const RunResult&) const = delete;
+  bool operator==(const RunTotals&) const = delete;
+};
+
+/// Per-run result of the minute engine.
+struct RunResult : RunTotals {
+  /// Total provider keep-alive spend, USD.
+  double total_keepalive_cost_usd = 0.0;
+
+  /// Wall-clock time spent inside policy decision calls, seconds — the
+  /// overhead metric of Figure 9. Measured only with a PhaseProfiler
+  /// attached (sim::PolicyCallTimer; on_invocation time is sampled), else 0.
+  double policy_overhead_s = 0.0;
 
   /// Per-minute series (empty unless EngineConfig::record_series).
   std::vector<double> keepalive_memory_mb;
@@ -128,15 +150,6 @@ struct RunResult : FaultCounters {
   /// re-sorts the whole sample set on every call.
   [[nodiscard]] std::vector<double> service_time_percentiles(
       std::span<const double> ps) const;
-
-  [[nodiscard]] double average_accuracy_pct() const noexcept {
-    return invocations ? accuracy_pct_sum / static_cast<double>(invocations) : 0.0;
-  }
-
-  [[nodiscard]] double warm_start_fraction() const noexcept {
-    return invocations ? static_cast<double>(warm_starts) / static_cast<double>(invocations)
-                       : 0.0;
-  }
 
   /// Overhead relative to delivered service time (Figure 9's x-axis).
   [[nodiscard]] double overhead_over_service_time() const noexcept {

@@ -7,7 +7,7 @@
 namespace pulse::sim {
 
 MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
-                           KeepAlivePolicy& policy, FaultCounters& counters,
+                           KeepAlivePolicy& policy, RunTotals& totals,
                            const obs::Observer& observer, const fault::FaultConfig& faults,
                            const models::LatencyModel& latency, bool deterministic_latency,
                            std::uint64_t seed,
@@ -15,7 +15,7 @@ MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& tra
     : schedule_(deployment, trace.duration()),
       latency_(deployment, latency),
       deterministic_latency_(deterministic_latency),
-      counters_(&counters),
+      totals_(&totals),
       observer_(observer),
       policy_(&policy),
       policy_calls_(policy, observer.profiler),
@@ -48,7 +48,7 @@ MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& tra
 }
 
 void MinuteKernel::close_minute(double memory_mb) {
-  if (degraded_) ++counters_->degraded_minutes;
+  if (degraded_) ++totals_->degraded_minutes;
   degraded_ = false;
   record_.push_back(memory_mb);
 }
@@ -59,7 +59,7 @@ fault::ColdStartOutcome MinuteKernel::start_cold(trace::FunctionId gf, trace::Mi
   // Bounded retry with exponential backoff; exhausting every retry fails
   // the invocations (no container exists to serve them).
   const fault::ColdStartOutcome cs = injector_.cold_start(gf, t);
-  counters_->retries += cs.retries;
+  totals_->retries += cs.retries;
   if (cs.retries > 0) {
     degraded_ = true;
     emit(obs::EventType::kFault, t, gf, static_cast<std::int32_t>(variant),
@@ -71,35 +71,33 @@ fault::ColdStartOutcome MinuteKernel::start_cold(trace::FunctionId gf, trace::Mi
   return cs;
 }
 
-std::uint64_t MinuteKernel::finish(std::string_view prefix, std::uint64_t invocations,
-                                   std::uint64_t warm_starts, std::uint64_t cold_starts,
-                                   double service_time_s) {
+void MinuteKernel::finish(std::string_view prefix) {
   if (collector_) collector_->finish();
-  counters_->guard_incidents = policy_->incident_count();
-  const std::uint64_t downgrades = policy_->downgrade_count();
+  RunTotals& r = *totals_;
+  r.guard_incidents = policy_->incident_count();
+  r.downgrades = policy_->downgrade_count();
   // One batch of registry adds at the end of the run: zero hot-path cost.
   if (obs::MetricsRegistry* const m = observer_.metrics) {
     const std::string p(prefix);
     m->counter(p + ".runs").add(1);
-    m->counter(p + ".invocations").add(invocations);
-    m->counter(p + ".warm_starts").add(warm_starts);
-    m->counter(p + ".cold_starts").add(cold_starts);
-    m->counter(p + ".downgrades").add(downgrades);
-    m->counter(p + ".failed_invocations").add(counters_->failed_invocations);
-    m->counter(p + ".retries").add(counters_->retries);
-    m->counter(p + ".timeouts").add(counters_->timeouts);
-    m->counter(p + ".crash_evictions").add(counters_->crash_evictions);
-    m->counter(p + ".capacity_evictions").add(counters_->capacity_evictions);
-    m->counter(p + ".degraded_minutes").add(counters_->degraded_minutes);
-    m->counter(p + ".guard_incidents").add(counters_->guard_incidents);
-    m->gauge(p + ".service_time_s").add(service_time_s);
+    m->counter(p + ".invocations").add(r.invocations);
+    m->counter(p + ".warm_starts").add(r.warm_starts);
+    m->counter(p + ".cold_starts").add(r.cold_starts);
+    m->counter(p + ".downgrades").add(r.downgrades);
+    m->counter(p + ".failed_invocations").add(r.failed_invocations);
+    m->counter(p + ".retries").add(r.retries);
+    m->counter(p + ".timeouts").add(r.timeouts);
+    m->counter(p + ".crash_evictions").add(r.crash_evictions);
+    m->counter(p + ".capacity_evictions").add(r.capacity_evictions);
+    m->counter(p + ".degraded_minutes").add(r.degraded_minutes);
+    m->counter(p + ".guard_incidents").add(r.guard_incidents);
+    m->gauge(p + ".service_time_s").add(r.total_service_time_s);
   }
-  return downgrades;
 }
 
 void MinuteKernel::fail(trace::FunctionId gf, trace::Minute t, std::int32_t variant,
                         std::uint32_t count, const char* cause) {
-  counters_->failed_invocations += count;
+  totals_->failed_invocations += count;
   degraded_ = true;
   emit(obs::EventType::kFault, t, gf, variant, static_cast<double>(count), cause);
 }

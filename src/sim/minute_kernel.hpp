@@ -11,7 +11,8 @@
 // clipping, memory pressure and capacity eviction, the degraded-minute
 // tally, the per-minute memory record (handed to end_of_minute as its
 // MemoryHistory, which no policy in src/ reads; the run's peak-memory
-// gauge does), and the end-of-run fold of the counters both report. Crash, retry, SLO
+// gauge does), and the end-of-run fold of the sim::RunTotals both results
+// derive from (their `<prefix>.*` counters included). Crash, retry, SLO
 // and capacity parity between the layers thus holds by construction
 // (request scheduling kept apart from the resource model, as in CloudSimSC).
 // The serving rule is a lambda passed to step(), so the engine's hot path
@@ -41,12 +42,13 @@ enum class Eviction { kCrash, kCapacity };
 
 class MinuteKernel final : public MemoryHistory {
  public:
-  /// One run of `policy` over `trace`; both, `deployment` and `counters`
-  /// must outlive the kernel. Attaches the policy to a copy of `observer`
-  /// whose sink is the run's lane (obs::own_lane), then initializes it. The
-  /// other arguments mean what the EngineConfig fields of their names mean.
+  /// One run of `policy` over `trace`, reporting into `totals` (the
+  /// caller's result); both, `deployment` and `totals` must outlive the
+  /// kernel. Attaches the policy to a copy of `observer` whose sink is the
+  /// run's lane (obs::own_lane), then initializes it. The other arguments
+  /// mean what the EngineConfig fields of their names mean.
   MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
-               KeepAlivePolicy& policy, FaultCounters& counters,
+               KeepAlivePolicy& policy, RunTotals& totals,
                const obs::Observer& observer, const fault::FaultConfig& faults,
                const models::LatencyModel& latency, bool deterministic_latency,
                std::uint64_t seed,
@@ -98,13 +100,11 @@ class MinuteKernel final : public MemoryHistory {
     return {&variant, &latency_.at(f, variant_index), &streams_[f], deterministic_latency_};
   }
 
-  /// Ends the run: feeds the run's own collector (if any) to the sink, sets
-  /// the guard incidents, and adds `<prefix>.runs`, the given tallies,
-  /// `.downgrades` and the fault counters to an attached registry. Returns
-  /// the policy's downgrade count.
-  std::uint64_t finish(std::string_view prefix, std::uint64_t invocations,
-                       std::uint64_t warm_starts, std::uint64_t cold_starts,
-                       double service_time_s);
+  /// Ends the run: feeds the run's own collector (if any) to the sink,
+  /// sets the totals' downgrades and guard incidents from the policy, and
+  /// adds `<prefix>.runs`, every counter of the totals and the
+  /// `<prefix>.service_time_s` gauge to an attached registry.
+  void finish(std::string_view prefix);
 
   [[nodiscard]] KeepAliveSchedule& schedule() noexcept { return schedule_; }
 
@@ -132,7 +132,7 @@ class MinuteKernel final : public MemoryHistory {
     if (slo > 0.0 && service_s > slo) {
       service_s = slo;
       accuracy_credit = 0.0;
-      ++counters_->timeouts;
+      ++totals_->timeouts;
       degraded_ = true;
       emit(obs::EventType::kFault, t, gf, static_cast<std::int32_t>(variant_index), slo,
            "slo_timeout");
@@ -184,7 +184,7 @@ class MinuteKernel final : public MemoryHistory {
   KeepAliveSchedule schedule_;
   LatencyTable latency_;
   bool deterministic_latency_;
-  FaultCounters* counters_;
+  RunTotals* totals_;
   std::unique_ptr<obs::EventCollector> collector_;  // see obs::own_lane
   obs::EventLane* lane_ = nullptr;
   obs::Observer observer_;
@@ -217,7 +217,7 @@ void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
       const trace::FunctionId gf = global_id(f);
       if (!injector_.container_crashes(gf, t)) return;
       schedule.evict_from(f, t);
-      ++counters_->crash_evictions;
+      ++totals_->crash_evictions;
       on_evict(f, Eviction::kCrash);
       degraded_ = true;
       emit(obs::EventType::kCrashEviction, t, gf, static_cast<std::int32_t>(variant), 1.0, "");
@@ -247,7 +247,7 @@ void MinuteKernel::step(trace::Minute t, double capacity_mb, Serve&& serve,
   for (std::uint32_t ordinal = 0; live > 0; ++ordinal, --live) {
     const auto victim = kept_[take_live(pick_victim(t, ordinal, live))];
     schedule.evict_from(victim.first, t);
-    ++counters_->capacity_evictions;
+    ++totals_->capacity_evictions;
     on_evict(victim.first, Eviction::kCapacity);
     emit(obs::EventType::kEviction, t, global_id(victim.first),
          static_cast<std::int32_t>(victim.second), 1.0, "capacity");

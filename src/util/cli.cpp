@@ -5,6 +5,24 @@
 
 namespace pulse::util {
 
+namespace {
+
+/// `value` read whole by `parse` (std::stoll or std::stod); a value it
+/// cannot read, or reads only a prefix of ("3x", "2.5" as an integer), is
+/// an error naming the flag.
+template <typename Parse>
+auto parse_whole(std::string_view name, const std::string& value, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {  // std::invalid_argument, std::out_of_range
+  }
+  throw std::invalid_argument("invalid value for --" + std::string(name) + ": '" + value + "'");
+}
+
+}  // namespace
+
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {}
 
@@ -86,11 +104,13 @@ std::string CliParser::get_string(std::string_view name) const {
 }
 
 std::int64_t CliParser::get_int(std::string_view name) const {
-  return std::stoll(get_string(name));
+  return parse_whole(name, get_string(name),
+                     [](const std::string& v, std::size_t* used) { return std::stoll(v, used); });
 }
 
 double CliParser::get_double(std::string_view name) const {
-  return std::stod(get_string(name));
+  return parse_whole(name, get_string(name),
+                     [](const std::string& v, std::size_t* used) { return std::stod(v, used); });
 }
 
 bool CliParser::get_bool(std::string_view name) const {

@@ -7,63 +7,19 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "policies/factory.hpp"
+#include "support/fingerprint.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::cluster {
 namespace {
 
-/// FNV-1a over every RunResult field, as in tests/sim/determinism_test.cpp.
-class Fingerprint {
- public:
-  void add_u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_double(double v) noexcept { add_u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t fingerprint(const sim::RunResult& r) {
-  Fingerprint fp;
-  fp.add_double(r.total_service_time_s);
-  fp.add_double(r.total_keepalive_cost_usd);
-  fp.add_double(r.accuracy_pct_sum);
-  fp.add_u64(r.invocations);
-  fp.add_u64(r.warm_starts);
-  fp.add_u64(r.cold_starts);
-  fp.add_u64(r.downgrades);
-  fp.add_u64(r.capacity_evictions);
-  fp.add_u64(r.failed_invocations);
-  fp.add_u64(r.retries);
-  fp.add_u64(r.timeouts);
-  fp.add_u64(r.crash_evictions);
-  fp.add_u64(r.degraded_minutes);
-  fp.add_u64(r.guard_incidents);
-  for (double v : r.keepalive_memory_mb) fp.add_double(v);
-  for (double v : r.keepalive_cost_usd) fp.add_double(v);
-  for (double v : r.ideal_cost_usd) fp.add_double(v);
-  for (double v : r.service_time_samples) fp.add_double(v);
-  for (const sim::FunctionMetrics& m : r.per_function) {
-    fp.add_u64(m.invocations);
-    fp.add_u64(m.warm_starts);
-    fp.add_u64(m.cold_starts);
-    fp.add_double(m.service_time_s);
-    fp.add_double(m.accuracy_pct_sum);
-  }
-  return fp.value();
-}
+using testutil::fingerprint;
 
 struct Fixture {
   trace::Workload workload;
@@ -168,8 +124,9 @@ TEST(ClusterEngine, AggregatesAreSumsOverShards) {
   const Fixture fx = make_fixture(48, 720, 7);
   const ClusterResult r = run_cluster(fx, 4, 0, "pulse");
 
+  // Field by field, in shard order, so the doubles must match bit for bit.
   double service = 0.0, cost = 0.0, accuracy = 0.0;
-  std::uint64_t invocations = 0, warm = 0, cold = 0, evictions = 0;
+  std::uint64_t invocations = 0, warm = 0, cold = 0, downgrades = 0;
   sim::FaultCounters faults;
   for (const sim::RunResult& shard : r.shards) {
     service += shard.total_service_time_s;
@@ -178,25 +135,26 @@ TEST(ClusterEngine, AggregatesAreSumsOverShards) {
     invocations += shard.invocations;
     warm += shard.warm_starts;
     cold += shard.cold_starts;
-    evictions += shard.capacity_evictions;
-    const sim::FaultCounters c = shard.fault_counters();
-    faults.failed_invocations += c.failed_invocations;
-    faults.retries += c.retries;
-    faults.timeouts += c.timeouts;
-    faults.crash_evictions += c.crash_evictions;
-    faults.capacity_evictions += c.capacity_evictions;
-    faults.degraded_minutes += c.degraded_minutes;
-    faults.guard_incidents += c.guard_incidents;
+    downgrades += shard.downgrades;
+    faults.failed_invocations += shard.failed_invocations;
+    faults.retries += shard.retries;
+    faults.timeouts += shard.timeouts;
+    faults.crash_evictions += shard.crash_evictions;
+    faults.capacity_evictions += shard.capacity_evictions;
+    faults.degraded_minutes += shard.degraded_minutes;
+    faults.guard_incidents += shard.guard_incidents;
   }
-  EXPECT_DOUBLE_EQ(r.total_service_time_s(), service);
-  EXPECT_DOUBLE_EQ(r.total_keepalive_cost_usd(), cost);
-  EXPECT_DOUBLE_EQ(r.accuracy_pct_sum(), accuracy);
-  EXPECT_EQ(r.invocations(), invocations);
-  EXPECT_EQ(r.warm_starts(), warm);
-  EXPECT_EQ(r.cold_starts(), cold);
-  EXPECT_EQ(r.capacity_evictions(), evictions);
-  EXPECT_EQ(r.fault_counters(), faults);
-  EXPECT_GT(r.invocations(), 0u);
+  const sim::RunTotals totals = r.totals();
+  EXPECT_EQ(totals.total_service_time_s, service);
+  EXPECT_EQ(r.total_keepalive_cost_usd(), cost);
+  EXPECT_EQ(totals.accuracy_pct_sum, accuracy);
+  EXPECT_EQ(totals.invocations, invocations);
+  EXPECT_EQ(totals.warm_starts, warm);
+  EXPECT_EQ(totals.cold_starts, cold);
+  EXPECT_EQ(totals.downgrades, downgrades);
+  EXPECT_EQ(totals.fault_counters(), faults);
+  EXPECT_GT(totals.invocations, 0u);
+  EXPECT_GT(totals.capacity_evictions, 0u);
 }
 
 TEST(ClusterEngine, MarketConservesClusterCapacity) {
@@ -225,7 +183,7 @@ TEST(ClusterEngine, ZeroCapacityDisablesTheMarket) {
   EXPECT_TRUE(r.final_quota_mb.empty());
   EXPECT_EQ(r.transfers, 0u);
   EXPECT_EQ(r.total_quota_mb, 0.0);
-  EXPECT_EQ(r.capacity_evictions(), 0u);
+  EXPECT_EQ(r.totals().capacity_evictions, 0u);
 }
 
 TEST(ClusterEngine, RejectsInvalidConfigs) {

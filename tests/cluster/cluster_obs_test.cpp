@@ -51,18 +51,19 @@ TEST(ClusterObservability, MergedRegistryEqualsShardSums) {
   ObservedRun run;
   run_observed(run, 4, 0);
   const ClusterResult& r = run.result;
+  const sim::RunTotals totals = r.totals();
 
   const obs::MetricsSnapshot merged = run.registry.snapshot();
-  EXPECT_EQ(merged.counter_or("engine.invocations"), r.invocations());
-  EXPECT_EQ(merged.counter_or("engine.cold_starts"), r.cold_starts());
-  EXPECT_EQ(merged.counter_or("engine.warm_starts"), r.warm_starts());
-  EXPECT_EQ(merged.counter_or("engine.capacity_evictions"), r.capacity_evictions());
+  EXPECT_EQ(merged.counter_or("engine.invocations"), totals.invocations);
+  EXPECT_EQ(merged.counter_or("engine.cold_starts"), totals.cold_starts);
+  EXPECT_EQ(merged.counter_or("engine.warm_starts"), totals.warm_starts);
+  EXPECT_EQ(merged.counter_or("engine.capacity_evictions"), totals.capacity_evictions);
   EXPECT_EQ(merged.counter_or("cluster.transfers"), r.transfers);
   EXPECT_EQ(merged.counter_or("cluster.rebalance_epochs"), r.rebalance_epochs);
   EXPECT_DOUBLE_EQ(merged.gauge_or("cluster.shards"), 4.0);
   EXPECT_DOUBLE_EQ(merged.gauge_or("cluster.quota_moved_mb"), r.quota_moved_mb);
   // The result carries the same snapshot.
-  EXPECT_EQ(r.metrics.counter_or("engine.invocations"), r.invocations());
+  EXPECT_EQ(r.metrics.counter_or("engine.invocations"), totals.invocations);
 
   // The profiler merged one kSimulate span per shard per epoch slice; at
   // minimum every shard contributed once.
@@ -108,7 +109,7 @@ TEST(ClusterObservability, ThreadedRunMatchesSingleThreaded) {
   ObservedRun single;
   run_observed(single, 4, 1);
 
-  EXPECT_EQ(threaded.result.invocations(), single.result.invocations());
+  EXPECT_EQ(threaded.result.totals().invocations, single.result.totals().invocations);
   EXPECT_EQ(threaded.result.transfers, single.result.transfers);
   EXPECT_EQ(threaded.sink.recorded(), single.sink.recorded());
   EXPECT_EQ(threaded.registry.snapshot().counter_or("engine.invocations"),

@@ -51,17 +51,17 @@ TEST(SeedDerivation, AggregatesInvariantAcrossShardCounts) {
   const ClusterResult four = run_shards(4);
   const ClusterResult sixteen = run_shards(16);
 
-  ASSERT_GT(one.invocations(), 0u);
-  ASSERT_GT(one.fault_counters().retries, 0u);  // faults actually fired
+  const sim::RunTotals b = one.totals();
+  ASSERT_GT(b.invocations, 0u);
+  ASSERT_GT(b.retries, 0u);  // faults actually fired
 
   for (const ClusterResult* r : {&four, &sixteen}) {
     // Integer tallies: exactly equal — every per-function outcome is keyed
     // on the global function id, so partitioning cannot move a single one.
-    EXPECT_EQ(r->invocations(), one.invocations());
-    EXPECT_EQ(r->warm_starts(), one.warm_starts());
-    EXPECT_EQ(r->cold_starts(), one.cold_starts());
-    const sim::FaultCounters a = r->fault_counters();
-    const sim::FaultCounters b = one.fault_counters();
+    const sim::RunTotals a = r->totals();
+    EXPECT_EQ(a.invocations, b.invocations);
+    EXPECT_EQ(a.warm_starts, b.warm_starts);
+    EXPECT_EQ(a.cold_starts, b.cold_starts);
     EXPECT_EQ(a.failed_invocations, b.failed_invocations);
     EXPECT_EQ(a.retries, b.retries);
     EXPECT_EQ(a.timeouts, b.timeouts);
@@ -69,12 +69,12 @@ TEST(SeedDerivation, AggregatesInvariantAcrossShardCounts) {
     EXPECT_EQ(a.capacity_evictions, b.capacity_evictions);
 
     // Accuracy credits are sums of exact 0/100 doubles — order-independent.
-    EXPECT_DOUBLE_EQ(r->accuracy_pct_sum(), one.accuracy_pct_sum());
+    EXPECT_DOUBLE_EQ(a.accuracy_pct_sum, b.accuracy_pct_sum);
 
     // Floating sums accumulate in shard order; identical terms, different
     // grouping — equal to tight relative tolerance.
-    EXPECT_NEAR(r->total_service_time_s(), one.total_service_time_s(),
-                std::abs(one.total_service_time_s()) * 1e-9);
+    EXPECT_NEAR(a.total_service_time_s, b.total_service_time_s,
+                std::abs(b.total_service_time_s) * 1e-9);
     EXPECT_NEAR(r->total_keepalive_cost_usd(), one.total_keepalive_cost_usd(),
                 std::abs(one.total_keepalive_cost_usd()) * 1e-9);
   }
@@ -104,7 +104,7 @@ TEST(SeedDerivation, HashedRunsDifferBySeed) {
   const ClusterResult a = run_with_seed(1);
   const ClusterResult b = run_with_seed(2);
   // Different seeds re-key every fault draw: the retry/failure pattern moves.
-  EXPECT_NE(a.fault_counters().retries, b.fault_counters().retries);
+  EXPECT_NE(a.totals().retries, b.totals().retries);
 }
 
 }  // namespace

@@ -17,47 +17,14 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_sink.hpp"
 #include "policies/factory.hpp"
+#include "support/fingerprint.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::cluster {
 namespace {
 
-class Fingerprint {
- public:
-  void add_u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_double(double v) noexcept { add_u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t fingerprint(const sim::RunResult& r) {
-  Fingerprint fp;
-  fp.add_double(r.total_service_time_s);
-  fp.add_double(r.total_keepalive_cost_usd);
-  fp.add_double(r.accuracy_pct_sum);
-  fp.add_u64(r.invocations);
-  fp.add_u64(r.warm_starts);
-  fp.add_u64(r.cold_starts);
-  fp.add_u64(r.downgrades);
-  fp.add_u64(r.capacity_evictions);
-  fp.add_u64(r.failed_invocations);
-  fp.add_u64(r.retries);
-  fp.add_u64(r.timeouts);
-  fp.add_u64(r.crash_evictions);
-  fp.add_u64(r.degraded_minutes);
-  fp.add_u64(r.guard_incidents);
-  for (double v : r.keepalive_memory_mb) fp.add_double(v);
-  for (double v : r.keepalive_cost_usd) fp.add_double(v);
-  for (double v : r.ideal_cost_usd) fp.add_double(v);
-  return fp.value();
-}
+using testutil::Fingerprint;
+using testutil::fingerprint;
 
 struct Fixture {
   trace::Workload workload;
@@ -123,7 +90,7 @@ TEST(ShardFaultCluster, FailureLedgerIsConsistent) {
 
   // With container faults off, shard crashes are the only source of these
   // counters — the ledger must reconcile exactly with the shard results.
-  const sim::FaultCounters counters = r.fault_counters();
+  const sim::FaultCounters counters = r.totals().fault_counters();
   EXPECT_EQ(counters.crash_evictions, warm_lost);
   EXPECT_EQ(counters.failed_invocations, failed);
   EXPECT_EQ(counters.degraded_minutes, outage_minutes);
@@ -174,7 +141,7 @@ TEST(ShardFaultCluster, FaultCountersSumOverShardsWithFaultsOn) {
     manual.degraded_minutes += c.degraded_minutes;
     manual.guard_incidents += c.guard_incidents;
   }
-  EXPECT_EQ(r.fault_counters(), manual);
+  EXPECT_EQ(r.totals().fault_counters(), manual);
 }
 
 TEST(ShardFaultCluster, DegradedMarketConservesClusterCapacity) {
@@ -253,7 +220,7 @@ TEST(ShardFaultCluster, ThreadedCrashRecoverRunIsClean) {
   const ClusterResult r = run_cluster(fx, cc, "pulse");
 
   EXPECT_EQ(r.shards.size(), 8u);
-  EXPECT_GT(r.invocations(), 0u);
+  EXPECT_GT(r.totals().invocations, 0u);
   EXPECT_GT(r.shard_crashes, 0u);
   EXPECT_EQ(r.failures.size(), r.shard_crashes);
 }
@@ -459,10 +426,11 @@ TEST(ShardFaultCluster, EventStreamReconcilesWithResult) {
         default: break;
       }
     }
-    EXPECT_EQ(evictions, r.capacity_evictions()) << threads << " threads";
-    EXPECT_EQ(cold_starts, r.cold_starts()) << threads << " threads";
+    const sim::RunTotals totals = r.totals();
+    EXPECT_EQ(evictions, totals.capacity_evictions) << threads << " threads";
+    EXPECT_EQ(cold_starts, totals.cold_starts) << threads << " threads";
     EXPECT_EQ(crash_evictions + static_cast<std::uint64_t>(crash_lost),
-              r.fault_counters().crash_evictions)
+              totals.crash_evictions)
         << threads << " threads";
   }
 }

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "policies/factory.hpp"
 #include "support/temp_dir.hpp"
@@ -80,6 +81,18 @@ TEST_F(ArtifactTest, ReadMalformedThrows) {
   std::filesystem::create_directories(dir_);
   std::ofstream(path) << "1.5\nnot-a-number\n";
   EXPECT_THROW(read_artifact_metric(path), std::runtime_error);
+  // A number followed by anything but whitespace, and non-finite values.
+  for (const char* line : {"1.5x", "2.5 3.5", "nan", "inf", "-inf", "1e999"}) {
+    std::ofstream(path) << "1.5\n" << line << "\n";
+    EXPECT_THROW(read_artifact_metric(path), std::runtime_error) << line;
+  }
+}
+
+TEST_F(ArtifactTest, ReadAcceptsCrlfLineEnds) {
+  const auto path = dir_ / "crlf.txt";
+  std::filesystem::create_directories(dir_);
+  std::ofstream(path, std::ios::binary) << "1.5\r\n2.5 \r\n";
+  EXPECT_EQ(read_artifact_metric(path), (std::vector<double>{1.5, 2.5}));
 }
 
 TEST_F(ArtifactTest, ReadMissingThrows) {

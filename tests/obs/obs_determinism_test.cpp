@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,58 +18,13 @@
 #include "obs/trace_sink.hpp"
 #include "policies/factory.hpp"
 #include "sim/engine.hpp"
+#include "support/fingerprint.hpp"
 #include "trace/workload.hpp"
 
 namespace pulse::obs {
 namespace {
 
-/// FNV-1a over every RunResult field the golden fixtures hash (the
-/// `metrics` snapshot is deliberately excluded — it is observability
-/// output, not simulation output).
-class Fingerprint {
- public:
-  void add_u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_double(double v) noexcept { add_u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t fingerprint(const sim::RunResult& r) {
-  Fingerprint fp;
-  fp.add_double(r.total_service_time_s);
-  fp.add_double(r.total_keepalive_cost_usd);
-  fp.add_double(r.accuracy_pct_sum);
-  fp.add_u64(r.invocations);
-  fp.add_u64(r.warm_starts);
-  fp.add_u64(r.cold_starts);
-  fp.add_u64(r.downgrades);
-  fp.add_u64(r.capacity_evictions);
-  fp.add_u64(r.failed_invocations);
-  fp.add_u64(r.retries);
-  fp.add_u64(r.timeouts);
-  fp.add_u64(r.crash_evictions);
-  fp.add_u64(r.degraded_minutes);
-  fp.add_u64(r.guard_incidents);
-  for (double v : r.keepalive_memory_mb) fp.add_double(v);
-  for (double v : r.keepalive_cost_usd) fp.add_double(v);
-  for (double v : r.ideal_cost_usd) fp.add_double(v);
-  for (double v : r.service_time_samples) fp.add_double(v);
-  for (const sim::FunctionMetrics& m : r.per_function) {
-    fp.add_u64(m.invocations);
-    fp.add_u64(m.warm_starts);
-    fp.add_u64(m.cold_starts);
-    fp.add_double(m.service_time_s);
-    fp.add_double(m.accuracy_pct_sum);
-  }
-  return fp.value();
-}
+using testutil::fingerprint;
 
 sim::RunResult run_once(const char* policy_name, std::uint64_t seed, bool faults,
                         const Observer& observer, std::size_t top_k = 0) {

@@ -20,6 +20,7 @@
 #include <tuple>
 #include <vector>
 
+#include "fault/diverging_policy.hpp"
 #include "fault/guarded_policy.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
@@ -28,6 +29,7 @@
 #include "policies/factory.hpp"
 #include "policies/fixed_keepalive.hpp"
 #include "sim/engine.hpp"
+#include "trace/workload.hpp"
 
 namespace pulse::platform {
 namespace {
@@ -107,15 +109,15 @@ TEST(PlatformFaultParity, CountersAndCostMatchMinuteEngine) {
   const PlatformResult container = platform.run(platform_policy);
 
   // The faults must actually have fired for this test to mean anything.
-  EXPECT_GT(container.faults.crash_evictions, 0u);
-  EXPECT_GT(container.faults.retries, 0u);
-  EXPECT_GT(container.faults.failed_invocations, 0u);
-  EXPECT_GT(container.faults.timeouts, 0u);
-  EXPECT_GT(container.faults.capacity_evictions, 0u);
-  EXPECT_GT(container.faults.degraded_minutes, 0u);
+  EXPECT_GT(container.crash_evictions, 0u);
+  EXPECT_GT(container.retries, 0u);
+  EXPECT_GT(container.failed_invocations, 0u);
+  EXPECT_GT(container.timeouts, 0u);
+  EXPECT_GT(container.capacity_evictions, 0u);
+  EXPECT_GT(container.degraded_minutes, 0u);
 
   // Identical fault counters: one shared struct, one comparison.
-  EXPECT_EQ(minute.fault_counters(), container.faults);
+  EXPECT_EQ(minute.fault_counters(), container.fault_counters());
 
   // And identical serving behaviour on the low-concurrency trace.
   EXPECT_EQ(container.invocations, minute.invocations);
@@ -187,7 +189,7 @@ TEST(PlatformFaultParity, ZeroRateFaultConfigAndCapacityIsIdentity) {
   EXPECT_EQ(a.warm_starts, b.warm_starts);
   EXPECT_EQ(a.containers_created, b.containers_created);
   EXPECT_EQ(a.prewarm_starts, b.prewarm_starts);
-  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.fault_counters(), b.fault_counters());
   EXPECT_DOUBLE_EQ(a.total_service_time_s, b.total_service_time_s);
   EXPECT_DOUBLE_EQ(a.total_cost_usd, b.total_cost_usd);
   EXPECT_DOUBLE_EQ(a.accuracy_pct_sum, b.accuracy_pct_sum);
@@ -227,7 +229,7 @@ TEST(PlatformObservability, AttachedObserverNeverChangesResults) {
     EXPECT_EQ(plain.prewarm_starts, traced.prewarm_starts);
     EXPECT_EQ(plain.containers_created, traced.containers_created);
     EXPECT_EQ(plain.downgrades, traced.downgrades);
-    EXPECT_EQ(plain.faults, traced.faults);
+    EXPECT_EQ(plain.fault_counters(), traced.fault_counters());
     EXPECT_EQ(plain.total_service_time_s, traced.total_service_time_s);
     EXPECT_EQ(plain.total_cost_usd, traced.total_cost_usd);
     EXPECT_EQ(plain.accuracy_pct_sum, traced.accuracy_pct_sum);
@@ -241,9 +243,9 @@ TEST(PlatformObservability, AttachedObserverNeverChangesResults) {
     EXPECT_EQ(traced.metrics.counter_or("platform.invocations"), traced.invocations);
     EXPECT_EQ(traced.metrics.counter_or("platform.prewarm_starts"), traced.prewarm_starts);
     EXPECT_EQ(traced.metrics.counter_or("platform.crash_evictions"),
-              traced.faults.crash_evictions);
+              traced.crash_evictions);
     EXPECT_EQ(traced.metrics.counter_or("platform.capacity_evictions"),
-              traced.faults.capacity_evictions);
+              traced.capacity_evictions);
   }
 }
 
@@ -261,7 +263,7 @@ TEST(PlatformCapacity, EvictionsKeepKeptMemoryUnderTheLimit) {
   policies::FixedKeepAlivePolicy policy;
   const PlatformResult r = platform.run(policy);
 
-  EXPECT_GT(r.faults.capacity_evictions, 0u);
+  EXPECT_GT(r.capacity_evictions, 0u);
   for (std::size_t m = 0; m < r.memory_mb.size(); ++m) {
     EXPECT_LE(r.memory_mb[m], 650.0) << "minute " << m;
   }
@@ -463,8 +465,76 @@ TEST(PlatformGuardedPolicy, GuardAbsorbsIncidentsOnThePlatformPath) {
   // The run completes with honest metrics; the guard tripped and reported.
   EXPECT_EQ(r.invocations, t.total_invocations());
   EXPECT_TRUE(guarded.degraded());
-  EXPECT_GE(r.faults.guard_incidents, 1u);
-  EXPECT_EQ(r.faults.guard_incidents, guarded.incident_count());
+  EXPECT_GE(r.guard_incidents, 1u);
+  EXPECT_EQ(r.guard_incidents, guarded.incident_count());
+}
+
+// sim::MinuteKernel::finish folds one sim::RunTotals per run and publishes
+// it as `<prefix>.*`. On both frames, with every counter non-zero (faults,
+// a capacity, downgrades before a guarded divergence), each published value
+// must equal the matching field of the returned result.
+void expect_fold_matches(const obs::MetricsSnapshot& s, const std::string& prefix,
+                         const sim::RunTotals& r) {
+  EXPECT_EQ(s.counter_or(prefix + ".runs"), 1u) << prefix;
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"invocations", r.invocations},
+      {"warm_starts", r.warm_starts},
+      {"cold_starts", r.cold_starts},
+      {"downgrades", r.downgrades},
+      {"failed_invocations", r.failed_invocations},
+      {"retries", r.retries},
+      {"timeouts", r.timeouts},
+      {"crash_evictions", r.crash_evictions},
+      {"capacity_evictions", r.capacity_evictions},
+      {"degraded_minutes", r.degraded_minutes},
+      {"guard_incidents", r.guard_incidents},
+  };
+  for (const auto& [name, value] : counters) {
+    const std::string key = prefix + "." + name;
+    EXPECT_GT(value, 0u) << key << " must fire for the check to mean anything";
+    EXPECT_EQ(s.counter_or(key, ~0ULL), value) << key;
+  }
+  EXPECT_GT(r.total_service_time_s, 0.0);
+  EXPECT_EQ(s.gauge_or(prefix + ".service_time_s", -1.0), r.total_service_time_s) << prefix;
+}
+
+TEST(KernelFold, PublishedCountersEqualReturnedTotalsOnBothFrames) {
+  trace::WorkloadConfig wc;
+  wc.function_count = 24;
+  wc.duration = 720;
+  wc.seed = 11;
+  const trace::Workload workload = trace::build_azure_like_workload(wc);
+  const models::ModelZoo zoo = models::ModelZoo::builtin();
+  const auto d = sim::Deployment::round_robin(zoo, wc.function_count);
+  const double capacity_mb = d.peak_highest_memory_mb() * 0.3;
+  fault::DivergingPolicy::Config diverge;
+  diverge.diverge_at = 480;
+  const auto guarded = [&] {
+    return fault::GuardedPolicy(
+        std::make_unique<fault::DivergingPolicy>(policies::make_policy("pulse"), diverge));
+  };
+
+  obs::MetricsRegistry engine_metrics;
+  sim::EngineConfig econfig;
+  econfig.seed = 3;
+  econfig.faults = parity_faults();
+  econfig.memory_capacity_mb = capacity_mb;
+  econfig.observer.metrics = &engine_metrics;
+  sim::SimulationEngine engine(d, workload.trace, econfig);
+  fault::GuardedPolicy engine_policy = guarded();
+  const sim::RunResult minute = engine.run(engine_policy);
+  expect_fold_matches(engine_metrics.snapshot(), "engine", minute);
+
+  obs::MetricsRegistry platform_metrics;
+  PlatformConfig pconfig;
+  pconfig.seed = 3;
+  pconfig.faults = parity_faults();
+  pconfig.memory_capacity_mb = capacity_mb;
+  pconfig.observer.metrics = &platform_metrics;
+  PlatformSimulator platform(d, workload.trace, pconfig);
+  fault::GuardedPolicy platform_policy = guarded();
+  const PlatformResult container = platform.run(platform_policy);
+  expect_fold_matches(platform_metrics.snapshot(), "platform", container);
 }
 
 TEST(PlatformEnsemble, ThreadedRunsAreDeterministicAndMergeable) {
@@ -506,7 +576,7 @@ TEST(PlatformEnsemble, ThreadedRunsAreDeterministicAndMergeable) {
 
   for (const PlatformResult& r : results) {
     EXPECT_EQ(r.invocations, reference.invocations);
-    EXPECT_EQ(r.faults, reference.faults);
+    EXPECT_EQ(r.fault_counters(), reference.fault_counters());
     EXPECT_DOUBLE_EQ(r.total_service_time_s, reference.total_service_time_s);
     EXPECT_DOUBLE_EQ(r.total_cost_usd, reference.total_cost_usd);
   }
@@ -514,7 +584,7 @@ TEST(PlatformEnsemble, ThreadedRunsAreDeterministicAndMergeable) {
   EXPECT_EQ(snapshot.counter_or("platform.invocations"),
             kThreads * reference.invocations);
   EXPECT_EQ(snapshot.counter_or("platform.crash_evictions"),
-            kThreads * reference.faults.crash_evictions);
+            kThreads * reference.crash_evictions);
 }
 
 }  // namespace

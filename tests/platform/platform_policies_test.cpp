@@ -48,8 +48,8 @@ TEST_P(PlatformPolicySweep, ConservationOnPlatform) {
     const auto policy = policies::make_policy(GetParam());
     const PlatformResult r = platform.run(*policy);
 
-    EXPECT_EQ(r.invocations + r.faults.failed_invocations, workload.trace.total_invocations());
-    EXPECT_EQ(r.faults.failed_invocations > 0, input.faults.enabled());
+    EXPECT_EQ(r.invocations + r.failed_invocations, workload.trace.total_invocations());
+    EXPECT_EQ(r.failed_invocations > 0, input.faults.enabled());
     EXPECT_EQ(r.invocations, r.warm_starts + r.cold_starts);
     EXPECT_LE(r.scale_out_cold_starts, r.cold_starts);
     EXPECT_GE(r.containers_created, r.cold_starts);

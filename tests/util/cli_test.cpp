@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace pulse::util {
 namespace {
 
@@ -85,6 +89,38 @@ TEST(Cli, DoubleParsing) {
   const auto args = argv_of({"prog", "--threshold=0.15"});
   ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
   EXPECT_DOUBLE_EQ(cli.get_double("threshold"), 0.15);
+}
+
+// std::stoll/std::stod stop at the first character they cannot read: the
+// getters must not turn --days=3x into 3 or --runs=2.5 into 2.
+TEST(Cli, NumericValuesMustParseWhole) {
+  CliParser cli("test");
+  for (const char* flag : {"days", "runs", "n", "huge", "rate", "x", "big", "empty"}) {
+    cli.add_flag(flag, "1", "value");
+  }
+  const auto args = argv_of({"prog", "--days=3x", "--runs=2.5", "--n=7 ",
+                             "--huge=99999999999999999999", "--rate=0.5.1", "--x=1.5 ",
+                             "--big=1e999", "--empty="});
+  ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
+  for (const char* flag : {"days", "runs", "n", "huge", "empty"}) {
+    EXPECT_THROW((void)cli.get_int(flag), std::invalid_argument) << flag;
+  }
+  for (const char* flag : {"rate", "x", "big", "empty"}) {
+    EXPECT_THROW((void)cli.get_double(flag), std::invalid_argument) << flag;
+  }
+  EXPECT_DOUBLE_EQ(cli.get_double("runs"), 2.5);
+  // The error names the flag and its value, also where std::stoll throws.
+  for (const auto& [flag, value] :
+       {std::pair{"days", "3x"}, std::pair{"huge", "99999999999999999999"}}) {
+    try {
+      (void)cli.get_int(flag);
+      ADD_FAILURE() << "--" << flag << "=" << value << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("--") + flag), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Cli, UnregisteredGetterThrows) {
