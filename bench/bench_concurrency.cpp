@@ -43,15 +43,13 @@ Comparison compare(const models::ModelZoo& zoo, const trace::Trace& trace,
                    const std::string& policy) {
   const sim::Deployment d = sim::Deployment::round_robin(zoo, trace.function_count());
 
-  sim::EngineConfig econfig;
-  econfig.deterministic_latency = true;
-  sim::SimulationEngine engine(d, trace, econfig);
+  sim::RunConfig run;
+  run.deterministic_latency = true;
+  sim::SimulationEngine engine(d, trace, sim::EngineConfig{run});
   const auto p1 = policies::make_policy(policy);
   const sim::RunResult minute = engine.run(*p1);
 
-  platform::PlatformConfig pconfig;
-  pconfig.deterministic_latency = true;
-  platform::PlatformSimulator plat(d, trace, pconfig);
+  platform::PlatformSimulator plat(d, trace, platform::PlatformConfig{run});
   const auto p2 = policies::make_policy(policy);
   const platform::PlatformResult container = plat.run(*p2);
 
@@ -78,19 +76,15 @@ FaultComparison compare_faults(const models::ModelZoo& zoo, const trace::Trace& 
                                double capacity_mb) {
   const sim::Deployment d = sim::Deployment::round_robin(zoo, trace.function_count());
 
-  sim::EngineConfig econfig;
-  econfig.deterministic_latency = true;
-  econfig.faults = faults;
-  econfig.memory_capacity_mb = capacity_mb;
-  sim::SimulationEngine engine(d, trace, econfig);
+  sim::RunConfig run;
+  run.deterministic_latency = true;
+  run.faults = faults;
+  run.memory_capacity_mb = capacity_mb;
+  sim::SimulationEngine engine(d, trace, sim::EngineConfig{run});
   const auto p1 = policies::make_policy(policy);
   const sim::RunResult minute = engine.run(*p1);
 
-  platform::PlatformConfig pconfig;
-  pconfig.deterministic_latency = true;
-  pconfig.faults = faults;
-  pconfig.memory_capacity_mb = capacity_mb;
-  platform::PlatformSimulator plat(d, trace, pconfig);
+  platform::PlatformSimulator plat(d, trace, platform::PlatformConfig{run});
   const auto p2 = policies::make_policy(policy);
   const platform::PlatformResult container = plat.run(*p2);
 

@@ -108,20 +108,12 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
   CapacityMarket market(config_.market,
                         market_on ? initial_quota : std::vector<double>{0.0});
 
-  // Per-shard observability state: metrics/profilers are per-shard and
-  // merged after the pool joins. An attached sink goes behind the event
-  // collector — lane s for shard s, lane n for the coordinator's own
-  // events — and the fixed shard→lane mapping keeps the canonical feed
-  // (and with it any RingBufferSink retained window) thread-count
-  // deterministic.
-  std::vector<obs::MetricsRegistry> shard_metrics(user_obs.metrics != nullptr ? n : 0);
-  std::vector<obs::PhaseProfiler> shard_profilers(user_obs.profiler != nullptr ? n : 0);
-  std::unique_ptr<obs::EventCollector> collector;
-  obs::EventLane* coord_lane = nullptr;  // coordinator-side events (crash/rebalance)
-  if (user_obs.sink != nullptr) {
-    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, n + 1);
-    coord_lane = &collector->lane(n);
-  }
+  // One Observer per shard (obs::ObserverFanOut), plus lane n for the
+  // coordinator's own events (crash/rebalance); the fixed shard→lane
+  // mapping keeps the canonical feed (and with it any RingBufferSink
+  // retained window) thread-count deterministic.
+  obs::ObserverFanOut fan_out(user_obs, n, 1);
+  obs::EventLane* const coord_lane = fan_out.lane(n);
 
   std::vector<std::unique_ptr<sim::KeepAlivePolicy>> policies;
   std::vector<std::unique_ptr<sim::SteppedRun>> runs;
@@ -132,9 +124,7 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
     configs[s].global_ids = &partition_.members[s];
     configs[s].memory_capacity_mb = market_on ? market.quota_mb(s)
                                               : config_.engine.memory_capacity_mb;
-    if (user_obs.metrics != nullptr) configs[s].observer.metrics = &shard_metrics[s];
-    if (user_obs.profiler != nullptr) configs[s].observer.profiler = &shard_profilers[s];
-    if (collector) configs[s].observer.sink = &collector->lane(s);
+    configs[s].observer = fan_out.producer(s);
     policies.push_back(factory());
     if (policies.back() == nullptr) {
       throw std::invalid_argument("ClusterEngine::run: factory returned null policy");
@@ -328,18 +318,10 @@ ClusterResult ClusterEngine::run(const sim::PolicyFactory& factory) {
 
   pool.parallel_for(n, [&](std::size_t s) { result.shards[s] = runs[s]->finish(); });
 
-  // All producers (shard runs and coordinator) are quiescent: feed every
-  // lane's buffered events (canonical sinks: the retained tails) downstream
-  // before the sink is read or the snapshot is taken.
-  if (collector) collector->finish();
-
+  fan_out.finish();  // shard runs and coordinator have quiesced
   if (user_obs.metrics != nullptr) {
-    for (const auto& reg : shard_metrics) user_obs.metrics->merge(reg);
     user_obs.metrics->gauge("cluster.shards").set(static_cast<double>(n));
     user_obs.metrics->counter("cluster.rebalance_epochs").add(market.epochs());
-  }
-  if (user_obs.profiler != nullptr) {
-    for (const auto& prof : shard_profilers) user_obs.profiler->merge(prof);
   }
 
   if (market_on) {

@@ -32,8 +32,8 @@
 // end of the run makes the retained event stream fully deterministic for a
 // fixed shard count; a streaming sink receives the shards' batches
 // concurrently. Metrics registries and profilers are per-shard and merged
-// into the user's after the pool joins — the single-writer discipline the
-// ensemble runner established.
+// into the user's after the pool joins. This fan-out is the ensemble
+// runner's too: both use obs::ObserverFanOut.
 // Market decisions emit kRebalance events and cluster.* metrics.
 
 #include <cstddef>

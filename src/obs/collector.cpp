@@ -41,6 +41,30 @@ void EventCollector::finish() {
   }
 }
 
+ObserverFanOut::ObserverFanOut(const Observer& user, std::size_t producers,
+                               std::size_t extra_lanes)
+    : user_(user),
+      metrics_(user.metrics != nullptr ? producers : 0),
+      profilers_(user.profiler != nullptr ? producers : 0) {
+  if (user.sink != nullptr) {
+    collector_ = std::make_unique<EventCollector>(*user.sink, producers + extra_lanes);
+  }
+}
+
+Observer ObserverFanOut::producer(std::size_t i) {
+  Observer o = user_;
+  if (!metrics_.empty()) o.metrics = &metrics_[i];
+  if (!profilers_.empty()) o.profiler = &profilers_[i];
+  if (collector_) o.sink = &collector_->lane(i);
+  return o;
+}
+
+void ObserverFanOut::finish() {
+  if (collector_) collector_->finish();
+  for (const MetricsRegistry& m : metrics_) user_.metrics->merge(m);
+  for (const PhaseProfiler& p : profilers_) user_.profiler->merge(p);
+}
+
 EventLane* own_lane(TraceSink* sink, std::unique_ptr<EventCollector>& owner) {
   if (sink == nullptr) return nullptr;
   if (auto* const lane = dynamic_cast<EventLane*>(sink)) return lane;

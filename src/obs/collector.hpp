@@ -7,10 +7,10 @@
 //   atomic, no thread
 //
 // Every sink is fed through a collector. The ensemble and cluster runners
-// own one with a lane per producer; the sim::MinuteKernel of a lone run
-// (engine, online server, platform) puts an attached sink that is not
-// already a lane behind a one-lane collector of its own (own_lane()) and
-// finishes it before the run returns.
+// own one with a lane per producer, inside the ObserverFanOut below; the
+// sim::MinuteKernel of a lone run (engine, online server, platform) puts an
+// attached sink that is not already a lane behind a one-lane collector of
+// its own (own_lane()) and finishes it before the run returns.
 //
 // Each lane buffers into a util::RingBuffer that only its producer touches
 // until finish(). What that buffer holds depends on the sink:
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/ring_buffer.hpp"
 
@@ -113,6 +114,43 @@ class EventCollector {
  private:
   std::vector<std::unique_ptr<EventLane>> lanes_;
   bool finished_ = false;
+};
+
+/// A runner's Observer fanned out to its producers (the ensemble's worker
+/// slots, the cluster's shards), one writer each: producer i gets its own
+/// MetricsRegistry and PhaseProfiler where the user attached one, and lane
+/// i of a collector in front of the user's sink, which has `extra_lanes`
+/// more (the cluster's coordinator). finish() feeds the collector
+/// downstream, then merges the registries and profilers into the user's in
+/// producer order, so the totals and the canonical feed do not depend on
+/// the thread count.
+class ObserverFanOut {
+ public:
+  /// The user's sink, registry and profiler must outlive the fan-out.
+  ObserverFanOut(const Observer& user, std::size_t producers, std::size_t extra_lanes = 0);
+
+  // Producers hold pointers to its registries, profilers and lanes.
+  ObserverFanOut(const ObserverFanOut&) = delete;
+  ObserverFanOut& operator=(const ObserverFanOut&) = delete;
+
+  /// Producer i's Observer: the user's, each attached member replaced by
+  /// producer i's own.
+  [[nodiscard]] Observer producer(std::size_t i);
+
+  /// The collector's lane i (i >= producers: an extra lane); null when no
+  /// sink is attached.
+  [[nodiscard]] EventLane* lane(std::size_t i) {
+    return collector_ ? &collector_->lane(i) : nullptr;
+  }
+
+  /// Call once, after every producer has quiesced.
+  void finish();
+
+ private:
+  Observer user_;
+  std::vector<MetricsRegistry> metrics_;
+  std::vector<PhaseProfiler> profilers_;
+  std::unique_ptr<EventCollector> collector_;
 };
 
 /// The lane a run's sim::MinuteKernel emits into: null when `sink` is null,

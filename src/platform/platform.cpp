@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/cost_model.hpp"
-#include "sim/minute_kernel.hpp"
 
 namespace pulse::platform {
 
@@ -37,8 +36,7 @@ PlatformResult PlatformSimulator::run(sim::KeepAlivePolicy& policy) {
   // The minute engine's kernel, seed and all: with matching schedules the
   // two layers crash, retry, clip and evict identically, and draw the same
   // per-function jitter streams.
-  sim::MinuteKernel kernel(dep, tr, policy, result, config_.observer, config_.faults,
-                           config_.latency, config_.deterministic_latency, config_.seed);
+  sim::MinuteKernel kernel(dep, tr, policy, result, config_);
   sim::KeepAliveSchedule& schedule = kernel.schedule();
   obs::EventLane* const sink = kernel.lane();
 

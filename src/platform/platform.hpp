@@ -23,10 +23,11 @@
 // container crashes, cold-start retry/backoff, SLO timeouts, memory-pressure
 // spikes, capacity eviction (same keyed victim draws) and the end-of-run
 // fold of the sim::RunTotals that PlatformResult, like RunResult, derives
-// from are one code path on both layers, so their parity holds by
-// construction. The platform adds only its serving rule (the per-container
-// seconds pool above, whose idle containers die with a capacity victim) and
-// its own result fields.
+// from are one code path on both layers, and both configs derive from the
+// sim::RunConfig the kernel reads, so their parity holds by construction.
+// The platform adds only its serving rule (the per-container seconds pool
+// above, whose idle containers die with a capacity victim), spread_arrivals
+// and its own result fields.
 //
 // Its purpose is cross-validation: on low-concurrency workloads it must
 // agree with the minute engine — fault counters and total cost included
@@ -36,11 +37,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/injector.hpp"
-#include "models/latency.hpp"
-#include "obs/observer.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/minute_kernel.hpp"
 #include "sim/policy.hpp"
 #include "trace/trace.hpp"
 
@@ -51,44 +50,13 @@ using Second = std::int64_t;
 
 constexpr Second kSecondsPerMinute = 60;
 
-struct PlatformConfig {
-  models::LatencyModel latency{};
-
-  /// Use expected service times (exact arithmetic for tests).
-  bool deterministic_latency = false;
-
-  /// Seed of the capacity victim draws and of every function's jitter
-  /// stream: the minute engine's streams, so the same seed draws the same
-  /// jitter for the same function, whatever other functions run.
-  std::uint64_t seed = 1;
-
+/// The kernel's sim::RunConfig (record_series: container memory sampled at
+/// minute boundaries) plus the one rule only this layer has.
+struct PlatformConfig : sim::RunConfig {
   /// Spread each minute's invocations uniformly over its 60 seconds (true)
   /// or fire them all at the minute's first second (false — the worst-case
   /// concurrency assumption).
   bool spread_arrivals = true;
-
-  /// Record the per-minute memory series (sampled at minute boundaries).
-  bool record_series = false;
-
-  /// Absolute keep-alive memory capacity, MB (0 = unlimited). Mirrors
-  /// EngineConfig::memory_capacity_mb: when the keep-alive schedule exceeds
-  /// it at the end of a minute, kept containers are evicted in the minute
-  /// engine's deterministic (seeded) random order until it fits.
-  double memory_capacity_mb = 0.0;
-
-  /// Fault injection (crashes, cold-start failures, SLO timeouts, memory
-  /// pressure). Zero rates leave the run bitwise identical to one without
-  /// any injector: fault decisions are hash-derived from FaultConfig::seed
-  /// and consume no simulator RNG state.
-  fault::FaultConfig faults{};
-
-  /// Observability context: optional event sink, metrics registry, and
-  /// phase profiler (all non-owning; default fully disabled). Attaching
-  /// any of them leaves PlatformResult bitwise identical — the layer
-  /// observes, it never steers. A sink that is not an obs::EventLane is fed
-  /// through a one-lane obs::EventCollector the run owns; it holds every
-  /// event once run() returns.
-  obs::Observer observer{};
 };
 
 /// The run's sim::RunTotals (the counters, service time and accuracy the

@@ -27,13 +27,11 @@ SteppedRun::SteppedRun(const Deployment& deployment, const trace::Trace& trace,
     : deployment_(&deployment),
       trace_(&trace),
       config_(config),
-      kernel_(deployment, trace, policy, result_, config.observer, config.faults,
-              config.latency, config.deterministic_latency, config.seed, config.global_ids) {
+      kernel_(deployment, trace, policy, result_, config_, config_.global_ids) {
   const trace::Minute duration = trace.duration();
   if (config_.record_series) {
     result_.keepalive_memory_mb.reserve(static_cast<std::size_t>(duration));
     result_.keepalive_cost_usd.reserve(static_cast<std::size_t>(duration));
-    result_.ideal_cost_usd.reserve(static_cast<std::size_t>(duration));
   }
   if (config_.record_per_function) {
     result_.per_function.assign(trace.function_count(), FunctionMetrics{});
@@ -78,19 +76,18 @@ void SteppedRun::run_until(trace::Minute end) {
 
 void SteppedRun::step_minute() {
   const trace::Minute t = next_minute_;
-  double ideal_cost_t = 0.0;
   kernel_.step(
-      t, config_.memory_capacity_mb, [&] { serve_minute(t, ideal_cost_t); },
+      t, config_.memory_capacity_mb, [&] { serve_minute(t); },
       [&](trace::FunctionId f, Eviction) {
         if (!fn_evictions_.empty()) ++fn_evictions_[f];
       });
   const KeepAliveSchedule& schedule = kernel_.schedule();
-  close_minute(t, schedule.memory_at(t), schedule.alive_count_at(t), ideal_cost_t);
+  close_minute(t, schedule.memory_at(t), schedule.alive_count_at(t));
 }
 
 // The engine's serving rule: all of a minute's invocations of f share one
 // container — the one kept alive at t, or a single cold start.
-void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
+void SteppedRun::serve_minute(trace::Minute t) {
   const trace::Trace& tr = *trace_;
   const Deployment& dep = *deployment_;
   KeepAliveSchedule& schedule = kernel_.schedule();
@@ -162,19 +159,13 @@ void SteppedRun::serve_minute(trace::Minute t, double& ideal_cost_t) {
       }
     }
 
-    // The ideal reference keeps the highest-quality model alive exactly
-    // during invocation minutes (Figure 6b's ideal line). It is fault-free
-    // by definition, so failed minutes still accrue it.
-    ideal_cost_t += keepalive_cost_usd(family.highest().memory_mb, 1.0);
-
     // The policy observes the arrival even when the platform failed to
     // serve it — predictors track demand, not fulfillment.
     kernel_.on_invocation(f, t);
   }
 }
 
-void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
-                              double ideal_cost_t) {
+void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t alive_n) {
   kernel_.close_minute(memory_t);
   const double cost_t = keepalive_cost_usd(memory_t, 1.0);
   result_.total_keepalive_cost_usd += cost_t;
@@ -190,7 +181,6 @@ void SteppedRun::close_minute(trace::Minute t, double memory_t, std::size_t aliv
   if (config_.record_series) {
     result_.keepalive_memory_mb.push_back(memory_t);
     result_.keepalive_cost_usd.push_back(cost_t);
-    result_.ideal_cost_usd.push_back(ideal_cost_t);
   }
 }
 
@@ -214,14 +204,9 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
   // or capacity eviction runs, since nothing is alive to act on.
   while (next_minute_ < stop) {
     const trace::Minute t = next_minute_;
-    double ideal_cost_t = 0.0;
     for (trace::FunctionId f = 0; f < tr.function_count(); ++f) {
       const std::uint32_t count = tr.count(f, t);
       if (count == 0) continue;
-      // The ideal reference is fault-free by definition, so outage minutes
-      // still accrue it — exactly like failed minutes in step_minute().
-      ideal_cost_t += keepalive_cost_usd(
-          deployment_->family_of(f).highest().memory_mb, 1.0);
       kernel_.fail(kernel_.global_id(f), t, -1, count, "shard_outage");
     }
     kernel_.degrade();
@@ -234,7 +219,7 @@ std::uint64_t SteppedRun::run_outage(trace::Minute end) {
     kernel_.end_of_minute(t);
 
     // A dead shard holds nothing warm: zero memory, zero keep-alive cost.
-    close_minute(t, 0.0, 0, ideal_cost_t);
+    close_minute(t, 0.0, 0);
     ++next_minute_;
   }
   return result_.failed_invocations - failed_before;
@@ -248,6 +233,20 @@ RunResult SteppedRun::finish_at(trace::Minute end) {
   }
   run_until(end);
   finished_ = true;
+  if (config_.record_series) {
+    // The ideal reference keeps the highest-quality model alive exactly
+    // during invocation minutes (Figure 6b's ideal line). It depends only
+    // on the trace and the deployment, and is fault-free by definition:
+    // failed and outage minutes accrue it too.
+    result_.ideal_cost_usd.assign(static_cast<std::size_t>(next_minute_), 0.0);
+    for (trace::Minute t = 0; t < next_minute_; ++t) {
+      for (trace::FunctionId f = 0; f < trace_->function_count(); ++f) {
+        if (trace_->count(f, t) == 0) continue;
+        result_.ideal_cost_usd[static_cast<std::size_t>(t)] +=
+            keepalive_cost_usd(deployment_->family_of(f).highest().memory_mb, 1.0);
+      }
+    }
+  }
 
   kernel_.finish("engine");
   RunResult& result = result_;

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/injector.hpp"
-#include "models/latency.hpp"
 #include "obs/observer.hpp"
 #include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
@@ -22,21 +20,8 @@
 
 namespace pulse::sim {
 
-struct EngineConfig {
-  models::LatencyModel latency{};
-
-  /// Keep the per-minute memory/cost series in the result (Figures 4/6b/7).
-  /// Off by default: the 1000-run ensembles only need the totals.
-  bool record_series = false;
-
-  /// Use expected service times instead of sampled ones. Unit tests and the
-  /// ideal-cost analysis use this for exact arithmetic.
-  bool deterministic_latency = false;
-
-  /// Seed of every function's jitter and accuracy streams and of the
-  /// capacity victim draws (independent of trace generation and faults).
-  std::uint64_t seed = 1;
-
+/// The kernel's sim::RunConfig plus what only the minute engine reads.
+struct EngineConfig : RunConfig {
   /// Keep per-function invocation/warm/cold/service-time/accuracy
   /// breakdowns in the result.
   bool record_per_function = false;
@@ -50,29 +35,6 @@ struct EngineConfig {
   /// means converge to the same values (the paper reports expectations);
   /// this models the per-request variance real inference datasets show.
   bool bernoulli_accuracy = false;
-
-  /// Absolute keep-alive memory capacity, MB (0 = unlimited). When the
-  /// schedule exceeds it at the end of a minute, the engine evicts random
-  /// kept containers until it fits — the provider behaviour the paper's
-  /// §III-A describes ("random functions/models are downgraded" under
-  /// memory stress). Policies that flatten peaks themselves (PULSE) rarely
-  /// trigger it.
-  double memory_capacity_mb = 0.0;
-
-  /// Fault injection (crashes, cold-start failures, SLO timeouts, memory
-  /// pressure). All rates default to zero, in which case the run is
-  /// bitwise-identical to one without any injector: fault decisions are
-  /// hash-derived from FaultConfig::seed and consume no engine RNG state.
-  fault::FaultConfig faults{};
-
-  /// Observability context: optional event sink, metrics registry, and
-  /// phase profiler (all non-owning; default fully disabled). Attaching
-  /// any of them leaves RunResult bitwise identical — the layer observes,
-  /// it never steers (tests/obs/obs_determinism_test.cpp is the gate).
-  /// A sink that is not an obs::EventLane is fed through a one-lane
-  /// obs::EventCollector the run owns; it holds every event once the run
-  /// has finished.
-  obs::Observer observer{};
 
   /// Emit one kMinuteSample event per simulated minute (value = keep-alive
   /// memory MB, variant = alive container count). The per-minute anchor the
@@ -172,10 +134,9 @@ class SteppedRun {
 
  private:
   void step_minute();
-  void serve_minute(trace::Minute t, double& ideal_cost_t);
+  void serve_minute(trace::Minute t);
   /// Books a simulated minute's memory, cost, series and obs samples.
-  void close_minute(trace::Minute t, double memory_t, std::size_t alive_n,
-                    double ideal_cost_t);
+  void close_minute(trace::Minute t, double memory_t, std::size_t alive_n);
   void fold_top_k(obs::MetricsRegistry& m) const;
 
   const Deployment* deployment_;

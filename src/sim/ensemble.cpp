@@ -30,31 +30,11 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
   // differs between runs, so each task slot mutates its own copy in place.
   std::vector<EngineConfig> task_config(pool.task_slot_count(), config.engine);
 
-  // Observability across workers rides the same per-slot machinery: each
-  // slot writes its own registry/profiler (no synchronization, TSan-clean)
-  // and the user's instances receive the merged totals after the pool has
-  // joined.
-  const obs::Observer user_obs = config.engine.observer;
-  std::vector<obs::MetricsRegistry> slot_metrics(
-      user_obs.metrics != nullptr ? pool.task_slot_count() : 0);
-  std::vector<obs::PhaseProfiler> slot_profilers(
-      user_obs.profiler != nullptr ? pool.task_slot_count() : 0);
-
-  // Event transport: one producer-owned lane per worker slot in front of
-  // the user's sink; each slot's engine emits into its lane as is. Event
-  // totals are thread-count invariant (see obs/collector.hpp for the full
-  // determinism contract).
-  std::unique_ptr<obs::EventCollector> collector;
-  if (user_obs.sink != nullptr) {
-    collector = std::make_unique<obs::EventCollector>(*user_obs.sink, pool.task_slot_count());
-  }
-
+  // One Observer per worker slot (obs::ObserverFanOut): its own registry,
+  // profiler and event lane, merged into the user's after the pool joins.
+  obs::ObserverFanOut fan_out(config.engine.observer, pool.task_slot_count());
   for (std::size_t slot = 0; slot < pool.task_slot_count(); ++slot) {
-    if (user_obs.metrics != nullptr) task_config[slot].observer.metrics = &slot_metrics[slot];
-    if (user_obs.profiler != nullptr) {
-      task_config[slot].observer.profiler = &slot_profilers[slot];
-    }
-    if (collector) task_config[slot].observer.sink = &collector->lane(slot);
+    task_config[slot].observer = fan_out.producer(slot);
   }
 
   pool.parallel_for_slotted(config.runs, [&](std::size_t slot, std::size_t i) {
@@ -71,15 +51,8 @@ EnsembleResult run_ensemble(const models::ModelZoo& zoo, const trace::Trace& tra
     result.runs[i] = engine.run(*policy);
   });
 
-  // The pool has joined (producers quiesced): feed every lane's buffered
-  // events (for canonical sinks, the retained tails) downstream before
-  // anything reads the sink.
-  if (collector) collector->finish();
-
-  for (const auto& m : slot_metrics) user_obs.metrics->merge(m);
-  for (const auto& p : slot_profilers) user_obs.profiler->merge(p);
-  if (user_obs.metrics != nullptr) result.metrics = user_obs.metrics->snapshot();
-
+  fan_out.finish();  // the pool has joined: every producer has quiesced
+  if (auto* const m = config.engine.observer.metrics) result.metrics = m->snapshot();
   return result;
 }
 

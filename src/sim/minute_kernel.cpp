@@ -1,28 +1,32 @@
 #include "sim/minute_kernel.hpp"
 
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace pulse::sim {
 
 MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
-                           KeepAlivePolicy& policy, RunTotals& totals,
-                           const obs::Observer& observer, const fault::FaultConfig& faults,
-                           const models::LatencyModel& latency, bool deterministic_latency,
-                           std::uint64_t seed,
+                           KeepAlivePolicy& policy, RunTotals& totals, const RunConfig& config,
                            const std::vector<trace::FunctionId>* global_ids)
     : schedule_(deployment, trace.duration()),
-      latency_(deployment, latency),
-      deterministic_latency_(deterministic_latency),
+      latency_(deployment, config.latency),
+      deterministic_latency_(config.deterministic_latency),
       totals_(&totals),
-      observer_(observer),
+      observer_(config.observer),
       policy_(&policy),
-      policy_calls_(policy, observer.profiler),
-      injector_(faults),
-      faults_on_(faults.enabled()),
-      seed_(seed),
+      policy_calls_(policy, config.observer.profiler),
+      injector_(config.faults),
+      faults_on_(config.faults.enabled()),
+      seed_(config.seed),
       global_ids_(global_ids) {
+  // step() would evict every kept container under a NaN capacity and read
+  // a negative one as unlimited.
+  if (!std::isfinite(config.memory_capacity_mb) || config.memory_capacity_mb < 0.0) {
+    throw std::invalid_argument("MinuteKernel: memory_capacity_mb must be finite and >= 0, not " +
+                                std::to_string(config.memory_capacity_mb));
+  }
   const std::size_t functions = deployment.function_count();
   if (functions != trace.function_count()) {
     throw std::invalid_argument("MinuteKernel: deployment/trace function count mismatch");
@@ -32,7 +36,7 @@ MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& tra
   }
   streams_.reserve(functions);
   for (trace::FunctionId f = 0; f < functions; ++f) {
-    streams_.push_back(util::function_stream(seed, global_id(f), util::kJitterStream));
+    streams_.push_back(util::function_stream(seed_, global_id(f), util::kJitterStream));
   }
   // Capacity-pressured minutes fill this with every kept container; sizing
   // it up front keeps even a late first pressure event allocation-free
@@ -41,7 +45,7 @@ MinuteKernel::MinuteKernel(const Deployment& deployment, const trace::Trace& tra
   live_tree_.reserve(functions + 1);
   record_.reserve(static_cast<std::size_t>(trace.duration()));
 
-  lane_ = obs::own_lane(observer.sink, collector_);
+  lane_ = obs::own_lane(config.observer.sink, collector_);
   observer_.sink = lane_;
   policy.attach_observer(observer_.any() ? &observer_ : nullptr);
   policy.initialize(deployment, trace, schedule_);

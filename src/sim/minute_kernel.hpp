@@ -15,8 +15,10 @@
 // derive from (their `<prefix>.*` counters included). Crash, retry, SLO
 // and capacity parity between the layers thus holds by construction
 // (request scheduling kept apart from the resource model, as in CloudSimSC).
-// The serving rule is a lambda passed to step(), so the engine's hot path
-// makes no virtual call per function-minute.
+// Its inputs are declared once too: sim::RunConfig, the base of
+// EngineConfig and platform::PlatformConfig, which the kernel takes whole
+// and checks once. The serving rule is a lambda passed to step(), so the
+// engine's hot path makes no virtual call per function-minute.
 
 #include <cstdint>
 #include <memory>
@@ -37,21 +39,61 @@
 
 namespace pulse::sim {
 
+/// What both run frames read: the base of EngineConfig and
+/// platform::PlatformConfig, as sim::RunTotals is of their results.
+struct RunConfig {
+  models::LatencyModel latency{};
+
+  /// Use expected service times instead of sampled ones. Unit tests and the
+  /// ideal-cost analysis use this for exact arithmetic.
+  bool deterministic_latency = false;
+
+  /// Seed of every function's jitter (and the engine's accuracy) stream,
+  /// util::function_stream of its global id, and of the capacity victim
+  /// draws; independent of trace generation and faults.
+  std::uint64_t seed = 1;
+
+  /// Absolute keep-alive memory capacity, MB (0 = unlimited; the kernel
+  /// throws std::invalid_argument unless it is finite and >= 0). When the
+  /// schedule exceeds it at the end of a minute, kept containers are evicted
+  /// in a seeded random order until it fits: the provider behaviour of the
+  /// paper's §III-A ("random functions/models are downgraded" under memory
+  /// stress), which policies that flatten peaks (PULSE) rarely trigger.
+  double memory_capacity_mb = 0.0;
+
+  /// Fault injection (crashes, cold-start failures, SLO timeouts, memory
+  /// pressure). All rates default to zero, in which case the run is
+  /// bitwise-identical to one without any injector: fault decisions are
+  /// hash-derived from FaultConfig::seed and consume no simulator RNG state.
+  fault::FaultConfig faults{};
+
+  /// Observability context: optional event sink, metrics registry, and
+  /// phase profiler (all non-owning; default fully disabled). Attaching
+  /// any of them leaves the result bitwise identical: the layer observes,
+  /// it never steers (tests/obs/obs_determinism_test.cpp is the gate).
+  /// A sink that is not an obs::EventLane is fed through a one-lane
+  /// obs::EventCollector the run owns; it holds every event once the run
+  /// has finished.
+  obs::Observer observer{};
+
+  /// Keep the per-minute series in the result (Figures 4/6b/7). Off by
+  /// default: the 1000-run ensembles only need the totals.
+  bool record_series = false;
+};
+
 /// Why the kernel evicted a kept container.
 enum class Eviction { kCrash, kCapacity };
 
 class MinuteKernel final : public MemoryHistory {
  public:
-  /// One run of `policy` over `trace`, reporting into `totals` (the
-  /// caller's result); both, `deployment` and `totals` must outlive the
-  /// kernel. Attaches the policy to a copy of `observer` whose sink is the
-  /// run's lane (obs::own_lane), then initializes it. The other arguments
-  /// mean what the EngineConfig fields of their names mean.
+  /// One run of `policy` over `trace` under `config`, reporting into
+  /// `totals` (the caller's result); both, `deployment` and `totals` must
+  /// outlive the kernel. Throws std::invalid_argument on a capacity that is
+  /// not finite and >= 0. Attaches the policy to a copy of the config's
+  /// observer whose sink is the run's lane (obs::own_lane), then
+  /// initializes it. `global_ids` means what EngineConfig::global_ids means.
   MinuteKernel(const Deployment& deployment, const trace::Trace& trace,
-               KeepAlivePolicy& policy, RunTotals& totals,
-               const obs::Observer& observer, const fault::FaultConfig& faults,
-               const models::LatencyModel& latency, bool deterministic_latency,
-               std::uint64_t seed,
+               KeepAlivePolicy& policy, RunTotals& totals, const RunConfig& config,
                const std::vector<trace::FunctionId>* global_ids = nullptr);
 
   // The policy holds a pointer to observer_.

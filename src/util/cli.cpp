@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,8 +9,8 @@ namespace pulse::util {
 namespace {
 
 /// `value` read whole by `parse` (std::stoll or std::stod); a value it
-/// cannot read, or reads only a prefix of ("3x", "2.5" as an integer), is
-/// an error naming the flag.
+/// cannot read, or reads only a prefix of ("3x", "2.5" as an integer), or a
+/// double that is not finite, is an error naming the flag.
 template <typename Parse>
 auto parse_whole(std::string_view name, const std::string& value, Parse parse) {
   std::size_t used = 0;
@@ -109,8 +110,11 @@ std::int64_t CliParser::get_int(std::string_view name) const {
 }
 
 double CliParser::get_double(std::string_view name) const {
-  return parse_whole(name, get_string(name),
-                     [](const std::string& v, std::size_t* used) { return std::stod(v, used); });
+  return parse_whole(name, get_string(name), [](const std::string& v, std::size_t* used) {
+    const double parsed = std::stod(v, used);
+    if (!std::isfinite(parsed)) throw std::out_of_range("not finite");  // nan, inf
+    return parsed;
+  });
 }
 
 bool CliParser::get_bool(std::string_view name) const {

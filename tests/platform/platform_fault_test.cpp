@@ -86,24 +86,21 @@ TEST(PlatformFaultParity, CountersAndCostMatchMinuteEngine) {
   obs::MetricsRegistry minute_metrics;
   obs::MetricsRegistry platform_metrics;
 
-  sim::EngineConfig econfig;
-  econfig.deterministic_latency = true;
-  econfig.seed = 5;
-  econfig.faults = faults;
-  econfig.memory_capacity_mb = 650.0;
-  econfig.observer.sink = &minute_sink;
-  econfig.observer.metrics = &minute_metrics;
+  // One run description, copied into both frames; only the observers differ.
+  sim::RunConfig run;
+  run.deterministic_latency = true;
+  run.seed = 5;
+  run.faults = faults;
+  run.memory_capacity_mb = 650.0;
+
+  sim::EngineConfig econfig{run};
+  econfig.observer = {&minute_sink, &minute_metrics};
   sim::SimulationEngine engine(d, t, econfig);
   policies::FixedKeepAlivePolicy minute_policy;
   const sim::RunResult minute = engine.run(minute_policy);
 
-  PlatformConfig pconfig;
-  pconfig.deterministic_latency = true;
-  pconfig.seed = 5;
-  pconfig.faults = faults;
-  pconfig.memory_capacity_mb = 650.0;
-  pconfig.observer.sink = &platform_sink;
-  pconfig.observer.metrics = &platform_metrics;
+  PlatformConfig pconfig{run};
+  pconfig.observer = {&platform_sink, &platform_metrics};
   PlatformSimulator platform(d, t, pconfig);
   policies::FixedKeepAlivePolicy platform_policy;
   const PlatformResult container = platform.run(platform_policy);
@@ -514,11 +511,13 @@ TEST(KernelFold, PublishedCountersEqualReturnedTotalsOnBothFrames) {
         std::make_unique<fault::DivergingPolicy>(policies::make_policy("pulse"), diverge));
   };
 
+  sim::RunConfig run;
+  run.seed = 3;
+  run.faults = parity_faults();
+  run.memory_capacity_mb = capacity_mb;
+
   obs::MetricsRegistry engine_metrics;
-  sim::EngineConfig econfig;
-  econfig.seed = 3;
-  econfig.faults = parity_faults();
-  econfig.memory_capacity_mb = capacity_mb;
+  sim::EngineConfig econfig{run};
   econfig.observer.metrics = &engine_metrics;
   sim::SimulationEngine engine(d, workload.trace, econfig);
   fault::GuardedPolicy engine_policy = guarded();
@@ -526,10 +525,7 @@ TEST(KernelFold, PublishedCountersEqualReturnedTotalsOnBothFrames) {
   expect_fold_matches(engine_metrics.snapshot(), "engine", minute);
 
   obs::MetricsRegistry platform_metrics;
-  PlatformConfig pconfig;
-  pconfig.seed = 3;
-  pconfig.faults = parity_faults();
-  pconfig.memory_capacity_mb = capacity_mb;
+  PlatformConfig pconfig{run};
   pconfig.observer.metrics = &platform_metrics;
   PlatformSimulator platform(d, workload.trace, pconfig);
   fault::GuardedPolicy platform_policy = guarded();

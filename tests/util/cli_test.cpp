@@ -91,6 +91,24 @@ TEST(Cli, DoubleParsing) {
   EXPECT_DOUBLE_EQ(cli.get_double("threshold"), 0.15);
 }
 
+// std::stod reads "nan" and "inf" whole; no flag of the programs means
+// either (a NaN --capacity-mb used to evict every kept container).
+TEST(Cli, DoubleRejectsNonFiniteValues) {
+  CliParser cli("test");
+  cli.add_flag("capacity-mb", "0", "MB");
+  const char* const values[] = {"nan", "NAN", "-nan", "nan(0x1)", "inf", "-inf", "INF",
+                                "infinity", "-Infinity"};
+  for (const char* value : values) {
+    const std::string flag = std::string("--capacity-mb=") + value;
+    const auto args = argv_of({"prog", flag.c_str()});
+    ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
+    EXPECT_THROW((void)cli.get_double("capacity-mb"), std::invalid_argument) << value;
+  }
+  const auto args = argv_of({"prog", "--capacity-mb=-5"});
+  ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_DOUBLE_EQ(cli.get_double("capacity-mb"), -5.0);  // finite: the run frame decides
+}
+
 // std::stoll/std::stod stop at the first character they cannot read: the
 // getters must not turn --days=3x into 3 or --runs=2.5 into 2.
 TEST(Cli, NumericValuesMustParseWhole) {
