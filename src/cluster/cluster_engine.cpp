@@ -70,7 +70,7 @@ ClusterEngine::ClusterEngine(const sim::Deployment& deployment, const trace::Tra
   shard_traces_.reserve(config_.shards);
   shard_deployments_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    shard_traces_.push_back(shard_trace(trace, partition_.members[s]));
+    shard_traces_.push_back(trace.project(partition_.members[s]));
     shard_deployments_.push_back(shard_deployment(deployment, partition_.members[s]));
   }
 }

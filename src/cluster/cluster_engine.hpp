@@ -8,9 +8,12 @@
 // own memory pool. ClusterEngine hash-partitions the catalog (partition.hpp),
 // gives every shard its own SteppedRun — capacity pool, keep-alive
 // schedule, fault stream, policy instance and RNG streams — and steps all
-// shards concurrently on a ThreadPool. At every rebalance epoch the shards
-// hit a barrier, report pressure signals, and the CapacityMarket
-// (market.hpp) re-trades memory quota between them.
+// shards concurrently on a ThreadPool. The shards hold no copy of the
+// trace: each reads the catalog's per-minute series through a read-only
+// trace::Trace::project view, and its deployment shares the catalog's
+// model families. At every rebalance epoch the shards hit a barrier,
+// report pressure signals, and the CapacityMarket (market.hpp) re-trades
+// memory quota between them.
 //
 // Determinism contract:
 //   * One shard: bitwise-identical RunResult to SimulationEngine on the
@@ -137,11 +140,17 @@ struct ClusterResult {
 
 class ClusterEngine {
  public:
-  /// deployment/trace must outlive the engine (per-shard deployments share
-  /// the source's model-family pointers). Throws std::invalid_argument on
-  /// zero shards, a function-count mismatch, or an invalid market config.
+  /// deployment/trace must outlive the engine: the per-shard deployments
+  /// share the source's model-family pointers, and the shard traces are
+  /// projections that read the catalog trace's series in place (no copy),
+  /// so the catalog trace must not be mutated or reassigned while the
+  /// engine lives. Throws std::invalid_argument on zero shards, a
+  /// function-count mismatch, or an invalid market config.
   ClusterEngine(const sim::Deployment& deployment, const trace::Trace& trace,
                 ClusterConfig config);
+  /// A temporary trace would die before the shards read it.
+  ClusterEngine(const sim::Deployment& deployment, const trace::Trace&& trace,
+                ClusterConfig config) = delete;
 
   /// Replays the whole trace across all shards. `factory` is called once
   /// per shard, in shard order, on the calling thread.

@@ -50,11 +50,6 @@ std::size_t Partition::min_shard_size() const noexcept {
   return best;
 }
 
-trace::Trace shard_trace(const trace::Trace& trace,
-                         const std::vector<trace::FunctionId>& members) {
-  return trace.select_functions(members);
-}
-
 sim::Deployment shard_deployment(const sim::Deployment& deployment,
                                  const std::vector<trace::FunctionId>& members) {
   std::vector<const models::ModelFamily*> families;

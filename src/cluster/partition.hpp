@@ -3,9 +3,11 @@
 //
 // A cluster-scale catalog (100k–1M functions) cannot live in one
 // minute-resolution engine: the per-minute scan is O(F) and the keep-alive
-// grid is F x T. The partitioner splits the catalog into N shards, each a
-// self-contained (sub-trace, sub-deployment) pair a SimulationEngine /
-// SteppedRun replays independently.
+// grid is F x T. The partitioner splits the catalog into N shards; each
+// shard's SteppedRun replays a read-only view of the catalog (a
+// trace::Trace::project of its members, borrowing the catalog's series,
+// and a shard_deployment sharing its model families), and owns only its
+// mutable state.
 //
 // Placement is a pure function of the catalog-global function id — the
 // FaultInjector discipline applied to topology: the shard owning f never
@@ -44,10 +46,6 @@ struct Partition {
   [[nodiscard]] std::size_t max_shard_size() const noexcept;
   [[nodiscard]] std::size_t min_shard_size() const noexcept;
 };
-
-/// Projection of the catalog trace onto one shard's members.
-[[nodiscard]] trace::Trace shard_trace(const trace::Trace& trace,
-                                       const std::vector<trace::FunctionId>& members);
 
 /// Projection of the catalog deployment onto one shard's members. The
 /// returned deployment shares the source's model-family pointers; the

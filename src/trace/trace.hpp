@@ -29,9 +29,28 @@ constexpr Minute kMinutesPerDay = 24 * 60;
 /// is corruption, and binning it would grow a series to match.
 constexpr Minute kMaxInvocationMinute = 366 * kMinutesPerDay;
 
+/// A trace either owns its series or is a read-only projection of another
+/// trace's functions (project()). Both read every series through one row
+/// pointer per function, so count() costs the same on either.
+///
+/// Projection rules:
+///   * a projection borrows the source's per-minute series and copies only
+///     the names. A write to the owning trace shows through every
+///     projection of it, and destroying or reassigning the owner leaves them
+///     dangling (moving it does not: the series stay where they are);
+///   * copying an owned trace deep-copies its series; copying a projection
+///     keeps borrowing the same source, and so does projecting a projection;
+///   * set_count and add_invocations on a projection throw std::logic_error
+///     (set_function_name is allowed: the names are the projection's own);
+///   * every accessor keeps its contract: series, count and function_name on
+///     an unknown function throw std::out_of_range.
 class Trace {
  public:
   Trace() = default;
+  Trace(const Trace& other);
+  Trace& operator=(const Trace& other);
+  Trace(Trace&&) noexcept = default;
+  Trace& operator=(Trace&&) noexcept = default;
 
   /// Creates an empty trace of `function_count` functions over
   /// `duration_minutes` minutes. Function names default to "fn0", "fn1", ...
@@ -44,13 +63,11 @@ class Trace {
                                           std::vector<std::vector<std::uint32_t>> counts,
                                           Minute duration_minutes);
 
-  /// Exact equality: same horizon, function names and per-minute counts.
-  [[nodiscard]] bool operator==(const Trace& other) const noexcept {
-    return duration_ == other.duration_ && names_ == other.names_ &&
-           counts_ == other.counts_;
-  }
+  /// Exact equality: same horizon, function names and per-minute counts,
+  /// whether each side owns its series or borrows them.
+  [[nodiscard]] bool operator==(const Trace& other) const noexcept;
 
-  [[nodiscard]] std::size_t function_count() const noexcept { return counts_.size(); }
+  [[nodiscard]] std::size_t function_count() const noexcept { return rows_.size(); }
   [[nodiscard]] Minute duration() const noexcept { return duration_; }
 
   [[nodiscard]] const std::string& function_name(FunctionId f) const { return names_.at(f); }
@@ -60,17 +77,19 @@ class Trace {
   /// Throws std::out_of_range for an unknown function inside the horizon.
   [[nodiscard]] std::uint32_t count(FunctionId f, Minute t) const {
     if (t < 0 || t >= duration_) return 0;
-    if (f >= counts_.size()) throw_unknown_function();
-    return counts_[f][static_cast<std::size_t>(t)];
+    if (f >= rows_.size()) throw_unknown_function();
+    return rows_[f][static_cast<std::size_t>(t)];
   }
 
+  /// Both throw std::logic_error on a projection.
   void set_count(FunctionId f, Minute t, std::uint32_t value);
   /// Adds `value` to f's count at minute t, saturating at 2^32 - 1.
   void add_invocations(FunctionId f, Minute t, std::uint32_t value = 1);
 
   /// Whole per-minute series of one function.
   [[nodiscard]] std::span<const std::uint32_t> series(FunctionId f) const {
-    return counts_.at(f);
+    if (f >= rows_.size()) throw_unknown_function();
+    return {rows_[f], static_cast<std::size_t>(duration_)};
   }
 
   /// Sum of invocations of function f over the whole horizon.
@@ -93,11 +112,15 @@ class Trace {
   /// experiments of Tables II/III).
   [[nodiscard]] Trace slice(Minute begin, Minute end) const;
 
-  /// Projects the trace onto a subset of its functions: the result's
-  /// function i is this trace's functions[i] (series and name copied).
-  /// Duplicate or unordered ids are allowed; out-of-range ids throw. The
-  /// cluster partitioner builds per-shard sub-traces with this.
-  [[nodiscard]] Trace select_functions(std::span<const FunctionId> functions) const;
+  /// Read-only projection onto a subset of this trace's functions: the
+  /// result's function i is this trace's functions[i]. It borrows the
+  /// series (see the projection rules above) and copies the names.
+  /// Duplicate or unordered ids are allowed; an out-of-range id throws
+  /// std::out_of_range. The cluster engine builds its shard traces with
+  /// this. A temporary has nothing to lend, so projecting one does not
+  /// compile.
+  [[nodiscard]] Trace project(std::span<const FunctionId> functions) const&;
+  Trace project(std::span<const FunctionId> functions) const&& = delete;
 
   /// CSV round trip. Columns: function,name then one count per minute.
   void save_csv(const std::filesystem::path& path) const;
@@ -109,10 +132,18 @@ class Trace {
 
  private:
   [[noreturn]] static void throw_unknown_function();
+  /// Points rows_ at counts_ (an owned trace's invariant).
+  void point_rows_at_counts();
+  /// f's cell at minute t, for writing; throws on a projection.
+  std::uint32_t& mutable_cell(FunctionId f, Minute t, const char* caller);
 
   Minute duration_ = 0;
+  /// The series an owned trace holds; empty in a projection.
   std::vector<std::vector<std::uint32_t>> counts_;
+  /// rows_[f]: first minute of f's series, in counts_ or in the source.
+  std::vector<const std::uint32_t*> rows_;
   std::vector<std::string> names_;
+  bool borrowed_ = false;
 };
 
 }  // namespace pulse::trace

@@ -87,12 +87,14 @@ TEST(Partition, ShardTraceProjectsSeriesAndNames) {
 
   const Partition p = Partition::make(wc.function_count, 3);
   for (std::size_t s = 0; s < 3; ++s) {
-    const trace::Trace sub = shard_trace(workload.trace, p.members[s]);
+    const trace::Trace sub = workload.trace.project(p.members[s]);
     ASSERT_EQ(sub.function_count(), p.members[s].size());
     EXPECT_EQ(sub.duration(), workload.trace.duration());
     for (std::size_t i = 0; i < p.members[s].size(); ++i) {
       const trace::FunctionId f = p.members[s][i];
       EXPECT_EQ(sub.function_name(i), workload.trace.function_name(f));
+      // The shard reads the catalog's series in place: no copy.
+      EXPECT_EQ(sub.series(i).data(), workload.trace.series(f).data());
       for (trace::Minute t = 0; t < sub.duration(); ++t) {
         ASSERT_EQ(sub.count(i, t), workload.trace.count(f, t))
             << "shard " << s << " local " << i << " minute " << t;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "support/temp_dir.hpp"
 
@@ -116,6 +119,156 @@ TEST(Trace, CsvRoundTrip) {
 }
 
 TEST(Trace, NegativeDurationThrows) { EXPECT_THROW(Trace(1, -5), std::invalid_argument); }
+
+/// Three functions over six minutes; function f's count at minute t is
+/// 10 * f + t, so every cell is distinct.
+Trace numbered_trace() {
+  Trace t(3, 6);
+  for (FunctionId f = 0; f < 3; ++f) {
+    t.set_function_name(f, "fn-" + std::to_string(f));
+    for (Minute m = 0; m < 6; ++m) t.set_count(f, m, static_cast<std::uint32_t>(10 * f + m));
+  }
+  return t;
+}
+
+TEST(TraceProjection, CopyOfOwnedTraceIsDeep) {
+  const Trace source = numbered_trace();
+  Trace copy = source;
+  EXPECT_EQ(copy, source);
+  EXPECT_NE(copy.series(1).data(), source.series(1).data());
+  copy.set_count(1, 2, 99);
+  copy.add_invocations(0, 0, 5);
+  EXPECT_EQ(source.count(1, 2), 12u);
+  EXPECT_EQ(source.count(0, 0), 0u);
+  EXPECT_EQ(copy.count(1, 2), 99u);
+
+  Trace assigned(1, 1);
+  assigned = source;
+  assigned.set_count(2, 5, 7);
+  EXPECT_EQ(source.count(2, 5), 25u);
+  EXPECT_EQ(assigned.count(2, 5), 7u);
+  EXPECT_EQ(assigned.count(2, 4), 24u);
+}
+
+TEST(TraceProjection, CopyOfProjectionStillAliasesSource) {
+  const Trace source = numbered_trace();
+  const std::vector<FunctionId> ids{2, 0};
+  const Trace projection = source.project(ids);
+  const Trace copy = projection;
+  Trace assigned(1, 1);
+  assigned = projection;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(copy.series(i).data(), source.series(ids[i]).data());
+    EXPECT_EQ(assigned.series(i).data(), source.series(ids[i]).data());
+  }
+  EXPECT_THROW(assigned.set_count(0, 0, 1), std::logic_error);
+}
+
+TEST(TraceProjection, MovedOwnedTraceKeepsValidRows) {
+  Trace source = numbered_trace();
+  const std::uint32_t* row = source.series(1).data();
+  Trace moved = std::move(source);
+  EXPECT_EQ(moved.series(1).data(), row);
+  EXPECT_EQ(moved.count(1, 3), 13u);
+  moved.set_count(1, 3, 77);
+  EXPECT_EQ(moved.series(1)[3], 77u);
+
+  Trace assigned(1, 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.series(1).data(), row);
+  EXPECT_EQ(assigned.count(1, 3), 77u);
+  EXPECT_EQ(assigned.count(2, 5), 25u);
+}
+
+TEST(TraceProjection, MutatingAProjectionThrowsLogicError) {
+  const Trace source = numbered_trace();
+  const std::vector<FunctionId> ids{1};
+  Trace projection = source.project(ids);
+  EXPECT_THROW(projection.set_count(0, 0, 1), std::logic_error);
+  EXPECT_THROW(projection.add_invocations(0, 0), std::logic_error);
+  EXPECT_EQ(source.count(1, 0), 10u);
+
+  Trace empty = source.project({});
+  EXPECT_THROW(empty.set_count(0, 0, 1), std::logic_error);
+  EXPECT_THROW(empty.add_invocations(0, 0), std::logic_error);
+
+  // Names are the projection's own.
+  projection.set_function_name(0, "renamed");
+  EXPECT_EQ(projection.function_name(0), "renamed");
+  EXPECT_EQ(source.function_name(1), "fn-1");
+}
+
+TEST(TraceProjection, ReadsTheSourceAndKeepsAccessorContracts) {
+  const Trace source = numbered_trace();
+  const std::vector<FunctionId> ids{2, 0, 2};
+  const Trace projection = source.project(ids);
+  ASSERT_EQ(projection.function_count(), 3u);
+  EXPECT_EQ(projection.duration(), 6);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(projection.function_name(i), source.function_name(ids[i]));
+    EXPECT_EQ(projection.total_invocations(i), source.total_invocations(ids[i]));
+    for (Minute m = -1; m <= 6; ++m) EXPECT_EQ(projection.count(i, m), source.count(ids[i], m));
+  }
+  EXPECT_EQ(projection.invocation_minutes(1), source.invocation_minutes(0));
+  EXPECT_EQ(projection.invocations_at(4), 24u + 4u + 24u);
+  EXPECT_EQ(projection.aggregate_series()[5], 25u + 5u + 25u);
+  EXPECT_EQ(projection.slice(2, 4).count(0, 1), 23u);
+
+  EXPECT_THROW((void)projection.series(3), std::out_of_range);
+  EXPECT_THROW((void)projection.count(3, 0), std::out_of_range);
+  EXPECT_THROW((void)projection.function_name(3), std::out_of_range);
+}
+
+TEST(TraceProjection, EqualsAnOwnedTraceWithTheSameContent) {
+  const Trace source = numbered_trace();
+  const std::vector<FunctionId> all{0, 1, 2};
+  EXPECT_EQ(source.project(all), source);
+  EXPECT_EQ(source, source.project(all));
+
+  Trace reordered = source.project(std::vector<FunctionId>{1, 0, 2});
+  EXPECT_NE(reordered, source);
+  Trace differing = source;
+  differing.set_count(2, 5, 0);
+  EXPECT_NE(source.project(all), differing);
+}
+
+TEST(TraceProjection, ProjectionOfAProjectionBorrowsTheOwner) {
+  const Trace source = numbered_trace();
+  const Trace outer = source.project(std::vector<FunctionId>{2, 1, 0});
+  const Trace inner = outer.project(std::vector<FunctionId>{2, 0});
+  ASSERT_EQ(inner.function_count(), 2u);
+  EXPECT_EQ(inner.series(0).data(), source.series(0).data());
+  EXPECT_EQ(inner.series(1).data(), source.series(2).data());
+  EXPECT_EQ(inner.function_name(1), "fn-2");
+  EXPECT_EQ(inner.count(1, 3), 23u);
+}
+
+TEST(TraceProjection, EdgeCasesZeroFunctionsAndZeroMinutes) {
+  const Trace source = numbered_trace();
+  const Trace none = source.project({});
+  EXPECT_EQ(none.function_count(), 0u);
+  EXPECT_EQ(none.duration(), 6);
+  EXPECT_EQ(none.total_invocations(), 0u);
+  EXPECT_EQ(none.aggregate_series(), std::vector<std::uint64_t>(6, 0));
+  EXPECT_EQ(none, Trace(0, 6));
+
+  const Trace flat(3, 0);
+  Trace flat_projection = flat.project(std::vector<FunctionId>{2, 0});
+  ASSERT_EQ(flat_projection.function_count(), 2u);
+  EXPECT_EQ(flat_projection.duration(), 0);
+  EXPECT_TRUE(flat_projection.series(1).empty());
+  EXPECT_EQ(flat_projection.count(0, 0), 0u);
+  EXPECT_EQ(flat_projection.total_invocations(), 0u);
+  EXPECT_EQ(flat_projection, flat.project(std::vector<FunctionId>{2, 0}));
+  EXPECT_THROW(flat_projection.add_invocations(0, 0), std::logic_error);
+}
+
+TEST(TraceProjection, OutOfRangeIdThrows) {
+  const Trace source = numbered_trace();
+  EXPECT_THROW((void)source.project(std::vector<FunctionId>{0, 3}), std::out_of_range);
+  const Trace projection = source.project(std::vector<FunctionId>{1});
+  EXPECT_THROW((void)projection.project(std::vector<FunctionId>{1}), std::out_of_range);
+}
 
 }  // namespace
 }  // namespace pulse::trace
