@@ -210,6 +210,25 @@ void BM_HarmonicRefitPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicRefitPlan);
 
+// A function's first refits: histories of 1..255 minutes on the same
+// 256-plan, so each fits the largest power-of-two suffix shorter than the
+// plan (mostly 128 and 64 points).
+void BM_HarmonicRefitPlanWarmup(benchmark::State& state) {
+  const auto pool = refit_series();
+  predict::HarmonicForecaster forecaster(
+      std::make_shared<const predict::HarmonicPlan>(kRefitWindow, kRefitHorizon));
+  std::vector<double> out(kRefitHorizon);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t length = i % (kRefitWindow - 1) + 1;
+    forecaster.extrapolate(std::span(pool[i++ % pool.size()]).first(length), kRefitHarmonics,
+                           out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HarmonicRefitPlanWarmup);
+
 void BM_HarmonicRefitOneShot(benchmark::State& state) {
   const auto pool = refit_series();
   std::size_t i = 0;

@@ -41,21 +41,16 @@ std::vector<std::complex<double>> twiddle_table(std::size_t n, bool inverse) {
   return table;
 }
 
-/// Radix-2 transform of `data`, a power of two no larger than the tables
-/// (whose first stages are the smaller transform's). The twiddle product is
+/// The butterfly stages of a radix-2 transform of `data`, already in
+/// bit-reversed order, a power of two no larger than the tables (whose
+/// first stages are the smaller transform's). The twiddle product is
 /// std::complex's inline expansion, (ac - bd, ad + bc), spelled out to stay
 /// in registers; kChecked adds the operator's infinity recovery when both
 /// parts are NaN, so fft() matches std::complex arithmetic. The harmonic
 /// model's transform is the plain expansion.
 template <bool kChecked>
-void butterflies(std::span<std::complex<double>> data, std::span<const std::size_t> bit_reverse,
-                 std::span<const std::complex<double>> twiddles) {
+void stages(std::span<std::complex<double>> data, std::span<const std::complex<double>> twiddles) {
   const std::size_t n = data.size();
-  const int shift = std::countr_zero(bit_reverse.size()) - std::countr_zero(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bit_reverse[i] >> shift;
-    if (i < j) std::swap(data[i], data[j]);
-  }
   for (std::size_t half = 1; half < n; half <<= 1) {
     for (std::size_t i = 0; i < n; i += 2 * half) {
       for (std::size_t k = 0; k < half; ++k) {
@@ -117,6 +112,11 @@ void split_real(std::span<std::complex<double>> spectrum,
   }
 }
 
+const HarmonicPlan& assigned(const std::shared_ptr<const HarmonicPlan>& plan) {
+  if (plan == nullptr) throw std::logic_error("HarmonicForecaster: no plan assigned");
+  return *plan;
+}
+
 }  // namespace
 
 std::size_t next_pow2(std::size_t n) noexcept { return std::bit_ceil(n); }
@@ -126,7 +126,11 @@ std::size_t prev_pow2(std::size_t n) noexcept { return n == 0 ? 1 : std::bit_flo
 void fft(std::vector<std::complex<double>>& data, bool inverse) {
   const std::size_t n = data.size();
   if (!std::has_single_bit(n)) throw std::invalid_argument("fft: size must be a power of two");
-  butterflies<true>(data, bit_reverse_table(n), twiddle_table(n, inverse));
+  const std::vector<std::size_t> bit_reverse = bit_reverse_table(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i < bit_reverse[i]) std::swap(data[i], data[bit_reverse[i]]);
+  }
+  stages<true>(data, twiddle_table(n, inverse));
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n);
     for (auto& x : data) x *= scale;
@@ -137,14 +141,20 @@ HarmonicPlan::HarmonicPlan(std::size_t n, std::size_t horizon) : horizon_(horizo
   if (!std::has_single_bit(n)) throw std::invalid_argument("HarmonicPlan: n must be a power of 2");
   bit_reverse_ = bit_reverse_table(n);
   twiddles_ = twiddle_table(n, /*inverse=*/false);
-  basis_.reserve((n / 2 + 1) * horizon);
-  for (std::size_t h = 0; h < horizon; ++h) {
-    for (std::size_t j = 0; j <= n / 2; ++j) basis_.push_back(basis_at(j, n + h, n));
+  for (std::size_t p = 1; p <= n; p <<= 1) {
+    basis_offset_.push_back(basis_.size());
+    for (std::size_t h = 0; h < horizon; ++h) {
+      for (std::size_t j = 0; j <= p / 2; ++j) basis_.push_back(basis_at(j, p + h, p));
+    }
   }
 }
 
 HarmonicForecaster::HarmonicForecaster(std::shared_ptr<const HarmonicPlan> plan)
-    : plan_(std::move(plan)), spectrum_(plan_->n() / 2 + 1), ranked_(plan_->n() / 2) {}
+    : plan_(std::move(plan)),
+      spectrum_(plan_->n() / 2 + 1),
+      keys_(plan_->n() / 2 + 1),
+      candidates_(plan_->n() / 2 + 1),
+      ranked_(plan_->n() / 2) {}
 
 void HarmonicForecaster::extrapolate(std::span<const double> series, std::size_t harmonics,
                                      std::span<double> out) {
@@ -158,8 +168,9 @@ void HarmonicForecaster::extrapolate(std::span<const double> series, std::size_t
 
 void HarmonicForecaster::fit(std::span<const double> window, std::size_t harmonics,
                              std::size_t first, std::span<double> out) {
+  const HarmonicPlan& plan = assigned(plan_);
   const std::size_t n = window.size();
-  if (!std::has_single_bit(n) || n > plan_->n()) {
+  if (!std::has_single_bit(n) || n > plan.n()) {
     throw std::invalid_argument("HarmonicForecaster: window must be a power of two <= plan n");
   }
   const std::size_t m = n / 2;
@@ -167,9 +178,14 @@ void HarmonicForecaster::fit(std::span<const double> window, std::size_t harmoni
   if (m == 0) {
     spectrum[0] = window[0];
   } else {
-    for (std::size_t k = 0; k < m; ++k) spectrum[k] = {window[2 * k], window[2 * k + 1]};
-    butterflies<false>(spectrum.first(m), plan_->bit_reverse_, plan_->twiddles_);
-    split_real(spectrum, std::span(plan_->twiddles_).subspan(m - 1, m));  // stage n
+    // z_k = x_{2k} + i x_{2k+1} goes straight to slot rev(k), where the
+    // transform's bit-reversal permutation would move it.
+    const int shift = std::countr_zero(plan.n()) - std::countr_zero(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      spectrum[plan.bit_reverse_[k] >> shift] = {window[2 * k], window[2 * k + 1]};
+    }
+    stages<false>(spectrum.first(m), plan.twiddles_);
+    split_real(spectrum, std::span(plan.twiddles_).subspan(m - 1, m));  // stage n
   }
   evaluate(spectrum, harmonics, first, out);
 }
@@ -177,19 +193,21 @@ void HarmonicForecaster::fit(std::span<const double> window, std::size_t harmoni
 void HarmonicForecaster::evaluate(std::span<const std::complex<double>> spectrum,
                                   std::size_t harmonics, std::size_t first,
                                   std::span<double> out) {
+  const HarmonicPlan& plan = assigned(plan_);
   const std::size_t m = spectrum.empty() ? 0 : spectrum.size() - 1;  // the Nyquist bin n/2
   const std::size_t n = std::max<std::size_t>(2 * m, 1);
-  if (spectrum.empty() || !std::has_single_bit(n) || n > plan_->n()) {
+  if (spectrum.empty() || !std::has_single_bit(n) || n > plan.n()) {
     throw std::invalid_argument("HarmonicForecaster: spectrum must be X_0 .. X_{n/2}, n <= plan n");
   }
   const std::size_t keep = std::min(harmonics, m);
   rank(spectrum, keep);
 
-  // The plan tabulates the basis at indices n .. n+horizon-1 of its own size.
-  const bool tabled = first == n && n == plan_->n();
+  // The plan tabulates the basis at indices n .. n+horizon-1 of every size.
+  const std::complex<double>* const table =
+      plan.basis_.data() + plan.basis_offset_[std::countr_zero(n)];
   for (std::size_t h = 0; h < out.size(); ++h) {
     const std::complex<double>* const row =
-        tabled && h < plan_->horizon() ? plan_->basis_.data() + h * (m + 1) : nullptr;
+        first == n && h < plan.horizon() ? table + h * (m + 1) : nullptr;
     double acc = spectrum[0].real();
     for (std::size_t k = 0; k < keep; ++k) {
       const std::size_t j = ranked_[k].second;
@@ -203,12 +221,32 @@ void HarmonicForecaster::evaluate(std::span<const std::complex<double>> spectrum
 
 void HarmonicForecaster::rank(std::span<const std::complex<double>> spectrum, std::size_t keep) {
   if (keep == 0) return;
-  // Keys descend along ranked_, equal keys in bin order; a NaN norm keys
-  // as -inf, below every norm.
-  std::size_t count = 0;
-  for (std::size_t j = 1; j < spectrum.size(); ++j) {
+  const std::size_t m = spectrum.size() - 1;
+  // A NaN norm keys as -inf, below every norm.
+  for (std::size_t j = 1; j <= m; ++j) {
     const double norm = std::norm(spectrum[j]);
-    const double key = std::isnan(norm) ? -std::numeric_limits<double>::infinity() : norm;
+    keys_[j] = std::isnan(norm) ? -std::numeric_limits<double>::infinity() : norm;
+  }
+  // `keep` disjoint groups each hold a bin at their maximum, so at least
+  // `keep` bins reach the smallest maximum and no bin below it ranks.
+  const std::size_t group = m / keep;
+  double bound = std::numeric_limits<double>::infinity();
+  for (std::size_t begin = 1; begin < 1 + keep * group; begin += group) {
+    double top = keys_[begin];
+    for (std::size_t j = begin + 1; j < begin + group; ++j) top = std::max(top, keys_[j]);
+    bound = std::min(bound, top);
+  }
+  // A bin equal to the bound stays in for the tie rule.
+  std::size_t candidates = 0;
+  for (std::size_t j = 1; j <= m; ++j) {
+    candidates_[candidates] = j;
+    candidates += static_cast<std::size_t>(keys_[j] >= bound);
+  }
+  // Keys descend along ranked_, equal keys in bin order.
+  std::size_t count = 0;
+  for (std::size_t c = 0; c < candidates; ++c) {
+    const std::size_t j = candidates_[c];
+    const double key = keys_[j];
     if (count == keep) {
       if (!(key > ranked_[count - 1].first)) continue;
       --count;

@@ -24,9 +24,11 @@ void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 
 /// Immutable tables built once per (n, horizon): the bit reversal and
 /// twiddles of forward transforms of every power of two up to n (a power of
-/// two, else std::invalid_argument), and the basis e^{2*pi*i*j*(n+h)/n} for
-/// every bin j <= n/2 and step h < horizon. Each entry is the expression an
-/// untabled fit evaluates, so tabled forecasts are bit-identical.
+/// two, else std::invalid_argument), and for every power of two p <= n the
+/// basis e^{2*pi*i*j*(p+h)/p} of every bin j <= p/2 and step h < horizon:
+/// the forecast of any window size the plan fits is tabled. Each entry is
+/// the expression an untabled fit evaluates, so tabled forecasts are
+/// bit-identical.
 class HarmonicPlan {
  public:
   HarmonicPlan(std::size_t n, std::size_t horizon);
@@ -39,15 +41,18 @@ class HarmonicPlan {
   std::size_t horizon_;
   std::vector<std::size_t> bit_reverse_;        // over log2(n) bits
   std::vector<std::complex<double>> twiddles_;  // stage `len` at [len/2 - 1, len - 1)
-  std::vector<std::complex<double>> basis_;     // step h, bin j at [h * (n/2 + 1) + j]
+  std::vector<std::size_t> basis_offset_;       // size 2^s's basis from [basis_offset_[s]]
+  std::vector<std::complex<double>> basis_;     // then step h, bin j at [h * (p/2 + 1) + j]
 };
 
 /// A shared plan plus the scratch of one fit; every method is
 /// allocation-free. The model of an n-point real window at index t is
 ///   (X_0 + sum_j c_j Re(X_j e^{2*pi*i*j*t/n})) / n
-/// over the `harmonics` bins j in 1..n/2 of largest std::norm(X_j) (ties
-/// to the lower bin, NaN norms last), c_j = 2 but 1 for the Nyquist bin
-/// n/2: DC plus conjugate pairs, so the model is real.
+/// over the `harmonics` bins j in 1..n/2 that rank first, c_j = 2 but 1 for
+/// the Nyquist bin n/2: DC plus conjugate pairs, so the model is real. The
+/// rank is a total order: std::norm(X_j) descending, ties to the lower bin,
+/// NaN norms last. On a forecaster with no plan, fit, evaluate and a
+/// non-empty extrapolate throw std::logic_error.
 class HarmonicForecaster {
  public:
   HarmonicForecaster() = default;  // empty until a plan is assigned
@@ -61,7 +66,8 @@ class HarmonicForecaster {
   /// Fits `window` (a power of two no longer than plan()->n(), else
   /// std::invalid_argument) and writes its model at indices first,
   /// first+1, ... to out. The transform packs the window as n/2 complex
-  /// points, runs their FFT and splits it into X_0 .. X_{n/2}.
+  /// points in bit-reversed order, runs their FFT's stages and splits the
+  /// result into X_0 .. X_{n/2}.
   void fit(std::span<const double> window, std::size_t harmonics, std::size_t first,
            std::span<double> out);
 
@@ -72,12 +78,15 @@ class HarmonicForecaster {
                 std::size_t first, std::span<double> out);
 
  private:
-  /// Leaves in ranked_[0, keep) the `keep` model bins of spectrum, in rank
-  /// order, by top-k insertion of (norm, j) keys.
+  /// Leaves in ranked_[0, keep) the first `keep` bins of spectrum in rank
+  /// order. Bins below a bound that at least `keep` bins reach are dropped
+  /// unranked; the rest go through a top-k insertion in bin order.
   void rank(std::span<const std::complex<double>> spectrum, std::size_t keep);
 
   std::shared_ptr<const HarmonicPlan> plan_;
   std::vector<std::complex<double>> spectrum_;          // X_0 .. X_{n/2}
+  std::vector<double> keys_;                            // rank key of bin j at [j]
+  std::vector<std::size_t> candidates_;                 // bins that reach the bound
   std::vector<std::pair<double, std::size_t>> ranked_;  // (rank key, j)
 };
 

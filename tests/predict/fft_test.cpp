@@ -499,6 +499,75 @@ TEST(HarmonicEvaluate, RanksByNormTiesToLowerBinNanLast) {
   }
 }
 
+TEST(HarmonicEvaluate, BoundFilteredRankMatchesFullSort) {
+  // The rank drops every bin below the smallest of `keep` group maxima
+  // before its top-k insertion. Quantized parts put many exact ties on
+  // that bound (a bin equal to it must survive for the tie rule), NaN and
+  // +-inf parts give NaN and +inf norms, and an all-zero spectrum ties every
+  // bin. keep takes values that do and do not divide m, up to m itself.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kCount = 4;
+  HarmonicForecaster forecaster(std::make_shared<const HarmonicPlan>(512, kCount));
+  util::Pcg32 rng(39);
+  std::vector<double> out(kCount);
+  for (std::size_t m = 1; m <= 256; m <<= 1) {
+    for (std::size_t trial = 0; trial < 32; ++trial) {
+      // Shapes by trial % 4: parts in {-2..2}; parts in {-8, -7.5, ..,
+      // 8}; the same with one part in eight NaN, inf or -inf; all zero.
+      const std::size_t shape = trial % 4;
+      const auto part = [&] {
+        if (shape == 0) return static_cast<double>(rng.bounded(5)) - 2.0;
+        if (shape == 2 && rng.bounded(8) == 0) {
+          const double special[] = {nan, inf, -inf};
+          return special[rng.bounded(3)];
+        }
+        return 0.5 * static_cast<double>(rng.bounded(33)) - 8.0;
+      };
+      std::vector<std::complex<double>> x(m + 1);
+      if (shape != 3) {
+        for (auto& bin : x) bin = {part(), part()};
+      }
+      const std::vector<std::size_t> ranked = reference::ranked_bins(x);
+      for (const std::size_t keep : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                     std::size_t{7}, std::size_t{8}, m - 1, m}) {
+        if (keep == 0 || keep > m) continue;
+        for (const std::size_t first : {2 * m, std::size_t{0}}) {  // tabled, untabled
+          const std::vector<double> expected = reference::model(x, ranked, keep, first, kCount);
+          forecaster.evaluate(x, keep, first, out);
+          ASSERT_TRUE(bitwise_equal(expected, std::span<const double>(out)))
+              << "m=" << m << " trial=" << trial << " keep=" << keep << " first=" << first;
+        }
+      }
+    }
+  }
+}
+
+TEST(HarmonicForecaster, NoPlanThrows) {
+  // A default-constructed forecaster has no tables: fitting or evaluating
+  // throws std::logic_error (not its std::invalid_argument subclass, which
+  // reports a bad input), and an empty series still forecasts zeros.
+  HarmonicForecaster forecaster;
+  ASSERT_EQ(forecaster.plan(), nullptr);
+  std::vector<double> out(4, 1.0);
+  const auto throws_no_plan = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument&) {
+      return false;
+    } catch (const std::logic_error&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(throws_no_plan([&] { forecaster.fit(std::vector<double>(8, 1.0), 2, 8, out); }));
+  EXPECT_TRUE(throws_no_plan(
+      [&] { forecaster.evaluate(std::vector<std::complex<double>>(5), 2, 8, out); }));
+  EXPECT_TRUE(throws_no_plan([&] { forecaster.extrapolate(std::vector<double>(5, 1.0), 2, out); }));
+  forecaster.extrapolate({}, 2, out);
+  for (const double v : out) EXPECT_EQ(v, 0.0);
+}
+
 TEST(HarmonicExtrapolate, NonFiniteWindowGivesNonFiniteForecast) {
   // The guard relies on it: a window holding an inf or a NaN poisons X_0,
   // so every forecast value is non-finite and ensure_finite throws. The
@@ -528,10 +597,10 @@ TEST_P(HarmonicBitIdentity, ExtrapolateMatchesReplicaAtEveryLength) {
   // Lengths 1..600 put every fit size 1..512 through three forecasters: the
   // one-shot free function (untabled), a plan of exactly the fit size (the
   // tabled basis) and one 512-plan shared by every length, as IceBreaker
-  // holds it (sub-size transforms, basis tabled only at 512). A forecast
-  // step does not depend on the horizon, so the reference transforms and
-  // ranks each length once and evaluates each harmonic count once, at the
-  // longest horizon.
+  // holds it (sub-size transforms, basis tabled at every fit size). A
+  // forecast step does not depend on the horizon, so the reference
+  // transforms and ranks each length once and evaluates each harmonic count
+  // once, at the longest horizon.
   constexpr std::size_t kMaxLength = 600;
   constexpr std::size_t kHorizons[] = {1, 10, 32};
   const std::vector<double> full = make_series(GetParam(), kMaxLength);
